@@ -84,6 +84,9 @@ EULER_MASCHERONI = 0.5772156649015329
 GUMBEL_REGRESSOR_COV = np.array(
     [[1.0, 0.5 * math.sqrt(2.0)], [0.5 * math.sqrt(2.0), 2.0]]
 )
+GUMBEL_REGRESSOR_COV.setflags(write=False)
+_GUMBEL_REGRESSOR_CHOL = cholesky(GUMBEL_REGRESSOR_COV)
+_GUMBEL_REGRESSOR_CHOL.setflags(write=False)
 GUMBEL_BETA = (2.0, 1.0, -3.0)
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -129,8 +132,7 @@ def sample_gumbel_hetero_linear(
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     rng = _generator(seed)
-    scale_matrix = cholesky(GUMBEL_REGRESSOR_COV)
-    regressors = rng.standard_normal((n, 2)) @ scale_matrix.T
+    regressors = rng.standard_normal((n, 2)) @ _GUMBEL_REGRESSOR_CHOL.T
     total = regressors[:, 0] + regressors[:, 1]
     gumbel_scale = np.abs(total) * math.sqrt(6.0) / math.pi
     gumbel_loc = -EULER_MASCHERONI * gumbel_scale

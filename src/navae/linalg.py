@@ -1,15 +1,16 @@
 """Dense symmetric linear algebra for small matrices (p up to ~100).
 
-Eigendecomposition is a cyclic Jacobi sweep: guaranteed convergence for
-symmetric matrices, no external solver state, and bitwise-reproducible output
-regardless of thread count, which the simulation harness's determinism
-contract relies on.  Pseudo-inverse, PSD square root, and spectral norm all
-derive from it; Cholesky is the classical right-looking factorization.
+The factorizations are LAPACK's, through numpy: ``np.linalg.eigh`` for the
+eigendecomposition (from which the pseudo-inverse and the PSD square root
+derive), ``np.linalg.eigvalsh`` for the spectral norm, and
+``np.linalg.cholesky``.  This module adds what LAPACK leaves to the caller:
+input validation through ``SymMatrix``, the rank cutoff of the pseudo-inverse,
+the clamp of round-off negative eigenvalues in the square root, and a
+relative pivot floor that makes Cholesky reject numerically singular input.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,61 +69,15 @@ def _as_sym(m: SymMatrix | np.ndarray) -> SymMatrix:
     return m if isinstance(m, SymMatrix) else SymMatrix.from_array(m)
 
 
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations until the off-diagonal mass is negligible."""
-    p = a.shape[0]
-    A = a.copy()
-    V = np.eye(p)
-    if p == 1:
-        return np.array([A[0, 0]]), V
-    norm = math.sqrt(float(np.sum(a * a)))
-    stop = 1e-15 * max(norm, 1e-300)
-    for _ in range(100):
-        off_entries = A.copy()
-        np.fill_diagonal(off_entries, 0.0)
-        off = math.sqrt(float(np.sum(off_entries * off_entries)))
-        if off <= stop:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = A[i, j]
-                if abs(aij) <= 1e-18 * max(norm, 1e-300):
-                    continue
-                # classical 2x2 rotation annihilating A[i, j]
-                theta = 0.5 * (A[j, j] - A[i, i]) / aij
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_i = A[i, :].copy()
-                row_j = A[j, :].copy()
-                A[i, :] = c * row_i - s * row_j
-                A[j, :] = s * row_i + c * row_j
-                col_i = A[:, i].copy()
-                col_j = A[:, j].copy()
-                A[:, i] = c * col_i - s * col_j
-                A[:, j] = s * col_i + c * col_j
-                A[i, j] = 0.0
-                A[j, i] = 0.0
-                vcol_i = V[:, i].copy()
-                vcol_j = V[:, j].copy()
-                V[:, i] = c * vcol_i - s * vcol_j
-                V[:, j] = s * vcol_i + c * vcol_j
-    return np.diag(A).copy(), V
-
-
 def sym_eigen(m: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors (as columns)."""
-    sym = _as_sym(m)
-    values, vectors = _jacobi(sym.array)
-    order = np.argsort(-values, kind="stable")
-    return values[order], vectors[:, order]
+    values, vectors = np.linalg.eigh(_as_sym(m).array)
+    return values[::-1], vectors[:, ::-1]
 
 
 def spectral_norm(m: SymMatrix | np.ndarray) -> float:
     """Largest absolute eigenvalue."""
-    values, _ = sym_eigen(m)
+    values = np.linalg.eigvalsh(_as_sym(m).array)
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
@@ -158,19 +113,22 @@ def psd_sqrt(m: SymMatrix | np.ndarray) -> SymMatrix:
 
 
 def cholesky(m: SymMatrix | np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L' = M for strictly positive-definite M."""
+    """Lower-triangular L with L L' = M for strictly positive-definite M.
+
+    Rejects M when a pivot L[j, j]^2 is at most 1e-12 times its spectral norm,
+    which LAPACK alone would accept.
+    """
     sym = _as_sym(m)
-    a = sym.array
-    p = sym.dim
+    try:
+        L = np.linalg.cholesky(sym.array)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
+    pivots = np.diag(L) ** 2
     pivot_floor = 1e-12 * max(spectral_norm(sym), 1e-300)
-    L = np.zeros_like(a)
-    for j in range(p):
-        s = a[j, j] - float(L[j, :j] @ L[j, :j])
-        if s <= pivot_floor:
-            raise NotPositiveDefiniteError(
-                f"Cholesky pivot {s:.6e} at column {j} is not positive enough"
-            )
-        L[j, j] = math.sqrt(s)
-        if j + 1 < p:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    too_small = pivots <= pivot_floor
+    if np.any(too_small):
+        j = int(np.argmax(too_small))
+        raise NotPositiveDefiniteError(
+            f"Cholesky pivot {pivots[j]:.6e} at column {j} is not positive enough"
+        )
     return L

@@ -379,11 +379,16 @@ def _feasibility_gap(a: float, n: int, alpha: float, kurtosis_bound: float, delt
     )
 
 
-def _scan_grid() -> np.ndarray:
-    """Log-spaced scan points over (1, 1e6], dense both in a and in a - 1."""
-    coarse = np.exp(np.linspace(math.log(1.0 + 1e-9), math.log(1e6), 512))
-    near_one = 1.0 + np.exp(np.linspace(math.log(1e-9), math.log(1e6 - 1.0), 512))
-    return np.unique(np.concatenate([coarse, near_one]))
+#: Log-spaced scan points over (1, 1e6], dense both in a and in a - 1.
+_SCAN_GRID = np.unique(
+    np.concatenate(
+        [
+            np.exp(np.linspace(math.log(1.0 + 1e-9), math.log(1e6), 512)),
+            1.0 + np.exp(np.linspace(math.log(1e-9), math.log(1e6 - 1.0), 512)),
+        ]
+    )
+)
+_SCAN_GRID.setflags(write=False)
 
 
 def feasible_a_interval(
@@ -403,7 +408,7 @@ def feasible_a_interval(
     def gap(a: float) -> float:
         return _feasibility_gap(a, n, alpha, kurtosis_bound, d)
 
-    grid = _scan_grid()
+    grid = _SCAN_GRID
     values = np.array([gap(float(a)) for a in grid])
     feasible = np.nonzero(values < 0.0)[0]
     if feasible.size == 0:
@@ -562,7 +567,7 @@ def alpha_min(
     def objective(a: float) -> float:
         return _alpha_min_at(a, n, kurtosis_bound, d)
 
-    grid = list(_scan_grid())
+    grid = list(_SCAN_GRID)
     conventional = DEFAULT_A_RULE(n)
     grid.append(conventional)
     grid.sort()

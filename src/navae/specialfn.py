@@ -2,16 +2,17 @@
 
 Every interval construction in this package reduces to evaluating the
 standard normal distribution function Phi, its density phi, and the inverse
-q(p) = Phi^{-1}(p).  The CDF goes through the complementary error function,
-which keeps full relative accuracy deep in the tails (Phi(-37) is still a
-normal double).  The quantile uses a rational initial guess refined by
-Newton steps on Phi itself, so its round-trip error |Phi(q(p)) - p| is at
-machine level regardless of the initializer's pedigree.
+q(p) = Phi^{-1}(p).  The CDF goes through the stdlib complementary error
+function, which keeps full relative accuracy deep in the tails (Phi(-37) is
+still a normal double).  The quantile is the cephes ``ndtri`` routine from
+``scipy.special``; this module adds the domain check in front of it.
 """
 
 from __future__ import annotations
 
 import math
+
+from scipy.special import ndtri
 
 from .errors import DomainError
 
@@ -19,40 +20,6 @@ __all__ = ["std_normal_cdf", "std_normal_pdf", "std_normal_quantile"]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation for the lower-tail normal quantile.
-# Absolute error of the raw approximation is below 1.2e-9; Newton refinement
-# below pushes the round trip to machine precision.
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_P_LOW = 0.02425
 
 
 def std_normal_cdf(x: float) -> float:
@@ -75,36 +42,8 @@ def std_normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
 
 
-def _quantile_initial(p: float) -> float:
-    """Acklam's rational approximation on (0, 0.5]."""
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        return num / den
-    q = p - 0.5
-    r = q * q
-    num = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-    den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-    return num / den
-
-
-def _quantile_lower(p: float) -> float:
-    """Quantile for p in (0, 0.5]: rational initializer plus Newton on Phi."""
-    x = _quantile_initial(p)
-    for _ in range(4):
-        err = std_normal_cdf(x) - p
-        if err == 0.0:
-            break
-        step = err / std_normal_pdf(x)
-        x -= step
-        if abs(step) < 1e-15 * (1.0 + abs(x)):
-            break
-    return x
-
-
 def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF.
+    """Inverse standard normal CDF, evaluated by ``scipy.special.ndtri``.
 
     Contract: strictly increasing, q(1-p) = -q(p) (exactly, for pairs whose
     floating-point sum is 1), and |Phi(q(p)) - p| <= 1e-12 on
@@ -115,10 +54,4 @@ def std_normal_quantile(p: float) -> float:
     p = float(p)
     if not math.isfinite(p) or p <= 0.0 or p >= 1.0:
         raise DomainError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        # 1 - p is exact for p in [0.5, 1) (Sterbenz), making the reflection
-        # below an exact antisymmetry.
-        return -_quantile_lower(1.0 - p)
-    return _quantile_lower(p)
+    return float(ndtri(p))

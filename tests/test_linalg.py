@@ -111,6 +111,12 @@ def test_penrose_conditions_random_including_rank_deficient():
             assert residual <= 1e-9 * scale
 
 
+def test_pseudo_inverse_cuts_eigenvalues_below_p_eps():
+    # 1e-17 is below the default cutoff 2 * eps * 1.0, so it is rank-deficient
+    pinv = pseudo_inverse(np.diag([1.0, 1e-17]))
+    assert np.array_equal(pinv.array, np.diag([1.0, 0.0]))
+
+
 def test_psd_sqrt_examples():
     assert psd_sqrt(np.diag([4.0, 9.0])).array == pytest.approx(np.diag([2.0, 3.0]), abs=1e-12)
     assert psd_sqrt(np.eye(3)).array == pytest.approx(np.eye(3), abs=1e-14)
@@ -171,6 +177,13 @@ def test_cholesky_rejects_non_pd():
         cholesky(np.diag([1.0, 0.0]))
     with pytest.raises(NotPositiveDefiniteError):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_cholesky_enforces_relative_pivot_floor():
+    # positive definite in exact arithmetic, but the pivot 1e-13 is below
+    # 1e-12 * ||M||, so the factorization must refuse it
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky(np.diag([1.0, 1e-13]))
 
 
 def test_cholesky_random_round_trip():

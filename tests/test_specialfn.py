@@ -84,6 +84,23 @@ def test_quantile_antisymmetry_on_exact_pairs():
         assert std_normal_quantile(lo) + std_normal_quantile(hi) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_quantile_exact_antisymmetry():
+    # hi = 1 - h with 1 - h down to 1e-16, plus uniform h; keep the pairs
+    # whose floating-point sum is exactly 1, as the docstring contract states
+    rng = np.random.default_rng(2025)
+    hs = np.concatenate([1.0 - np.logspace(-16, math.log10(0.5), 2000), rng.uniform(0.0, 1.0, 2000)])
+    checked = 0
+    for h in hs:
+        h = float(h)
+        hi = 1.0 - h
+        if not 0.0 < h < 1.0 or hi + h != 1.0:
+            continue
+        assert std_normal_quantile(hi) == -std_normal_quantile(h)
+        checked += 1
+    assert checked >= 3000
+    assert std_normal_quantile(0.5) == 0.0
+
+
 def test_quantile_strictly_increasing():
     rng = np.random.default_rng(3)
     ps = np.sort(rng.uniform(1e-10, 1 - 1e-10, size=5000))
