@@ -13,8 +13,13 @@ intervals built by enlarging the CLT interval:
 
 The informative branch exists only for levels above the feasibility boundary;
 ``feasible_a_interval``, ``optimize_a``, and ``alpha_min`` expose that
-machinery.  The variance estimator uses divisor n throughout; the Student
-baseline applies its sqrt(n/(n-1)) correction explicitly.
+machinery.  One kernel evaluates nu, the feasibility excess and the width
+multiplier C_n q at a float or a numpy array of a, so the searches and the
+interval decide feasibility with the same arithmetic: each search is one
+array scan of a grid followed by scalar bisection or golden-section
+refinement on that kernel.  The variance estimator uses divisor n
+throughout; the Student baseline applies its sqrt(n/(n-1)) correction
+explicitly.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc, betaincinv, ndtr, ndtri
 
 from .edgeworth import BerryEsseen, DeltaProvider, delta_of
 from .errors import (
@@ -38,7 +43,7 @@ from .errors import (
     InvariantError,
 )
 from .rules import OPTIMIZED, OptimizedRule, PowerRule
-from .specialfn import std_normal_cdf, std_normal_quantile
+from .specialfn import std_normal_quantile
 
 __all__ = [
     "ConfidenceInterval",
@@ -292,7 +297,7 @@ def nu_var(a: float, n: int, kurtosis_bound: float) -> float:
         raise DomainError(f"sample size must be >= 1, got {n}")
     if kurtosis_bound < 1.0:
         raise DomainError(f"kurtosis bound must be >= 1, got {kurtosis_bound!r}")
-    return math.exp(-n * (1.0 - 1.0 / a) ** 2 / (2.0 * kurtosis_bound))
+    return float(_tuning_terms(a, n, kurtosis_bound, 0.0)[0])
 
 
 def ci_known_variance(
@@ -325,10 +330,9 @@ def _resolve_a(cfg: MeanCiConfig, n: int) -> float | None:
     """The tuning value a_n for a sample size, or None when optimization finds
     no feasible value (the interval is then the whole real line for every a)."""
     if isinstance(cfg.a_rule, OptimizedRule):
-        try:
-            return optimize_a(n, cfg.alpha, cfg.kurtosis_bound, cfg.delta)
-        except FeasibilityError:
-            return None
+        return _optimize_a_cached(
+            int(n), float(cfg.alpha), float(cfg.kurtosis_bound), cfg.delta
+        )
     a = float(cfg.a_rule(n))
     if not math.isfinite(a) or a <= 1.0:
         raise ConfigError(f"a_rule({n}) = {a!r}; fixed rules must return a > 1")
@@ -339,44 +343,96 @@ def ci_unknown_variance(sample: Sample, cfg: MeanCiConfig) -> ConfidenceInterval
     """Finite-sample-valid interval with estimated variance.
 
     Bounded exactly when 1 - alpha/2 + delta_n + nu/2 < Phi(sqrt(n/a_n)); the
-    feasibility condition also guarantees the C_n radicand 1/a - q^2/n is
-    positive, which is asserted rather than assumed.
+    half-width is (sigma_hat/sqrt(n)) times ``unknown_variance_width_factor``.
     """
     if not isinstance(cfg.variance, UnknownVariance):
         raise ConfigError("ci_unknown_variance requires cfg.variance = UnknownVariance")
-    n = sample.n
     level = 1.0 - cfg.alpha
-    a = _resolve_a(cfg, n)
-    if a is None:
+    factor = unknown_variance_width_factor(sample.n, cfg)
+    if factor is None:
         return ConfidenceInterval.whole(level, "unknown-variance")
-    delta = delta_of(cfg.delta, n, cfg.kurtosis_bound)
-    nu = nu_var(a, n, cfg.kurtosis_bound)
-    arg = 1.0 - cfg.alpha / 2.0 + delta + nu / 2.0
-    if arg >= std_normal_cdf(math.sqrt(n / a)):
-        return ConfidenceInterval.whole(level, "unknown-variance")
-    q = std_normal_quantile(arg)
-    radicand = 1.0 / a - q * q / n
-    if radicand <= 0.0:
-        raise InvariantError(
-            "C_n radicand is not positive although the feasibility condition "
-            f"held (a={a!r}, n={n}, q={q!r})"
-        )
-    c_n = radicand**-0.5
-    half = math.sqrt(sample.sigma_hat_sq) / math.sqrt(n) * c_n * q
+    half = math.sqrt(sample.sigma_hat_sq) / math.sqrt(sample.n) * factor
     return ConfidenceInterval.bounded(
         sample.mean - half, sample.mean + half, level, "unknown-variance"
     )
 
 
-def _feasibility_gap(a: float, n: int, alpha: float, kurtosis_bound: float, delta: float) -> float:
-    """g(a) = 1 - alpha/2 + delta + nu(a)/2 - Phi(sqrt(n/a)); feasible iff < 0."""
-    return (
-        1.0
-        - alpha / 2.0
-        + delta
-        + nu_var(a, n, kurtosis_bound) / 2.0
-        - std_normal_cdf(math.sqrt(n / a))
-    )
+def _tuning_terms(
+    a: float | np.ndarray, n: int, kurtosis_bound: float, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(nu(a), excess(a)) at a float or an array of tuning values a > 1, with
+    excess(a) = 1 - Phi(sqrt(n/a)) + delta_n + nu(a)/2.
+
+    At level alpha, a is feasible (the unknown-variance interval is bounded)
+    exactly when the gap excess(a) - alpha/2 is negative, so 2 excess(a) is
+    the smallest level with a bounded interval at this a.
+    """
+    nu = np.exp(-n * (1.0 - 1.0 / a) ** 2 / (2.0 * kurtosis_bound))
+    return nu, 1.0 - ndtr(np.sqrt(n / a)) + delta + nu / 2.0
+
+
+def _width_multiplier(
+    a: float | np.ndarray, n: int, alpha: float, kurtosis_bound: float, delta: float
+) -> float | np.ndarray:
+    """C_n(a) q(arg) with arg = 1 - alpha/2 + delta_n + nu(a)/2, at a float or
+    an array of a > 1: the half-width per unit sigma_hat/sqrt(n), +inf where a
+    is infeasible.
+
+    Feasibility gives q(arg) < sqrt(n/a), hence a positive C_n radicand
+    1/a - q^2/n; that is asserted (InvariantError) rather than assumed.  A
+    float takes a scalar path, without the masks and reductions of an array.
+    """
+    nu, excess = _tuning_terms(a, n, kurtosis_bound, delta)
+    feasible = excess < alpha / 2.0
+    scalar = not isinstance(a, np.ndarray)
+    if scalar and not feasible:
+        return math.inf
+    a_in, nu_in = (a, nu) if scalar else (a[feasible], nu[feasible])
+    q = ndtri(1.0 - alpha / 2.0 + delta + nu_in / 2.0)
+    radicand = 1.0 / a_in - q * q / n
+    if (radicand <= 0.0) if scalar else (radicand <= 0.0).any():
+        raise InvariantError(
+            "C_n radicand is not positive although the feasibility condition "
+            f"held (a={np.extract(radicand <= 0.0, a_in)}, n={n}, alpha={alpha!r})"
+        )
+    if scalar:
+        return float(q / math.sqrt(radicand))
+    width = np.full(a.shape, np.inf)
+    width[feasible] = q / np.sqrt(radicand)
+    return width
+
+
+def _grid_then_golden(
+    fn: Callable, grid: np.ndarray, lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """Minimize fn: argmin of one array evaluation over the sorted grid, then
+    golden-section search between the argmin's grid neighbours (``lo``/``hi``
+    past the ends) down to a bracket of width tol.
+
+    Returns (argmin, min); the refined point replaces the grid's best only
+    when it is no worse.
+    """
+    values = fn(grid)
+    best = int(np.argmin(values))
+    a = float(grid[best - 1]) if best > 0 else lo
+    b = float(grid[best + 1]) if best + 1 < grid.size else hi
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x, fx = (c, fc) if fc < fd else (d, fd)
+    if fx <= values[best]:
+        return x, float(fx)
+    return float(grid[best]), float(values[best])
 
 
 #: Log-spaced scan points over (1, 1e6], dense both in a and in a - 1.
@@ -396,8 +452,9 @@ def feasible_a_interval(
 ) -> tuple[float, float] | None:
     """The open interval of tuning values a > 1 with an informative interval.
 
-    Scans a log-spaced grid over (1, 1e6] (extended upward geometrically when
-    the boundary itself is feasible), then locates both endpoints by bisection
+    Evaluates the feasibility gap on a log-spaced grid over (1, 1e6] in one
+    array call (extending upward geometrically when the boundary itself is
+    feasible), then locates both endpoints by scalar bisection on the same gap
     to relative tolerance 1e-10.  Returns None when no grid point is feasible.
     """
     alpha = float(alpha)
@@ -405,31 +462,27 @@ def feasible_a_interval(
         raise DomainError(f"feasible_a_interval requires alpha in (0, 1/2), got {alpha!r}")
     d = delta_of(delta, n, kurtosis_bound)
 
-    def gap(a: float) -> float:
-        return _feasibility_gap(a, n, alpha, kurtosis_bound, d)
+    def gap(a):
+        return _tuning_terms(a, n, kurtosis_bound, d)[1] - alpha / 2.0
 
     grid = _SCAN_GRID
-    values = np.array([gap(float(a)) for a in grid])
-    feasible = np.nonzero(values < 0.0)[0]
+    feasible = np.nonzero(gap(grid) < 0.0)[0]
     if feasible.size == 0:
         return None
-    first = int(feasible[0])
-    last = int(feasible[-1])
+    first, last = int(feasible[0]), int(feasible[-1])
 
     lo_bracket = (float(grid[first - 1]) if first > 0 else 1.0 + 1e-14, float(grid[first]))
     a_low = _bisect_to_feasible(gap, lo_bracket[0], lo_bracket[1], descending=True)
 
-    hi = float(grid[last])
     if last == grid.size - 1:
-        step = hi
+        hi = float(grid[last])
         while gap(hi) < 0.0:
-            step *= 2.0
-            hi = step
+            hi *= 2.0
             if hi > 1e18:
                 raise InvariantError("feasible region failed to close below a = 1e18")
-        a_high = _bisect_to_feasible(gap, float(grid[last]), hi, descending=False)
     else:
-        a_high = _bisect_to_feasible(gap, float(grid[last]), float(grid[last + 1]), descending=False)
+        hi = float(grid[last + 1])
+    a_high = _bisect_to_feasible(gap, float(grid[last]), hi, descending=False)
     return a_low, a_high
 
 
@@ -453,75 +506,27 @@ def _bisect_to_feasible(
     return hi if descending else lo
 
 
-def _width_factor(
-    a: float, n: int, alpha: float, kurtosis_bound: float, delta: float
-) -> float:
-    """C_n(a) * q(arg), the data-free width multiplier; +inf when infeasible."""
-    if a <= 1.0:
-        return math.inf
-    nu = nu_var(a, n, kurtosis_bound)
-    arg = 1.0 - alpha / 2.0 + delta + nu / 2.0
-    if arg >= std_normal_cdf(math.sqrt(n / a)):
-        return math.inf
-    q = std_normal_quantile(arg)
-    radicand = 1.0 / a - q * q / n
-    if radicand <= 0.0:
-        return math.inf
-    return q / math.sqrt(radicand)
-
-
-def _golden_min(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section minimization; returns (argmin, min)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)
-
-
 @lru_cache(maxsize=1024)
 def _optimize_a_cached(
     n: int, alpha: float, kurtosis_bound: float, delta: DeltaProvider
-) -> float:
+) -> float | None:
+    """optimize_a's search; None when no a is feasible, so that failed
+    searches are cached too."""
     d = delta_of(delta, n, kurtosis_bound)
-
-    def width(a: float) -> float:
-        return _width_factor(a, n, alpha, kurtosis_bound, d)
-
     feasible = feasible_a_interval(n, alpha, kurtosis_bound, delta)
     if feasible is None:
-        raise FeasibilityError(
-            f"no tuning value a > 1 is feasible at (n={n}, alpha={alpha}, "
-            f"K={kurtosis_bound}) under provider {delta.label!r}"
-        )
+        return None
     a_low, a_high = feasible
-    inner = np.exp(np.linspace(math.log(a_low), math.log(a_high), 258))[1:-1]
-    candidates = list(inner)
+    candidates = np.exp(np.linspace(math.log(a_low), math.log(a_high), 258))[1:-1]
     conventional = DEFAULT_A_RULE(n)
     if a_low < conventional < a_high:
-        candidates.append(conventional)
-    candidates.sort()
-    widths = [width(a) for a in candidates]
-    best = int(np.argmin(widths))
-    bracket_lo = candidates[best - 1] if best > 0 else a_low
-    bracket_hi = candidates[best + 1] if best + 1 < len(candidates) else a_high
-    refined, refined_w = _golden_min(width, bracket_lo, bracket_hi, tol=1e-8)
-    if refined_w <= widths[best]:
-        return float(refined)
-    return float(candidates[best])
+        candidates = np.sort(np.append(candidates, conventional))
+
+    def width(a):
+        return _width_multiplier(a, n, alpha, kurtosis_bound, d)
+
+    a_star, _ = _grid_then_golden(width, candidates, a_low, a_high, tol=1e-8)
+    return a_star
 
 
 def optimize_a(
@@ -529,21 +534,21 @@ def optimize_a(
 ) -> float:
     """Width-minimizing tuning value a over the feasible interval.
 
-    Coarse log grid (over 200 points, always containing the conventional
-    1 + n^(-1/5) when feasible) followed by golden-section refinement to an
-    argument tolerance of 1e-8; the result's width never exceeds that of any
-    grid point.  Raises FeasibilityError when the feasible interval is empty.
+    One array evaluation of the width on a 256-point log grid inside
+    ``feasible_a_interval`` (plus the conventional 1 + n^(-1/5) when
+    feasible), then scalar golden-section refinement between the best grid
+    point's neighbours to an argument tolerance of 1e-8; the result's width
+    never exceeds that of any grid point.  Results are cached per
+    (n, alpha, K, provider), failed searches included.  Raises
+    FeasibilityError when the feasible interval is empty.
     """
-    return _optimize_a_cached(int(n), float(alpha), float(kurtosis_bound), delta)
-
-
-def _alpha_min_at(a: float, n: int, kurtosis_bound: float, delta: float) -> float:
-    return 2.0 * (
-        1.0
-        - std_normal_cdf(math.sqrt(n / a))
-        + delta
-        + nu_var(a, n, kurtosis_bound) / 2.0
-    )
+    a = _optimize_a_cached(int(n), float(alpha), float(kurtosis_bound), delta)
+    if a is None:
+        raise FeasibilityError(
+            f"no tuning value a > 1 is feasible at (n={n}, alpha={alpha}, "
+            f"K={kurtosis_bound}) under provider {delta.label!r}"
+        )
+    return a
 
 
 def alpha_min(
@@ -552,31 +557,26 @@ def alpha_min(
     """Smallest nominal alpha with an informative unknown-variance interval.
 
     Closed form 2 (1 - Phi(sqrt(n/a)) + delta_n + nu(a)/2) at a fixed rule's
-    a; for the optimized rule, the infimum of that expression over a > 1 by
-    grid search plus golden-section refinement.  Clamped to 1.
+    a; for the optimized rule, the infimum of that expression over a > 1: one
+    array evaluation over the scan grid of ``feasible_a_interval`` (plus the
+    conventional 1 + n^(-1/5)), then scalar golden-section refinement between
+    the best point's neighbours to tolerance 1e-10.  Clamped to 1.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     d = delta_of(delta, n, kurtosis_bound)
+
+    def objective(a):
+        return 2.0 * _tuning_terms(a, n, kurtosis_bound, d)[1]
+
     if not isinstance(a_rule, OptimizedRule):
         a = float(a_rule(n))
         if not math.isfinite(a) or a <= 1.0:
             raise ConfigError(f"a_rule({n}) = {a!r}; fixed rules must return a > 1")
-        return min(1.0, _alpha_min_at(a, n, kurtosis_bound, d))
-
-    def objective(a: float) -> float:
-        return _alpha_min_at(a, n, kurtosis_bound, d)
-
-    grid = list(_SCAN_GRID)
-    conventional = DEFAULT_A_RULE(n)
-    grid.append(conventional)
-    grid.sort()
-    values = [objective(a) for a in grid]
-    best = int(np.argmin(values))
-    lo = grid[best - 1] if best > 0 else 1.0 + 1e-14
-    hi = grid[best + 1] if best + 1 < len(grid) else grid[best] * 2.0
-    refined, refined_v = _golden_min(objective, lo, hi, tol=1e-10)
-    return min(1.0, min(values[best], refined_v))
+        return min(1.0, float(objective(a)))
+    grid = np.sort(np.append(_SCAN_GRID, DEFAULT_A_RULE(n)))
+    _, value = _grid_then_golden(objective, grid, 1.0 + 1e-14, 2.0 * float(grid[-1]), tol=1e-10)
+    return min(1.0, value)
 
 
 def unknown_variance_width_factor(n: int, cfg: MeanCiConfig) -> float | None:
@@ -590,7 +590,7 @@ def unknown_variance_width_factor(n: int, cfg: MeanCiConfig) -> float | None:
     if a is None:
         return None
     d = delta_of(cfg.delta, n, cfg.kurtosis_bound)
-    w = _width_factor(a, n, cfg.alpha, cfg.kurtosis_bound, d)
+    w = float(_width_multiplier(a, n, cfg.alpha, cfg.kurtosis_bound, d))
     return None if math.isinf(w) else w
 
 

@@ -38,7 +38,7 @@ from .errors import (
     FeasibilityError,
     UnboundedScanError,
 )
-from .linalg import SymMatrix, psd_sqrt, pseudo_inverse, spectral_norm, sym_eigen
+from .linalg import SymMatrix, psd_sqrt, pseudo_inverse, sym_eigen
 from .mean_ci import ConfidenceInterval
 from .rules import PowerRule
 from .specialfn import std_normal_quantile
@@ -150,8 +150,7 @@ def ols_fit(design: Design) -> OlsFit:
     m_xe2 = float(np.mean(row_norms**2 * residuals**2))
     mid = (x * residuals[:, None] ** 2).T @ x / n
     v_hat = SymMatrix(s_dagger.array @ mid @ s_dagger.array)
-    t4_matrix = mid @ s_dagger.array
-    t4 = math.sqrt(max(spectral_norm(SymMatrix(t4_matrix.T @ t4_matrix)), 0.0))
+    t4 = float(np.linalg.norm(mid @ s_dagger.array, 2))
     residuals = residuals.copy()
     residuals.setflags(write=False)
     beta.setflags(write=False)

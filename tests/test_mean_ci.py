@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navae.edgeworth import BerryEsseen, UserSupplied, delta_of
+from navae import mean_ci
+from navae.edgeworth import BerryEsseen, EdgeworthLeading, UserSupplied, delta_of
 from navae.errors import (
     ConfigError,
     DataError,
@@ -390,6 +391,84 @@ def test_optimize_a_infeasible_raises():
         optimize_a(100, 0.05, 9.0, BE)
 
 
+def test_optimize_a_caches_failed_search():
+    cache = mean_ci._optimize_a_cached
+    with pytest.raises(FeasibilityError):
+        optimize_a(100, 0.05, 9, BE)
+    hits = cache.cache_info().hits
+    with pytest.raises(FeasibilityError):
+        optimize_a(100, 0.05, 9, BE)
+    assert cache.cache_info().hits == hits + 1
+
+
+# (n, alpha, K, feasible_a_interval, optimize_a, alpha_min(OPTIMIZED)) under
+# Berry-Esseen, frozen from the searches that evaluated the formulas one grid
+# point at a time in Python loops
+SEARCH_REFERENCE = [
+    (1000, 0.05, 3.0, None, None, 0.06761511319375198),
+    (1000, 0.05, 9.0, None, None, 0.15412912768195372),
+    (1000, 0.32, 3.0, (1.0999756229980946, 763.3273396069028), 1.2178551561422, 0.06761511319375198),
+    (1000, 0.32, 9.0, (1.2192552603032316, 520.8683055076501), 1.410516143243093, 0.15412912768195372),
+    (20000, 0.05, 3.0, (1.0327689905328077, 4493.371554864448), 1.0520215742421588, 0.015119198940757231),
+    (20000, 0.05, 9.0, (1.0652147619453367, 3416.0703504856347), 1.0935717731108978, 0.03446432068095931),
+    (20000, 0.32, 3.0, (1.0192404500660333, 18998.351017912257), 1.0483907665127623, 0.015119198940757231),
+    (20000, 0.32, 9.0, (1.0347537009141439, 17535.36606903766), 1.0826708964351872, 0.03446432068095931),
+    (10**6, 0.05, 3.0, (1.0042887507496796, 255438.85688211338), 1.0078242418657362, 0.0021381776194235812),
+    (10**6, 0.05, 9.0, (1.0075240760156208, 249132.76831938498), 1.0132501599848738, 0.00487399097249882),
+    (10**6, 0.32, 3.0, (1.002629266201367, 1002281.0333757657), 1.007496583790042, 0.0021381776194235812),
+    (10**6, 0.32, 9.0, (1.0045800576263586, 991012.6217997109), 1.0126285092831342, 0.00487399097249882),
+]
+
+
+@pytest.mark.parametrize("n, alpha, k, interval, a_star, amin", SEARCH_REFERENCE)
+def test_search_matches_frozen_reference(n, alpha, k, interval, a_star, amin):
+    got = feasible_a_interval(n, alpha, k, BE)
+    if interval is None:
+        assert got is None
+        with pytest.raises(FeasibilityError):
+            optimize_a(n, alpha, k, BE)
+    else:
+        assert got == pytest.approx(interval, rel=1e-12)
+        assert optimize_a(n, alpha, k, BE) == pytest.approx(a_star, rel=1e-12)
+    assert alpha_min(n, k, OPTIMIZED, BE) == pytest.approx(amin, rel=1e-12)
+
+
+def test_search_and_interval_agree_on_feasibility():
+    # levels just above alpha_min(OPTIMIZED) leave a narrow feasible interval,
+    # where the interval's C_n radicand is closest to zero
+    for n in (200, 1000, 10**5):
+        values = np.ones(n)
+        values[::2] = -1.0
+        sample = Sample(values)
+        for provider in (BE, EdgeworthLeading()):
+            for k in (1.0, 9.0, 25.0):
+                floor = alpha_min(n, k, OPTIMIZED, provider)
+                levels = [0.05, 0.2, 0.499] + [floor * (1 + e) for e in (1e-4, 1e-6)]
+                for alpha in (x for x in levels if x < 0.5):
+                    cfg = cfg_unknown(alpha, k=k, a_rule=OPTIMIZED, delta=provider)
+                    interval = feasible_a_interval(n, alpha, k, provider)
+                    factor = unknown_variance_width_factor(n, cfg)
+                    ci = ci_unknown_variance(sample, cfg)
+                    if interval is None:
+                        assert factor is None and ci.whole_line
+                        continue
+                    assert interval[0] <= optimize_a(n, alpha, k, provider) <= interval[1]
+                    assert factor is not None and math.isfinite(factor)
+                    assert not ci.whole_line, (n, alpha, k, provider)
+
+
+def test_width_multiplier_scalar_matches_array():
+    # the golden-section steps and the fixed-rule interval take the scalar
+    # path, the grid scans the array path; both must give the same numbers
+    for n, alpha, k in ((1000, 0.32, 9.0), (10**4, 0.1, 9.0), (10**6, 0.05, 25.0)):
+        d = delta_of(BE, n, k)
+        grid = mean_ci._SCAN_GRID
+        widths = mean_ci._width_multiplier(grid, n, alpha, k, d)
+        assert np.isinf(widths).any() and np.isfinite(widths).any()
+        for a, w in zip(grid[::7], widths[::7]):
+            assert mean_ci._width_multiplier(float(a), n, alpha, k, d) == w
+
+
 def test_unknown_variance_optimized_narrower():
     values = np.zeros(10**4)
     values[:5000] = 1.0
@@ -431,8 +510,9 @@ def test_alpha_min_consistency_with_constraint():
 
 
 def test_alpha_min_optimized_dominates_fixed():
-    for n in (200, 500, 1000, 5000, 10000, 10**5):
-        assert alpha_min(n, 9.0, OPTIMIZED, BE) <= alpha_min(n, 9.0, FIXED_RULE, BE) + 1e-12
+    for k in (1.0, 9.0, 25.0):
+        for n in (200, 500, 1000, 5000, 10000, 10**5):
+            assert alpha_min(n, k, OPTIMIZED, BE) <= alpha_min(n, k, FIXED_RULE, BE) + 1e-12
 
 
 def test_alpha_min_clamped_to_one():
