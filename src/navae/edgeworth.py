@@ -90,6 +90,15 @@ class DeltaProvider:
     def label(self) -> str:
         raise NotImplementedError
 
+    @property
+    def nonincreasing(self) -> bool:
+        """Whether delta(n, K) is provably nonincreasing in n at fixed K.
+
+        ``n_zero`` bisects only under a provider that says so; an arbitrary
+        bound (the default) keeps its exact scan.
+        """
+        return False
+
 
 @dataclass(frozen=True)
 class BerryEsseen(DeltaProvider):
@@ -103,6 +112,10 @@ class BerryEsseen(DeltaProvider):
     @property
     def label(self) -> str:
         return "be"
+
+    @property
+    def nonincreasing(self) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,10 @@ class EdgeworthLeading(DeltaProvider):
     def label(self) -> str:
         return "edg-leading"
 
+    @property
+    def nonincreasing(self) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class EdgeworthContinuousLeading(DeltaProvider):
@@ -131,6 +148,10 @@ class EdgeworthContinuousLeading(DeltaProvider):
     @property
     def label(self) -> str:
         return "edg-cont-leading"
+
+    @property
+    def nonincreasing(self) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -179,6 +200,10 @@ class MinOf(DeltaProvider):
     @property
     def label(self) -> str:
         return "min(" + ",".join(p.label for p in self.providers) + ")"
+
+    @property
+    def nonincreasing(self) -> bool:
+        return all(p.nonincreasing for p in self.providers)
 
 
 @dataclass(frozen=True)

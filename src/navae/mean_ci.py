@@ -606,6 +606,8 @@ def sample_kurtosis(sample: Sample, inflation: float = 0.0) -> float:
     if var <= 0.0:
         raise DegenerateSampleError("kurtosis undefined for a zero-variance sample")
     centered = sample.values - sample.mean
-    m4 = float(np.mean(centered**4))
+    # squaring twice avoids numpy's generic float power (about 40x slower)
+    sq = centered * centered
+    m4 = float(np.mean(sq * sq))
     k = m4 / (var * var)
     return k * (1.0 + inflation / math.sqrt(sample.n))

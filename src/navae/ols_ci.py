@@ -15,9 +15,15 @@ ratio form develops when the variance term vanishes.
 
 Below the threshold n0 (the last sample size at which either
 n <= 2 K_reg/(omega_n alpha) or nu_edg >= alpha/2 holds) the interval is the
-whole real line.  The four distribution-class constants (lambda_reg, K_reg,
-K_eps, K_xi) may be fixed a priori or estimated by plug-in; plug-in trades
-the formal finite-sample guarantee for practicality.
+whole real line.  ``n_zero`` brackets each condition's last violation by
+doubling n, then bisects the part of the bracket where the condition is
+provably monotone (past a computed n*, for power-rule tunings with
+nonpositive exponents and a delta bound that does not grow in n) and scans
+the rest back one n at a time; both give the same integer.
+
+The four distribution-class constants (lambda_reg, K_reg, K_eps, K_xi) may
+be fixed a priori or estimated by plug-in; plug-in trades the formal
+finite-sample guarantee for practicality.
 """
 
 from __future__ import annotations
@@ -330,12 +336,22 @@ def nu_edg(n: int, alpha: float, tuning: OlsTuning, k_xi: float) -> float:
     return (omega * alpha + var_term) / 2.0 + delta
 
 
-def _last_violation(condition: Callable[[int], bool], margin_ok: Callable[[int], bool]) -> int:
+def _last_violation(
+    condition: Callable[[int], bool],
+    margin_ok: Callable[[int], bool],
+    monotone_from: int | None,
+) -> int:
     """Largest n with condition(n) true, assuming violations die out.
 
     Geometric scan (doubling) until the margin check passes at three
-    consecutive grid points, then an exact linear back-scan from the first of
-    those points.  Capped at N_SCAN_CAP.
+    consecutive grid points; the answer lies between the last grid violation
+    and the first of those points, first_clean.  Capped at N_SCAN_CAP.
+
+    On [monotone_from, first_clean] the caller guarantees that the points
+    where condition holds all come before the points where it fails; that
+    part of the bracket is bisected on this split (about 22 evaluations at
+    n0 = 3.4M).  Below monotone_from, or everywhere when it is None, the
+    bracket is scanned back from first_clean - 1 one n at a time.
     """
     clean_streak = 0
     first_clean = None
@@ -361,18 +377,114 @@ def _last_violation(condition: Callable[[int], bool], margin_ok: Callable[[int],
         raise UnboundedScanError(
             f"condition still violated with insufficient margin beyond n = {N_SCAN_CAP}"
         )
-    for m in range(first_clean - 1, last_seen_violation, -1):
+    top = first_clean
+    if monotone_from is not None:
+        lo = max(monotone_from, last_seen_violation + 1)
+        if lo < top:
+            if condition(lo):
+                hi = top
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if condition(mid):
+                        lo = mid
+                    else:
+                        hi = mid
+                return lo
+            top = lo
+    for m in range(top - 1, last_seen_violation, -1):
         if condition(m):
             return m
     return last_seen_violation
+
+
+def _real_roots(a2: float, a1: float, a0: float) -> list[float]:
+    """Real roots of a2 t^2 + a1 t + a0 (none for the zero polynomial)."""
+    if a2 == 0.0:
+        return [-a0 / a1] if a1 != 0.0 else []
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if not disc >= 0.0:
+        return []
+    return [(-a1 - math.sqrt(disc)) / (2.0 * a2), (-a1 + math.sqrt(disc)) / (2.0 * a2)]
+
+
+def _positive_beyond(rule: PowerRule, coeffs: tuple[float, float, float]) -> int | None:
+    """An n* with p(t(n)) > 0 for every n >= n*, or None if none is found.
+
+    p(t) = a2 t^2 + a1 t + a0 for ``coeffs`` = (a2, a1, a0), and
+    t(n) = c2 n^e is the varying part of ``rule``, for a nonpositive exponent
+    e.  t is monotone in n, so p(t(n)) keeps one sign past the last n at which
+    t(n) meets a real root of p.  n* is twice that n (at least 2), which keeps
+    the derivatives the caller needs away from zero, and the sign is read
+    off at n* itself.
+    """
+    c2, e = rule.c2, rule.exponent
+    if not e <= 0.0:
+        return None
+    log_n = 0.0
+    if c2 != 0.0 and e != 0.0:
+        for root in _real_roots(*coeffs):
+            if root / c2 > 0.0:
+                log_n = max(log_n, math.log(root / c2) / e)
+    if log_n > math.log(N_SCAN_CAP):
+        return None
+    n_star = math.ceil(2.0 * math.exp(log_n))
+    a2, a1, a0 = coeffs
+    t = c2 * float(n_star) ** e
+    return n_star if (a2 * t + a1) * t + a0 > 0.0 else None
 
 
 _MARGIN = 1e-3
 
 
 def _n_zero_impl(alpha: float, tuning: OlsTuning, k_reg: float, k_xi: float) -> int:
-    # a sample size where the tuning rules leave their ranges (omega(1) = 1
-    # for every power rule) is forced uninformative, i.e. counts as violating
+    """The larger of the last violations of cond_reg and cond_edg.
+
+    cond_reg(n) is n <= 2 K_reg/(omega_n alpha) and cond_edg(n) is
+    nu_edg(n) >= alpha/2.  A sample size where a tuning rule leaves its
+    range (omega(1) = 1 for every power rule) counts as violating.
+
+    ``_last_violation`` bisects from n* on, where a condition holds on an
+    initial segment of [n*, first_clean] and fails after it.  That is proved
+    here for power rules omega_n = w1 + w2 n^f and a_n = c1 + c2 n^e with
+    f, e <= 0; any other rule, a provider that is not ``nonincreasing``, and
+    the bracket below n* keep the exact back-scan.
+
+    * Out-of-range points come first.  A power rule is monotone in n, so the
+      n where it lies in its range form an interval, and that interval holds
+      first_clean, where the margin check evaluated the rule.  On
+      [n*, first_clean] the out-of-range points therefore form an initial
+      segment.
+    * cond_reg.  Where omega_n > 0 it reads g(n) <= 2 K_reg/alpha with
+      g(n) = n omega_n = w1 n + w2 n^(1+f) and g'(n) = w1 + (1+f) s,
+      s = w2 n^f.  s is monotone in n, so g' changes sign at most once; from
+      n*_reg on g' > 0, g increases, and cond_reg fails for good once it
+      fails.
+    * cond_edg.  nu_edg = (omega_n alpha + exp(-h(n)/(2 K_xi)))/2 + delta_n
+      with h(n) = n (1 - 1/a_n)^2 is nonincreasing in n when each term is:
+      - omega_n alpha: omega is nonincreasing iff w2 f <= 0.
+      - the exp term: h must be nondecreasing.  With t = c2 n^e, a = c1 + t
+        and a' = e t/n, h'(n) = (a-1)/a^3 Q(t) with
+        Q(t) = a(a-1) + 2 e t = t^2 + (2 c1 - 1 + 2e) t + c1 (c1 - 1).
+        In range a > 1, so h' has the sign of Q(t).  t is monotone in n, so
+        Q(t(n)) changes sign at most twice, where t(n) meets a real root of
+        Q; from n*_edg on Q(t(n)) > 0.
+      - delta_n: the provider reports ``nonincreasing``.  Berry-Esseen and
+        the Edgeworth leading terms fall like n^-1/2 or n^-1, and a minimum
+        of nonincreasing bounds is nonincreasing.  A delta table raises below
+        its first row, so it keeps the scan.
+      So nu_edg >= alpha/2 holds on an initial segment of [n*_edg, inf).
+
+    Rounding: +, *, / and sqrt are correctly rounded and so monotone in each
+    argument, and pow and exp err by under an ulp, while between consecutive
+    n the terms move by a relative step of order |e|/n or |f|/n, which
+    ``_positive_beyond`` keeps away from zero by placing n* at twice the last
+    sign change.  This assumes |e| and |f| stay well above n eps over the
+    scanned range (n eps is about 2e-7 at N_SCAN_CAP).  For exponents closer
+    to zero, which a rule such as n^-1/1000000 has, the argument does not
+    hold, and that the bisection returns the integer the back-scan returns
+    rests on the keys checked in ``test_n_zero_matches_backscan``.
+    """
+
     def cond_reg(n: int) -> bool:
         try:
             return n <= 2.0 * k_reg / (tuning.omega(n) * alpha)
@@ -397,9 +509,20 @@ def _n_zero_impl(alpha: float, tuning: OlsTuning, k_reg: float, k_xi: float) -> 
         except ConfigError:
             return False
 
+    omega_rule, a_rule = tuning.omega_rule, tuning.a_rule
+    reg_from = edg_from = None
+    if isinstance(omega_rule, PowerRule):
+        reg_from = _positive_beyond(omega_rule, (0.0, 1.0 + omega_rule.exponent, omega_rule.c1))
+        if (
+            isinstance(a_rule, PowerRule)
+            and omega_rule.c2 * omega_rule.exponent <= 0.0
+            and tuning.delta.nonincreasing
+        ):
+            c1, e = a_rule.c1, a_rule.exponent
+            edg_from = _positive_beyond(a_rule, (1.0, 2.0 * c1 - 1.0 + 2.0 * e, c1 * (c1 - 1.0)))
     return max(
-        _last_violation(cond_reg, cond_reg_margin),
-        _last_violation(cond_edg, cond_edg_margin),
+        _last_violation(cond_reg, cond_reg_margin, reg_from),
+        _last_violation(cond_edg, cond_edg_margin, edg_from),
     )
 
 

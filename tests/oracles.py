@@ -3,15 +3,22 @@
 Everything here deliberately avoids the library's own code paths: quantiles
 come from mpmath (50-digit erfinv), Student quantiles from closed forms,
 and the OLS interval from a straightforward numpy.linalg transcription of
-the defining formulas.  Tests compare library output against these.
+the defining formulas.  The n0 oracle keeps the library's own predicates
+but finds their last violation by the original exhaustive back-scan.
+Tests compare library output against these.
 """
 
 from __future__ import annotations
 
 import math
 
+from typing import Callable
+
 import mpmath as mp
 import numpy as np
+
+from navae.errors import ConfigError, UnboundedScanError
+from navae.ols_ci import N_SCAN_CAP, nu_edg
 
 mp.mp.dps = 50
 
@@ -146,3 +153,77 @@ def ci_edg_oracle(
     half = (math.sqrt(a) * q * math.sqrt(variance) + rlin) / math.sqrt(n)
     center = float(u @ fit["beta"])
     return center - half, center + half
+
+
+def _last_violation(condition: Callable[[int], bool], margin_ok: Callable[[int], bool]) -> int:
+    """Largest n with condition(n) true, assuming violations die out.
+
+    Geometric scan (doubling) until the margin check passes at three
+    consecutive grid points, then an exact linear back-scan from the first of
+    those points.  Capped at N_SCAN_CAP.
+    """
+    clean_streak = 0
+    first_clean = None
+    last_seen_violation = 0
+    n = 1
+    while n <= N_SCAN_CAP:
+        if condition(n):
+            last_seen_violation = n
+            clean_streak = 0
+            first_clean = None
+        elif margin_ok(n):
+            if clean_streak == 0:
+                first_clean = n
+            clean_streak += 1
+            if clean_streak >= 3:
+                break
+        else:
+            # failed but without margin; keep scanning before trusting it
+            clean_streak = 0
+            first_clean = None
+        n *= 2
+    else:
+        raise UnboundedScanError(
+            f"condition still violated with insufficient margin beyond n = {N_SCAN_CAP}"
+        )
+    for m in range(first_clean - 1, last_seen_violation, -1):
+        if condition(m):
+            return m
+    return last_seen_violation
+
+
+_MARGIN = 1e-3
+
+
+def n_zero_backscan_oracle(alpha: float, tuning, k_reg: float, k_xi: float) -> int:
+    """n0 by doubling and an exact linear back-scan, one nu_edg call per n."""
+    # a sample size where the tuning rules leave their ranges (omega(1) = 1
+    # for every power rule) is forced uninformative, i.e. counts as violating
+    def cond_reg(n: int) -> bool:
+        try:
+            return n <= 2.0 * k_reg / (tuning.omega(n) * alpha)
+        except ConfigError:
+            return True
+
+    def cond_reg_margin(n: int) -> bool:
+        try:
+            return 2.0 * k_reg / (tuning.omega(n) * alpha) <= n * (1.0 - _MARGIN)
+        except ConfigError:
+            return False
+
+    def cond_edg(n: int) -> bool:
+        try:
+            return nu_edg(n, alpha, tuning, k_xi) >= alpha / 2.0
+        except ConfigError:
+            return True
+
+    def cond_edg_margin(n: int) -> bool:
+        try:
+            return nu_edg(n, alpha, tuning, k_xi) <= (alpha / 2.0) * (1.0 - _MARGIN)
+        except ConfigError:
+            return False
+
+    return max(
+        _last_violation(cond_reg, cond_reg_margin),
+        _last_violation(cond_edg, cond_edg_margin),
+    )

@@ -242,6 +242,15 @@ def test_feasibility_n_zero(in_tmp, capsys):
     capsys.readouterr()
 
 
+def test_feasibility_n_zero_cap_exceeded(in_tmp, capsys):
+    code = run_command(
+        ["feasibility", "--mode", "n-zero", "--alpha", "0.10", "--k-xi", "2",
+         "--k-reg", "5", "--omega-rule", "n^-1", "--a-rule", "1+1*n^-2/5"]
+    )
+    assert code == 2
+    assert "beyond n = 1000000000" in capsys.readouterr().err
+
+
 def test_simulate_byte_identical(in_tmp, capsys):
     config = {
         "dgp": {"kind": "exponential-mean"},

@@ -152,3 +152,13 @@ def test_provider_from_string_nested_min():
     assert provider.delta(1000, 9.0) == pytest.approx(0.03908993899872011, abs=1e-9)
     assert not provider.certified
     assert provider_from_string("min(be)").certified
+
+
+def test_nonincreasing_flags():
+    table = TableProvider(rows=((10, 9.0, 0.3),), name="inline")
+    user = UserSupplied(fn=lambda n, k: 0.1)
+    for provider in (BerryEsseen(), EdgeworthLeading(), EdgeworthContinuousLeading()):
+        assert provider.nonincreasing
+    assert MinOf((BerryEsseen(), EdgeworthLeading())).nonincreasing
+    for provider in (table, user, MinOf((BerryEsseen(), table)), MinOf((user,))):
+        assert not provider.nonincreasing

@@ -548,6 +548,15 @@ def test_sample_kurtosis_inflation():
         sample_kurtosis(s, inflation=-0.1)
 
 
+def test_sample_kurtosis_matches_fourth_power():
+    rng = np.random.default_rng(2024)
+    for n in (2, 7, 100, 10_000):
+        for x in (rng.normal(size=n), rng.exponential(size=n), rng.standard_t(3, size=n)):
+            s = Sample(x)
+            expected = float(np.mean((x - s.mean) ** 4)) / s.sigma_hat_sq**2
+            assert sample_kurtosis(s) == pytest.approx(expected, rel=1e-14)
+
+
 def test_sample_kurtosis_degenerate():
     with pytest.raises(DegenerateSampleError):
         sample_kurtosis(Sample(np.full(10, 2.0)))

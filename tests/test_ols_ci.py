@@ -1,15 +1,26 @@
+import dataclasses
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from navae.edgeworth import BerryEsseen
+from navae.edgeworth import (
+    BerryEsseen,
+    EdgeworthContinuousLeading,
+    EdgeworthLeading,
+    TableProvider,
+    UserSupplied,
+    delta_berry_esseen,
+)
 from navae.errors import (
     ConfigError,
     DataError,
     DegenerateSampleError,
     DomainError,
     FeasibilityError,
+    NavaeError,
     UnboundedScanError,
 )
 from navae.mean_ci import Sample, ci_clt
@@ -33,7 +44,13 @@ from navae.ols_ci import (
 )
 from navae.rules import PowerRule
 
-from oracles import ci_edg_oracle, ols_fit_oracle, plug_in_oracle, r_var_oracle
+from oracles import (
+    ci_edg_oracle,
+    n_zero_backscan_oracle,
+    ols_fit_oracle,
+    plug_in_oracle,
+    r_var_oracle,
+)
 
 THREE_POINT_X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
 THREE_POINT_Y = np.array([0.0, 1.0, 3.0])
@@ -314,6 +331,118 @@ def test_n_zero_cap_exceeded():
     bounds = OlsBounds(lambda_reg=1.0, k_reg=5.0, k_eps=1.0, k_xi=2.0)
     with pytest.raises(UnboundedScanError):
         n_zero(0.10, tuning, bounds)
+
+
+def _n_zero_outcome(fn, alpha, tuning, k_reg, k_xi):
+    """n0, or the type and message of the error raised instead."""
+    if fn is n_zero:
+        args = (alpha, tuning, OlsBounds(lambda_reg=1.0, k_reg=k_reg, k_eps=1.0, k_xi=k_xi))
+    else:
+        args = (alpha, tuning, float(k_reg), float(k_xi))
+    try:
+        return fn(*args)
+    except NavaeError as exc:
+        return type(exc), str(exc)
+
+
+def test_n_zero_matches_backscan():
+    compared = 0
+    for alpha, k_reg, k_xi, delta, base in itertools.product(
+        (0.01, 0.05, 0.1, 0.2, 0.5),
+        (0.0, 0.01, 0.3, 1.0, 10.0),
+        (1.0, 2.0, 9.0, 50.0),
+        (BerryEsseen(), EdgeworthLeading(), EdgeworthContinuousLeading()),
+        (STUDY_TUNING, tuning_for_rate(0.0)),
+    ):
+        tuning = dataclasses.replace(base, delta=delta)
+        value = _n_zero_outcome(n_zero, alpha, tuning, k_reg, k_xi)
+        if isinstance(value, int) and value > 10**5:
+            # the back-scan costs one nu_edg call per n; past 1e5 check only
+            # that n0 violates and n0 + 1 does not
+            assert [
+                n <= 2.0 * k_reg / (tuning.omega(n) * alpha)
+                or nu_edg(n, alpha, tuning, k_xi) >= alpha / 2.0
+                for n in (value, value + 1)
+            ] == [True, False]
+            continue
+        compared += 1
+        assert value == _n_zero_outcome(n_zero_backscan_oracle, alpha, tuning, k_reg, k_xi), (
+            alpha, k_reg, k_xi, delta, base.a_rule,
+        )
+    assert compared >= 300
+
+
+def test_n_zero_hard_keys():
+    # frozen from the back-scan, which took 1.2 s and 16 s on them
+    for k_reg, k_xi, expected in ((1.0, 50.0, 3_441_543), (5.0, 100.0, 9_550_472)):
+        bounds = OlsBounds(lambda_reg=1.0, k_reg=k_reg, k_eps=1.0, k_xi=k_xi)
+        start = time.perf_counter()
+        assert n_zero(0.01, STUDY_TUNING, bounds) == expected
+        assert time.perf_counter() - start < 1.0
+
+
+def test_n_zero_scans_non_monotone_delta():
+    # a bump at n = 4000, above the Berry-Esseen n0 = 3655, that a bisection
+    # between the grid points 2048 and 4096 would miss
+    def bumped(n, k):
+        return delta_berry_esseen(n, k) + (0.01 if n == 4000 else 0.0)
+
+    tuning = dataclasses.replace(STUDY_TUNING, delta=UserSupplied(bumped))
+    value = _n_zero_outcome(n_zero, 0.10, tuning, 0.01, 9.0)
+    assert value == _n_zero_outcome(n_zero_backscan_oracle, 0.10, tuning, 0.01, 9.0) == 4000
+
+
+def test_n_zero_scans_lambda_omega_rule():
+    tuning = dataclasses.replace(
+        STUDY_TUNING, omega_rule=lambda n: 0.9 if n == 4000 else n**-0.2
+    )
+    value = _n_zero_outcome(n_zero, 0.10, tuning, 0.01, 9.0)
+    assert value == _n_zero_outcome(n_zero_backscan_oracle, 0.10, tuning, 0.01, 9.0) == 4000
+
+
+def test_n_zero_scans_where_monotonicity_is_unproved():
+    # cond_reg: omega = 0.4 + 55 n^-3 leaves (0,1) for n <= 4, and n omega
+    # falls until n = 6.5 and rises after, so n omega <= 3.925 fails at 5 and
+    # 6 and holds at 7, below n*_reg = 14.
+    # cond_edg: omega leaves (0,1) for n <= 16 and a = 2 + (25/n)^10 falls so
+    # fast that h = n (1 - 1/a)^2 dips between 16 and 32; the last violation,
+    # 30, lies below n*_edg = 62.
+    # cond_edg: omega = 0.9 (1 - (4/n)^10) rises from 0 at n = 4, so nu_edg
+    # fails at 5 and holds at 6; an increasing omega rules out bisection.
+    cases = (
+        (PowerRule(0.4, 55.0, -3.0), PowerRule(1.0, 20.0, -0.4),
+         EdgeworthContinuousLeading(), 0.5, 0.98125, 1.0, 7),
+        (PowerRule(0.2, 0.8 * 16.0**10, -10.0), PowerRule(2.0, 25.0**10, -10.0),
+         BerryEsseen(), 0.5, 0.0, 2.0, 30),
+        (PowerRule(0.9, -0.9 * 4.0**10, -10.0), PowerRule(100.0, 0.0, 0.0),
+         EdgeworthContinuousLeading(), 0.95, 0.0, 1.0, 6),
+    )
+    for omega_rule, a_rule, delta, alpha, k_reg, k_xi, expected in cases:
+        tuning = OlsTuning(omega_rule=omega_rule, a_rule=a_rule, delta=delta)
+        value = _n_zero_outcome(n_zero, alpha, tuning, k_reg, k_xi)
+        oracle = _n_zero_outcome(n_zero_backscan_oracle, alpha, tuning, k_reg, k_xi)
+        assert value == oracle == expected
+
+
+def test_n_zero_table_below_first_row():
+    # omega = 2 n^-1/5 leaves (0,1) for n <= 32 and the table has no row below
+    # n = 40, so the doubling bracket holds points where the provider raises;
+    # a table is not ``nonincreasing`` and keeps the back-scan: with a larger
+    # delta the last violation (54) lies above those points, with a smaller
+    # one the scan stops at n = 39 with the provider's error
+    omega = PowerRule(0.0, 2.0, -0.2)
+    for delta, expected in ((0.025, 54), (0.001, None)):
+        tuning = OlsTuning(
+            omega_rule=omega,
+            a_rule=PowerRule(1.0, 20.0, -0.4),
+            delta=TableProvider(rows=((40, 1.0, delta),)),
+        )
+        value = _n_zero_outcome(n_zero, 0.5, tuning, 0.01, 1.0)
+        assert value == _n_zero_outcome(n_zero_backscan_oracle, 0.5, tuning, 0.01, 1.0)
+        if expected is None:
+            assert "n=39" in value[1]
+        else:
+            assert value == expected
 
 
 def test_n_zero_requires_resolved_bounds():
