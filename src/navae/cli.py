@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,75 +41,129 @@ __all__ = ["load_mean_csv", "load_ols_csv", "run_command", "main"]
 
 
 def load_mean_csv(path: str | Path) -> Sample:
-    """Read a single numeric column; optional header ``x``; blanks skipped."""
-    values: list[float] = []
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            cell = row[0].strip()
-            if lineno == 1 and cell.lower() == "x":
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r}") from exc
-    if not values:
+    """Read the first column of a CSV file as a sample.
+
+    Line 1 may be the header ``x`` (any case, surrounding blanks ignored);
+    cells after the first are never read.  Blank rows are skipped.  A cell
+    that ``float()`` rejects is a ``DataError`` naming ``path:line``; so is a
+    file without a numeric row.
+    """
+    first, lines = _first_record(path)
+    is_header = bool(first) and first[0].strip().lower() == "x"
+    table = _read_floats(path, lines if is_header else 0, None)
+    if not len(table):
         raise DataError(f"{path}: no numeric rows")
-    return Sample(np.asarray(values))
+    return Sample(table[:, 0])
 
 
 def load_ols_csv(path: str | Path, add_intercept: bool, u_spec: str) -> Design:
     """Read ``y,x1,...,xp`` rows into a design targeting direction ``u_spec``.
 
-    With ``add_intercept`` the intercept column is prepended and the first
-    coordinate of ``u_spec`` refers to it.
+    Line 1 must be the header ``y,x1,...,xp`` (any case).  With
+    ``add_intercept`` the intercept column is prepended and the first
+    coordinate of ``u_spec`` refers to it; ``u_spec`` is checked against the
+    header before any row is read.  Blank rows are skipped.  A row with other
+    than p + 1 cells is a ``ConfigError`` and a cell that ``float()`` rejects a
+    ``DataError``, each naming ``path:line``.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip().lower() for cell in next(reader)]
-        except StopIteration as exc:
-            raise DataError(f"{path}: empty file") from exc
-        p_file = len(header) - 1
-        if p_file < 1 or header[0] != "y" or header[1:] != [f"x{i}" for i in range(1, p_file + 1)]:
-            raise DataError(f"{path}: expected header 'y,x1,...,xp', got {header!r}")
-        ys: list[float] = []
-        xs: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != p_file + 1:
-                raise ConfigError(
-                    f"{path}:{lineno}: ragged row with {len(row)} cells, "
-                    f"expected {p_file + 1}"
-                )
-            try:
-                numbers = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            ys.append(numbers[0])
-            xs.append(numbers[1:])
-    if not xs:
-        raise DataError(f"{path}: no data rows")
-    x = np.asarray(xs)
-    if add_intercept:
-        x = np.column_stack([np.ones(len(xs)), x])
+    first, lines = _first_record(path)
+    if first is None:
+        raise DataError(f"{path}: empty file")
+    header = [cell.strip().lower() for cell in first]
+    p_file = len(header) - 1
+    if p_file < 1 or header[0] != "y" or header[1:] != [f"x{i}" for i in range(1, p_file + 1)]:
+        raise DataError(f"{path}: expected header 'y,x1,...,xp', got {header!r}")
     u = _parse_vector(u_spec)
-    if u.size != x.shape[1]:
+    columns = p_file + int(add_intercept)
+    if u.size != columns:
         raise ConfigError(
             f"direction u has {u.size} coordinates but the design has "
-            f"{x.shape[1]} columns (intercept {'included' if add_intercept else 'absent'})"
+            f"{columns} columns (intercept {'included' if add_intercept else 'absent'})"
         )
-    return Design(x=x, y=np.asarray(ys), u=u)
+    table = _read_floats(path, lines, p_file + 1)
+    if not len(table):
+        raise DataError(f"{path}: no data rows")
+    x = table[:, 1:]
+    if add_intercept:
+        x = np.column_stack([np.ones(len(table)), x])
+    return Design(x=x, y=table[:, 0], u=u)
+
+
+def _open_csv(path: str | Path):
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+
+
+def _first_record(path: str | Path) -> tuple[list[str] | None, int]:
+    """Record 1 as ``csv.reader`` splits it (None if the file is empty), and
+    the number of physical lines it spans."""
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        return next(reader, None), reader.line_num
+
+
+_ASCII_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_floats(path: str | Path, header_lines: int, width: int | None) -> np.ndarray:
+    """Every non-blank record after the first ``header_lines`` lines, as a
+    row of floats.
+
+    ``width=None`` reads the first cell of each record, stripped; otherwise
+    every record must have ``width`` cells.  numpy's C reader parses the file
+    (``loadtxt`` takes ``quotechar`` from numpy 1.23; pyproject.toml requires
+    1.24).  It accepts less than ``csv.reader`` and ``float()`` do (not
+    whitespace-only or ``,,`` rows, ``""``, ``1_000`` or non-ASCII digits),
+    and gives ``float()``'s value where it accepts a cell, so the row loop
+    ``_read_rows`` runs only when numpy refuses the file.  One exception:
+    numpy strips ``\\x1c``-``\\x1f`` around a number, which ``float()`` does
+    only in a cell holding a non-ASCII character, so full rows of a file with
+    those bytes go to the row loop.
+    """
+    if width is not None and any(sep in Path(path).read_bytes() for sep in _ASCII_SEPARATORS):
+        return _read_rows(path, header_lines, width)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            table = np.loadtxt(
+                path,
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                encoding="utf-8",
+                skiprows=header_lines,
+                usecols=0 if width is None else None,
+                ndmin=2,
+            )
+        except ValueError:
+            return _read_rows(path, header_lines, width)
+    if width is not None and table.shape[1] != width:
+        return _read_rows(path, header_lines, width)
+    return table
+
+
+def _read_rows(path: str | Path, header_lines: int, width: int | None) -> np.ndarray:
+    """``_read_floats`` as a ``csv.reader`` loop calling ``float()`` per cell;
+    errors name the record's ``path:line``."""
+    rows: list[list[float]] = []
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if reader.line_num <= header_lines or not any(cell.strip() for cell in row):
+                continue
+            if width is None:
+                row = [row[0].strip()]
+            elif len(row) != width:
+                raise ConfigError(
+                    f"{path}:{lineno}: ragged row with {len(row)} cells, expected {width}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return np.array(rows, dtype=float).reshape(-1, width or 1)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -119,12 +175,14 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(float(part)) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse n list {text!r}: {exc}") from exc
-    if not values or any(n < 1 for n in values):
+    if not all(math.isfinite(n) and n.is_integer() for n in values):
+        raise ConfigError(f"n values must be finite integers, got {text!r}")
+    if any(n < 1 for n in values):
         raise ConfigError(f"n values must be positive, got {text!r}")
-    return values
+    return tuple(int(n) for n in values)
 
 
 def _warn_uncertified(provider: DeltaProvider) -> None:
@@ -192,8 +250,7 @@ def _cmd_mean_ci(args) -> int:
     elif args.method == "hoeffding":
         if args.support is None:
             raise ConfigError("--support is required for hoeffding")
-        lo, hi = _parse_vector(args.support)
-        method_cfg.update({"support": [lo, hi]})
+        method_cfg.update({"support": _parse_vector(args.support).tolist()})
     method = method_from_config(method_cfg)
     if method.navae:
         _warn_uncertified(method.delta)

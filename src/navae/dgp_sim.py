@@ -670,8 +670,10 @@ def method_from_config(config: dict):
         return ChebyshevMethod(var_bound=float(values["var_bound"]))
     if name == "hoeffding":
         values = _take(cfg, required={"support": None}, optional={}, what="hoeffding")
-        lo, hi = values["support"]
-        return HoeffdingMethod(support_lower=float(lo), support_upper=float(hi))
+        support = values["support"]
+        if not isinstance(support, (list, tuple)) or len(support) != 2:
+            raise ConfigError(f"hoeffding support must be two numbers [a, b], got {support!r}")
+        return HoeffdingMethod(support_lower=float(support[0]), support_upper=float(support[1]))
     if name == "known-variance":
         values = _take(
             cfg,

@@ -5,20 +5,25 @@ come from mpmath (50-digit erfinv), Student quantiles from closed forms,
 and the OLS interval from a straightforward numpy.linalg transcription of
 the defining formulas.  The n0 oracle keeps the library's own predicates
 but finds their last violation by the original exhaustive back-scan.
+The CSV loader oracles are the CLI's original csv.reader + float() row
+loops, kept verbatim.
 Tests compare library output against these.
 """
 
 from __future__ import annotations
 
+import csv
 import math
-
+from pathlib import Path
 from typing import Callable
 
 import mpmath as mp
 import numpy as np
 
-from navae.errors import ConfigError, UnboundedScanError
-from navae.ols_ci import N_SCAN_CAP, nu_edg
+from navae.cli import _parse_vector
+from navae.errors import ConfigError, DataError, UnboundedScanError
+from navae.mean_ci import Sample
+from navae.ols_ci import N_SCAN_CAP, Design, nu_edg
 
 mp.mp.dps = 50
 
@@ -227,3 +232,76 @@ def n_zero_backscan_oracle(alpha: float, tuning, k_reg: float, k_xi: float) -> i
         _last_violation(cond_reg, cond_reg_margin),
         _last_violation(cond_edg, cond_edg_margin),
     )
+
+
+def load_mean_csv_oracle(path: str | Path) -> Sample:
+    """Read a single numeric column; optional header ``x``; blanks skipped."""
+    values: list[float] = []
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            cell = row[0].strip()
+            if lineno == 1 and cell.lower() == "x":
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r}") from exc
+    if not values:
+        raise DataError(f"{path}: no numeric rows")
+    return Sample(np.asarray(values))
+
+
+def load_ols_csv_oracle(path: str | Path, add_intercept: bool, u_spec: str) -> Design:
+    """Read ``y,x1,...,xp`` rows into a design targeting direction ``u_spec``.
+
+    With ``add_intercept`` the intercept column is prepended and the first
+    coordinate of ``u_spec`` refers to it.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = [cell.strip().lower() for cell in next(reader)]
+        except StopIteration as exc:
+            raise DataError(f"{path}: empty file") from exc
+        p_file = len(header) - 1
+        if p_file < 1 or header[0] != "y" or header[1:] != [f"x{i}" for i in range(1, p_file + 1)]:
+            raise DataError(f"{path}: expected header 'y,x1,...,xp', got {header!r}")
+        ys: list[float] = []
+        xs: list[list[float]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != p_file + 1:
+                raise ConfigError(
+                    f"{path}:{lineno}: ragged row with {len(row)} cells, "
+                    f"expected {p_file + 1}"
+                )
+            try:
+                numbers = [float(cell) for cell in row]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            ys.append(numbers[0])
+            xs.append(numbers[1:])
+    if not xs:
+        raise DataError(f"{path}: no data rows")
+    x = np.asarray(xs)
+    if add_intercept:
+        x = np.column_stack([np.ones(len(xs)), x])
+    u = _parse_vector(u_spec)
+    if u.size != x.shape[1]:
+        raise ConfigError(
+            f"direction u has {u.size} coordinates but the design has "
+            f"{x.shape[1]} columns (intercept {'included' if add_intercept else 'absent'})"
+        )
+    return Design(x=x, y=np.asarray(ys), u=u)
+

@@ -146,6 +146,16 @@ def test_mean_ci_hoeffding_variant(in_tmp, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("support", ["0,1,2", "0"])
+def test_mean_ci_hoeffding_support_needs_two_numbers(in_tmp, capsys, support):
+    path = write(in_tmp / "unif.csv", "x\n0.2\n0.7\n")
+    assert run_command(
+        ["mean-ci", "--alpha", "0.1", "--method", "hoeffding", "--support", support,
+         "--input", str(path)]
+    ) == 2
+    assert "hoeffding support must be two numbers" in capsys.readouterr().err
+
+
 def test_mean_ci_whole_line_row(in_tmp, capsys):
     path = mean_file(in_tmp, n=100)
     assert run_command(["mean-ci", "--alpha", "0.05", "--K", "9", "--input", str(path)]) == 0
@@ -219,6 +229,19 @@ def test_feasibility_alpha_min(in_tmp, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", ["inf", "1e400", "nan", "100.7", "1000,100.5"])
+def test_feasibility_rejects_non_integral_n(in_tmp, capsys, n):
+    code = run_command(["feasibility", "--mode", "alpha-min", "--K", "9", "--n", n])
+    assert code == 2
+    assert "n values must be finite integers" in capsys.readouterr().err
+
+
+def test_feasibility_accepts_integral_float_n(in_tmp, capsys):
+    assert run_command(["feasibility", "--mode", "alpha-min", "--K", "9", "--n", "1e5,2000.0"]) == 0
+    assert [r.n for r in read_report(in_tmp / "feasibility_report.csv")] == [100000, 2000]
+    capsys.readouterr()
+
+
 def test_feasibility_a_interval(in_tmp, capsys):
     code = run_command(
         ["feasibility", "--mode", "a-interval", "--K", "9", "--alpha", "0.30",
@@ -286,6 +309,17 @@ def test_simulate_family_mismatch_is_config_error(in_tmp, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("support", [[0, 1, 2], 5, [0]])
+def test_simulate_hoeffding_support_needs_two_numbers(in_tmp, capsys, support):
+    cfg_path = write(in_tmp / "sim.json", json.dumps({
+        "dgp": {"kind": "exponential-mean"},
+        "methods": [{"name": "hoeffding", "support": support}],
+        "n": [100], "alpha": 0.1, "replications": 5,
+    }))
+    assert run_command(["simulate", "--config", str(cfg_path)]) == 2
+    assert "hoeffding support must be two numbers" in capsys.readouterr().err
+
+
 def test_simulate_rejects_unknown_keys(in_tmp, capsys):
     cfg_path = write(in_tmp / "sim.json", json.dumps({"dgp": {"kind": "exponential-mean"},
                                                       "methods": [{"name": "clt"}],
@@ -323,3 +357,13 @@ def test_width_curve_unknown_and_edg(in_tmp, capsys):
     rows = read_report(in_tmp / "width_curve_report.csv")
     assert rows[0].ratio is not None and rows[0].ratio > 1.0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", ["inf", "1e400", "100.7"])
+def test_width_curve_rejects_non_integral_n(in_tmp, capsys, n):
+    code = run_command(
+        ["width-curve", "--method", "known-variance", "--alpha", "0.10", "--K", "9",
+         "--sigma", "1", "--n", n]
+    )
+    assert code == 2
+    assert "n values must be finite integers" in capsys.readouterr().err
