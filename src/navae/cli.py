@@ -96,12 +96,33 @@ def _open_csv(path: str | Path):
         raise DataError(f"cannot open {path}: {exc}") from exc
 
 
+def _unreadable(path: str | Path, exc: Exception, line: int) -> DataError:
+    """A file ``csv.reader`` gave up on, as a ``DataError`` naming ``path:line``.
+
+    ``line`` is the reader's line; for bytes that are not UTF-8 it is the line
+    of the first bad byte instead, found in the raw bytes because the text
+    layer decodes ahead of the reader.
+    """
+    if isinstance(exc, UnicodeDecodeError):
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = data.count(b"\n", 0, err.start) + 1
+            return DataError(f"{path}:{line}: not valid UTF-8: byte {data[err.start]:#04x} "
+                             f"at offset {err.start}")
+    return DataError(f"{path}:{line}: {exc}")
+
+
 def _first_record(path: str | Path) -> tuple[list[str] | None, int]:
     """Record 1 as ``csv.reader`` splits it (None if the file is empty), and
     the number of physical lines it spans."""
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        return next(reader, None), reader.line_num
+        try:
+            return next(reader, None), reader.line_num
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _unreadable(path, exc, reader.line_num) from exc
 
 
 _ASCII_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -150,19 +171,22 @@ def _read_rows(path: str | Path, header_lines: int, width: int | None) -> np.nda
     rows: list[list[float]] = []
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if reader.line_num <= header_lines or not any(cell.strip() for cell in row):
-                continue
-            if width is None:
-                row = [row[0].strip()]
-            elif len(row) != width:
-                raise ConfigError(
-                    f"{path}:{lineno}: ragged row with {len(row)} cells, expected {width}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if reader.line_num <= header_lines or not any(cell.strip() for cell in row):
+                    continue
+                if width is None:
+                    row = [row[0].strip()]
+                elif len(row) != width:
+                    raise ConfigError(
+                        f"{path}:{lineno}: ragged row with {len(row)} cells, expected {width}"
+                    )
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _unreadable(path, exc, reader.line_num) from exc
     return np.array(rows, dtype=float).reshape(-1, width or 1)
 
 

@@ -634,26 +634,38 @@ def _take(config: dict, *, required: dict, optional: dict, what: str) -> dict:
     return out
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)`` for a config field; a value that is not a number is a
+    ``ConfigError`` naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
 def dgp_from_config(config: dict):
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind == "exponential-mean":
         values = _take(cfg, required={}, optional={"rate": 1.0}, what="exponential-mean")
-        return ExponentialMean(rate=float(values["rate"]))
+        return ExponentialMean(rate=_number(values["rate"], "rate"))
     if kind == "gumbel-hetero-linear":
         values = _take(
             cfg, required={}, optional={"u": (0.0, 0.0, 1.0)}, what="gumbel-hetero-linear"
         )
-        return GumbelHeteroLinear(u=tuple(float(v) for v in values["u"]))
+        u = values["u"]
+        if not isinstance(u, (list, tuple)):
+            raise ConfigError(f"u must be a list of numbers, got {u!r}")
+        return GumbelHeteroLinear(u=tuple(_number(v, "u entry") for v in u))
     raise ConfigError(f"unknown DGP kind {kind!r}")
 
 
-def _bound_spec(value) -> float | PlugIn:
+def _bound_spec(value, name: str) -> float | PlugIn:
     if isinstance(value, str):
         if value == "plugin":
             return PlugIn()
         raise ConfigError(f"bound must be a number or 'plugin', got {value!r}")
-    return float(value)
+    return _number(value, name)
 
 
 def method_from_config(config: dict):
@@ -667,13 +679,16 @@ def method_from_config(config: dict):
         return StudentMethod()
     if name == "chebyshev":
         values = _take(cfg, required={"var_bound": None}, optional={}, what="chebyshev")
-        return ChebyshevMethod(var_bound=float(values["var_bound"]))
+        return ChebyshevMethod(var_bound=_number(values["var_bound"], "var_bound"))
     if name == "hoeffding":
         values = _take(cfg, required={"support": None}, optional={}, what="hoeffding")
         support = values["support"]
         if not isinstance(support, (list, tuple)) or len(support) != 2:
             raise ConfigError(f"hoeffding support must be two numbers [a, b], got {support!r}")
-        return HoeffdingMethod(support_lower=float(support[0]), support_upper=float(support[1]))
+        return HoeffdingMethod(
+            support_lower=_number(support[0], "support entry"),
+            support_upper=_number(support[1], "support entry"),
+        )
     if name == "known-variance":
         values = _take(
             cfg,
@@ -682,8 +697,8 @@ def method_from_config(config: dict):
             what="known-variance",
         )
         return KnownVarianceMethod(
-            sigma=float(values["sigma"]),
-            kurtosis_bound=float(values["K"]),
+            sigma=_number(values["sigma"], "sigma"),
+            kurtosis_bound=_number(values["K"], "K"),
             delta=provider_from_string(values["delta"]),
         )
     if name == "unknown-variance":
@@ -699,12 +714,12 @@ def method_from_config(config: dict):
             },
             what="unknown-variance",
         )
-        kurt = None if values["K"] == "plugin" else float(values["K"])
+        kurt = None if values["K"] == "plugin" else _number(values["K"], "K")
         return UnknownVarianceMethod(
             kurtosis_bound=kurt,
             delta=provider_from_string(values["delta"]),
             a_rule=parse_rule(str(values["a_rule"])),
-            plug_in_inflation=float(values["inflation"]),
+            plug_in_inflation=_number(values["inflation"], "inflation"),
             track_alpha_min=bool(values["track_alpha_min"]),
         )
     if name == "asymp":
@@ -727,12 +742,7 @@ def method_from_config(config: dict):
             optional={},
             what="edg bounds",
         )
-        bounds = OlsBounds(
-            lambda_reg=_bound_spec(bounds_cfg["lambda_reg"]),
-            k_reg=_bound_spec(bounds_cfg["k_reg"]),
-            k_eps=_bound_spec(bounds_cfg["k_eps"]),
-            k_xi=_bound_spec(bounds_cfg["k_xi"]),
-        )
+        bounds = OlsBounds(**{name: _bound_spec(value, name) for name, value in bounds_cfg.items()})
         omega_rule = parse_rule(str(values["omega_rule"]))
         a_rule = parse_rule(str(values["a_rule"]))
         if isinstance(omega_rule, OptimizedRule) or isinstance(a_rule, OptimizedRule):
@@ -755,12 +765,15 @@ def study_from_config(config: dict) -> SimStudySpec:
         what="simulation study",
     )
     methods = tuple(method_from_config(m) for m in values["methods"])
-    n_grid = tuple(int(n) for n in values["n"])
+    n_values = values["n"]
+    if not isinstance(n_values, (list, tuple)):
+        raise ConfigError(f"n must be a list of sample sizes, got {n_values!r}")
+    n_grid = tuple(_number(n, "n entry", int) for n in n_values)
     return SimStudySpec(
         dgp=dgp_from_config(values["dgp"]),
         methods=methods,
         n_grid=n_grid,
-        replications=int(values["replications"]),
-        alpha=float(values["alpha"]),
-        base_seed=int(values["seed"]),
+        replications=_number(values["replications"], "replications", int),
+        alpha=_number(values["alpha"], "alpha"),
+        base_seed=_number(values["seed"], "seed", int),
     )

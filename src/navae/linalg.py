@@ -7,6 +7,13 @@ derive), ``np.linalg.eigvalsh`` for the spectral norm, and
 input validation through ``SymMatrix``, the rank cutoff of the pseudo-inverse,
 the clamp of round-off negative eigenvalues in the square root, and a
 relative pivot floor that makes Cholesky reject numerically singular input.
+
+Validation runs where a matrix enters from outside.  ``SymMatrix(...)``,
+``SymMatrix.from_array`` and every public function handed a raw array check
+the shape, finiteness and symmetry in full.  Matrices the library has just
+built symmetric itself (x'x/n in ``ols_fit`` and the results of
+``pseudo_inverse`` and ``psd_sqrt``) are wrapped by ``SymMatrix._built``,
+which keeps the finite check and the symmetrisation and skips the rest.
 """
 
 from __future__ import annotations
@@ -33,8 +40,10 @@ _SYMMETRY_RTOL = 1e-12
 class SymMatrix:
     """Immutable symmetric matrix; symmetrized as (M + M')/2 on construction.
 
-    Construction rejects non-finite entries and asymmetry beyond
-    1e-12 relative to the largest entry magnitude.
+    The public constructor rejects a non-square shape, non-finite entries and
+    asymmetry beyond 1e-12 relative to the largest entry magnitude.
+    ``_built``, for arrays the library has just built symmetric, only
+    symmetrizes and rejects non-finite entries.
     """
 
     array: np.ndarray
@@ -55,6 +64,21 @@ class SymMatrix:
         sym = 0.5 * (a + a.T)
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
+
+    @classmethod
+    def _built(cls, a: np.ndarray) -> "SymMatrix":
+        """Wrap a square array built symmetric up to round-off by this library.
+
+        The finite check runs on the symmetrized array, so it also catches an
+        overflow in (M + M')/2.
+        """
+        sym = 0.5 * (a + a.T)
+        if not np.isfinite(sym).all():
+            raise DataError("matrix entries must be finite")
+        sym.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "array", sym)
+        return m
 
     @property
     def dim(self) -> int:
@@ -93,8 +117,7 @@ def pseudo_inverse(m: SymMatrix | np.ndarray, rtol: float | None = None) -> SymM
         rtol = sym.dim * np.finfo(float).eps
     cutoff = rtol * float(np.max(np.abs(values))) if values.size else 0.0
     inv = np.where(np.abs(values) > cutoff, 1.0 / np.where(values == 0.0, 1.0, values), 0.0)
-    result = (vectors * inv) @ vectors.T
-    return SymMatrix(0.5 * (result + result.T))
+    return SymMatrix._built((vectors * inv) @ vectors.T)
 
 
 def psd_sqrt(m: SymMatrix | np.ndarray) -> SymMatrix:
@@ -108,8 +131,7 @@ def psd_sqrt(m: SymMatrix | np.ndarray) -> SymMatrix:
             f"matrix has a materially negative eigenvalue {float(np.min(values)):.6e}"
         )
     roots = np.sqrt(np.clip(values, 0.0, None))
-    result = (vectors * roots) @ vectors.T
-    return SymMatrix(0.5 * (result + result.T))
+    return SymMatrix._built((vectors * roots) @ vectors.T)
 
 
 def cholesky(m: SymMatrix | np.ndarray) -> np.ndarray:

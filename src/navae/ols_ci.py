@@ -142,19 +142,36 @@ class OlsFit:
         return self.design.n
 
 
+def _row_sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a 2-D array.
+
+    Accumulated one column at a time: for the few columns of a design this
+    is several times faster than ``np.sum(a * a, axis=1)``, whose reduction
+    runs over a short inner axis per row, and it adds the squares in the same
+    order for up to 7 columns.
+    """
+    out = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        col = a[:, j]
+        out += col * col
+    return out
+
+
 def ols_fit(design: Design) -> OlsFit:
     """Least-squares fit via the pseudo-inverse (min-norm for singular S)."""
     x, y = design.x, design.y
     n = design.n
-    s = SymMatrix(x.T @ x / n)
+    # Design has checked x, but x'x can still overflow: _built rejects that
+    s = SymMatrix._built(x.T @ x / n)
     s_dagger = pseudo_inverse(s)
     beta = s_dagger.array @ (x.T @ y / n)
     residuals = y - x @ beta
-    row_norms = np.sqrt(np.sum(x * x, axis=1))
-    m4 = float(np.mean(row_norms**4))
-    m31 = float(np.mean(row_norms**3 * np.abs(residuals)))
-    m_xe2 = float(np.mean(row_norms**2 * residuals**2))
-    mid = (x * residuals[:, None] ** 2).T @ x / n
+    res_sq = residuals * residuals
+    norm_sq = _row_sq_norms(x)
+    m4 = float(np.mean(norm_sq * norm_sq))
+    m31 = float(np.mean(norm_sq * np.sqrt(norm_sq) * np.abs(residuals)))
+    m_xe2 = float(np.mean(norm_sq * res_sq))
+    mid = (x * res_sq[:, None]).T @ x / n
     v_hat = SymMatrix(s_dagger.array @ mid @ s_dagger.array)
     t4 = float(np.linalg.norm(mid @ s_dagger.array, 2))
     residuals = residuals.copy()
@@ -340,12 +357,16 @@ def _last_violation(
     condition: Callable[[int], bool],
     margin_ok: Callable[[int], bool],
     monotone_from: int | None,
+    name: str,
+    at_cap: Callable[[], str] = lambda: "",
 ) -> int:
     """Largest n with condition(n) true, assuming violations die out.
 
     Geometric scan (doubling) until the margin check passes at three
     consecutive grid points; the answer lies between the last grid violation
-    and the first of those points, first_clean.  Capped at N_SCAN_CAP.
+    and the first of those points, first_clean.  Capped at N_SCAN_CAP; the
+    ``UnboundedScanError`` raised there names the condition and adds
+    ``at_cap()``, the condition's terms at the cap.
 
     On [monotone_from, first_clean] the caller guarantees that the points
     where condition holds all come before the points where it fails; that
@@ -375,7 +396,8 @@ def _last_violation(
         n *= 2
     else:
         raise UnboundedScanError(
-            f"condition still violated with insufficient margin beyond n = {N_SCAN_CAP}"
+            f"condition {name} still violated with insufficient margin "
+            f"beyond n = {N_SCAN_CAP}{at_cap()}"
         )
     top = first_clean
     if monotone_from is not None:
@@ -509,6 +531,13 @@ def _n_zero_impl(alpha: float, tuning: OlsTuning, k_reg: float, k_xi: float) -> 
         except ConfigError:
             return False
 
+    def edg_at_cap() -> str:
+        try:
+            value = f"{nu_edg(N_SCAN_CAP, alpha, tuning, k_xi):.6g}"
+        except ConfigError as exc:
+            value = f"undefined ({exc})"
+        return f": nu_edg = {value} at n = {N_SCAN_CAP}, alpha/2 = {alpha / 2.0:.6g}"
+
     omega_rule, a_rule = tuning.omega_rule, tuning.a_rule
     reg_from = edg_from = None
     if isinstance(omega_rule, PowerRule):
@@ -521,8 +550,8 @@ def _n_zero_impl(alpha: float, tuning: OlsTuning, k_reg: float, k_xi: float) -> 
             c1, e = a_rule.c1, a_rule.exponent
             edg_from = _positive_beyond(a_rule, (1.0, 2.0 * c1 - 1.0 + 2.0 * e, c1 * (c1 - 1.0)))
     return max(
-        _last_violation(cond_reg, cond_reg_margin, reg_from),
-        _last_violation(cond_edg, cond_edg_margin, edg_from),
+        _last_violation(cond_reg, cond_reg_margin, reg_from, "n <= 2 K_reg/(omega_n alpha)"),
+        _last_violation(cond_edg, cond_edg_margin, edg_from, "nu_edg >= alpha/2", edg_at_cap),
     )
 
 
@@ -563,18 +592,22 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
             "design second-moment matrix is numerically singular; plug-in "
             "bounds are undefined (lambda_min(S) = 0 means no identification)"
         )
-    rotated = x @ psd_sqrt(fit.s_dagger).array
-    rot_sq = np.sum(rotated * rotated, axis=1)
-    k_reg = float(np.mean(rot_sq**2 - 2.0 * rot_sq + p))
-    k_eps = float(np.mean(rot_sq**2 * fit.residuals**4))
+    rot_sq = _row_sq_norms(x @ psd_sqrt(fit.s_dagger).array)
+    rot_sq2 = rot_sq * rot_sq
+    k_reg = float(np.mean(rot_sq2 - 2.0 * rot_sq + p))
+    # fourth powers as squares of squares: numpy's generic ** 4 on a signed
+    # base costs tens of times as much
+    res_sq = fit.residuals * fit.residuals
+    k_eps = float(np.mean(rot_sq2 * (res_sq * res_sq)))
     influence = (x @ (fit.s_dagger.array @ np.asarray(u, dtype=float))) * fit.residuals
-    second = float(np.mean(influence**2))
+    infl_sq = influence * influence
+    second = float(np.mean(infl_sq))
     if second <= 0.0:
         raise DegenerateSampleError(
             "all estimated influence values are zero; K_xi plug-in undefined"
         )
     # >= 1 by Jensen; the max only absorbs last-ulp rounding
-    k_xi = max(1.0, float(np.mean(influence**4)) / second**2)
+    k_xi = max(1.0, float(np.mean(infl_sq * infl_sq)) / second**2)
     mult = 1.0 + inflation / math.sqrt(n)
     return OlsBounds(
         lambda_reg=lam_min / mult,

@@ -160,12 +160,18 @@ def ci_edg_oracle(
     return center - half, center + half
 
 
-def _last_violation(condition: Callable[[int], bool], margin_ok: Callable[[int], bool]) -> int:
+def _last_violation(
+    condition: Callable[[int], bool],
+    margin_ok: Callable[[int], bool],
+    name: str,
+    at_cap: Callable[[], str] = lambda: "",
+) -> int:
     """Largest n with condition(n) true, assuming violations die out.
 
     Geometric scan (doubling) until the margin check passes at three
     consecutive grid points, then an exact linear back-scan from the first of
-    those points.  Capped at N_SCAN_CAP.
+    those points.  Capped at N_SCAN_CAP; the error there names the condition
+    and adds ``at_cap()``.
     """
     clean_streak = 0
     first_clean = None
@@ -189,7 +195,8 @@ def _last_violation(condition: Callable[[int], bool], margin_ok: Callable[[int],
         n *= 2
     else:
         raise UnboundedScanError(
-            f"condition still violated with insufficient margin beyond n = {N_SCAN_CAP}"
+            f"condition {name} still violated with insufficient margin "
+            f"beyond n = {N_SCAN_CAP}{at_cap()}"
         )
     for m in range(first_clean - 1, last_seen_violation, -1):
         if condition(m):
@@ -228,9 +235,16 @@ def n_zero_backscan_oracle(alpha: float, tuning, k_reg: float, k_xi: float) -> i
         except ConfigError:
             return False
 
+    def edg_at_cap() -> str:
+        try:
+            value = f"{nu_edg(N_SCAN_CAP, alpha, tuning, k_xi):.6g}"
+        except ConfigError as exc:
+            value = f"undefined ({exc})"
+        return f": nu_edg = {value} at n = {N_SCAN_CAP}, alpha/2 = {alpha / 2.0:.6g}"
+
     return max(
-        _last_violation(cond_reg, cond_reg_margin),
-        _last_violation(cond_edg, cond_edg_margin),
+        _last_violation(cond_reg, cond_reg_margin, "n <= 2 K_reg/(omega_n alpha)"),
+        _last_violation(cond_edg, cond_edg_margin, "nu_edg >= alpha/2", edg_at_cap),
     )
 
 

@@ -34,6 +34,35 @@ def test_load_mean_csv_forms(tmp_path):
     assert list(s.values) == [1.0, 2.0]
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["mean-ci", "--alpha", "0.1"], b"x\n1\n\xff\n"),
+        (["mean-ci", "--alpha", "0.1"], b"x\n1\n" + b"a" * 200_000 + b"\n2\n"),
+        (["ols-ci", "--alpha", "0.1", "--u", "1"], b"y,x1\n1,2\n3,\xff\n"),
+        (["ols-ci", "--alpha", "0.1", "--u", "1"], b"y,x1\n1,2\n3," + b"a" * 200_000 + b"\n"),
+    ],
+    ids=["mean-not-utf8", "mean-long-field", "ols-not-utf8", "ols-long-field"],
+)
+def test_unreadable_csv_is_data_error_at_its_line(in_tmp, capsys, command, content):
+    path = in_tmp / "bad.csv"
+    path.write_bytes(content)
+    assert run_command(command + ["--input", str(path)]) == 3
+    assert f"data error: {path}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loader", [load_mean_csv, lambda p: load_ols_csv(p, False, "1")])
+def test_unreadable_first_record_is_data_error(tmp_path, loader):
+    long_header = tmp_path / "long.csv"
+    long_header.write_bytes(b"a" * 200_000 + b"\n1,2\n")
+    with pytest.raises(DataError, match=r"long\.csv:1: field larger than field limit"):
+        loader(long_header)
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes("y,x1\n1,2\n\n3,4\xe9\n".encode("latin-1"))
+    with pytest.raises(DataError, match=r"latin1\.csv:4: not valid UTF-8: byte 0xe9"):
+        loader(not_utf8)
+
+
 def test_load_mean_csv_errors(tmp_path):
     with pytest.raises(DataError) as err:
         load_mean_csv(write(tmp_path / "bad.csv", "a\nb\n"))
@@ -318,6 +347,34 @@ def test_simulate_hoeffding_support_needs_two_numbers(in_tmp, capsys, support):
     }))
     assert run_command(["simulate", "--config", str(cfg_path)]) == 2
     assert "hoeffding support must be two numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, dgp, field",
+    [
+        ({"name": "chebyshev", "var_bound": "abc"}, None, "var_bound"),
+        ({"name": "hoeffding", "support": [0, "b"]}, None, "support entry"),
+        ({"name": "known-variance", "sigma": "s", "K": 9}, None, "sigma"),
+        ({"name": "known-variance", "sigma": 1, "K": [9]}, None, "K"),
+        ({"name": "unknown-variance", "K": "nine"}, None, "K"),
+        ({"name": "unknown-variance", "inflation": None}, None, "inflation"),
+        ({"name": "clt"}, {"kind": "exponential-mean", "rate": "fast"}, "rate"),
+        ({"name": "asymp"}, {"kind": "gumbel-hetero-linear", "u": [0, 0, "one"]}, "u entry"),
+        ({"name": "edg", "bounds": {"lambda_reg": "plugin", "k_reg": "plugin",
+                                    "k_eps": "plugin", "k_xi": {"v": 9}}},
+         {"kind": "gumbel-hetero-linear"}, "k_xi"),
+    ],
+    ids=["var_bound", "support", "sigma", "known-variance-K", "unknown-variance-K",
+         "inflation", "rate", "u", "edg-bounds"],
+)
+def test_simulate_non_numeric_config_value_is_config_error(in_tmp, capsys, method, dgp, field):
+    cfg_path = write(in_tmp / "sim.json", json.dumps({
+        "dgp": dgp or {"kind": "exponential-mean"},
+        "methods": [method],
+        "n": [100], "alpha": 0.1, "replications": 5,
+    }))
+    assert run_command(["simulate", "--config", str(cfg_path)]) == 2
+    assert f"{field} must be a number" in capsys.readouterr().err
 
 
 def test_simulate_rejects_unknown_keys(in_tmp, capsys):

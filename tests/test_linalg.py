@@ -195,3 +195,36 @@ def test_cholesky_random_round_trip():
         L = cholesky(m)
         assert np.tril(L) == pytest.approx(L)
         assert np.linalg.norm(L @ L.T - m) <= 1e-10 * np.linalg.norm(m, 2)
+
+
+@pytest.mark.parametrize("fn", [sym_eigen, pseudo_inverse, psd_sqrt])
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        ([[math.nan, 0.0], [0.0, 1.0]], DataError),
+        ([[1.0, math.inf], [math.inf, 1.0]], DataError),
+        ([[1.0, 2.0], [0.5, 3.0]], DomainError),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], DomainError),
+    ],
+)
+def test_public_functions_validate_raw_arrays(fn, raw, error):
+    with pytest.raises(error):
+        fn(np.array(raw))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_pseudo_inverse_rejects_overflowing_result():
+    # both eigenvalues pass the rank cutoff, but their inverses overflow
+    with pytest.raises(DataError):
+        pseudo_inverse(SymMatrix.from_array(np.diag([1e-310, 2e-310])))
+
+
+def test_pseudo_inverse_and_psd_sqrt_results_are_symmetric():
+    # V diag(d) V' is symmetric only up to round-off; the results are not
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        p = int(rng.integers(2, 9))
+        b = rng.standard_normal((p, p))
+        for result in (pseudo_inverse(b + b.T), psd_sqrt(b @ b.T)):
+            assert np.array_equal(result.array, result.array.T)
+            assert not result.array.flags.writeable

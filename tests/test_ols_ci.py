@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from navae.ols_ci import (
     sandwich_variance,
     tuning_for_rate,
 )
+from navae.linalg import psd_sqrt
 from navae.rules import PowerRule
 
 from oracles import (
@@ -333,6 +335,23 @@ def test_n_zero_cap_exceeded():
         n_zero(0.10, tuning, bounds)
 
 
+def test_n_zero_cap_error_names_the_condition():
+    bounds = OlsBounds(lambda_reg=1.0, k_reg=0.0, k_eps=1.0, k_xi=50.0)
+    with pytest.raises(UnboundedScanError) as err:
+        n_zero(0.1, tuning_for_rate(0.0), bounds)
+    at_cap = nu_edg(10**9, 0.1, tuning_for_rate(0.0), 50.0)
+    assert str(err.value) == (
+        "condition nu_edg >= alpha/2 still violated with insufficient margin "
+        f"beyond n = 1000000000: nu_edg = {at_cap:.6g} at n = 1000000000, alpha/2 = 0.05"
+    )
+    assert at_cap > 0.05
+    # omega_n = 0.5/n keeps n <= 2 K_reg/(omega_n alpha) true at every n
+    tuning = OlsTuning(omega_rule=lambda n: 0.5 / n)
+    bounds = OlsBounds(lambda_reg=1.0, k_reg=1.0, k_eps=1.0, k_xi=9.0)
+    with pytest.raises(UnboundedScanError, match=r"condition n <= 2 K_reg/\(omega_n alpha\) "):
+        n_zero(0.1, tuning, bounds)
+
+
 def _n_zero_outcome(fn, alpha, tuning, k_reg, k_xi):
     """n0, or the type and message of the error raised instead."""
     if fn is n_zero:
@@ -453,6 +472,44 @@ def test_n_zero_requires_resolved_bounds():
 # ---------------------------------------------------------------------------
 # plug-in estimation
 # ---------------------------------------------------------------------------
+
+
+def test_fit_moments_and_plug_in_match_power_forms():
+    # ols_fit and plug_in_bounds square twice and sum column by column; the
+    # forms they replaced were numpy's ** powers and np.sum over axis 1
+    for n in (50, 3000):
+        for seed in range(25):
+            design = simulated_design(n, seed, u=(0.0, 0.0, 1.0))
+            x, fit = design.x, ols_fit(design)
+            e = fit.residuals
+            norms = np.sqrt(np.sum(x * x, axis=1))
+            assert fit.m4 == pytest.approx(np.mean(norms**4), rel=1e-14)
+            assert fit.m31 == pytest.approx(np.mean(norms**3 * np.abs(e)), rel=1e-14)
+            assert fit.m_xe2 == pytest.approx(np.mean(norms**2 * e**2), rel=1e-14)
+            rotated = x @ psd_sqrt(fit.s_dagger).array
+            rot_sq = np.sum(rotated * rotated, axis=1)
+            influence = (x @ (fit.s_dagger.array @ design.u)) * e
+            expected = {
+                "lambda_reg": np.linalg.eigvalsh(fit.s.array)[0],
+                "k_reg": np.mean(rot_sq**2 - 2.0 * rot_sq + design.p),
+                "k_eps": np.mean(rot_sq**2 * e**4),
+                "k_xi": max(1.0, np.mean(influence**4) / np.mean(influence**2) ** 2),
+            }
+            bounds = plug_in_bounds(fit, design.u)
+            for name, value in expected.items():
+                assert getattr(bounds, name) == pytest.approx(value, rel=1e-14), (n, seed, name)
+
+
+def test_ols_fit_rejects_overflowing_second_moment():
+    # every entry is finite, so Design accepts it, but x'x overflows; the fit
+    # must stop there, before the moments overflow too
+    x = np.array([[1e200, 1.0], [1.0, 1e200], [1e200, 1e200]])
+    design = Design(x=x, y=np.array([1.0, 2.0, 3.0]), u=np.array([1.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "overflow encountered in matmul")
+        with pytest.raises(DataError, match="finite"):
+            ols_fit(design)
 
 
 def test_plug_in_intercept_only_k_reg_zero():
