@@ -25,7 +25,6 @@ from .dgp_sim import (
     OlsEdgMethod,
     UnknownVarianceMethod,
     method_from_config,
-    resolve_workers,
     run_coverage_study,
     study_from_config,
     width_curve,
@@ -462,7 +461,6 @@ def _cmd_width_curve(args) -> int:
         args.alpha,
         replications=args.replications,
         base_seed=args.seed,
-        workers=args.workers,
     )
     rows = [
         ReportRow(method=r.method, n=r.n, alpha=r.alpha, width=r.mean_width, ratio=r.ratio)
@@ -531,7 +529,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage study from JSON config")
     sim.add_argument("--config", required=True)
-    sim.add_argument("--workers", type=int, default=None)
+    sim.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="must be >= 1; kept for existing scripts, it changes neither the "
+        "report nor the thread count (studies run in one thread)",
+    )
     sim.add_argument("--output", default=None)
     sim.set_defaults(handler=_cmd_simulate)
 
@@ -553,7 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
     wc.add_argument("--a-rule-ols", dest="a_rule_ols", default="1+20*n^-2/5")
     wc.add_argument("--replications", "-M", type=int, default=0)
     wc.add_argument("--seed", type=int, default=0)
-    wc.add_argument("--workers", type=int, default=None)
     wc.add_argument("--output", default=None)
     wc.set_defaults(handler=_cmd_width_curve)
 

@@ -2,16 +2,13 @@
 
 Reproducibility contract: every replication draws from its own Philox
 counter-based stream keyed by (base seed, method index, n, replication
-index), and per-cell aggregates reduce over arrays ordered by replication
-index.  Reports are therefore bit-identical no matter how many worker
-threads execute the replication map.
+index), and every replication runs in the calling thread, in replication
+order.  A report therefore depends only on the study and its seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -71,7 +68,6 @@ __all__ = [
     "WidthCurveRow",
     "run_coverage_study",
     "width_curve",
-    "resolve_workers",
     "substream",
     "dgp_from_config",
     "method_from_config",
@@ -103,7 +99,7 @@ def _generator(seed: SeedLike) -> np.random.Generator:
 
 
 def substream(base_seed: int, method_index: int, n: int, replication: int) -> np.random.SeedSequence:
-    """Deterministic per-replication stream key; parallelism-independent."""
+    """Deterministic per-replication stream key."""
     return np.random.SeedSequence(int(base_seed), spawn_key=(method_index, n, replication))
 
 
@@ -201,8 +197,15 @@ class CustomMeanDgp:
 # ---------------------------------------------------------------------------
 
 
+class _Method:
+    """Shared default of the interval methods: no alpha_min is tracked."""
+
+    def alpha_min_value(self, data) -> float | None:
+        return None
+
+
 @dataclass(frozen=True)
-class CltMethod:
+class CltMethod(_Method):
     family = "mean"
     navae = False
     label = "clt"
@@ -210,12 +213,9 @@ class CltMethod:
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
         return ci_clt(sample, alpha)
 
-    def alpha_min_value(self, sample: Sample) -> float | None:
-        return None
-
 
 @dataclass(frozen=True)
-class StudentMethod:
+class StudentMethod(_Method):
     family = "mean"
     navae = False
     label = "student"
@@ -223,12 +223,9 @@ class StudentMethod:
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
         return ci_student(sample, alpha)
 
-    def alpha_min_value(self, sample: Sample) -> float | None:
-        return None
-
 
 @dataclass(frozen=True)
-class ChebyshevMethod:
+class ChebyshevMethod(_Method):
     var_bound: float
     family = "mean"
     navae = False
@@ -237,12 +234,9 @@ class ChebyshevMethod:
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
         return ci_chebyshev(sample, alpha, self.var_bound)
 
-    def alpha_min_value(self, sample: Sample) -> float | None:
-        return None
-
 
 @dataclass(frozen=True)
-class HoeffdingMethod:
+class HoeffdingMethod(_Method):
     support_lower: float
     support_upper: float
     family = "mean"
@@ -252,12 +246,9 @@ class HoeffdingMethod:
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
         return ci_hoeffding(sample, alpha, self.support_lower, self.support_upper)
 
-    def alpha_min_value(self, sample: Sample) -> float | None:
-        return None
-
 
 @dataclass(frozen=True)
-class KnownVarianceMethod:
+class KnownVarianceMethod(_Method):
     sigma: float
     kurtosis_bound: float
     delta: DeltaProvider = BerryEsseen()
@@ -274,12 +265,9 @@ class KnownVarianceMethod:
         )
         return ci_known_variance(sample, self.sigma, cfg)
 
-    def alpha_min_value(self, sample: Sample) -> float | None:
-        return None
-
 
 @dataclass(frozen=True)
-class UnknownVarianceMethod:
+class UnknownVarianceMethod(_Method):
     """Finite-sample mean interval; kurtosis bound fixed or plug-in (None)."""
 
     kurtosis_bound: float | None = 9.0
@@ -317,7 +305,7 @@ class UnknownVarianceMethod:
 
 
 @dataclass(frozen=True)
-class OlsAsympMethod:
+class OlsAsympMethod(_Method):
     family = "ols"
     navae = False
     label = "asymp"
@@ -325,12 +313,9 @@ class OlsAsympMethod:
     def interval(self, design: Design, alpha: float) -> ConfidenceInterval:
         return ci_asymp(design, alpha)
 
-    def alpha_min_value(self, design: Design) -> float | None:
-        return None
-
 
 @dataclass(frozen=True)
-class OlsEdgMethod:
+class OlsEdgMethod(_Method):
     bounds: OlsBounds
     tuning: OlsTuning = OlsTuning()
     family = "ols"
@@ -343,9 +328,6 @@ class OlsEdgMethod:
 
     def interval(self, design: Design, alpha: float) -> ConfidenceInterval:
         return ci_edg(design, alpha, self.bounds, self.tuning)
-
-    def alpha_min_value(self, design: Design) -> float | None:
-        return None
 
 
 def format_rule_like(rule: ARule) -> str:
@@ -417,57 +399,6 @@ class SimReport:
         raise KeyError(f"no report row for ({method_label!r}, {n})")
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: explicit request, else NAVAE_THREADS, else the hardware."""
-    if requested is not None:
-        if requested < 1:
-            raise ConfigError(f"worker count must be >= 1, got {requested}")
-        return int(requested)
-    env = os.environ.get("NAVAE_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"NAVAE_THREADS={env!r} is not an integer") from exc
-        if value < 1:
-            raise ConfigError(f"NAVAE_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
-def _replicate(dgp, method, alpha, base_seed, method_index, n, replication):
-    data = dgp.sample(n, substream(base_seed, method_index, n, replication))
-    ci = method.interval(data, alpha)
-    covered = ci.contains(dgp.target)
-    width = ci.width
-    amin = method.alpha_min_value(data)
-    return covered, ci.whole_line, width, amin
-
-
-def _run_cell(spec, method, method_index, n, workers):
-    reps = range(spec.replications)
-
-    def run_block(block):
-        return [
-            _replicate(spec.dgp, method, spec.alpha, spec.base_seed, method_index, n, r)
-            for r in block
-        ]
-
-    if workers == 1:
-        records = run_block(reps)
-    else:
-        chunk = max(1, math.ceil(spec.replications / (workers * 8)))
-        blocks = [
-            range(start, min(start + chunk, spec.replications))
-            for start in range(0, spec.replications, chunk)
-        ]
-        records = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for block_result in pool.map(run_block, blocks):
-                records.extend(block_result)
-    return records
-
-
 def _aggregate(method, n, alpha, records) -> SimReportRow:
     m = len(records)
     covered = sum(1 for rec in records if rec[0])
@@ -489,20 +420,28 @@ def _aggregate(method, n, alpha, records) -> SimReportRow:
     )
 
 
-def run_coverage_study(spec: SimStudySpec, workers: int | None = None) -> SimReport:
+def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
     """Coverage, width, and whole-line shares per (method, n).
 
-    The whole real line counts as covering.  Results are independent of the
-    worker count: replication r of method i at size n always consumes the
-    stream keyed (base_seed, i, n, r), and aggregates reduce in replication
-    order.
+    The whole real line counts as covering.  Replication r of method i at
+    size n consumes the stream keyed (base_seed, i, n, r), and all
+    replications run in the calling thread, in order.  ``workers`` must be
+    >= 1; it is accepted for existing callers and changes neither the
+    results nor the number of threads.
     """
-    workers = resolve_workers(workers)
+    if workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
+    dgp, alpha = spec.dgp, spec.alpha
     rows = []
     for method_index, method in enumerate(spec.methods):
         for n in spec.n_grid:
-            records = _run_cell(spec, method, method_index, n, workers)
-            rows.append(_aggregate(method, n, spec.alpha, records))
+            records = []
+            for r in range(spec.replications):
+                data = dgp.sample(n, substream(spec.base_seed, method_index, n, r))
+                ci = method.interval(data, alpha)
+                amin = method.alpha_min_value(data)
+                records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
+            rows.append(_aggregate(method, n, alpha, records))
     return SimReport(tuple(rows))
 
 
@@ -550,7 +489,6 @@ def width_curve(
     alpha: float,
     replications: int = 0,
     base_seed: int = 0,
-    workers: int | None = None,
 ) -> tuple[WidthCurveRow, ...]:
     """Mean widths and width ratios relative to the CLT/asymptotic baseline.
 
@@ -588,13 +526,12 @@ def width_curve(
                     alpha=alpha,
                     base_seed=base_seed,
                 )
-                width = run_coverage_study(study, workers=workers).rows[0].mean_width
+                width = run_coverage_study(study).rows[0].mean_width
             rows.append(WidthCurveRow(method.label, n, alpha, width, ratio))
         return tuple(rows)
     if isinstance(method, OlsEdgMethod):
         if replications < 1:
             raise ConfigError("OLS width curves need replications >= 1")
-        workers = resolve_workers(workers)
         for n in n_grid:
             edg_widths: list[float] = []
             asymp_widths: list[float] = []
@@ -622,6 +559,14 @@ def width_curve(
 # ---------------------------------------------------------------------------
 
 
+def _section(value, what: str) -> dict:
+    """A copy of a config section; a section that is not a JSON object is a
+    ``ConfigError``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} config must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _take(config: dict, *, required: dict, optional: dict, what: str) -> dict:
     unknown = set(config) - set(required) - set(optional)
     if unknown:
@@ -644,7 +589,7 @@ def _number(value, name: str, kind=float):
 
 
 def dgp_from_config(config: dict):
-    cfg = dict(config)
+    cfg = _section(config, "DGP")
     kind = cfg.pop("kind", None)
     if kind == "exponential-mean":
         values = _take(cfg, required={}, optional={"rate": 1.0}, what="exponential-mean")
@@ -669,7 +614,7 @@ def _bound_spec(value, name: str) -> float | PlugIn:
 
 
 def method_from_config(config: dict):
-    cfg = dict(config)
+    cfg = _section(config, "method")
     name = cfg.pop("name", None)
     if name == "clt":
         _take(cfg, required={}, optional={}, what="clt")
@@ -737,7 +682,7 @@ def method_from_config(config: dict):
             what="edg",
         )
         bounds_cfg = _take(
-            dict(values["bounds"]),
+            _section(values["bounds"], "edg bounds"),
             required={"lambda_reg": None, "k_reg": None, "k_eps": None, "k_xi": None},
             optional={},
             what="edg bounds",
@@ -759,12 +704,15 @@ def method_from_config(config: dict):
 def study_from_config(config: dict) -> SimStudySpec:
     """Build a study from the JSON document schema; unknown keys rejected."""
     values = _take(
-        dict(config),
+        _section(config, "simulation study"),
         required={"dgp": None, "methods": None, "n": None, "alpha": None, "replications": None},
         optional={"seed": 0},
         what="simulation study",
     )
-    methods = tuple(method_from_config(m) for m in values["methods"])
+    methods = values["methods"]
+    if not isinstance(methods, (list, tuple)):
+        raise ConfigError(f"methods must be a list of method objects, got {methods!r}")
+    methods = tuple(method_from_config(m) for m in methods)
     n_values = values["n"]
     if not isinstance(n_values, (list, tuple)):
         raise ConfigError(f"n must be a list of sample sizes, got {n_values!r}")

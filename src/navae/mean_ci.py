@@ -306,12 +306,18 @@ def ci_known_variance(
     """Finite-sample-valid interval when the variance is known.
 
     Whole real line exactly when delta_n >= alpha/2; otherwise the CLT
-    interval with the quantile argument enlarged by delta_n.
+    interval with the quantile argument enlarged by delta_n.  ``sigma_known``
+    must match ``cfg.variance.sigma_sq`` to a relative 1e-12.
     """
     if not math.isfinite(sigma_known) or sigma_known <= 0.0:
         raise DomainError(f"sigma_known must be positive, got {sigma_known!r}")
     if not isinstance(cfg.variance, KnownVariance):
         raise ConfigError("ci_known_variance requires cfg.variance = KnownVariance")
+    if not math.isclose(sigma_known, math.sqrt(cfg.variance.sigma_sq), rel_tol=1e-12):
+        raise ConfigError(
+            f"sigma_known = {sigma_known!r} disagrees with the configured known "
+            f"variance {cfg.variance.sigma_sq!r}"
+        )
     n = sample.n
     delta = delta_of(cfg.delta, n, cfg.kurtosis_bound)
     if delta >= cfg.alpha / 2.0:

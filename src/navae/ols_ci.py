@@ -45,7 +45,7 @@ from .errors import (
     UnboundedScanError,
 )
 from .linalg import SymMatrix, psd_sqrt, pseudo_inverse, sym_eigen
-from .mean_ci import ConfidenceInterval
+from .mean_ci import ConfidenceInterval, _check_alpha
 from .rules import PowerRule
 from .specialfn import std_normal_quantile
 
@@ -196,16 +196,9 @@ def sandwich_variance(fit: OlsFit) -> SymMatrix:
     return fit.v_hat
 
 
-def _check_ci_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0,1), got {alpha!r}")
-    return alpha
-
-
 def ci_asymp(design: Design, alpha: float, fit: OlsFit | None = None) -> ConfidenceInterval:
     """CLT-based interval for u'beta with the sandwich variance."""
-    alpha = _check_ci_alpha(alpha)
+    alpha = _check_alpha(alpha)
     if fit is None:
         fit = ols_fit(design)
     u = design.u
@@ -345,7 +338,7 @@ def r_var(gamma: float, fit: OlsFit, bounds: OlsBounds) -> float:
 
 def nu_edg(n: int, alpha: float, tuning: OlsTuning, k_xi: float) -> float:
     """Quantile perturbation (omega_n alpha + exp(-n(1-1/a_n)^2/(2 K_xi)))/2 + delta_n."""
-    alpha = _check_ci_alpha(alpha)
+    alpha = _check_alpha(alpha)
     omega = tuning.omega(n)
     a = tuning.a(n)
     delta = delta_of(tuning.delta, n, k_xi)
@@ -562,7 +555,7 @@ def _n_zero_cached(alpha: float, tuning: OlsTuning, k_reg: float, k_xi: float) -
 
 def n_zero(alpha: float, tuning: OlsTuning, bounds: OlsBounds) -> int:
     """Last sample size forced into the whole-real-line regime (0 if none)."""
-    alpha = _check_ci_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _require_resolved(bounds, "n_zero")
     try:
         return _n_zero_cached(alpha, tuning, float(bounds.k_reg), float(bounds.k_xi))
@@ -655,7 +648,7 @@ def ci_edg(
     half-width (sqrt(a_n) q(1-alpha/2+nu_edg) sqrt(u'Vu + |u|^2 R_var) + R_lin)/sqrt(n),
     the expanded form that stays well-defined when the variance term is zero.
     """
-    alpha = _check_ci_alpha(alpha)
+    alpha = _check_alpha(alpha)
     if fit is None:
         fit = ols_fit(design)
     n = design.n

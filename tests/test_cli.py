@@ -377,6 +377,31 @@ def test_simulate_non_numeric_config_value_is_config_error(in_tmp, capsys, metho
     assert f"{field} must be a number" in capsys.readouterr().err
 
 
+STUDY = {"dgp": {"kind": "gumbel-hetero-linear"}, "methods": [{"name": "asymp"}],
+         "n": [100], "alpha": 0.1, "replications": 5}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**STUDY, "dgp": 5}, "DGP config must be a JSON object"),
+        ({**STUDY, "dgp": ["kind"]}, "DGP config must be a JSON object"),
+        ({**STUDY, "methods": 5}, "methods must be a list"),
+        ({**STUDY, "methods": [5]}, "method config must be a JSON object"),
+        ({**STUDY, "methods": "clt"}, "methods must be a list"),
+        ({**STUDY, "methods": [{"name": "edg", "bounds": 5}]},
+         "edg bounds config must be a JSON object"),
+        ([1, 2], "simulation study config must be a JSON object"),
+    ],
+    ids=["dgp-number", "dgp-list", "methods-number", "method-number", "methods-string",
+         "edg-bounds-number", "study-list"],
+)
+def test_simulate_config_section_of_wrong_type_is_config_error(in_tmp, capsys, config, message):
+    cfg_path = write(in_tmp / "sim.json", json.dumps(config))
+    assert run_command(["simulate", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_rejects_unknown_keys(in_tmp, capsys):
     cfg_path = write(in_tmp / "sim.json", json.dumps({"dgp": {"kind": "exponential-mean"},
                                                       "methods": [{"name": "clt"}],

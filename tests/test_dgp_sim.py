@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from navae.dgp_sim import (
     UnknownVarianceMethod,
     dgp_from_config,
     method_from_config,
-    resolve_workers,
     run_coverage_study,
     sample_exponential,
     sample_gumbel_hetero_linear,
@@ -26,6 +26,7 @@ from navae.dgp_sim import (
     substream,
     width_curve,
 )
+from navae.cli import run_command
 from navae.errors import ConfigError
 from navae.mean_ci import sample_kurtosis
 from navae.ols_ci import OlsBounds, OlsTuning, PlugIn, ols_fit
@@ -360,18 +361,20 @@ def test_study_from_config_complete():
         study_from_config(missing)
 
 
-def test_resolve_workers_env(monkeypatch):
+def test_workers_validated_and_thread_variable_ignored(tmp_path, monkeypatch):
+    spec = small_mean_study((CltMethod(),))
+    with pytest.raises(ConfigError):
+        run_coverage_study(spec, workers=0)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(json.dumps({
+        "dgp": {"kind": "exponential-mean"}, "methods": [{"name": "clt"}],
+        "n": [100], "alpha": 0.1, "replications": 5,
+    }))
+    assert run_command(["simulate", "--config", "sim.json", "--workers", "0"]) == 2
     monkeypatch.delenv("NAVAE_THREADS", raising=False)
-    assert resolve_workers(3) == 3
-    assert resolve_workers() >= 1
-    monkeypatch.setenv("NAVAE_THREADS", "2")
-    assert resolve_workers() == 2
+    plain = run_coverage_study(spec)
     monkeypatch.setenv("NAVAE_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        resolve_workers()
-    monkeypatch.setenv("NAVAE_THREADS", "0")
-    with pytest.raises(ConfigError):
-        resolve_workers()
+    assert run_coverage_study(spec) == plain
 
 
 def test_substream_distinct_and_deterministic():

@@ -232,6 +232,17 @@ def test_known_variance_hand_value():
     assert ci.width / 2 == pytest.approx(0.019492959642172056, rel=1e-10)
 
 
+def test_known_variance_sigma_must_match_config():
+    s = Sample(np.zeros(10**4))
+    with pytest.raises(ConfigError, match="disagrees with the configured known variance"):
+        ci_known_variance(s, 1.0, cfg_known(0.10, 2.0))
+    with pytest.raises(ConfigError):
+        ci_known_variance(s, 1.0 + 1e-9, cfg_known(0.10, 1.0))
+    # round-off in sigma**2 is not a mismatch
+    sigma = 0.1 + 0.2
+    assert not ci_known_variance(s, sigma, cfg_known(0.10, sigma)).whole_line
+
+
 def test_known_variance_scale_shift_equivariance():
     rng = np.random.default_rng(17)
     x = rng.standard_normal(20000)
