@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -226,10 +227,32 @@ def _print_interval(ci: ConfidenceInterval) -> None:
         )
 
 
+def _report_paths(args) -> tuple[Path, Path]:
+    """The CSV report a command writes and its JSON summary beside it."""
+    output = Path(args.output or f"{args.command.replace('-', '_')}_report.csv")
+    return output, output.with_suffix(".json")
+
+
+def _check_outputs(args) -> None:
+    """A report or summary path naming a file the command reads is a
+    ``ConfigError``, raised before anything runs or is written."""
+    for output in _report_paths(args):
+        for flag in ("config", "input"):
+            source = getattr(args, flag, None)
+            if source is not None and _same_file(output, source):
+                raise ConfigError(f"output {output} would overwrite the --{flag} file {source}")
+
+
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either path missing: writing a cannot replace b
+        return False
+
+
 def _emit(args, command: str, rows, params: dict) -> None:
-    output = Path(args.output) if args.output else Path(f"{command.replace('-', '_')}_report.csv")
+    output, summary_path = _report_paths(args)
     write_report(output, rows)
-    summary_path = output.with_suffix(".json")
     write_summary(
         summary_path,
         {"command": command, "params": params, "rows": [row_as_dict(r) for r in rows]},
@@ -533,8 +556,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="must be >= 1; kept for existing scripts, it changes neither the "
-        "report nor the thread count (studies run in one thread)",
+        help="processes that run the replications (default 1, capped at the "
+        "replication count); above 1 a pool of forked workers runs them, or "
+        "the study runs serially where the platform cannot fork; the report "
+        "is the same at any count",
     )
     sim.add_argument("--output", default=None)
     sim.set_defaults(handler=_cmd_simulate)
@@ -571,6 +596,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_outputs(args)
         return args.handler(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

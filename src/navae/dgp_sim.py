@@ -2,8 +2,12 @@
 
 Reproducibility contract: every replication draws from its own Philox
 counter-based stream keyed by (base seed, method index, n, replication
-index), and every replication runs in the calling thread, in replication
-order.  A report therefore depends only on the study and its seed.
+index), and a report depends only on the study and its seed, not on the
+worker count.  With one worker every replication runs in the calling
+process, in order.  With more, each (method, n) cell's replications are cut
+into contiguous slices that run in forked worker processes; the slices are
+joined back in replication order before any row is computed.  Where the
+platform cannot fork, studies run serially at any worker count.
 """
 
 from __future__ import annotations
@@ -420,29 +424,86 @@ def _aggregate(method, n, alpha, records) -> SimReportRow:
     )
 
 
+#: The study the workers of a running pool read: set before the pool forks
+#: them and cleared when it is shut down, so they inherit it by fork and it
+#: is never pickled (a ``CustomMeanDgp`` may hold a lambda).
+_POOL_SPEC: SimStudySpec | None = None
+
+
+def _run_slice(
+    method_index: int, n: int, start: int, stop: int, spec: SimStudySpec | None = None
+) -> list:
+    """Records ``(covered, whole_line, width, alpha_min)`` of replications
+    ``start`` to ``stop - 1`` of the (method, n) cell, in order.
+
+    ``spec`` defaults to the study a pool worker inherited.
+    """
+    spec = _POOL_SPEC if spec is None else spec
+    dgp, alpha, method = spec.dgp, spec.alpha, spec.methods[method_index]
+    records = []
+    for r in range(start, stop):
+        data = dgp.sample(n, substream(spec.base_seed, method_index, n, r))
+        ci = method.interval(data, alpha)
+        amin = method.alpha_min_value(data)
+        records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
+    return records
+
+
+def _fork_context():
+    """multiprocessing's fork context, or None where the platform has none."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _pool_slices(spec: SimStudySpec, workers: int, tasks: list, context) -> list:
+    """``_run_slice`` of each task, in task order, from ``workers`` forked
+    processes.  A failed task re-raises its error, the first in task order."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _POOL_SPEC
+    _POOL_SPEC = spec
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    try:
+        return list(pool.map(_run_slice, *zip(*tasks)))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _POOL_SPEC = None
+
+
 def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
     """Coverage, width, and whole-line shares per (method, n).
 
     The whole real line counts as covering.  Replication r of method i at
-    size n consumes the stream keyed (base_seed, i, n, r), and all
-    replications run in the calling thread, in order.  ``workers`` must be
-    >= 1; it is accepted for existing callers and changes neither the
-    results nor the number of threads.
+    size n consumes the stream keyed (base_seed, i, n, r) at any worker
+    count, so the report does not depend on ``workers`` (which must be >= 1
+    and is capped at the replication count).  With one worker the study runs
+    in the calling process.  With more, each cell's replications are cut
+    into ``workers`` contiguous slices that a pool of forked processes runs;
+    the slices are joined in replication order.  The first replication error
+    in (method, n, replication) order is raised, as the serial run raises it.
+    Where the platform has no ``fork`` start method the study runs serially.
     """
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
-    dgp, alpha = spec.dgp, spec.alpha
-    rows = []
-    for method_index, method in enumerate(spec.methods):
-        for n in spec.n_grid:
-            records = []
-            for r in range(spec.replications):
-                data = dgp.sample(n, substream(spec.base_seed, method_index, n, r))
-                ci = method.interval(data, alpha)
-                amin = method.alpha_min_value(data)
-                records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
-            rows.append(_aggregate(method, n, alpha, records))
-    return SimReport(tuple(rows))
+    workers = min(workers, spec.replications)
+    cells = [(i, n) for i in range(len(spec.methods)) for n in spec.n_grid]
+    context = _fork_context() if workers > 1 else None
+    if context is None:
+        records = (_run_slice(i, n, 0, spec.replications, spec) for i, n in cells)
+    else:
+        cuts = [spec.replications * k // workers for k in range(workers + 1)]
+        tasks = [(i, n, lo, hi) for i, n in cells for lo, hi in zip(cuts, cuts[1:])]
+        slices = _pool_slices(spec, workers, tasks, context)
+        records = [
+            [rec for part in slices[c * workers:(c + 1) * workers] for rec in part]
+            for c in range(len(cells))
+        ]
+    return SimReport(tuple(
+        _aggregate(spec.methods[i], n, spec.alpha, recs) for (i, n), recs in zip(cells, records)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +649,21 @@ def _number(value, name: str, kind=float):
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
+def _delta(value) -> DeltaProvider:
+    """The delta provider a config string names; a non-string is a
+    ``ConfigError``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"delta must be a provider string such as 'be', got {value!r}")
+    return provider_from_string(value)
+
+
+def _flag(value, name: str) -> bool:
+    """A config field that must be a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def dgp_from_config(config: dict):
     cfg = _section(config, "DGP")
     kind = cfg.pop("kind", None)
@@ -644,7 +720,7 @@ def method_from_config(config: dict):
         return KnownVarianceMethod(
             sigma=_number(values["sigma"], "sigma"),
             kurtosis_bound=_number(values["K"], "K"),
-            delta=provider_from_string(values["delta"]),
+            delta=_delta(values["delta"]),
         )
     if name == "unknown-variance":
         values = _take(
@@ -662,10 +738,10 @@ def method_from_config(config: dict):
         kurt = None if values["K"] == "plugin" else _number(values["K"], "K")
         return UnknownVarianceMethod(
             kurtosis_bound=kurt,
-            delta=provider_from_string(values["delta"]),
+            delta=_delta(values["delta"]),
             a_rule=parse_rule(str(values["a_rule"])),
             plug_in_inflation=_number(values["inflation"], "inflation"),
-            track_alpha_min=bool(values["track_alpha_min"]),
+            track_alpha_min=_flag(values["track_alpha_min"], "track_alpha_min"),
         )
     if name == "asymp":
         _take(cfg, required={}, optional={}, what="asymp")
@@ -695,7 +771,7 @@ def method_from_config(config: dict):
         tuning = OlsTuning(
             omega_rule=omega_rule,
             a_rule=a_rule,
-            delta=provider_from_string(values["delta"]),
+            delta=_delta(values["delta"]),
         )
         return OlsEdgMethod(bounds=bounds, tuning=tuning)
     raise ConfigError(f"unknown method name {name!r}")

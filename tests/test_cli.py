@@ -1,8 +1,12 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navae.cli import load_mean_csv, load_ols_csv, run_command
 from navae.errors import ConfigError, DataError
@@ -412,6 +416,156 @@ def test_simulate_rejects_unknown_keys(in_tmp, capsys):
     assert run_command(["simulate", "--config", str(bad_json)]) == 2
     assert run_command(["simulate", "--config", str(in_tmp / "missing.json")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        {"name": "known-variance", "sigma": 1, "K": 9, "delta": 5},
+        {"name": "unknown-variance", "delta": 5},
+        {"name": "edg", "delta": ["be"], "bounds": {"lambda_reg": 1, "k_reg": 1, "k_eps": 1,
+                                                   "k_xi": 9}},
+    ],
+    ids=["known-variance", "unknown-variance", "edg"],
+)
+def test_simulate_non_string_delta_is_config_error(in_tmp, capsys, method):
+    dgp = {"kind": "gumbel-hetero-linear" if method["name"] == "edg" else "exponential-mean"}
+    cfg_path = write(in_tmp / "sim.json", json.dumps({
+        "dgp": dgp, "methods": [method], "n": [100], "alpha": 0.1, "replications": 5,
+    }))
+    assert run_command(["simulate", "--config", str(cfg_path)]) == 2
+    assert "delta must be a provider string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["false", 0, 1, None])
+def test_simulate_track_alpha_min_must_be_boolean(in_tmp, capsys, flag):
+    study = {"dgp": {"kind": "exponential-mean"}, "n": [100], "alpha": 0.1, "replications": 5}
+    method = {"name": "unknown-variance", "track_alpha_min": flag}
+    write(in_tmp / "bad.json", json.dumps({**study, "methods": [method]}))
+    assert run_command(["simulate", "--config", "bad.json"]) == 2
+    assert "track_alpha_min must be true or false" in capsys.readouterr().err
+    write(in_tmp / "good.json", json.dumps({**study, "methods": [dict(method,
+                                                                       track_alpha_min=False)]}))
+    assert run_command(["simulate", "--config", "good.json", "--output", "out.csv"]) == 0
+    assert read_report(in_tmp / "out.csv")[0].mean_alpha_min is None
+
+
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["simulate", "--config", "x.json", "--output", "x.csv"], "x.json"),
+        (["simulate", "--config", "x.json", "--output", "x.json"], "x.json"),
+        (["simulate", "--config", "x.json", "--output", "sub/../x.csv"], "x.json"),
+        (["mean-ci", "--alpha", "0.1", "--method", "clt", "--input", "d.csv",
+          "--output", "d.csv"], "d.csv"),
+        (["mean-ci", "--alpha", "0.1", "--method", "clt", "--input", "d.json",
+          "--output", "d.csv"], "d.json"),
+        (["ols-ci", "--alpha", "0.1", "--u", "1,0", "--method", "asymp", "--input", "o.csv",
+          "--output", "o.csv"], "o.csv"),
+        (["mean-ci", "--alpha", "0.1", "--method", "clt", "--input", "mean_ci_report.csv"],
+         "mean_ci_report.csv"),
+    ],
+    ids=["simulate-summary", "simulate-report", "simulate-dotdot", "mean-ci-report",
+         "mean-ci-summary", "ols-ci-report", "mean-ci-default-output"],
+)
+def test_outputs_may_not_overwrite_inputs(in_tmp, capsys, argv, source):
+    (in_tmp / "sub").mkdir()
+    write(in_tmp / "x.json", json.dumps({"dgp": {"kind": "exponential-mean"},
+                                         "methods": [{"name": "clt"}], "n": [100],
+                                         "alpha": 0.1, "replications": 5}))
+    for name in ("d.csv", "d.json", "mean_ci_report.csv"):
+        write(in_tmp / name, "x\n1\n2\n3\n")
+    write(in_tmp / "o.csv", "y,x1\n1,0\n2,1\n2,3\n5,4\n")
+    before = {path.name: path.read_bytes() for path in in_tmp.iterdir() if path.is_file()}
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert "would overwrite the --" in err and source in err
+    after = {path.name: path.read_bytes() for path in in_tmp.iterdir() if path.is_file()}
+    assert after == before
+
+
+_GEN_FAMILIES = {
+    "mean": (
+        [{"kind": "exponential-mean"}, {"kind": "exponential-mean", "rate": 2.0}],
+        [
+            {"name": "clt"},
+            {"name": "student"},
+            {"name": "chebyshev", "var_bound": 1.0},
+            {"name": "hoeffding", "support": [0, 5]},  # data past 5 is a data error
+            {"name": "known-variance", "sigma": 1.0, "K": 9},
+            {"name": "unknown-variance", "K": 9, "delta": "be"},
+            {"name": "unknown-variance", "K": "plugin", "a_rule": "optimized",
+             "track_alpha_min": True},
+        ],
+    ),
+    "ols": (
+        [{"kind": "gumbel-hetero-linear"}, {"kind": "gumbel-hetero-linear", "u": [0, 1, 0]}],
+        [
+            {"name": "asymp"},
+            {"name": "edg", "bounds": {"lambda_reg": "plugin", "k_reg": "plugin",
+                                       "k_eps": "plugin", "k_xi": 9}},
+        ],
+    ),
+}
+
+# one field replaced by a value of the wrong type, or of the right type that
+# fails a check at run time
+_GEN_FAULTS = [
+    ("dgp", 5),
+    ("dgp", {"kind": "exponential-mean", "rate": "fast"}),
+    ("dgp", {"kind": "gumbel-hetero-linear", "u": [0, 1]}),
+    ("methods", "clt"),
+    ("methods", [5]),
+    ("methods", [{"name": "clt", "junk": 1}]),
+    ("methods", [{"name": "chebyshev", "var_bound": "abc"}]),
+    ("methods", [{"name": "unknown-variance", "delta": 5}]),
+    ("methods", [{"name": "unknown-variance", "track_alpha_min": "false"}]),
+    ("methods", [{"name": "unknown-variance", "K": 9, "a_rule": "1.5+-0.1*n^0.5"}]),
+    ("methods", [{"name": "edg", "bounds": 5}]),
+    ("n", 100),
+    ("n", [1]),
+    ("alpha", 1.5),
+    ("alpha", None),
+    ("replications", 0),
+    ("replications", "five"),
+    ("typo", True),
+]
+
+
+@st.composite
+def _gen_studies(draw):
+    """A valid simulate config (n <= 200, replications <= 5), with one field
+    replaced by a fault half of the time."""
+    dgps, methods = _GEN_FAMILIES[draw(st.sampled_from(sorted(_GEN_FAMILIES)))]
+    study = {
+        "dgp": draw(st.sampled_from(dgps)),
+        "methods": draw(st.lists(st.sampled_from(methods), min_size=1, max_size=3)),
+        "n": draw(st.lists(st.integers(20, 200), min_size=1, max_size=3)),
+        "alpha": draw(st.floats(0.01, 0.5)),
+        "replications": draw(st.integers(1, 5)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    if draw(st.booleans()):
+        field, value = draw(st.sampled_from(_GEN_FAULTS))
+        study[field] = value
+    return study
+
+
+@given(study=_gen_studies())
+@settings(max_examples=25, deadline=None)
+def test_simulate_generated_configs_same_at_one_and_two_workers(study):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write(tmp / "sim.json", json.dumps(study))
+        codes = [
+            run_command(["simulate", "--config", str(tmp / "sim.json"), "--workers", workers,
+                         "--output", str(tmp / f"w{workers}.csv")])
+            for workers in ("1", "2")
+        ]
+        assert codes[0] in (0, 2, 3)
+        assert codes[1] == codes[0]
+        if codes[0] == 0:
+            assert (tmp / "w1.csv").read_bytes() == (tmp / "w2.csv").read_bytes()
 
 
 def test_width_curve_command(in_tmp, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from navae.dgp_sim import (
     width_curve,
 )
 from navae.cli import run_command
-from navae.errors import ConfigError
+from navae.errors import ConfigError, DataError, NavaeError
 from navae.mean_ci import sample_kurtosis
 from navae.ols_ci import OlsBounds, OlsTuning, PlugIn, ols_fit
 from navae.rules import OPTIMIZED, PowerRule
@@ -244,6 +245,64 @@ def test_ols_study_runs_and_is_deterministic():
     assert a == b
     edg_row = a.row(method.label, 4000)
     assert edg_row.coverage >= a.row("asymp", 4000).coverage
+
+
+# ---------------------------------------------------------------------------
+# process pool (workers > 1)
+# ---------------------------------------------------------------------------
+
+
+def test_pool_runs_a_lambda_dgp():
+    # the study reaches the workers by fork, so an unpicklable draw works
+    dgp = CustomMeanDgp(draw=lambda n, rng: rng.standard_normal(n), target=0.0, name="normal")
+    spec = SimStudySpec(dgp=dgp, methods=(CltMethod(), UnknownVarianceMethod()),
+                        n_grid=(50, 2000), replications=21, alpha=0.1, base_seed=8)
+    assert run_coverage_study(spec, workers=2) == run_coverage_study(spec, workers=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_workers_above_replications_equal_serial():
+    spec = small_mean_study((CltMethod(), StudentMethod()), n_grid=(30, 300), replications=3)
+    assert run_coverage_study(spec, workers=7) == run_coverage_study(spec, workers=1)
+    assert multiprocessing.active_children() == []
+
+
+def _nan_at_400(n, rng):
+    x = rng.standard_normal(n)
+    if n == 400:
+        x[n // 2] = np.nan
+    return x
+
+
+BAD_RULE = {"dgp": {"kind": "exponential-mean"},
+            "methods": [{"name": "unknown-variance", "K": 9, "a_rule": "1.5+-0.1*n^0.5"}],
+            "n": [9, 400], "alpha": 0.1, "replications": 6, "seed": 4}
+
+
+@pytest.mark.parametrize("spec, error", [
+    (SimStudySpec(dgp=CustomMeanDgp(draw=_nan_at_400, target=0.0), methods=(CltMethod(),),
+                  n_grid=(100, 400), replications=10, alpha=0.1), DataError),
+    (study_from_config(BAD_RULE), ConfigError),  # a_rule(9) = 1.2, a_rule(400) = -0.5
+], ids=["nan-draw", "a-rule-below-one"])
+def test_pool_reraises_the_serial_error(spec, error):
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(NavaeError) as info:
+            run_coverage_study(spec, workers=workers)
+        assert type(info.value) is error
+        messages.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert messages[0] == messages[1]
+
+
+def test_simulate_error_exit_code_same_with_pool(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(json.dumps(BAD_RULE))
+    codes = [run_command(["simulate", "--config", "sim.json", "--workers", w]) for w in "12"]
+    assert codes == [2, 2]
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: a_rule(400) = -0.5; fixed rules must return a > 1"] * 2
+    assert not (tmp_path / "simulate_report.csv").exists()
 
 
 # ---------------------------------------------------------------------------
