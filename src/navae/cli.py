@@ -557,9 +557,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="processes that run the replications (default 1, capped at the "
-        "replication count); above 1 a pool of forked workers runs them, or "
-        "the study runs serially where the platform cannot fork; the report "
-        "is the same at any count",
+        "replication count); above 1 this process and count - 1 children "
+        "forked from it run them, or the study runs serially where the "
+        "platform cannot fork; the report is the same at any count",
     )
     sim.add_argument("--output", default=None)
     sim.set_defaults(handler=_cmd_simulate)

@@ -4,8 +4,9 @@ Reproducibility contract: every replication draws from its own Philox
 counter-based stream keyed by (base seed, method index, n, replication
 index), and a report depends only on the study and its seed, not on the
 worker count.  With one worker every replication runs in the calling
-process, in order.  With more, each (method, n) cell's replications are cut
-into contiguous slices that run in forked worker processes; the slices are
+process, in order.  With k > 1, each (method, n) cell's replications are
+cut into k contiguous slices: the calling process runs the first slice of
+every cell and k - 1 children forked from it run the others; the slices are
 joined back in replication order before any row is computed.  Where the
 platform cannot fork, studies run serially at any worker count.
 """
@@ -13,6 +14,10 @@ platform cannot fork, studies run serially at any worker count.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -368,6 +373,8 @@ class SimStudySpec:
             raise ConfigError(f"invalid n grid {self.n_grid!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha!r}")
+        if self.base_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.base_seed!r}")
         for method in self.methods:
             if method.family != self.dgp.family:
                 raise ConfigError(
@@ -424,21 +431,9 @@ def _aggregate(method, n, alpha, records) -> SimReportRow:
     )
 
 
-#: The study the workers of a running pool read: set before the pool forks
-#: them and cleared when it is shut down, so they inherit it by fork and it
-#: is never pickled (a ``CustomMeanDgp`` may hold a lambda).
-_POOL_SPEC: SimStudySpec | None = None
-
-
-def _run_slice(
-    method_index: int, n: int, start: int, stop: int, spec: SimStudySpec | None = None
-) -> list:
+def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudySpec) -> list:
     """Records ``(covered, whole_line, width, alpha_min)`` of replications
-    ``start`` to ``stop - 1`` of the (method, n) cell, in order.
-
-    ``spec`` defaults to the study a pool worker inherited.
-    """
-    spec = _POOL_SPEC if spec is None else spec
+    ``start`` to ``stop - 1`` of the (method, n) cell, in order."""
     dgp, alpha, method = spec.dgp, spec.alpha, spec.methods[method_index]
     records = []
     for r in range(start, stop):
@@ -449,28 +444,86 @@ def _run_slice(
     return records
 
 
-def _fork_context():
-    """multiprocessing's fork context, or None where the platform has none."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _pool_slices(spec: SimStudySpec, workers: int, tasks: list, context) -> list:
-    """``_run_slice`` of each task, in task order, from ``workers`` forked
-    processes.  A failed task re-raises its error, the first in task order."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    global _POOL_SPEC
-    _POOL_SPEC = spec
-    pool = ProcessPoolExecutor(workers, mp_context=context)
+def _run_slices(spec: SimStudySpec, cells: list, start: int, stop: int) -> tuple:
+    """``_run_slice`` of replications ``start`` to ``stop - 1`` of each cell in
+    order, stopping at the first error: ``(records per finished cell, error
+    or None)``, so the failed cell is the one after the last finished."""
+    done = []
     try:
-        return list(pool.map(_run_slice, *zip(*tasks)))
+        for i, n in cells:
+            done.append(_run_slice(i, n, start, stop, spec))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):
+            pass
+
+
+def _child_slices(spec: SimStudySpec, cells: list, start: int, stop: int, write_fd: int) -> None:
+    """A forked child's whole life: run its slice of every cell, pickle the
+    outcome into its pipe and leave through ``os._exit``, never returning
+    into the caller's stack."""
+    status = 1
+    try:
+        done, error = _run_slices(spec, cells, start, stop)
+        if error is not None:
+            try:
+                pickle.loads(pickle.dumps(error))
+            except Exception:
+                error = RuntimeError(f"{type(error).__name__}: {error}")
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps((done, error)))
+        status = 0
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        _POOL_SPEC = None
+        try:
+            _flush_std_streams()
+        finally:
+            os._exit(status)
+
+
+def _forked_slices(spec: SimStudySpec, cells: list, cuts: list) -> list:
+    """``_run_slices`` of slice k for every k, in k order: slice 0 runs in the
+    calling process, every other slice in a child it forks.  A child that
+    exits without a readable report is a ``RuntimeError``; every child is
+    reaped before this returns or raises."""
+    pids, pipes = [], []
+    reaped = 0
+    try:
+        for k in range(1, len(cuts) - 1):
+            _flush_std_streams()
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_slices(spec, cells, cuts[k], cuts[k + 1], write_fd)
+            os.close(write_fd)
+            pids.append(pid)
+            pipes.append(open(read_fd, "rb"))
+        slices = [_run_slices(spec, cells, cuts[0], cuts[1])]
+        for k, (pid, pipe) in enumerate(zip(pids, pipes), start=1):
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            reaped += 1
+            try:
+                slices.append(pickle.loads(payload))
+            except Exception:
+                raise RuntimeError(
+                    f"coverage study worker for replications {cuts[k]} to "
+                    f"{cuts[k + 1] - 1} exited with wait status {status} and no report"
+                ) from None
+        return slices
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
@@ -480,27 +533,27 @@ def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
     size n consumes the stream keyed (base_seed, i, n, r) at any worker
     count, so the report does not depend on ``workers`` (which must be >= 1
     and is capped at the replication count).  With one worker the study runs
-    in the calling process.  With more, each cell's replications are cut
-    into ``workers`` contiguous slices that a pool of forked processes runs;
-    the slices are joined in replication order.  The first replication error
-    in (method, n, replication) order is raised, as the serial run raises it.
-    Where the platform has no ``fork`` start method the study runs serially.
+    in the calling process.  With k > 1, each cell's replications are cut
+    into k contiguous slices: the calling process runs the first slice of
+    every cell and k - 1 children it forks run the others, each stopping at
+    its own first error; the slices are joined in replication order.  The
+    first replication error in (method, n, replication) order is raised, as
+    the serial run raises it.  Where the platform has no ``os.fork`` the
+    study runs serially.
     """
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     workers = min(workers, spec.replications)
     cells = [(i, n) for i in range(len(spec.methods)) for n in spec.n_grid]
-    context = _fork_context() if workers > 1 else None
-    if context is None:
+    if workers == 1 or not hasattr(os, "fork"):
         records = (_run_slice(i, n, 0, spec.replications, spec) for i, n in cells)
     else:
         cuts = [spec.replications * k // workers for k in range(workers + 1)]
-        tasks = [(i, n, lo, hi) for i, n in cells for lo, hi in zip(cuts, cuts[1:])]
-        slices = _pool_slices(spec, workers, tasks, context)
-        records = [
-            [rec for part in slices[c * workers:(c + 1) * workers] for rec in part]
-            for c in range(len(cells))
-        ]
+        slices = _forked_slices(spec, cells, cuts)
+        errors = [(len(done), k, exc) for k, (done, exc) in enumerate(slices) if exc is not None]
+        if errors:
+            raise min(errors, key=lambda e: e[:2])[2]
+        records = [[rec for done, _ in slices for rec in done[c]] for c in range(len(cells))]
     return SimReport(tuple(
         _aggregate(spec.methods[i], n, spec.alpha, recs) for (i, n), recs in zip(cells, records)
     ))
@@ -640,13 +693,27 @@ def _take(config: dict, *, required: dict, optional: dict, what: str) -> dict:
     return out
 
 
-def _number(value, name: str, kind=float):
-    """``kind(value)`` for a config field; a value that is not a number is a
+def _number(value, name: str) -> float:
+    """``float(value)`` for a config field; a value that is not a number is a
     ``ConfigError`` naming the field."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _integer(value, name: str) -> int:
+    """An integral config field.  ``1000`` and ``1e3`` pass, as on the
+    ``--n`` command line; a fraction, a non-finite number or a JSON boolean
+    is a ``ConfigError`` naming the field."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, int):
+        return value
+    number = _number(value, name)
+    if not (math.isfinite(number) and number.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _delta(value) -> DeltaProvider:
@@ -792,12 +859,12 @@ def study_from_config(config: dict) -> SimStudySpec:
     n_values = values["n"]
     if not isinstance(n_values, (list, tuple)):
         raise ConfigError(f"n must be a list of sample sizes, got {n_values!r}")
-    n_grid = tuple(_number(n, "n entry", int) for n in n_values)
+    n_grid = tuple(_integer(n, "n entry") for n in n_values)
     return SimStudySpec(
         dgp=dgp_from_config(values["dgp"]),
         methods=methods,
         n_grid=n_grid,
-        replications=_number(values["replications"], "replications", int),
+        replications=_integer(values["replications"], "replications"),
         alpha=_number(values["alpha"], "alpha"),
-        base_seed=_number(values["seed"], "seed", int),
+        base_seed=_integer(values["seed"], "seed"),
     )

@@ -406,6 +406,37 @@ def test_simulate_config_section_of_wrong_type_is_config_error(in_tmp, capsys, c
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**STUDY, "n": [100.7]}, "n entry must be an integer, got 100.7"),
+        ({**STUDY, "n": [100, True]}, "n entry must be an integer, got True"),
+        ({**STUDY, "n": [float("inf")]}, "n entry must be an integer, got inf"),
+        ({**STUDY, "replications": 5.9}, "replications must be an integer, got 5.9"),
+        ({**STUDY, "replications": float("nan")}, "replications must be an integer, got nan"),
+        ({**STUDY, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({**STUDY, "seed": False}, "seed must be an integer, got False"),
+        ({**STUDY, "seed": -1}, "seed must be >= 0, got -1"),
+    ],
+    ids=["n-fraction", "n-boolean", "n-inf", "replications-fraction", "replications-nan",
+         "seed-fraction", "seed-boolean", "seed-negative"],
+)
+def test_simulate_integer_fields_are_config_errors(in_tmp, capsys, config, message):
+    write(in_tmp / "sim.json", json.dumps(config))
+    assert run_command(["simulate", "--config", "sim.json"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (in_tmp / "simulate_report.csv").exists()
+
+
+def test_simulate_integral_floats_pass(in_tmp):
+    write(in_tmp / "a.json", json.dumps(STUDY))
+    write(in_tmp / "b.json", json.dumps({**STUDY, "n": [1e2], "replications": 5.0, "seed": 0.0}))
+    for name in "ab":
+        argv = ["simulate", "--config", f"{name}.json", "--output", f"{name}_report.csv"]
+        assert run_command(argv) == 0
+    assert (in_tmp / "a_report.csv").read_bytes() == (in_tmp / "b_report.csv").read_bytes()
+
+
 def test_simulate_rejects_unknown_keys(in_tmp, capsys):
     cfg_path = write(in_tmp / "sim.json", json.dumps({"dgp": {"kind": "exponential-mean"},
                                                       "methods": [{"name": "clt"}],

@@ -1,6 +1,10 @@
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -248,7 +252,7 @@ def test_ols_study_runs_and_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# process pool (workers > 1)
+# forked workers (workers > 1)
 # ---------------------------------------------------------------------------
 
 
@@ -303,6 +307,114 @@ def test_simulate_error_exit_code_same_with_pool(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: a_rule(400) = -0.5; fixed rules must return a > 1"] * 2
     assert not (tmp_path / "simulate_report.csv").exists()
+
+
+def _first_draw_above_one(n, rng):
+    x = rng.standard_normal(n)
+    if x[0] > 1.0:
+        raise DataError(f"n={n}: first draw {x[0]!r} is above 1")
+    return x
+
+
+FIRST_DRAW_STUDY = SimStudySpec(dgp=CustomMeanDgp(draw=_first_draw_above_one, target=0.0),
+                                methods=(CltMethod(),), n_grid=(100, 200), replications=6,
+                                alpha=0.1, base_seed=9)
+
+
+def test_fork_raises_the_serial_first_error():
+    def fails(n, r):
+        try:
+            FIRST_DRAW_STUDY.dgp.sample(n, substream(9, 0, n, r))
+        except DataError:
+            return True
+        return False
+
+    # at n=100 only replication 5 fails, which the last child runs at
+    # workers 2 and 3; at n=200 replication 0 fails, in the caller's own
+    # slice, so the caller's first error comes at a later cell than a child's
+    assert [r for r in range(6) if fails(100, r)] == [5]
+    assert fails(200, 0)
+    raised = []
+    for workers in (1, 2, 3):
+        with pytest.raises(NavaeError) as info:
+            run_coverage_study(FIRST_DRAW_STUDY, workers=workers)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0][0] is DataError and raised[0][1].startswith("n=100: first draw ")
+    assert raised == [raised[0]] * 3
+
+
+def _study_drawing(draw):
+    return SimStudySpec(dgp=CustomMeanDgp(draw=draw, target=0.0), methods=(CltMethod(),),
+                        n_grid=(50,), replications=4, alpha=0.1)
+
+
+TEST_PID = os.getpid()
+
+
+def _exit_outside_the_test_process(n, rng):
+    if os.getpid() != TEST_PID:
+        os._exit(7)
+    return rng.standard_normal(n)
+
+
+def test_fork_worker_that_dies_is_a_runtime_error():
+    with pytest.raises(RuntimeError, match="replications 2 to 3 exited with wait status") as info:
+        run_coverage_study(_study_drawing(_exit_outside_the_test_process), workers=2)
+    assert not isinstance(info.value, NavaeError)
+
+
+def test_fork_unpicklable_child_error_keeps_its_type_name_and_message():
+    class LocalError(Exception):
+        pass  # defined in a function, so pickle cannot find the class
+
+    def draw(n, rng):
+        if os.getpid() != TEST_PID:
+            raise LocalError(f"child draw at n={n}")
+        return rng.standard_normal(n)
+
+    with pytest.raises(RuntimeError, match="^LocalError: child draw at n=50$"):
+        run_coverage_study(_study_drawing(draw), workers=2)
+
+
+def test_fork_leaves_no_child_unreaped():
+    def interrupted(n, rng):
+        if os.getpid() == TEST_PID:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the caller must kill this child, not wait for it
+
+    run_coverage_study(_study_drawing(lambda n, rng: rng.standard_normal(n)), workers=3)
+    with pytest.raises(DataError):
+        run_coverage_study(FIRST_DRAW_STUDY, workers=3)
+    with pytest.raises(RuntimeError):
+        run_coverage_study(_study_drawing(_exit_outside_the_test_process), workers=3)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_coverage_study(_study_drawing(interrupted), workers=3)
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_engine_imports_no_process_pool():
+    script = (
+        "import sys\n"
+        "from navae.dgp_sim import CltMethod, ExponentialMean, SimStudySpec, run_coverage_study\n"
+        "spec = SimStudySpec(ExponentialMean(), (CltMethod(),), (50,), 4, 0.1)\n"
+        "run_coverage_study(spec, workers=2)\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_study_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        small_mean_study((CltMethod(),), seed=-1)
 
 
 # ---------------------------------------------------------------------------
