@@ -1,9 +1,15 @@
 """Data-generating processes and the Monte Carlo coverage/width harness.
 
-Reproducibility contract: every replication draws from its own Philox
-counter-based stream keyed by (base seed, method index, n, replication
-index), and a report depends only on the study and its seed, not on the
-worker count.  With one worker every replication runs in the calling
+Reproducibility contract: replication r of method i at size n draws from
+its own Philox counter-based stream, the one ``substream(base_seed, i, n,
+r)`` seeds, and a report depends only on the study and its seed, not on the
+worker count.  The harness computes the Philox keys of a whole cell in one
+pass and resets one generator to each key, which draws exactly what a
+generator built from ``substream`` draws.  Fixed-tuning mean methods (CLT,
+Student, known variance, unknown variance with a fixed K) evaluate a chunk
+of replications at once with array arithmetic that gives every interval bit
+for bit as its scalar ``ci_*`` function does, and every error as the serial
+loop raises it.  With one worker every replication runs in the calling
 process, in order.  With k > 1, each (method, n) cell's replications are
 cut into k contiguous slices: the calling process runs the first slice of
 every cell and k - 1 children forked from it run the others; the slices are
@@ -19,7 +25,7 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +40,10 @@ from .mean_ci import (
     MeanCiConfig,
     Sample,
     UnknownVariance,
+    _clt_half_width,
+    _known_variance_half_width,
+    _student_half_width,
+    _unknown_variance_half_width,
     alpha_min,
     ci_chebyshev,
     ci_clt,
@@ -94,22 +104,127 @@ _GUMBEL_REGRESSOR_CHOL = cholesky(GUMBEL_REGRESSOR_COV)
 _GUMBEL_REGRESSOR_CHOL.setflags(write=False)
 GUMBEL_BETA = (2.0, 1.0, -3.0)
 
-SeedLike = Union[int, np.random.SeedSequence]
+SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
-def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
+def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(int(seed))
 
 
 def _generator(seed: SeedLike) -> np.random.Generator:
+    """A generator drawing from ``seed``'s Philox stream; a generator is used
+    as it is."""
+    if isinstance(seed, np.random.Generator):
+        return seed
     return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
 
 
 def substream(base_seed: int, method_index: int, n: int, replication: int) -> np.random.SeedSequence:
-    """Deterministic per-replication stream key."""
+    """Deterministic per-replication stream key.
+
+    Replication r of method i at size n draws from the Philox stream this
+    seeds.  The coverage-study harness does not build it: it computes the
+    same Philox keys for a whole cell at once (``_cell_keys``) and resets one
+    generator to each, which draws exactly what a generator built from this
+    seed sequence draws.
+    """
     return np.random.SeedSequence(int(base_seed), spawn_key=(method_index, n, replication))
+
+
+# numpy's SeedSequence hash (pool of four 32-bit words), as
+# numpy/random/bit_generator.pyx defines it
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as numpy splits entropy: 32-bit words, least
+    significant first; 0 is one word."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _cell_keys(base_seed: int, method_index: int, n: int, start: int, stop: int) -> np.ndarray:
+    """The Philox keys of replications ``start`` to ``stop - 1`` of a cell, as
+    a ``(stop - start, 2)`` uint64 array: row r - start equals
+    ``substream(base_seed, method_index, n, r).generate_state(2, np.uint64)``.
+
+    The entropy words are the seed's (zero-padded to the pool size), then
+    those of method_index, n and r.  Every word but r's is mixed into the
+    pool once, with Python ints; r must be below 2**32, so it is one word,
+    the last, and only its mixing and the state generation run on arrays.
+    """
+    seed_words = _uint32_words(int(base_seed))
+    words = seed_words + [0] * (4 - len(seed_words)) + _uint32_words(method_index) + _uint32_words(n)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    replication = np.arange(start, stop, dtype=np.uint64)
+    out_const = _INIT_B
+    state = []
+    for dst in range(4):
+        word = mix(pool[dst], hashmix(replication))
+        word ^= out_const
+        out_const = out_const * _MULT_B & _MASK32
+        word = word * out_const & _MASK32
+        state.append(word ^ word >> 16)
+    keys = np.empty((stop - start, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
+
+
+_ZERO_WORDS = (0, 0, 0, 0)
+
+
+class _CellStreams:
+    """One Philox generator that serves replications ``start`` to
+    ``stop - 1`` of a cell: ``generator(r)`` resets it to replication r's key
+    with counter 0 and an empty buffer, the state a fresh
+    ``Philox(substream(base_seed, method_index, n, r))`` starts in."""
+
+    def __init__(self, base_seed: int, method_index: int, n: int, start: int, stop: int) -> None:
+        self._keys = _cell_keys(base_seed, method_index, n, start, stop).tolist()
+        self._start = start
+        self._bits = np.random.Philox(key=0)
+        self._generator = np.random.Generator(self._bits)
+
+    def generator(self, replication: int) -> np.random.Generator:
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS, "key": self._keys[replication - self._start]},
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._generator
 
 
 def sample_exponential(n: int, seed: SeedLike, rate: float = 1.0) -> Sample:
@@ -119,7 +234,11 @@ def sample_exponential(n: int, seed: SeedLike, rate: float = 1.0) -> Sample:
     if rate <= 0.0:
         raise DomainError(f"rate must be positive, got {rate!r}")
     u = _generator(seed).random(n)
-    return Sample(-np.log1p(-u) / rate)
+    # -log1p(-u)/rate in place, as log1p(-u)/(-rate): negation is exact
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u /= -rate
+    return Sample(u)
 
 
 def sample_gumbel_hetero_linear(
@@ -206,10 +325,23 @@ class CustomMeanDgp:
 # ---------------------------------------------------------------------------
 
 
+class _CellRule(NamedTuple):
+    """Every interval of a (method, n) cell as mean +/- half_width(sigma_hat^2),
+    with ``half_width`` None when each is the whole line; ``alpha_min`` is the
+    alpha_min tracked for every replication, or None."""
+
+    half_width: Callable | None
+    alpha_min: float | None = None
+
+
 class _Method:
-    """Shared default of the interval methods: no alpha_min is tracked."""
+    """Shared defaults of the interval methods: no alpha_min is tracked, and
+    no cell rule, so each replication calls ``interval``."""
 
     def alpha_min_value(self, data) -> float | None:
+        return None
+
+    def cell_rule(self, n: int, alpha: float) -> _CellRule | None:
         return None
 
 
@@ -222,6 +354,9 @@ class CltMethod(_Method):
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
         return ci_clt(sample, alpha)
 
+    def cell_rule(self, n: int, alpha: float) -> _CellRule:
+        return _CellRule(_clt_half_width(n, alpha))
+
 
 @dataclass(frozen=True)
 class StudentMethod(_Method):
@@ -231,6 +366,9 @@ class StudentMethod(_Method):
 
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
         return ci_student(sample, alpha)
+
+    def cell_rule(self, n: int, alpha: float) -> _CellRule:
+        return _CellRule(_student_half_width(n, alpha))
 
 
 @dataclass(frozen=True)
@@ -265,14 +403,20 @@ class KnownVarianceMethod(_Method):
     navae = True
     label = "known-variance"
 
-    def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
-        cfg = MeanCiConfig(
+    def _config(self, alpha: float) -> MeanCiConfig:
+        return MeanCiConfig(
             alpha=alpha,
             kurtosis_bound=self.kurtosis_bound,
             delta=self.delta,
             variance=KnownVariance(self.sigma**2),
         )
-        return ci_known_variance(sample, self.sigma, cfg)
+
+    def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
+        return ci_known_variance(sample, self.sigma, self._config(alpha))
+
+    def cell_rule(self, n: int, alpha: float) -> _CellRule:
+        half = _known_variance_half_width(n, self.sigma, self._config(alpha))
+        return _CellRule(None if half is None else lambda sigma_hat_sq: half)
 
 
 @dataclass(frozen=True)
@@ -297,20 +441,31 @@ class UnknownVarianceMethod(_Method):
             return self.kurtosis_bound
         return max(1.0, sample_kurtosis(sample, self.plug_in_inflation))
 
-    def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
-        cfg = MeanCiConfig(
+    def _config(self, alpha: float, kurtosis_bound: float) -> MeanCiConfig:
+        return MeanCiConfig(
             alpha=alpha,
-            kurtosis_bound=self._bound(sample),
+            kurtosis_bound=kurtosis_bound,
             delta=self.delta,
             a_rule=self.a_rule,
             variance=UnknownVariance(),
         )
-        return ci_unknown_variance(sample, cfg)
+
+    def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
+        return ci_unknown_variance(sample, self._config(alpha, self._bound(sample)))
 
     def alpha_min_value(self, sample: Sample) -> float | None:
         if not self.track_alpha_min:
             return None
         return alpha_min(sample.n, self._bound(sample), self.a_rule, self.delta)
+
+    def cell_rule(self, n: int, alpha: float) -> _CellRule | None:
+        """None with a plug-in bound, which each sample sets."""
+        if self.kurtosis_bound is None:
+            return None
+        half_width = _unknown_variance_half_width(n, self._config(alpha, self.kurtosis_bound))
+        if not self.track_alpha_min:
+            return _CellRule(half_width)
+        return _CellRule(half_width, alpha_min(n, self.kurtosis_bound, self.a_rule, self.delta))
 
 
 @dataclass(frozen=True)
@@ -365,15 +520,21 @@ class SimStudySpec:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
+        replications = _integer(self.replications, "replications")
+        if replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        if replications >= 2**32:
+            # a replication index is one 32-bit word of its stream key (_cell_keys)
+            raise ConfigError(f"replications must be below 2**32, got {self.replications}")
         if not self.methods:
             raise ConfigError("at least one method is required")
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
+        n_grid = tuple(_integer(n, "n entry") for n in self.n_grid)
+        if not n_grid or any(n < 1 for n in n_grid):
             raise ConfigError(f"invalid n grid {self.n_grid!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha!r}")
-        if self.base_seed < 0:
+        base_seed = _integer(self.base_seed, "seed")
+        if base_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.base_seed!r}")
         for method in self.methods:
             if method.family != self.dgp.family:
@@ -382,7 +543,9 @@ class SimStudySpec:
                     f"parameter but the DGP is {self.dgp.family!r}"
                 )
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", n_grid)
+        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "base_seed", base_seed)
 
 
 @dataclass(frozen=True)
@@ -431,16 +594,91 @@ def _aggregate(method, n, alpha, records) -> SimReportRow:
     )
 
 
-def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudySpec) -> list:
-    """Records ``(covered, whole_line, width, alpha_min)`` of replications
-    ``start`` to ``stop - 1`` of the (method, n) cell, in order."""
+#: Doubles in the buffer that one chunk of a cell-rule cell's draws is copied
+#: into (512 KiB): a chunk is 2**16 // n replications, or one when n is larger.
+_CHUNK_DOUBLES = 1 << 16
+
+
+def _interval_records(
+    spec: SimStudySpec, method_index: int, n: int, streams: _CellStreams, start: int, stop: int
+) -> list:
+    """Records of replications ``start`` to ``stop - 1``, one ``interval``
+    call each."""
     dgp, alpha, method = spec.dgp, spec.alpha, spec.methods[method_index]
     records = []
     for r in range(start, stop):
-        data = dgp.sample(n, substream(spec.base_seed, method_index, n, r))
+        data = dgp.sample(n, streams.generator(r))
         ci = method.interval(data, alpha)
         amin = method.alpha_min_value(data)
         records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
+    return records
+
+
+def _chunk_records(dgp, n: int, rule: _CellRule, generators, buffer: np.ndarray) -> list | None:
+    """Records of one chunk of replications under a cell rule, one row of
+    ``buffer`` per generator.  Row means and sigma_hat^2 are
+    ``np.add.reduce(..., axis=1) / n``, which equals ``Sample.mean`` and
+    ``Sample.sigma_hat_sq`` bit for bit, and the intervals take the rule's
+    half-width expression, which ``interval`` evaluates too.  None when a
+    sample is not n values long or an interval is not a finite ordered pair:
+    ``interval`` then decides."""
+    for j, generator in enumerate(generators):
+        values = dgp.sample(n, generator).values
+        if values.size != n:
+            return None
+        if rule.half_width is not None:
+            buffer[j] = values
+    if rule.half_width is None:
+        return [(True, True, None, rule.alpha_min)] * len(buffer)
+    # an overflow here sends the chunk to interval, which warns as it always has
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.add.reduce(buffer, axis=1) / n
+        np.subtract(buffer, means[:, None], out=buffer)
+        np.multiply(buffer, buffer, out=buffer)
+        half = rule.half_width(np.add.reduce(buffer, axis=1) / n)
+        lower, upper = means - half, means + half
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and (lower <= upper).all()):
+        return None
+    target = dgp.target
+    covered = ((lower <= target) & (target <= upper)).tolist()
+    return [(c, False, w, rule.alpha_min) for c, w in zip(covered, (upper - lower).tolist())]
+
+
+def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudySpec) -> list:
+    """Records ``(covered, whole_line, width, alpha_min)`` of replications
+    ``start`` to ``stop - 1`` of the (method, n) cell, in order.
+
+    Replication r draws from the stream ``substream(base_seed, method_index,
+    n, r)`` seeds, through one generator reset to each key.  A method with a
+    cell rule (the fixed-tuning mean intervals) runs in chunks of at most
+    ``_CHUNK_DOUBLES`` drawn values, each evaluated by array arithmetic that
+    equals ``interval``'s bit for bit.  If the rule or anything in a chunk
+    raises, or a chunk has a value ``_chunk_records`` leaves to
+    ``interval``, those replications run again one ``interval`` call each,
+    in order, so any error raised is the one the serial loop raises first.
+    """
+    method = spec.methods[method_index]
+    streams = _CellStreams(spec.base_seed, method_index, n, start, stop)
+    try:
+        rule = method.cell_rule(n, spec.alpha)
+    except Exception:  # interval raises it again, after its replication's draw
+        rule = None
+    if rule is None:
+        return _interval_records(spec, method_index, n, streams, start, stop)
+    rows = max(1, _CHUNK_DOUBLES // n)
+    buffer = np.empty((min(rows, stop - start), n))
+    records = []
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
+        try:
+            chunk = _chunk_records(
+                spec.dgp, n, rule, map(streams.generator, range(lo, hi)), buffer[: hi - lo]
+            )
+        except Exception:  # the rerun raises it again, or an earlier error
+            chunk = None
+        if chunk is None:
+            chunk = _interval_records(spec, method_index, n, streams, lo, hi)
+        records += chunk
     return records
 
 
@@ -583,14 +821,7 @@ def _known_variance_ratio(n: int, alpha: float, method: KnownVarianceMethod) -> 
 def _unknown_variance_ratio(n: int, alpha: float, method: UnknownVarianceMethod) -> float | None:
     if method.kurtosis_bound is None:
         raise ConfigError("deterministic width ratio needs a fixed kurtosis bound")
-    cfg = MeanCiConfig(
-        alpha=alpha,
-        kurtosis_bound=method.kurtosis_bound,
-        delta=method.delta,
-        a_rule=method.a_rule,
-        variance=UnknownVariance(),
-    )
-    factor = unknown_variance_width_factor(n, cfg)
+    factor = unknown_variance_width_factor(n, method._config(alpha, method.kurtosis_bound))
     if factor is None:
         return None
     return factor / std_normal_quantile(1.0 - alpha / 2.0)
@@ -649,8 +880,9 @@ def width_curve(
         for n in n_grid:
             edg_widths: list[float] = []
             asymp_widths: list[float] = []
+            streams = _CellStreams(base_seed, 0, n, 0, replications)
             for r in range(replications):
-                design = dgp.sample(n, substream(base_seed, 0, n, r))
+                design = dgp.sample(n, streams.generator(r))
                 fit = ols_fit(design)
                 edg_ci = ci_edg(design, alpha, method.bounds, method.tuning, fit=fit)
                 asymp_ci = ci_asymp(design, alpha, fit=fit)

@@ -132,7 +132,7 @@ class Sample:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if v.size < 1:
             raise InsufficientDataError("sample must contain at least one value")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise DataError("sample values must be finite")
         v = v.copy()
         v.setflags(write=False)
@@ -195,18 +195,30 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _root(x):
+    """Correctly rounded square root of a float, or of each entry of an array."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _sigma_hat_half_width(n: int, factor: float) -> Callable:
+    """sigma_hat^2 -> (sigma_hat / sqrt(n)) factor, at one sigma_hat^2 or an
+    array of them: the half-width of the CLT and unknown-variance intervals."""
+    return lambda sigma_hat_sq: _root(sigma_hat_sq) / math.sqrt(n) * factor
+
+
+def _clt_half_width(n: int, alpha: float) -> Callable:
+    """The CLT half-width as a function of sigma_hat^2 at sample size n."""
+    alpha = _check_alpha(alpha)
+    if n < 2:
+        raise InsufficientDataError("CLT interval needs n >= 2")
+    return _sigma_hat_half_width(n, std_normal_quantile(1.0 - alpha / 2.0))
+
+
 def ci_clt(sample: Sample, alpha: float) -> ConfidenceInterval:
     """Plain CLT interval mean +/- (sigma_hat/sqrt(n)) q(1-alpha/2)."""
-    alpha = _check_alpha(alpha)
-    if sample.n < 2:
-        raise InsufficientDataError("CLT interval needs n >= 2")
-    half = (
-        math.sqrt(sample.sigma_hat_sq)
-        / math.sqrt(sample.n)
-        * std_normal_quantile(1.0 - alpha / 2.0)
-    )
+    half = _clt_half_width(sample.n, alpha)(sample.sigma_hat_sq)
     return ConfidenceInterval.bounded(
-        sample.mean - half, sample.mean + half, 1.0 - alpha, "clt"
+        sample.mean - half, sample.mean + half, 1.0 - float(alpha), "clt"
     )
 
 
@@ -237,16 +249,21 @@ def student_quantile(p: float, df: int) -> float:
     return math.sqrt(df * (1.0 - x) / x)
 
 
-def ci_student(sample: Sample, alpha: float) -> ConfidenceInterval:
-    """Student baseline with the unbiased-variance correction sqrt(n/(n-1))."""
+def _student_half_width(n: int, alpha: float) -> Callable:
+    """The Student half-width t(1-alpha/2, n-1) sqrt(sigma_hat^2 n/(n-1)) /
+    sqrt(n) as a function of sigma_hat^2 at sample size n."""
     alpha = _check_alpha(alpha)
-    n = sample.n
     if n < 2:
         raise InsufficientDataError("Student interval needs n >= 2")
-    s = math.sqrt(sample.sigma_hat_sq * n / (n - 1))
-    half = student_quantile(1.0 - alpha / 2.0, n - 1) * s / math.sqrt(n)
+    t = student_quantile(1.0 - alpha / 2.0, n - 1)
+    return lambda sigma_hat_sq: t * _root(sigma_hat_sq * n / (n - 1)) / math.sqrt(n)
+
+
+def ci_student(sample: Sample, alpha: float) -> ConfidenceInterval:
+    """Student baseline with the unbiased-variance correction sqrt(n/(n-1))."""
+    half = _student_half_width(sample.n, alpha)(sample.sigma_hat_sq)
     return ConfidenceInterval.bounded(
-        sample.mean - half, sample.mean + half, 1.0 - alpha, "student"
+        sample.mean - half, sample.mean + half, 1.0 - float(alpha), "student"
     )
 
 
@@ -300,15 +317,10 @@ def nu_var(a: float, n: int, kurtosis_bound: float) -> float:
     return float(_tuning_terms(a, n, kurtosis_bound, 0.0)[0])
 
 
-def ci_known_variance(
-    sample: Sample, sigma_known: float, cfg: MeanCiConfig
-) -> ConfidenceInterval:
-    """Finite-sample-valid interval when the variance is known.
-
-    Whole real line exactly when delta_n >= alpha/2; otherwise the CLT
-    interval with the quantile argument enlarged by delta_n.  ``sigma_known``
-    must match ``cfg.variance.sigma_sq`` to a relative 1e-12.
-    """
+def _known_variance_half_width(n: int, sigma_known: float, cfg: MeanCiConfig) -> float | None:
+    """The known-variance half-width (sigma/sqrt(n)) q(1 - alpha/2 + delta_n)
+    at sample size n; None when delta_n >= alpha/2 makes the interval the
+    whole real line."""
     if not math.isfinite(sigma_known) or sigma_known <= 0.0:
         raise DomainError(f"sigma_known must be positive, got {sigma_known!r}")
     if not isinstance(cfg.variance, KnownVariance):
@@ -318,15 +330,24 @@ def ci_known_variance(
             f"sigma_known = {sigma_known!r} disagrees with the configured known "
             f"variance {cfg.variance.sigma_sq!r}"
         )
-    n = sample.n
     delta = delta_of(cfg.delta, n, cfg.kurtosis_bound)
     if delta >= cfg.alpha / 2.0:
+        return None
+    return sigma_known / math.sqrt(n) * std_normal_quantile(1.0 - cfg.alpha / 2.0 + delta)
+
+
+def ci_known_variance(
+    sample: Sample, sigma_known: float, cfg: MeanCiConfig
+) -> ConfidenceInterval:
+    """Finite-sample-valid interval when the variance is known.
+
+    Whole real line exactly when delta_n >= alpha/2; otherwise the CLT
+    interval with the quantile argument enlarged by delta_n.  ``sigma_known``
+    must match ``cfg.variance.sigma_sq`` to a relative 1e-12.
+    """
+    half = _known_variance_half_width(sample.n, sigma_known, cfg)
+    if half is None:
         return ConfidenceInterval.whole(1.0 - cfg.alpha, "known-variance")
-    half = (
-        sigma_known
-        / math.sqrt(n)
-        * std_normal_quantile(1.0 - cfg.alpha / 2.0 + delta)
-    )
     return ConfidenceInterval.bounded(
         sample.mean - half, sample.mean + half, 1.0 - cfg.alpha, "known-variance"
     )
@@ -345,19 +366,27 @@ def _resolve_a(cfg: MeanCiConfig, n: int) -> float | None:
     return a
 
 
+def _unknown_variance_half_width(n: int, cfg: MeanCiConfig) -> Callable | None:
+    """The unknown-variance half-width (sigma_hat/sqrt(n)) times
+    ``unknown_variance_width_factor`` as a function of sigma_hat^2 at sample
+    size n; None in the whole-real-line regime."""
+    if not isinstance(cfg.variance, UnknownVariance):
+        raise ConfigError("ci_unknown_variance requires cfg.variance = UnknownVariance")
+    factor = unknown_variance_width_factor(n, cfg)
+    return None if factor is None else _sigma_hat_half_width(n, factor)
+
+
 def ci_unknown_variance(sample: Sample, cfg: MeanCiConfig) -> ConfidenceInterval:
     """Finite-sample-valid interval with estimated variance.
 
     Bounded exactly when 1 - alpha/2 + delta_n + nu/2 < Phi(sqrt(n/a_n)); the
     half-width is (sigma_hat/sqrt(n)) times ``unknown_variance_width_factor``.
     """
-    if not isinstance(cfg.variance, UnknownVariance):
-        raise ConfigError("ci_unknown_variance requires cfg.variance = UnknownVariance")
     level = 1.0 - cfg.alpha
-    factor = unknown_variance_width_factor(sample.n, cfg)
-    if factor is None:
+    half_width = _unknown_variance_half_width(sample.n, cfg)
+    if half_width is None:
         return ConfidenceInterval.whole(level, "unknown-variance")
-    half = math.sqrt(sample.sigma_hat_sq) / math.sqrt(sample.n) * factor
+    half = half_width(sample.sigma_hat_sq)
     return ConfidenceInterval.bounded(
         sample.mean - half, sample.mean + half, level, "unknown-variance"
     )

@@ -6,7 +6,9 @@ and the OLS interval from a straightforward numpy.linalg transcription of
 the defining formulas.  The n0 oracle keeps the library's own predicates
 but finds their last violation by the original exhaustive back-scan.
 The CSV loader oracles are the CLI's original csv.reader + float() row
-loops, kept verbatim.
+loops, kept verbatim.  The coverage-study oracles are the harness's
+original loops: a fresh generator from ``substream`` and one ``interval``
+call (or one OLS fit) per replication.
 Tests compare library output against these.
 """
 
@@ -21,9 +23,10 @@ import mpmath as mp
 import numpy as np
 
 from navae.cli import _parse_vector
+from navae.dgp_sim import SimReport, _aggregate, substream
 from navae.errors import ConfigError, DataError, UnboundedScanError
 from navae.mean_ci import Sample
-from navae.ols_ci import N_SCAN_CAP, Design, nu_edg
+from navae.ols_ci import N_SCAN_CAP, Design, ci_asymp, ci_edg, nu_edg, ols_fit
 
 mp.mp.dps = 50
 
@@ -319,3 +322,40 @@ def load_ols_csv_oracle(path: str | Path, add_intercept: bool, u_spec: str) -> D
         )
     return Design(x=x, y=np.asarray(ys), u=u)
 
+
+
+def replication_records_oracle(spec, method_index: int, n: int) -> list:
+    """``(covered, whole_line, width, alpha_min)`` of every replication of a
+    (method, n) cell, each drawn from a fresh generator on the stream
+    ``substream`` seeds and given one ``interval`` call."""
+    dgp, method = spec.dgp, spec.methods[method_index]
+    records = []
+    for r in range(spec.replications):
+        data = dgp.sample(n, substream(spec.base_seed, method_index, n, r))
+        ci = method.interval(data, spec.alpha)
+        amin = method.alpha_min_value(data)
+        records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
+    return records
+
+
+def coverage_study_oracle(spec) -> SimReport:
+    """``run_coverage_study`` as one serial loop over (method, n, replication)."""
+    return SimReport(tuple(
+        _aggregate(method, n, spec.alpha, replication_records_oracle(spec, i, n))
+        for i, method in enumerate(spec.methods)
+        for n in spec.n_grid
+    ))
+
+
+def ols_width_means_oracle(dgp, method, n: int, alpha: float, replications: int, base_seed: int):
+    """(mean edg width or None, mean sandwich width) of the OLS width curve at
+    n: one fit per replication, each from the stream ``substream`` seeds."""
+    edg_widths, asymp_widths = [], []
+    for r in range(replications):
+        design = dgp.sample(n, substream(base_seed, 0, n, r))
+        fit = ols_fit(design)
+        edg_ci = ci_edg(design, alpha, method.bounds, method.tuning, fit=fit)
+        if edg_ci.width is not None:
+            edg_widths.append(edg_ci.width)
+        asymp_widths.append(ci_asymp(design, alpha, fit=fit).width)
+    return (float(np.mean(edg_widths)) if edg_widths else None), float(np.mean(asymp_widths))
