@@ -3,9 +3,12 @@
 Reproducibility contract: replication r of method i at size n draws from
 its own Philox counter-based stream, the one ``substream(base_seed, i, n,
 r)`` seeds, and a report depends only on the study and its seed, not on the
-worker count.  The harness computes the Philox keys of a whole cell in one
-pass and resets one generator to each key, which draws exactly what a
-generator built from ``substream`` draws.  Fixed-tuning mean methods (CLT,
+worker count.  For the built-in DGPs the harness computes the Philox keys
+of a whole cell in one pass and resets one generator to each key, which
+draws exactly what a generator built from ``substream`` draws; any other
+DGP (``CustomMeanDgp`` included) is given the ``substream`` seed sequence
+itself, so a draw that spawns child generators or reads the generator's
+seed sequence sees that replication's own.  Fixed-tuning mean methods (CLT,
 Student, known variance, unknown variance with a fixed K) evaluate a chunk
 of replications at once with array arithmetic that gives every interval bit
 for bit as its scalar ``ci_*`` function does, and every error as the serial
@@ -125,10 +128,11 @@ def substream(base_seed: int, method_index: int, n: int, replication: int) -> np
     """Deterministic per-replication stream key.
 
     Replication r of method i at size n draws from the Philox stream this
-    seeds.  The coverage-study harness does not build it: it computes the
-    same Philox keys for a whole cell at once (``_cell_keys``) and resets one
-    generator to each, which draws exactly what a generator built from this
-    seed sequence draws.
+    seeds.  A DGP outside ``_RESET_DGPS`` is given this seed sequence; for
+    the built-in DGPs the coverage-study harness computes the same Philox
+    keys for a whole cell at once (``_cell_keys``) and resets one generator
+    to each, which draws exactly what a generator built from this seed
+    sequence draws.
     """
     return np.random.SeedSequence(int(base_seed), spawn_key=(method_index, n, replication))
 
@@ -144,12 +148,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 def _uint32_words(value: int) -> list[int]:
     """A non-negative int as numpy splits entropy: 32-bit words, least
     significant first; 0 is one word."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _cell_keys(base_seed: int, method_index: int, n: int, start: int, stop: int) -> np.ndarray:
@@ -204,18 +205,29 @@ _ZERO_WORDS = (0, 0, 0, 0)
 
 
 class _CellStreams:
-    """One Philox generator that serves replications ``start`` to
-    ``stop - 1`` of a cell: ``generator(r)`` resets it to replication r's key
-    with counter 0 and an empty buffer, the state a fresh
-    ``Philox(substream(base_seed, method_index, n, r))`` starts in."""
+    """The streams of replications ``start`` to ``stop - 1`` of a cell.
 
-    def __init__(self, base_seed: int, method_index: int, n: int, start: int, stop: int) -> None:
-        self._keys = _cell_keys(base_seed, method_index, n, start, stop).tolist()
+    For a DGP in ``_RESET_DGPS``, ``seed(r)`` is one Philox generator reset
+    to replication r's key with counter 0 and an empty buffer, the state a
+    fresh ``Philox(substream(base_seed, method_index, n, r))`` starts in.
+    Such a generator draws what the fresh one draws but has no seed
+    sequence of its own (``spawn`` and ``bit_generator.seed_seq`` would
+    differ), so any other DGP gets ``substream(...)`` itself.
+    """
+
+    def __init__(self, dgp, base_seed: int, method_index: int, n: int, start: int, stop: int) -> None:
         self._start = start
+        if type(dgp) not in _RESET_DGPS:
+            self._cell = (base_seed, method_index, n)
+            self._keys = None
+            return
+        self._keys = _cell_keys(base_seed, method_index, n, start, stop).tolist()
         self._bits = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._bits)
 
-    def generator(self, replication: int) -> np.random.Generator:
+    def seed(self, replication: int) -> SeedLike:
+        if self._keys is None:
+            return substream(*self._cell, replication)
         self._bits.state = {
             "bit_generator": "Philox",
             "state": {"counter": _ZERO_WORDS, "key": self._keys[replication - self._start]},
@@ -318,6 +330,11 @@ class CustomMeanDgp:
 
     def sample(self, n: int, seed: SeedLike) -> Sample:
         return Sample(np.asarray(self.draw(n, _generator(seed)), dtype=float))
+
+
+#: DGPs whose ``sample`` only draws values from the generator it is given,
+#: so the harness may hand them a reset generator (``_CellStreams``).
+_RESET_DGPS = (ExponentialMean, GumbelHeteroLinear)
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +550,7 @@ class SimStudySpec:
             raise ConfigError(f"invalid n grid {self.n_grid!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha!r}")
-        base_seed = _integer(self.base_seed, "seed")
-        if base_seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.base_seed!r}")
+        base_seed = _seed(self.base_seed)
         for method in self.methods:
             if method.family != self.dgp.family:
                 raise ConfigError(
@@ -607,23 +622,23 @@ def _interval_records(
     dgp, alpha, method = spec.dgp, spec.alpha, spec.methods[method_index]
     records = []
     for r in range(start, stop):
-        data = dgp.sample(n, streams.generator(r))
+        data = dgp.sample(n, streams.seed(r))
         ci = method.interval(data, alpha)
         amin = method.alpha_min_value(data)
         records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
     return records
 
 
-def _chunk_records(dgp, n: int, rule: _CellRule, generators, buffer: np.ndarray) -> list | None:
+def _chunk_records(dgp, n: int, rule: _CellRule, seeds, buffer: np.ndarray) -> list | None:
     """Records of one chunk of replications under a cell rule, one row of
-    ``buffer`` per generator.  Row means and sigma_hat^2 are
+    ``buffer`` per stream seed.  Row means and sigma_hat^2 are
     ``np.add.reduce(..., axis=1) / n``, which equals ``Sample.mean`` and
     ``Sample.sigma_hat_sq`` bit for bit, and the intervals take the rule's
     half-width expression, which ``interval`` evaluates too.  None when a
     sample is not n values long or an interval is not a finite ordered pair:
     ``interval`` then decides."""
-    for j, generator in enumerate(generators):
-        values = dgp.sample(n, generator).values
+    for j, seed in enumerate(seeds):
+        values = dgp.sample(n, seed).values
         if values.size != n:
             return None
         if rule.half_width is not None:
@@ -649,8 +664,9 @@ def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudyS
     ``start`` to ``stop - 1`` of the (method, n) cell, in order.
 
     Replication r draws from the stream ``substream(base_seed, method_index,
-    n, r)`` seeds, through one generator reset to each key.  A method with a
-    cell rule (the fixed-tuning mean intervals) runs in chunks of at most
+    n, r)`` seeds, for the built-in DGPs through one generator reset to
+    each key (``_CellStreams``).  A method with a cell rule (the
+    fixed-tuning mean intervals) runs in chunks of at most
     ``_CHUNK_DOUBLES`` drawn values, each evaluated by array arithmetic that
     equals ``interval``'s bit for bit.  If the rule or anything in a chunk
     raises, or a chunk has a value ``_chunk_records`` leaves to
@@ -658,7 +674,7 @@ def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudyS
     in order, so any error raised is the one the serial loop raises first.
     """
     method = spec.methods[method_index]
-    streams = _CellStreams(spec.base_seed, method_index, n, start, stop)
+    streams = _CellStreams(spec.dgp, spec.base_seed, method_index, n, start, stop)
     try:
         rule = method.cell_rule(n, spec.alpha)
     except Exception:  # interval raises it again, after its replication's draw
@@ -672,7 +688,7 @@ def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudyS
         hi = min(lo + rows, stop)
         try:
             chunk = _chunk_records(
-                spec.dgp, n, rule, map(streams.generator, range(lo, hi)), buffer[: hi - lo]
+                spec.dgp, n, rule, map(streams.seed, range(lo, hi)), buffer[: hi - lo]
             )
         except Exception:  # the rerun raises it again, or an earlier error
             chunk = None
@@ -843,6 +859,7 @@ def width_curve(
     averaged width against the sandwich CLT interval on the same datasets.
     ``mean_width`` needs replications > 0 for the stochastic-width methods.
     """
+    base_seed = _seed(base_seed)
     rows: list[WidthCurveRow] = []
     if isinstance(method, KnownVarianceMethod):
         for n in n_grid:
@@ -880,9 +897,9 @@ def width_curve(
         for n in n_grid:
             edg_widths: list[float] = []
             asymp_widths: list[float] = []
-            streams = _CellStreams(base_seed, 0, n, 0, replications)
+            streams = _CellStreams(dgp, base_seed, 0, n, 0, replications)
             for r in range(replications):
-                design = dgp.sample(n, streams.generator(r))
+                design = dgp.sample(n, streams.seed(r))
                 fit = ols_fit(design)
                 edg_ci = ci_edg(design, alpha, method.bounds, method.tuning, fit=fit)
                 asymp_ci = ci_asymp(design, alpha, fit=fit)
@@ -946,6 +963,14 @@ def _integer(value, name: str) -> int:
     if not (math.isfinite(number) and number.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(number)
+
+
+def _seed(value) -> int:
+    """A study's base seed: a non-negative integer."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {value!r}")
+    return seed
 
 
 def _delta(value) -> DeltaProvider:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -624,6 +627,30 @@ def test_width_curve_unknown_and_edg(in_tmp, capsys):
     rows = read_report(in_tmp / "width_curve_report.csv")
     assert rows[0].ratio is not None and rows[0].ratio > 1.0
     capsys.readouterr()
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("method", ["edg", "unknown-variance"])
+def test_width_curve_negative_seed_is_a_config_error(tmp_path, method):
+    # a separate process with a memory cap and a timeout, so that a seed
+    # hashed without the check cannot hang the suite or exhaust memory
+    import navae
+
+    env = dict(os.environ, PYTHONPATH=str(Path(navae.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "navae.cli", "width-curve", "--method", method, "--K", "9",
+         "--alpha", "0.10", "--n", "100", "--replications", "2", "--seed", "-1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_memory if sys.platform != "win32" else None,
+    )
+    assert done.returncode == 2
+    assert "seed must be >= 0, got -1" in done.stderr
+    assert not (tmp_path / "width_curve_report.csv").exists()
 
 
 @pytest.mark.parametrize("n", ["inf", "1e400", "100.7"])

@@ -1,7 +1,7 @@
 """The coverage-study engine against the per-replication oracle loop.
 
 The engine computes a cell's Philox keys in one pass, resets one generator
-to each, and evaluates fixed-rule mean intervals a chunk of replications at
+to each (for the built-in DGPs), and evaluates fixed-rule mean intervals a chunk of replications at
 a time.  None of that may change a draw, a record or an error.
 """
 
@@ -78,12 +78,42 @@ def _same_data(a, b):
     CustomMeanDgp(draw=_mixed_draw, target=0.0),
 ], ids=["exponential", "gumbel", "custom"])
 def test_reset_generator_draws_what_substream_draws(dgp):
-    streams = _CellStreams(11, 2, 51, 3, 9)
+    streams = _CellStreams(ExponentialMean(), 11, 2, 51, 3, 9)
     for r in range(3, 9):
-        dgp.sample(7, streams.generator(r))  # leaves the generator mid-stream
-        got = dgp.sample(51, streams.generator(r))
+        assert isinstance(streams.seed(r), np.random.Generator)
+        dgp.sample(7, streams.seed(r))  # leaves the generator mid-stream
+        got = dgp.sample(51, streams.seed(r))
         assert _same_data(got, dgp.sample(51, substream(11, 2, 51, r)))
-        assert _same_data(dgp.sample(51, streams.generator(r)), got)
+        assert _same_data(dgp.sample(51, streams.seed(r)), got)
+
+
+def test_cell_keys_reject_a_negative_word():
+    for fields in [(-1, 0, 10), (3, -1, 10), (3, 0, -10)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            _cell_keys(*fields, 0, 5)
+
+
+def _spawning_draw(n, rng):
+    # children and the seed sequence of the generator a draw receives
+    child, _ = rng.spawn(2)
+    key = rng.bit_generator.seed_seq.spawn_key
+    return child.standard_normal(n) + key[-1]
+
+
+def test_custom_dgps_get_the_substream_seed_sequence(monkeypatch):
+    dgp = CustomMeanDgp(draw=_spawning_draw, target=0.0)
+    streams = _CellStreams(dgp, 11, 2, 51, 3, 9)
+    for r in range(3, 9):
+        seed = streams.seed(r)
+        expected = substream(11, 2, 51, r)
+        assert (seed.entropy, seed.spawn_key) == (expected.entropy, expected.spawn_key)
+    spec = SimStudySpec(dgp=dgp, methods=(CltMethod(), UnknownVarianceMethod(kurtosis_bound=None)),
+                        n_grid=(3, 40), replications=9, alpha=0.1, base_seed=8)
+    expected = coverage_study_oracle(spec)
+    for chunk in (1 << 16, 64):
+        monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
+        for workers in (1, 2, 3):
+            assert run_coverage_study(spec, workers=workers) == expected
 
 
 def test_sample_exponential_is_the_inverse_cdf_of_the_uniforms():
@@ -183,6 +213,15 @@ def test_fixed_rule_cells_do_not_call_interval(monkeypatch):
     assert run_coverage_study(spec, workers=2) == run_coverage_study(spec)
     monkeypatch.undo()
     assert run_coverage_study(spec) == coverage_study_oracle(spec)
+
+
+@pytest.mark.parametrize("method", [EDG, UnknownVarianceMethod(kurtosis_bound=9.0),
+                                    KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0)],
+                         ids=["edg", "unknown-variance", "known-variance"])
+def test_width_curve_rejects_a_negative_seed(method):
+    dgp = GumbelHeteroLinear() if method is EDG else ExponentialMean()
+    with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+        width_curve(dgp, method, (40,), 0.1, replications=2, base_seed=-1)
 
 
 def test_ols_width_curve_equals_the_oracle_loop():
@@ -306,6 +345,7 @@ def _spec(**fields):
     ({"replications": 2**32}, "replications must be below 2**32, got 4294967296"),
     ({"base_seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"base_seed": False}, "seed must be an integer, got False"),
+    ({"base_seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_study_rejects_non_integral_fields(fields, message):
     with pytest.raises(ConfigError) as info:
