@@ -19,12 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dgp_sim
 from .dgp_sim import (
+    ExponentialMean,
     GumbelHeteroLinear,
-    KnownVarianceMethod,
     OlsEdgMethod,
-    UnknownVarianceMethod,
     method_from_config,
     run_coverage_study,
     study_from_config,
@@ -33,7 +31,7 @@ from .dgp_sim import (
 from .edgeworth import DeltaProvider, provider_from_string
 from .errors import ConfigError, DataError, DomainError, NavaeError
 from .mean_ci import ConfidenceInterval, Sample, alpha_min, feasible_a_interval
-from .ols_ci import Design, OlsBounds, OlsTuning, PlugIn, ci_asymp, ci_edg, n_zero
+from .ols_ci import Design, OlsBounds, OlsTuning, PlugIn, ci_asymp, n_zero
 from .report import ReportRow, row_as_dict, write_report, write_summary
 from .rules import OptimizedRule, parse_rule
 
@@ -273,31 +271,49 @@ def _interval_row(ci: ConfidenceInterval, n: int, alpha: float) -> ReportRow:
     )
 
 
+#: The ``simulate`` config keys each mean method takes from the flags; each
+#: flag's dest is its key, and a flag left unset is required.
+_MEAN_METHOD_FLAGS = {
+    "known-variance": ("sigma", "K", "delta"),
+    "unknown-variance": ("K", "delta", "a_rule", "inflation"),
+    "chebyshev": ("var_bound",),
+    "hoeffding": ("support",),
+}
+
+
+def _mean_method(args):
+    """The mean method ``mean-ci`` or ``width-curve`` flags select, built by
+    ``method_from_config`` as a ``simulate`` config entry would be."""
+    config = {"name": args.method}
+    for key in _MEAN_METHOD_FLAGS.get(args.method, ()):
+        value = getattr(args, key)
+        if value is None:
+            raise ConfigError(f"--{key.replace('_', '-')} is required for {args.method}")
+        config[key] = _parse_vector(value).tolist() if key == "support" else value
+    return method_from_config(config)
+
+
+def _edg_tuning(args, a_rule_flag: str, delta: DeltaProvider | None = None) -> OlsTuning:
+    """The OLS tuning of the ``--omega-rule`` flag, the a_n rule flag named
+    ``a_rule_flag`` and ``delta``, parsed from ``--delta`` when None."""
+    a_rule = getattr(args, a_rule_flag.replace("-", "_"))
+    return OlsTuning(omega_rule=_explicit_rule(args.omega_rule, "omega-rule"),
+                     a_rule=_explicit_rule(a_rule, a_rule_flag),
+                     delta=provider_from_string(args.delta) if delta is None else delta)
+
+
+def _edg_method(args, a_rule_flag: str) -> OlsEdgMethod:
+    """The ``edg`` method the ``ols-ci`` or ``width-curve`` flags select."""
+    bounds = OlsBounds(**{
+        name: _bound_from_flag(getattr(args, name), name.replace("_", "-"), args.inflation)
+        for name in ("lambda_reg", "k_reg", "k_eps", "k_xi")
+    })
+    return OlsEdgMethod(bounds, _edg_tuning(args, a_rule_flag))
+
+
 def _cmd_mean_ci(args) -> int:
     sample = load_mean_csv(args.input)
-    method_cfg: dict = {"name": args.method}
-    if args.method == "known-variance":
-        if args.sigma is None:
-            raise ConfigError("--sigma is required for known-variance")
-        method_cfg.update({"sigma": args.sigma, "K": _require_k(args), "delta": args.delta})
-    elif args.method == "unknown-variance":
-        method_cfg.update(
-            {
-                "K": "plugin" if args.K == "plugin" else _require_k(args),
-                "delta": args.delta,
-                "a_rule": args.a_rule,
-                "inflation": args.inflation,
-            }
-        )
-    elif args.method == "chebyshev":
-        if args.var_bound is None:
-            raise ConfigError("--var-bound is required for chebyshev")
-        method_cfg.update({"var_bound": args.var_bound})
-    elif args.method == "hoeffding":
-        if args.support is None:
-            raise ConfigError("--support is required for hoeffding")
-        method_cfg.update({"support": _parse_vector(args.support).tolist()})
-    method = method_from_config(method_cfg)
+    method = _mean_method(args)
     if method.navae:
         _warn_uncertified(method.delta)
     ci = method.interval(sample, args.alpha)
@@ -306,15 +322,6 @@ def _cmd_mean_ci(args) -> int:
     _emit(args, "mean-ci", rows, {"input": str(args.input), "method": args.method,
                                   "alpha": args.alpha})
     return 0
-
-
-def _require_k(args) -> float:
-    if args.K is None:
-        raise ConfigError("--K is required for this method")
-    try:
-        return float(args.K)
-    except ValueError as exc:
-        raise ConfigError(f"--K must be a number or 'plugin', got {args.K!r}") from exc
 
 
 def _bound_from_flag(text: str, name: str, inflation: float) -> float | PlugIn:
@@ -331,19 +338,9 @@ def _cmd_ols_ci(args) -> int:
     if args.method == "asymp":
         ci = ci_asymp(design, args.alpha)
     else:
-        bounds = OlsBounds(
-            lambda_reg=_bound_from_flag(args.lambda_reg, "lambda-reg", args.inflation),
-            k_reg=_bound_from_flag(args.k_reg, "k-reg", args.inflation),
-            k_eps=_bound_from_flag(args.k_eps, "k-eps", args.inflation),
-            k_xi=_bound_from_flag(args.k_xi, "k-xi", args.inflation),
-        )
-        tuning = OlsTuning(
-            omega_rule=_explicit_rule(args.omega_rule, "omega-rule"),
-            a_rule=_explicit_rule(args.a_rule, "a-rule"),
-            delta=provider_from_string(args.delta),
-        )
-        _warn_uncertified(tuning.delta)
-        ci = ci_edg(design, args.alpha, bounds, tuning)
+        method = _edg_method(args, "a-rule")
+        _warn_uncertified(method.delta)
+        ci = method.interval(design, args.alpha)
     _print_interval(ci)
     rows = [_interval_row(ci, design.n, args.alpha)]
     _emit(args, "ols-ci", rows, {"input": str(args.input), "method": args.method,
@@ -389,14 +386,8 @@ def _cmd_feasibility(args) -> int:
     else:  # n-zero
         if args.alpha is None:
             raise ConfigError("--alpha is required for n-zero mode")
-        tuning = OlsTuning(
-            omega_rule=_explicit_rule(args.omega_rule, "omega-rule"),
-            a_rule=_explicit_rule(args.a_rule, "a-rule"),
-            delta=delta,
-        )
-        bounds = OlsBounds(
-            lambda_reg=1.0, k_reg=args.k_reg, k_eps=1.0, k_xi=args.k_xi
-        )
+        tuning = _edg_tuning(args, "a-rule", delta)
+        bounds = OlsBounds(lambda_reg=1.0, k_reg=args.k_reg, k_eps=1.0, k_xi=args.k_xi)
         value = n_zero(args.alpha, tuning, bounds)
         rows.append(ReportRow(method="n-zero", alpha=args.alpha, n_zero=value))
         print(f"n_zero = {value}")
@@ -442,39 +433,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_width_curve(args) -> int:
-    delta = args.delta
-    if args.method == "known-variance":
-        if args.sigma is None:
-            raise ConfigError("--sigma is required for known-variance width curves")
-        method = KnownVarianceMethod(
-            sigma=args.sigma,
-            kurtosis_bound=_require_k(args),
-            delta=provider_from_string(delta),
-        )
-        dgp = dgp_sim.ExponentialMean()
-    elif args.method == "unknown-variance":
-        method = UnknownVarianceMethod(
-            kurtosis_bound=_require_k(args),
-            delta=provider_from_string(delta),
-            a_rule=parse_rule(args.a_rule),
-        )
-        dgp = dgp_sim.ExponentialMean()
-    elif args.method == "edg":
-        bounds = OlsBounds(
-            lambda_reg=_bound_from_flag(args.lambda_reg, "lambda-reg", args.inflation),
-            k_reg=_bound_from_flag(args.k_reg, "k-reg", args.inflation),
-            k_eps=_bound_from_flag(args.k_eps, "k-eps", args.inflation),
-            k_xi=_bound_from_flag(args.k_xi, "k-xi", args.inflation),
-        )
-        tuning = OlsTuning(
-            omega_rule=_explicit_rule(args.omega_rule, "omega-rule"),
-            a_rule=_explicit_rule(args.a_rule_ols, "a-rule-ols"),
-            delta=provider_from_string(delta),
-        )
-        method = OlsEdgMethod(bounds=bounds, tuning=tuning)
+    if args.method == "edg":
+        method = _edg_method(args, "a-rule-ols")
         dgp = GumbelHeteroLinear(u=tuple(float(v) for v in _parse_vector(args.u)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unsupported width-curve method {args.method!r}")
+    else:
+        method = _mean_method(args)
+        dgp = ExponentialMean()
     if method.navae:
         _warn_uncertified(method.delta)
     curve = width_curve(

@@ -352,8 +352,12 @@ class _CellRule(NamedTuple):
 
 
 class _Method:
-    """Shared defaults of the interval methods: no alpha_min is tracked, and
-    no cell rule, so each replication calls ``interval``."""
+    """Shared defaults of the interval methods: a baseline interval for a
+    mean, no alpha_min tracked, and no cell rule, so each replication calls
+    ``interval``."""
+
+    family = "mean"
+    navae = False
 
     def alpha_min_value(self, data) -> float | None:
         return None
@@ -364,8 +368,6 @@ class _Method:
 
 @dataclass(frozen=True)
 class CltMethod(_Method):
-    family = "mean"
-    navae = False
     label = "clt"
 
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
@@ -377,8 +379,6 @@ class CltMethod(_Method):
 
 @dataclass(frozen=True)
 class StudentMethod(_Method):
-    family = "mean"
-    navae = False
     label = "student"
 
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
@@ -391,8 +391,6 @@ class StudentMethod(_Method):
 @dataclass(frozen=True)
 class ChebyshevMethod(_Method):
     var_bound: float
-    family = "mean"
-    navae = False
     label = "chebyshev"
 
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
@@ -403,8 +401,6 @@ class ChebyshevMethod(_Method):
 class HoeffdingMethod(_Method):
     support_lower: float
     support_upper: float
-    family = "mean"
-    navae = False
     label = "hoeffding"
 
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
@@ -416,7 +412,6 @@ class KnownVarianceMethod(_Method):
     sigma: float
     kurtosis_bound: float
     delta: DeltaProvider = BerryEsseen()
-    family = "mean"
     navae = True
     label = "known-variance"
 
@@ -432,8 +427,7 @@ class KnownVarianceMethod(_Method):
         return ci_known_variance(sample, self.sigma, self._config(alpha))
 
     def cell_rule(self, n: int, alpha: float) -> _CellRule:
-        half = _known_variance_half_width(n, self.sigma, self._config(alpha))
-        return _CellRule(None if half is None else lambda sigma_hat_sq: half)
+        return _CellRule(_known_variance_half_width(n, self.sigma, self._config(alpha)))
 
 
 @dataclass(frozen=True)
@@ -445,13 +439,12 @@ class UnknownVarianceMethod(_Method):
     a_rule: ARule = DEFAULT_A_RULE
     plug_in_inflation: float = 0.0
     track_alpha_min: bool = False
-    family = "mean"
     navae = True
 
     @property
     def label(self) -> str:
         k = "plugin" if self.kurtosis_bound is None else repr(self.kurtosis_bound)
-        return f"unknown-variance[K={k},a={format_rule_like(self.a_rule)}]"
+        return f"unknown-variance[K={k},a={format_rule(self.a_rule)}]"
 
     def _bound(self, sample: Sample) -> float:
         if self.kurtosis_bound is not None:
@@ -488,7 +481,6 @@ class UnknownVarianceMethod(_Method):
 @dataclass(frozen=True)
 class OlsAsympMethod(_Method):
     family = "ols"
-    navae = False
     label = "asymp"
 
     def interval(self, design: Design, alpha: float) -> ConfidenceInterval:
@@ -509,15 +501,6 @@ class OlsEdgMethod(_Method):
 
     def interval(self, design: Design, alpha: float) -> ConfidenceInterval:
         return ci_edg(design, alpha, self.bounds, self.tuning)
-
-
-def format_rule_like(rule: ARule) -> str:
-    if isinstance(rule, OptimizedRule):
-        return "optimized"
-    try:
-        return format_rule(rule)
-    except AttributeError:
-        return getattr(rule, "__name__", "custom")
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +628,7 @@ def _chunk_records(dgp, n: int, rule: _CellRule, seeds, buffer: np.ndarray) -> l
             buffer[j] = values
     if rule.half_width is None:
         return [(True, True, None, rule.alpha_min)] * len(buffer)
-    # an overflow here sends the chunk to interval, which warns as it always has
+    # an overflow here sends the chunk to interval, which raises its DataError
     with np.errstate(over="ignore", invalid="ignore"):
         means = np.add.reduce(buffer, axis=1) / n
         np.subtract(buffer, means[:, None], out=buffer)
@@ -827,20 +810,17 @@ class WidthCurveRow:
     ratio: float | None
 
 
-def _known_variance_ratio(n: int, alpha: float, method: KnownVarianceMethod) -> float | None:
-    delta = delta_of(method.delta, n, method.kurtosis_bound)
-    if delta >= alpha / 2.0:
-        return None
-    return std_normal_quantile(1.0 - alpha / 2.0 + delta) / std_normal_quantile(1.0 - alpha / 2.0)
-
-
-def _unknown_variance_ratio(n: int, alpha: float, method: UnknownVarianceMethod) -> float | None:
-    if method.kurtosis_bound is None:
+def _width_ratio(n: int, alpha: float, method) -> float | None:
+    """A mean method's width over the CLT width, in which the data cancels;
+    None where the interval is the whole line."""
+    if isinstance(method, KnownVarianceMethod):
+        delta = delta_of(method.delta, n, method.kurtosis_bound)
+        factor = None if delta >= alpha / 2.0 else std_normal_quantile(1.0 - alpha / 2.0 + delta)
+    elif method.kurtosis_bound is None:
         raise ConfigError("deterministic width ratio needs a fixed kurtosis bound")
-    factor = unknown_variance_width_factor(n, method._config(alpha, method.kurtosis_bound))
-    if factor is None:
-        return None
-    return factor / std_normal_quantile(1.0 - alpha / 2.0)
+    else:
+        factor = unknown_variance_width_factor(n, method._config(alpha, method.kurtosis_bound))
+    return None if factor is None else factor / std_normal_quantile(1.0 - alpha / 2.0)
 
 
 def width_curve(
@@ -854,46 +834,29 @@ def width_curve(
     """Mean widths and width ratios relative to the CLT/asymptotic baseline.
 
     For the mean methods the ratio is deterministic (the data cancels):
-    q(1-alpha/2+delta)/q(1-alpha/2) with known variance, times C_n with the
-    estimated variance.  For the OLS method the ratio is the Monte Carlo
-    averaged width against the sandwich CLT interval on the same datasets.
-    ``mean_width`` needs replications > 0 for the stochastic-width methods.
+    q(1-alpha/2+delta)/q(1-alpha/2) with known variance, C_n q(arg)/q(1-alpha/2)
+    with the estimated variance, whose ``mean_width`` needs replications > 0
+    and comes from one coverage study over the n with a bounded interval.
+    For the OLS method the ratio is the Monte Carlo averaged width against
+    the sandwich CLT interval on the same datasets.
     """
     base_seed = _seed(base_seed)
-    rows: list[WidthCurveRow] = []
-    if isinstance(method, KnownVarianceMethod):
-        for n in n_grid:
-            ratio = _known_variance_ratio(n, alpha, method)
-            width = (
-                None
-                if ratio is None
-                else 2.0
-                * method.sigma
-                / math.sqrt(n)
-                * std_normal_quantile(1.0 - alpha / 2.0)
-                * ratio
-            )
-            rows.append(WidthCurveRow(method.label, n, alpha, width, ratio))
-        return tuple(rows)
-    if isinstance(method, UnknownVarianceMethod):
-        for n in n_grid:
-            ratio = _unknown_variance_ratio(n, alpha, method)
-            width = None
-            if ratio is not None and replications > 0:
-                study = SimStudySpec(
-                    dgp=dgp,
-                    methods=(method,),
-                    n_grid=(n,),
-                    replications=replications,
-                    alpha=alpha,
-                    base_seed=base_seed,
-                )
-                width = run_coverage_study(study).rows[0].mean_width
-            rows.append(WidthCurveRow(method.label, n, alpha, width, ratio))
-        return tuple(rows)
+    if isinstance(method, (KnownVarianceMethod, UnknownVarianceMethod)):
+        ratios = {n: _width_ratio(n, alpha, method) for n in n_grid}
+        bounded = tuple(n for n in n_grid if ratios[n] is not None)
+        widths = {}
+        if isinstance(method, KnownVarianceMethod):
+            q = std_normal_quantile(1.0 - alpha / 2.0)
+            widths = {n: 2.0 * method.sigma / math.sqrt(n) * q * ratios[n] for n in bounded}
+        elif replications > 0 and bounded:
+            study = SimStudySpec(dgp, (method,), bounded, replications, alpha, base_seed)
+            widths = {row.n: row.mean_width for row in run_coverage_study(study).rows}
+        return tuple(WidthCurveRow(method.label, n, alpha, widths.get(n), ratios[n])
+                     for n in n_grid)
     if isinstance(method, OlsEdgMethod):
         if replications < 1:
             raise ConfigError("OLS width curves need replications >= 1")
+        rows = []
         for n in n_grid:
             edg_widths: list[float] = []
             asymp_widths: list[float] = []

@@ -77,7 +77,14 @@ def delta_edgeworth_continuous_leading(n: int, kurtosis_bound: float) -> float:
 
 @dataclass(frozen=True)
 class DeltaProvider:
-    """Base class: a strategy producing delta_n from (n, K)."""
+    """Base class: a strategy producing delta_n from (n, K).  The built-in
+    providers' flags are class attributes, not fields: a provider's hash, a
+    key of the ``optimize_a`` and ``n_zero`` caches, holds its fields only."""
+
+    #: Whether delta(n, K) is provably nonincreasing in n at fixed K.
+    #: ``n_zero`` bisects only under a provider that says so; an arbitrary
+    #: bound (the default) keeps its exact scan.
+    nonincreasing = False
 
     def delta(self, n: int, kurtosis_bound: float) -> float:
         raise NotImplementedError
@@ -89,69 +96,36 @@ class DeltaProvider:
     @property
     def label(self) -> str:
         raise NotImplementedError
-
-    @property
-    def nonincreasing(self) -> bool:
-        """Whether delta(n, K) is provably nonincreasing in n at fixed K.
-
-        ``n_zero`` bisects only under a provider that says so; an arbitrary
-        bound (the default) keeps its exact scan.
-        """
-        return False
 
 
 @dataclass(frozen=True)
 class BerryEsseen(DeltaProvider):
+    certified = True
+    label = "be"
+    nonincreasing = True
+
     def delta(self, n: int, kurtosis_bound: float) -> float:
         return delta_berry_esseen(n, kurtosis_bound)
-
-    @property
-    def certified(self) -> bool:
-        return True
-
-    @property
-    def label(self) -> str:
-        return "be"
-
-    @property
-    def nonincreasing(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
 class EdgeworthLeading(DeltaProvider):
+    certified = False
+    label = "edg-leading"
+    nonincreasing = True
+
     def delta(self, n: int, kurtosis_bound: float) -> float:
         return delta_edgeworth_leading(n, kurtosis_bound)
-
-    @property
-    def certified(self) -> bool:
-        return False
-
-    @property
-    def label(self) -> str:
-        return "edg-leading"
-
-    @property
-    def nonincreasing(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
 class EdgeworthContinuousLeading(DeltaProvider):
+    certified = False
+    label = "edg-cont-leading"
+    nonincreasing = True
+
     def delta(self, n: int, kurtosis_bound: float) -> float:
         return delta_edgeworth_continuous_leading(n, kurtosis_bound)
-
-    @property
-    def certified(self) -> bool:
-        return False
-
-    @property
-    def label(self) -> str:
-        return "edg-cont-leading"
-
-    @property
-    def nonincreasing(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ explicitly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Union
@@ -42,7 +43,7 @@ from .errors import (
     InsufficientDataError,
     InvariantError,
 )
-from .rules import OPTIMIZED, OptimizedRule, PowerRule
+from .rules import OptimizedRule, PowerRule
 from .specialfn import std_normal_quantile
 
 __all__ = [
@@ -144,11 +145,18 @@ class Sample:
 
     @cached_property
     def mean(self) -> float:
-        return float(np.mean(self.values))
+        """The sample mean; a DataError when the sum of finite values overflows."""
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(self.values))
+        if not math.isfinite(mean):
+            raise DataError("sample mean overflows: the values are too large to average")
+        return mean
 
     @cached_property
     def sigma_hat_sq(self) -> float:
-        return float(np.mean((self.values - self.mean) ** 2))
+        """sigma_hat^2; +inf when the squared deviations overflow."""
+        with np.errstate(over="ignore"):
+            return float(np.mean((self.values - self.mean) ** 2))
 
     def sigma0_sq(self, hypothesized_mean: float) -> float:
         """Oracle variance estimator centered at a hypothesized mean."""
@@ -206,6 +214,20 @@ def _sigma_hat_half_width(n: int, factor: float) -> Callable:
     return lambda sigma_hat_sq: _root(sigma_hat_sq) / math.sqrt(n) * factor
 
 
+def _centered(sample: Sample, half_width: Callable | None, alpha: float, method: str):
+    """mean +/- half_width(sigma_hat^2), or the whole line when half_width is
+    None.  Endpoints that overflow are a DataError: the half-width's other
+    inputs are finite configuration values."""
+    level = 1.0 - float(alpha)
+    if half_width is None:
+        return ConfidenceInterval.whole(level, method)
+    half = half_width(sample.sigma_hat_sq)
+    lower, upper = sample.mean - half, sample.mean + half
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise DataError(f"{method} interval overflows: the squared deviations are too large")
+    return ConfidenceInterval.bounded(lower, upper, level, method)
+
+
 def _clt_half_width(n: int, alpha: float) -> Callable:
     """The CLT half-width as a function of sigma_hat^2 at sample size n."""
     alpha = _check_alpha(alpha)
@@ -216,10 +238,7 @@ def _clt_half_width(n: int, alpha: float) -> Callable:
 
 def ci_clt(sample: Sample, alpha: float) -> ConfidenceInterval:
     """Plain CLT interval mean +/- (sigma_hat/sqrt(n)) q(1-alpha/2)."""
-    half = _clt_half_width(sample.n, alpha)(sample.sigma_hat_sq)
-    return ConfidenceInterval.bounded(
-        sample.mean - half, sample.mean + half, 1.0 - float(alpha), "clt"
-    )
+    return _centered(sample, _clt_half_width(sample.n, alpha), alpha, "clt")
 
 
 def student_cdf(t: float, df: int) -> float:
@@ -261,10 +280,7 @@ def _student_half_width(n: int, alpha: float) -> Callable:
 
 def ci_student(sample: Sample, alpha: float) -> ConfidenceInterval:
     """Student baseline with the unbiased-variance correction sqrt(n/(n-1))."""
-    half = _student_half_width(sample.n, alpha)(sample.sigma_hat_sq)
-    return ConfidenceInterval.bounded(
-        sample.mean - half, sample.mean + half, 1.0 - float(alpha), "student"
-    )
+    return _centered(sample, _student_half_width(sample.n, alpha), alpha, "student")
 
 
 def ci_chebyshev(sample: Sample, alpha: float, var_bound: float) -> ConfidenceInterval:
@@ -317,10 +333,10 @@ def nu_var(a: float, n: int, kurtosis_bound: float) -> float:
     return float(_tuning_terms(a, n, kurtosis_bound, 0.0)[0])
 
 
-def _known_variance_half_width(n: int, sigma_known: float, cfg: MeanCiConfig) -> float | None:
+def _known_variance_half_width(n: int, sigma_known: float, cfg: MeanCiConfig) -> Callable | None:
     """The known-variance half-width (sigma/sqrt(n)) q(1 - alpha/2 + delta_n)
-    at sample size n; None when delta_n >= alpha/2 makes the interval the
-    whole real line."""
+    at sample size n, as a constant function of sigma_hat^2; None when
+    delta_n >= alpha/2 makes the interval the whole real line."""
     if not math.isfinite(sigma_known) or sigma_known <= 0.0:
         raise DomainError(f"sigma_known must be positive, got {sigma_known!r}")
     if not isinstance(cfg.variance, KnownVariance):
@@ -333,7 +349,8 @@ def _known_variance_half_width(n: int, sigma_known: float, cfg: MeanCiConfig) ->
     delta = delta_of(cfg.delta, n, cfg.kurtosis_bound)
     if delta >= cfg.alpha / 2.0:
         return None
-    return sigma_known / math.sqrt(n) * std_normal_quantile(1.0 - cfg.alpha / 2.0 + delta)
+    half = sigma_known / math.sqrt(n) * std_normal_quantile(1.0 - cfg.alpha / 2.0 + delta)
+    return lambda sigma_hat_sq: half
 
 
 def ci_known_variance(
@@ -345,12 +362,8 @@ def ci_known_variance(
     interval with the quantile argument enlarged by delta_n.  ``sigma_known``
     must match ``cfg.variance.sigma_sq`` to a relative 1e-12.
     """
-    half = _known_variance_half_width(sample.n, sigma_known, cfg)
-    if half is None:
-        return ConfidenceInterval.whole(1.0 - cfg.alpha, "known-variance")
-    return ConfidenceInterval.bounded(
-        sample.mean - half, sample.mean + half, 1.0 - cfg.alpha, "known-variance"
-    )
+    return _centered(sample, _known_variance_half_width(sample.n, sigma_known, cfg), cfg.alpha,
+                     "known-variance")
 
 
 def _resolve_a(cfg: MeanCiConfig, n: int) -> float | None:
@@ -382,14 +395,8 @@ def ci_unknown_variance(sample: Sample, cfg: MeanCiConfig) -> ConfidenceInterval
     Bounded exactly when 1 - alpha/2 + delta_n + nu/2 < Phi(sqrt(n/a_n)); the
     half-width is (sigma_hat/sqrt(n)) times ``unknown_variance_width_factor``.
     """
-    level = 1.0 - cfg.alpha
-    half_width = _unknown_variance_half_width(sample.n, cfg)
-    if half_width is None:
-        return ConfidenceInterval.whole(level, "unknown-variance")
-    half = half_width(sample.sigma_hat_sq)
-    return ConfidenceInterval.bounded(
-        sample.mean - half, sample.mean + half, level, "unknown-variance"
-    )
+    return _centered(sample, _unknown_variance_half_width(sample.n, cfg), cfg.alpha,
+                     "unknown-variance")
 
 
 def _tuning_terms(
@@ -629,20 +636,36 @@ def unknown_variance_width_factor(n: int, cfg: MeanCiConfig) -> float | None:
     return None if math.isinf(w) else w
 
 
+def _fourth_moment_ratio(x: np.ndarray, second_sq: float) -> float:
+    """mean(x^4) / second_sq, a kurtosis, with second_sq the caller's rounding
+    of mean(x^2)^2 > 0 (+inf when it overflows).  Outside the normal float
+    range x is first divided by max|x|, which leaves the ratio unchanged;
+    inside it the direct form runs.  A DataError if x has overflowed."""
+    with np.errstate(over="ignore"):
+        # squaring twice avoids numpy's generic float power (about 40x slower)
+        sq = x * x
+        fourth = float(np.mean(sq * sq))
+    if math.isfinite(fourth) and sys.float_info.min <= second_sq < math.inf:
+        return fourth / second_sq
+    scale = float(np.max(np.abs(x)))
+    if not math.isfinite(scale):
+        raise DataError("fourth moment overflows: the deviations are too large to standardise")
+    z = x / scale
+    z_sq = z * z
+    return float(np.mean(z_sq * z_sq)) / float(np.mean(z_sq)) ** 2
+
+
 def sample_kurtosis(sample: Sample, inflation: float = 0.0) -> float:
     """Plug-in kurtosis m4 / sigma_hat^4, optionally inflated by (1 + M/sqrt(n)).
 
     The inflation multiplier trades tightness for robustness of the plug-in;
-    the default 0 reproduces the raw estimate.
+    the default 0 reproduces the raw estimate, which does not depend on the
+    scale of the data (``_fourth_moment_ratio``).
     """
     if inflation < 0.0:
         raise DomainError(f"inflation must be >= 0, got {inflation!r}")
     var = sample.sigma_hat_sq
     if var <= 0.0:
         raise DegenerateSampleError("kurtosis undefined for a zero-variance sample")
-    centered = sample.values - sample.mean
-    # squaring twice avoids numpy's generic float power (about 40x slower)
-    sq = centered * centered
-    m4 = float(np.mean(sq * sq))
-    k = m4 / (var * var)
+    k = _fourth_moment_ratio(sample.values - sample.mean, var * var)
     return k * (1.0 + inflation / math.sqrt(sample.n))

@@ -45,7 +45,7 @@ from .errors import (
     UnboundedScanError,
 )
 from .linalg import SymMatrix, psd_sqrt, pseudo_inverse, sym_eigen
-from .mean_ci import ConfidenceInterval, _check_alpha
+from .mean_ci import ConfidenceInterval, _check_alpha, _fourth_moment_ratio
 from .rules import PowerRule
 from .specialfn import std_normal_quantile
 
@@ -593,14 +593,14 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
     res_sq = fit.residuals * fit.residuals
     k_eps = float(np.mean(rot_sq2 * (res_sq * res_sq)))
     influence = (x @ (fit.s_dagger.array @ np.asarray(u, dtype=float))) * fit.residuals
-    infl_sq = influence * influence
-    second = float(np.mean(infl_sq))
+    second = float(np.mean(influence * influence))
     if second <= 0.0:
         raise DegenerateSampleError(
             "all estimated influence values are zero; K_xi plug-in undefined"
         )
-    # >= 1 by Jensen; the max only absorbs last-ulp rounding
-    k_xi = max(1.0, float(np.mean(infl_sq * infl_sq)) / second**2)
+    # >= 1 by Jensen; the max only absorbs last-ulp rounding.  A float's **
+    # raises OverflowError past sqrt(max float), where the ratio rescales.
+    k_xi = max(1.0, _fourth_moment_ratio(influence, second**2 if second < 1e154 else math.inf))
     mult = 1.0 + inflation / math.sqrt(n)
     return OlsBounds(
         lambda_reg=lam_min / mult,

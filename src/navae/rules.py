@@ -74,10 +74,13 @@ def parse_rule(text: str) -> PowerRule | OptimizedRule:
     return PowerRule(c1=c1, c2=c2, exponent=_parse_exponent(m.group("exp")))
 
 
-def format_rule(rule: PowerRule | OptimizedRule) -> str:
-    """Inverse of :func:`parse_rule`, for report metadata."""
+def format_rule(rule) -> str:
+    """Inverse of :func:`parse_rule`, for report metadata; any other callable
+    rule is named by its ``__name__``, or ``custom``."""
     if isinstance(rule, OptimizedRule):
         return "optimized"
+    if not isinstance(rule, PowerRule):
+        return getattr(rule, "__name__", "custom")
     if rule.c2 == 0.0 or rule.exponent == 0.0:
         return repr(rule.c1 + rule.c2)
     parts = []

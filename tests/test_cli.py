@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,53 @@ def test_mean_ci_error_codes(in_tmp, capsys):
     ) == 2
     assert run_command(["mean-ci", "--alpha", "0.1", "--input", str(in_tmp / "none.csv")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("values", ["1e300\n-1e300\n5e299\n", "1.5e308\n1.5e308\n"],
+                         ids=["squared-deviations", "mean"])
+@pytest.mark.parametrize("method", ["clt", "student"])
+def test_overflowing_data_is_a_data_error(in_tmp, capsys, values, method):
+    path = write(in_tmp / "huge.csv", values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        code = run_command(["mean-ci", "--alpha", "0.1", "--method", method, "--K", "9",
+                            "--input", str(path)])
+    assert code == 3
+    assert "data error:" in capsys.readouterr().err
+    assert not (in_tmp / "mean_ci_report.csv").exists()
+
+
+def test_plugin_kurtosis_interval_scales_with_the_data(in_tmp, capsys):
+    values = np.random.default_rng(4).exponential(1.0, 5000)
+    bounds = []
+    for scale in (1.0, 1e100, 1e77):
+        path = write(in_tmp / "m.csv", "\n".join(repr(float(v)) for v in values * scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(["mean-ci", "--alpha", "0.1", "--K", "plugin",
+                                "--input", str(path)]) == 0
+        (row,) = read_report(in_tmp / "mean_ci_report.csv")
+        bounds.append((row.lower / scale, row.upper / scale))
+    assert bounds[1] == pytest.approx(bounds[0], rel=1e-12)
+    assert bounds[2] == pytest.approx(bounds[0], rel=1e-12)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mean-ci", "--method", "known-variance", "--sigma", "1"],
+     "K must be a number, got 'plugin'"),
+    (["width-curve", "--method", "known-variance", "--sigma", "1", "--n", "10000"],
+     "K must be a number, got 'plugin'"),
+    (["width-curve", "--method", "unknown-variance", "--n", "10000"],
+     "deterministic width ratio needs a fixed kurtosis bound"),
+], ids=["mean-ci-known-variance", "width-curve-known-variance", "width-curve-unknown-variance"])
+def test_plugin_k_where_a_fixed_bound_is_needed(in_tmp, capsys, argv, message):
+    if argv[0] == "mean-ci":
+        argv = argv + ["--input", str(mean_file(in_tmp))]
+    assert run_command(argv + ["--alpha", "0.1", "--K", "plugin"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "or 'plugin'" not in err
 
 
 def test_command_does_not_mutate_input(in_tmp, capsys):

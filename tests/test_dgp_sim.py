@@ -33,9 +33,11 @@ from navae.dgp_sim import (
 )
 from navae.cli import run_command
 from navae.errors import ConfigError, DataError, NavaeError
-from navae.mean_ci import sample_kurtosis
+from navae.edgeworth import delta_of
+from navae.mean_ci import MeanCiConfig, sample_kurtosis, unknown_variance_width_factor
 from navae.ols_ci import OlsBounds, OlsTuning, PlugIn, ols_fit
 from navae.rules import OPTIMIZED, PowerRule
+from navae.specialfn import std_normal_quantile
 
 GUMBEL_BETA = np.array([2.0, 1.0, -3.0])
 
@@ -457,6 +459,28 @@ def test_unknown_variance_ratio_exceeds_known():
         rk = width_curve(ExponentialMean(), known, (n,), 0.10)[0].ratio
         ru = width_curve(ExponentialMean(), unknown, (n,), 0.10)[0].ratio
         assert ru > rk >= 1.0
+
+
+@pytest.mark.parametrize("method", [KnownVarianceMethod(sigma=2.0, kurtosis_bound=9.0),
+                                    UnknownVarianceMethod(kurtosis_bound=9.0)],
+                         ids=["known-variance", "unknown-variance"])
+def test_mean_width_curve_rows_bit_for_bit(method):
+    alpha, grid = 0.1, (10000, 100, 3000)
+    rows = width_curve(ExponentialMean(), method, grid, alpha, replications=20, base_seed=4)
+    q = std_normal_quantile(1.0 - alpha / 2.0)
+    for n, row in zip(grid, rows):
+        if isinstance(method, KnownVarianceMethod):
+            delta = delta_of(method.delta, n, 9.0)
+            ratio = None if delta >= alpha / 2.0 else std_normal_quantile(1.0 - alpha / 2.0 + delta) / q
+            width = None if ratio is None else 2.0 * 2.0 / math.sqrt(n) * q * ratio
+        else:
+            factor = unknown_variance_width_factor(n, MeanCiConfig(alpha=alpha, kurtosis_bound=9.0))
+            ratio = None if factor is None else factor / q
+            study = SimStudySpec(ExponentialMean(), (method,), (n,), 20, alpha, base_seed=4)
+            width = None if ratio is None else run_coverage_study(study).rows[0].mean_width
+        assert (row.method, row.n, row.alpha) == (method.label, n, alpha)
+        assert (row.ratio, row.mean_width) == (ratio, width)
+    assert [row.ratio is None for row in rows] == [False, True, False]
 
 
 def test_ols_width_curve():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -579,6 +580,43 @@ def test_sample_kurtosis_scale_free():
     k1 = sample_kurtosis(Sample(x))
     k2 = sample_kurtosis(Sample(4.0 * x - 7.0))
     assert k1 == pytest.approx(k2, rel=1e-10)
+
+
+def test_sample_kurtosis_at_every_order_of_magnitude():
+    # computed directly, m4 / sigma_hat^4 is inf / inf = nan at 1e100, inf at
+    # 1e77, and a division by an underflowed sigma_hat^4 at 1e-150
+    x = np.random.default_rng(5).exponential(1.0, 5000)
+    expected = sample_kurtosis(Sample(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-150, 151):
+            try:
+                value = sample_kurtosis(Sample(x * 10.0**k))
+            except DataError:
+                continue
+            assert value == pytest.approx(expected, rel=1e-12), k
+
+
+def test_overflowing_moments_are_data_errors():
+    spread = Sample(np.array([1e300, -1e300, 5e299]))
+    big = Sample(np.array([1.5e308, 1.5e308]))
+    wide = Sample(np.random.default_rng(3).standard_normal(5000) * 1e300)
+    known = MeanCiConfig(alpha=0.1, kurtosis_bound=9.0, variance=KnownVariance(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spread.sigma_hat_sq == math.inf
+        for ci in (ci_clt, ci_student):
+            with pytest.raises(DataError, match="interval overflows"):
+                ci(spread, 0.1)
+            with pytest.raises(DataError, match="sample mean overflows"):
+                ci(big, 0.1)
+        with pytest.raises(DataError, match="interval overflows"):
+            ci_unknown_variance(wide, MeanCiConfig(alpha=0.1, kurtosis_bound=9.0))
+        with pytest.raises(DataError, match="sample mean overflows"):
+            ci_known_variance(Sample(np.full(5000, 1e305)), 1.0, known)
+        # the known-variance interval does not use sigma_hat^2
+        ci = ci_known_variance(wide, 1.0, known)
+        assert not ci.whole_line and math.isfinite(ci.width)
 
 
 # ---------------------------------------------------------------------------

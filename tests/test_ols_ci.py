@@ -528,6 +528,19 @@ def test_plug_in_k_xi_at_least_one():
         assert bounds.k_xi >= 1.0
 
 
+def test_plug_in_k_xi_at_every_order_of_magnitude():
+    # scaling y scales the influence values, whose kurtosis K_xi is; the
+    # plug-in K_eps scales as y^4 and overflows past about 1e75
+    d = simulated_design(2000, seed=3)
+    expected = plug_in_bounds(ols_fit(d), d.u).k_xi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-150, 71):
+            scaled = Design(x=d.x, y=d.y * 10.0**k, u=d.u)
+            k_xi = plug_in_bounds(ols_fit(scaled), d.u).k_xi
+            assert k_xi == pytest.approx(expected, rel=1e-12), k
+
+
 def test_plug_in_matches_independent_script():
     d = simulated_design(10**4, seed=20260810)
     fit = ols_fit(d)

@@ -32,7 +32,7 @@ from navae.dgp_sim import (
     substream,
     width_curve,
 )
-from navae.errors import ConfigError, DataError, InsufficientDataError, InvariantError, NavaeError
+from navae.errors import ConfigError, DataError, InsufficientDataError, NavaeError
 from navae.mean_ci import Sample
 from navae.ols_ci import OlsBounds, OlsTuning, PlugIn
 from navae.rules import OPTIMIZED
@@ -298,11 +298,11 @@ def _huge(n, rng):
     return rng.standard_normal(n) * 1e300
 
 
-def test_an_overflowing_interval_raises_the_serial_invariant_error(monkeypatch):
+def test_an_overflowing_interval_raises_the_serial_data_error(monkeypatch):
     spec = SimStudySpec(dgp=CustomMeanDgp(draw=_huge, target=0.0), methods=(CltMethod(),),
                         n_grid=(30,), replications=8, alpha=0.1, base_seed=3)
     expected, raised = _errors(spec, monkeypatch)
-    assert expected[0] is InvariantError
+    assert expected[0] is DataError
     assert raised == [expected] * 6
 
 
