@@ -12,8 +12,11 @@ seed sequence sees that replication's own.  Fixed-tuning mean methods (CLT,
 Student, known variance, unknown variance with a fixed K) evaluate a chunk
 of replications at once with array arithmetic that gives every interval bit
 for bit as its scalar ``ci_*`` function does, and every error as the serial
-loop raises it.  With one worker every replication runs in the calling
-process, in order.  With k > 1, each (method, n) cell's replications are
+loop raises it.  Unknown variance with a plug-in K computes each
+replication's mean, sigma_hat^2 and K once, then runs the tuning searches
+for a whole slice of replications on lanes (``mean_ci``), one lane per K,
+with the same guarantees.  With one worker every replication runs in the
+calling process, in order.  With k > 1, each (method, n) cell's replications are
 cut into k contiguous slices: the calling process runs the first slice of
 every cell and k - 1 children forked from it run the others; the slices are
 joined back in replication order before any row is computed.  Where the
@@ -43,10 +46,15 @@ from .mean_ci import (
     MeanCiConfig,
     Sample,
     UnknownVariance,
+    _alpha_min_lanes,
     _clt_half_width,
+    _fixed_a,
     _known_variance_half_width,
+    _optimize_lanes,
+    _sigma_hat_half_width,
     _student_half_width,
     _unknown_variance_half_width,
+    _width_multiplier,
     alpha_min,
     ci_chebyshev,
     ci_clt,
@@ -468,6 +476,22 @@ class UnknownVarianceMethod(_Method):
             return None
         return alpha_min(sample.n, self._bound(sample), self.a_rule, self.delta)
 
+    def lane_rule(self, n: int, alpha: float, kurtosis_bounds: np.ndarray) -> tuple:
+        """For plug-in bounds, one per replication: the width factor of each
+        (+inf where the interval is the whole line) and its tracked alpha_min
+        (None when untracked), as ``interval`` and ``alpha_min_value`` give
+        them at that bound, from one lane search over all of them."""
+        deltas = np.array([delta_of(self.delta, n, k) for k in kurtosis_bounds.tolist()])
+        if isinstance(self.a_rule, OptimizedRule):
+            a = _optimize_lanes(n, alpha, kurtosis_bounds, deltas)
+        else:
+            a = np.full(kurtosis_bounds.shape, _fixed_a(self.a_rule, n))
+        # a NaN a (no feasible a) fails the feasibility test: factor +inf
+        factors = _width_multiplier(a, n, alpha, kurtosis_bounds, deltas)
+        if not self.track_alpha_min:
+            return factors, None
+        return factors, _alpha_min_lanes(n, self.a_rule, kurtosis_bounds, deltas)
+
     def cell_rule(self, n: int, alpha: float) -> _CellRule | None:
         """None with a plug-in bound, which each sample sets."""
         if self.kurtosis_bound is None:
@@ -618,8 +642,9 @@ def _chunk_records(dgp, n: int, rule: _CellRule, seeds, buffer: np.ndarray) -> l
     ``np.add.reduce(..., axis=1) / n``, which equals ``Sample.mean`` and
     ``Sample.sigma_hat_sq`` bit for bit, and the intervals take the rule's
     half-width expression, which ``interval`` evaluates too.  None when a
-    sample is not n values long or an interval is not a finite ordered pair:
-    ``interval`` then decides."""
+    sample is not n values long, a sigma_hat^2 is below the normal float
+    range or an interval is not a finite ordered pair: ``interval`` then
+    decides."""
     for j, seed in enumerate(seeds):
         values = dgp.sample(n, seed).values
         if values.size != n:
@@ -633,13 +658,49 @@ def _chunk_records(dgp, n: int, rule: _CellRule, seeds, buffer: np.ndarray) -> l
         means = np.add.reduce(buffer, axis=1) / n
         np.subtract(buffer, means[:, None], out=buffer)
         np.multiply(buffer, buffer, out=buffer)
-        half = rule.half_width(np.add.reduce(buffer, axis=1) / n)
+        variances = np.add.reduce(buffer, axis=1) / n
+        half = rule.half_width(variances)
         lower, upper = means - half, means + half
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and (lower <= upper).all()):
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and (lower <= upper).all()
+            and (variances >= sys.float_info.min).all()):
         return None
     target = dgp.target
     covered = ((lower <= target) & (target <= upper)).tolist()
     return [(c, False, w, rule.alpha_min) for c, w in zip(covered, (upper - lower).tolist())]
+
+
+def _lane_records(spec: SimStudySpec, method: UnknownVarianceMethod, n: int, seeds) -> list | None:
+    """Records of a slice of a plug-in unknown-variance cell, one per stream
+    seed.  Each replication's mean, sigma_hat^2 and plug-in K are computed
+    once, by the ``Sample`` properties and ``sample_kurtosis`` that
+    ``interval`` calls; one lane search over the slice's K values
+    (``UnknownVarianceMethod.lane_rule``) then gives every width factor and
+    tracked alpha_min, and the intervals take ``interval``'s half-width
+    expression.  None when a sample is not n values long, a sigma_hat^2 or
+    K is outside the normal float range or an interval is not a finite
+    ordered pair: ``interval`` then decides."""
+    moments = []
+    for seed in seeds:
+        sample = spec.dgp.sample(n, seed)
+        variance = sample.sigma_hat_sq
+        if sample.n != n or not sys.float_info.min <= variance < math.inf:
+            return None
+        moments.append((sample.mean, variance, method._bound(sample)))
+    means, variances, bounds = np.array(moments).T
+    if not np.isfinite(bounds).all():
+        return None
+    factors, alpha_mins = method.lane_rule(n, spec.alpha, bounds)
+    bounded = np.isfinite(factors)
+    half = _sigma_hat_half_width(n, factors[bounded])(variances[bounded])
+    lower, upper = means[bounded] - half, means[bounded] + half
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and (lower <= upper).all()):
+        return None
+    target = spec.dgp.target
+    covered, widths = [True] * len(means), [None] * len(means)
+    for j, lo, hi in zip(np.nonzero(bounded)[0].tolist(), lower.tolist(), upper.tolist()):
+        covered[j], widths[j] = lo <= target <= hi, hi - lo
+    alpha_mins = [None] * len(means) if alpha_mins is None else alpha_mins.tolist()
+    return list(zip(covered, (~bounded).tolist(), widths, alpha_mins))
 
 
 def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudySpec) -> list:
@@ -648,16 +709,26 @@ def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudyS
 
     Replication r draws from the stream ``substream(base_seed, method_index,
     n, r)`` seeds, for the built-in DGPs through one generator reset to
-    each key (``_CellStreams``).  A method with a cell rule (the
-    fixed-tuning mean intervals) runs in chunks of at most
-    ``_CHUNK_DOUBLES`` drawn values, each evaluated by array arithmetic that
-    equals ``interval``'s bit for bit.  If the rule or anything in a chunk
-    raises, or a chunk has a value ``_chunk_records`` leaves to
+    each key (``_CellStreams``).  A plug-in unknown-variance method runs
+    the slice through ``_lane_records``, one lane search for all its
+    replications.  A method with a cell rule (the fixed-tuning mean
+    intervals) runs in chunks of at most ``_CHUNK_DOUBLES`` drawn values,
+    each evaluated by array arithmetic that equals ``interval``'s bit for
+    bit.  If the rule or anything in a slice or chunk raises, or it has a
+    value that ``_lane_records`` or ``_chunk_records`` leaves to
     ``interval``, those replications run again one ``interval`` call each,
     in order, so any error raised is the one the serial loop raises first.
     """
     method = spec.methods[method_index]
     streams = _CellStreams(spec.dgp, spec.base_seed, method_index, n, start, stop)
+    if isinstance(method, UnknownVarianceMethod) and method.kurtosis_bound is None:
+        try:
+            records = _lane_records(spec, method, n, map(streams.seed, range(start, stop)))
+        except Exception:  # the rerun raises it again, or an earlier error
+            records = None
+        if records is None:
+            records = _interval_records(spec, method_index, n, streams, start, stop)
+        return records
     try:
         rule = method.cell_rule(n, spec.alpha)
     except Exception:  # interval raises it again, after its replication's draw
@@ -836,12 +907,16 @@ def width_curve(
     For the mean methods the ratio is deterministic (the data cancels):
     q(1-alpha/2+delta)/q(1-alpha/2) with known variance, C_n q(arg)/q(1-alpha/2)
     with the estimated variance, whose ``mean_width`` needs replications > 0
-    and comes from one coverage study over the n with a bounded interval.
+    and comes from one coverage study over the n with a bounded interval
+    (replications = 0 gives the ratios alone; a negative count is a
+    ConfigError).
     For the OLS method the ratio is the Monte Carlo averaged width against
     the sandwich CLT interval on the same datasets.
     """
     base_seed = _seed(base_seed)
     if isinstance(method, (KnownVarianceMethod, UnknownVarianceMethod)):
+        if replications < 0:
+            raise ConfigError(f"replications must be >= 0, got {replications}")
         ratios = {n: _width_ratio(n, alpha, method) for n in n_grid}
         bounded = tuple(n for n in n_grid if ratios[n] is not None)
         widths = {}

@@ -14,10 +14,14 @@ intervals built by enlarging the CLT interval:
 The informative branch exists only for levels above the feasibility boundary;
 ``feasible_a_interval``, ``optimize_a``, and ``alpha_min`` expose that
 machinery.  One kernel evaluates nu, the feasibility excess and the width
-multiplier C_n q at a float or a numpy array of a, so the searches and the
-interval decide feasibility with the same arithmetic: each search is one
-array scan of a grid followed by scalar bisection or golden-section
-refinement on that kernel.  The variance estimator uses divisor n
+multiplier C_n q at a float or a numpy array of a, with the same arithmetic
+either way, so the searches and the interval decide feasibility alike.  The
+searches run on lanes, one per (K, delta_n) at a sample size n: each lane's
+search is one array scan of a grid followed by bisection or golden-section
+refinement, all lanes advancing in lockstep and each dropping out when it
+converges, so a lane computes exactly what a search of its own would.  The
+public searches are one-lane calls; the coverage study runs a lane per
+replication's plug-in K.  The variance estimator uses divisor n
 throughout; the Student baseline applies its sqrt(n/(n-1)) correction
 explicitly.
 """
@@ -214,14 +218,25 @@ def _sigma_hat_half_width(n: int, factor: float) -> Callable:
     return lambda sigma_hat_sq: _root(sigma_hat_sq) / math.sqrt(n) * factor
 
 
-def _centered(sample: Sample, half_width: Callable | None, alpha: float, method: str):
+def _centered(
+    sample: Sample, half_width: Callable | None, alpha: float, method: str, scaled: bool = True
+):
     """mean +/- half_width(sigma_hat^2), or the whole line when half_width is
     None.  Endpoints that overflow are a DataError: the half-width's other
-    inputs are finite configuration values."""
+    inputs are finite configuration values.  When the half-width scales with
+    sigma_hat (``scaled``), a sigma_hat^2 below the normal float range is a
+    DataError too unless the sample is constant: the squared deviations have
+    underflowed, and the interval would be too narrow to cover."""
     level = 1.0 - float(alpha)
     if half_width is None:
         return ConfidenceInterval.whole(level, method)
-    half = half_width(sample.sigma_hat_sq)
+    var = sample.sigma_hat_sq
+    if scaled and var < sys.float_info.min and (sample.values != sample.values[0]).any():
+        raise DataError(
+            f"{method} interval: sigma_hat^2 = {var!r} underflows the float range; "
+            "rescale the data"
+        )
+    half = half_width(var)
     lower, upper = sample.mean - half, sample.mean + half
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DataError(f"{method} interval overflows: the squared deviations are too large")
@@ -363,7 +378,7 @@ def ci_known_variance(
     must match ``cfg.variance.sigma_sq`` to a relative 1e-12.
     """
     return _centered(sample, _known_variance_half_width(sample.n, sigma_known, cfg), cfg.alpha,
-                     "known-variance")
+                     "known-variance", scaled=False)
 
 
 def _resolve_a(cfg: MeanCiConfig, n: int) -> float | None:
@@ -373,10 +388,7 @@ def _resolve_a(cfg: MeanCiConfig, n: int) -> float | None:
         return _optimize_a_cached(
             int(n), float(cfg.alpha), float(cfg.kurtosis_bound), cfg.delta
         )
-    a = float(cfg.a_rule(n))
-    if not math.isfinite(a) or a <= 1.0:
-        raise ConfigError(f"a_rule({n}) = {a!r}; fixed rules must return a > 1")
-    return a
+    return _fixed_a(cfg.a_rule, n)
 
 
 def _unknown_variance_half_width(n: int, cfg: MeanCiConfig) -> Callable | None:
@@ -400,81 +412,47 @@ def ci_unknown_variance(sample: Sample, cfg: MeanCiConfig) -> ConfidenceInterval
 
 
 def _tuning_terms(
-    a: float | np.ndarray, n: int, kurtosis_bound: float, delta: float
+    a: float | np.ndarray, n: int, kurtosis_bound, delta
 ) -> tuple[np.ndarray, np.ndarray]:
     """(nu(a), excess(a)) at a float or an array of tuning values a > 1, with
-    excess(a) = 1 - Phi(sqrt(n/a)) + delta_n + nu(a)/2.
+    excess(a) = 1 - Phi(sqrt(n/a)) + delta_n + nu(a)/2; K and delta_n are
+    floats or arrays that broadcast against a.  A grid of a shared by lanes
+    of (K, delta_n) evaluates its K-free terms once, by broadcasting.  The
+    square is a product, for a float as for an array (a float's ``** 2`` is
+    libm's pow, which can differ from an array's square in the last ulp).
 
     At level alpha, a is feasible (the unknown-variance interval is bounded)
     exactly when the gap excess(a) - alpha/2 is negative, so 2 excess(a) is
     the smallest level with a bounded interval at this a.
     """
-    nu = np.exp(-n * (1.0 - 1.0 / a) ** 2 / (2.0 * kurtosis_bound))
+    s = 1.0 - 1.0 / a
+    nu = np.exp(-n * (s * s) / (2.0 * kurtosis_bound))
     return nu, 1.0 - ndtr(np.sqrt(n / a)) + delta + nu / 2.0
 
 
-def _width_multiplier(
-    a: float | np.ndarray, n: int, alpha: float, kurtosis_bound: float, delta: float
-) -> float | np.ndarray:
+def _width_multiplier(a, n: int, alpha: float, kurtosis_bound, delta) -> np.ndarray:
     """C_n(a) q(arg) with arg = 1 - alpha/2 + delta_n + nu(a)/2, at a float or
-    an array of a > 1: the half-width per unit sigma_hat/sqrt(n), +inf where a
-    is infeasible.
+    an array of a > 1, with K and delta_n floats or arrays of a's shape: the
+    half-width per unit sigma_hat/sqrt(n), +inf where a is infeasible.
 
     Feasibility gives q(arg) < sqrt(n/a), hence a positive C_n radicand
-    1/a - q^2/n; that is asserted (InvariantError) rather than assumed.  A
-    float takes a scalar path, without the masks and reductions of an array.
+    1/a - q^2/n; that is asserted (InvariantError) rather than assumed.
     """
+    a = np.asarray(a, dtype=float)
     nu, excess = _tuning_terms(a, n, kurtosis_bound, delta)
     feasible = excess < alpha / 2.0
-    scalar = not isinstance(a, np.ndarray)
-    if scalar and not feasible:
-        return math.inf
-    a_in, nu_in = (a, nu) if scalar else (a[feasible], nu[feasible])
-    q = ndtri(1.0 - alpha / 2.0 + delta + nu_in / 2.0)
+    a_in, nu_in = a[feasible], nu[feasible]
+    delta_in = delta[feasible] if isinstance(delta, np.ndarray) else delta
+    q = ndtri(1.0 - alpha / 2.0 + delta_in + nu_in / 2.0)
     radicand = 1.0 / a_in - q * q / n
-    if (radicand <= 0.0) if scalar else (radicand <= 0.0).any():
+    if (radicand <= 0.0).any():
         raise InvariantError(
             "C_n radicand is not positive although the feasibility condition "
-            f"held (a={np.extract(radicand <= 0.0, a_in)}, n={n}, alpha={alpha!r})"
+            f"held (a={a_in[radicand <= 0.0]}, n={n}, alpha={alpha!r})"
         )
-    if scalar:
-        return float(q / math.sqrt(radicand))
     width = np.full(a.shape, np.inf)
     width[feasible] = q / np.sqrt(radicand)
     return width
-
-
-def _grid_then_golden(
-    fn: Callable, grid: np.ndarray, lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Minimize fn: argmin of one array evaluation over the sorted grid, then
-    golden-section search between the argmin's grid neighbours (``lo``/``hi``
-    past the ends) down to a bracket of width tol.
-
-    Returns (argmin, min); the refined point replaces the grid's best only
-    when it is no worse.
-    """
-    values = fn(grid)
-    best = int(np.argmin(values))
-    a = float(grid[best - 1]) if best > 0 else lo
-    b = float(grid[best + 1]) if best + 1 < grid.size else hi
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x, fx = (c, fc) if fc < fd else (d, fd)
-    if fx <= values[best]:
-        return x, float(fx)
-    return float(grid[best]), float(values[best])
 
 
 #: Log-spaced scan points over (1, 1e6], dense both in a and in a - 1.
@@ -488,6 +466,114 @@ _SCAN_GRID = np.unique(
 )
 _SCAN_GRID.setflags(write=False)
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# The searches below run on lanes: lane l is the search at one n for the
+# kurtosis bound k[l] and delta_n d[l].  Every lane runs exactly the
+# arithmetic of a search of its own; the lanes only share numpy calls, and a
+# lane drops out of the loops once it has converged.  The public functions
+# are one-lane calls.
+
+
+def _golden_lanes(fn: Callable, grid: np.ndarray, values: np.ndarray, lo, hi, tol: float):
+    """Minimize each lane: the argmin of its row of ``values`` (fn on the
+    sorted row of ``grid``), then golden-section search between that point's
+    row neighbours (``lo``/``hi`` past the ends) down to a bracket of width
+    tol.  ``fn(x, lanes)`` evaluates lane lanes[j] at x[j].
+
+    Returns (argmin, min) per lane; the refined point replaces the grid's
+    best only when it is no worse.
+    """
+    lanes = np.arange(len(values))
+    best = np.argmin(values, axis=1)
+    a = np.where(best > 0, grid[lanes, best - 1], lo)
+    b = np.where(best + 1 < grid.shape[1], grid[lanes, np.minimum(best + 1, grid.shape[1] - 1)], hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = np.split(fn(np.concatenate([c, d]), np.concatenate([lanes, lanes])), 2)
+    active = lanes[b - a > tol]
+    while active.size:
+        # the lanes with fc < fd keep [a, d] and take a new c; the others
+        # keep [c, b] and take a new d
+        left = fc[active] < fd[active]
+        lft, rgt = active[left], active[~left]
+        b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]
+        a[rgt], c[rgt], fc[rgt] = c[rgt], d[rgt], fd[rgt]
+        c[lft] = b[lft] - _INVPHI * (b[lft] - a[lft])
+        d[rgt] = a[rgt] + _INVPHI * (b[rgt] - a[rgt])
+        fx = fn(np.concatenate([c[lft], d[rgt]]), np.concatenate([lft, rgt]))
+        fc[lft], fd[rgt] = fx[: lft.size], fx[lft.size :]
+        active = active[b[active] - a[active] > tol]
+    x, fx = np.where(fc < fd, c, d), np.where(fc < fd, fc, fd)
+    grid_best, value_best = grid[lanes, best], values[lanes, best]
+    keep = fx <= value_best
+    return np.where(keep, x, grid_best), np.where(keep, fx, value_best)
+
+
+def _bisect_lanes(gap: Callable, lo: np.ndarray, hi: np.ndarray, lanes: np.ndarray,
+                  descending: np.ndarray) -> np.ndarray:
+    """Bisect, for each j, a sign change of gap(., lanes[j]) between lo[j] and
+    hi[j] to relative width 1e-10, in at most 200 halvings.
+
+    ``descending[j]`` means g goes + -> - left to right (a lower endpoint);
+    otherwise - -> + (an upper endpoint).  Returns the feasible side, so that
+    downstream evaluations stay informative.
+    """
+    active = np.arange(lo.size)
+    for _ in range(200):
+        active = active[~(hi[active] - lo[active] <= 1e-10 * hi[active])]
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        down = (gap(mid, lanes[active]) < 0.0) == descending[active]
+        hi[active[down]] = mid[down]
+        lo[active[~down]] = mid[~down]
+    return np.where(descending, hi, lo)
+
+
+def _check_search_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 0.0 < alpha < 0.5:
+        raise DomainError(f"feasible_a_interval requires alpha in (0, 1/2), got {alpha!r}")
+    return alpha
+
+
+def _feasible_lanes(n: int, alpha: float, k: np.ndarray, d: np.ndarray) -> tuple:
+    """``feasible_a_interval`` of each lane: arrays (a_low, a_high), NaN in
+    the lanes where no grid point is feasible."""
+    alpha = _check_search_alpha(alpha)
+
+    def gap(a, lanes):
+        return _tuning_terms(a, n, k[lanes], d[lanes])[1] - alpha / 2.0
+
+    grid = _SCAN_GRID
+    excess = _tuning_terms(grid, n, k[:, None], d[:, None])[1]
+    feasible = excess - alpha / 2.0 < 0.0
+    lanes = np.nonzero(feasible.any(axis=1))[0]
+    feasible = feasible[lanes]
+    first = np.argmax(feasible, axis=1)
+    last = grid.size - 1 - np.argmax(feasible[:, ::-1], axis=1)
+
+    hi = grid[np.minimum(last + 1, grid.size - 1)]
+    # lanes feasible at the top of the grid extend it geometrically
+    rising = np.nonzero(last == grid.size - 1)[0]
+    while rising.size:
+        rising = rising[gap(hi[rising], lanes[rising]) < 0.0]
+        hi[rising] *= 2.0
+        if (hi[rising] > 1e18).any():
+            raise InvariantError("feasible region failed to close below a = 1e18")
+    # both endpoints of every lane in one lockstep bisection
+    ends = _bisect_lanes(
+        gap,
+        np.concatenate([np.where(first > 0, grid[first - 1], 1.0 + 1e-14), grid[last]]),
+        np.concatenate([grid[first], hi]),
+        np.concatenate([lanes, lanes]),
+        np.arange(2 * lanes.size) < lanes.size,
+    )
+    a_low, a_high = np.full(k.shape, np.nan), np.full(k.shape, np.nan)
+    a_low[lanes], a_high[lanes] = np.split(ends, 2)
+    return a_low, a_high
+
 
 def feasible_a_interval(
     n: int, alpha: float, kurtosis_bound: float, delta: DeltaProvider
@@ -496,56 +582,47 @@ def feasible_a_interval(
 
     Evaluates the feasibility gap on a log-spaced grid over (1, 1e6] in one
     array call (extending upward geometrically when the boundary itself is
-    feasible), then locates both endpoints by scalar bisection on the same gap
-    to relative tolerance 1e-10.  Returns None when no grid point is feasible.
+    feasible), then locates both endpoints by bisection on the same gap to
+    relative tolerance 1e-10.  Returns None when no grid point is feasible.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 0.5:
-        raise DomainError(f"feasible_a_interval requires alpha in (0, 1/2), got {alpha!r}")
+    _check_search_alpha(alpha)
     d = delta_of(delta, n, kurtosis_bound)
-
-    def gap(a):
-        return _tuning_terms(a, n, kurtosis_bound, d)[1] - alpha / 2.0
-
-    grid = _SCAN_GRID
-    feasible = np.nonzero(gap(grid) < 0.0)[0]
-    if feasible.size == 0:
-        return None
-    first, last = int(feasible[0]), int(feasible[-1])
-
-    lo_bracket = (float(grid[first - 1]) if first > 0 else 1.0 + 1e-14, float(grid[first]))
-    a_low = _bisect_to_feasible(gap, lo_bracket[0], lo_bracket[1], descending=True)
-
-    if last == grid.size - 1:
-        hi = float(grid[last])
-        while gap(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e18:
-                raise InvariantError("feasible region failed to close below a = 1e18")
-    else:
-        hi = float(grid[last + 1])
-    a_high = _bisect_to_feasible(gap, float(grid[last]), hi, descending=False)
-    return a_low, a_high
+    a_low, a_high = _feasible_lanes(n, alpha, np.array([float(kurtosis_bound)]), np.array([d]))
+    return None if math.isnan(a_low[0]) else (float(a_low[0]), float(a_high[0]))
 
 
-def _bisect_to_feasible(
-    gap: Callable[[float], float], lo: float, hi: float, *, descending: bool
-) -> float:
-    """Bisect a sign change of g between lo and hi to relative width 1e-10.
+def _optimize_lanes(n: int, alpha: float, k: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``optimize_a``'s search for each lane: the width-minimizing a, NaN in
+    the lanes where no a is feasible."""
+    a_low, a_high = _feasible_lanes(n, alpha, k, d)
+    lanes = np.nonzero(~np.isnan(a_low))[0]
+    a_star = np.full(k.shape, np.nan)
+    if not lanes.size:
+        return a_star
+    lo, hi = a_low[lanes], a_high[lanes]
+    # np.linspace(log lo, log hi, 258) per lane: its start + i * step, with
+    # the last point set to the stop; logs by math.log, as a float's are
+    start = np.array([math.log(x) for x in lo.tolist()])
+    stop = np.array([math.log(x) for x in hi.tolist()])
+    steps = np.arange(258.0) * ((stop - start) / 257)[:, None] + start[:, None]
+    steps[:, -1] = stop
+    # 256 candidates plus the conventional rule's a where it is feasible;
+    # the other rows end in a duplicate of their largest candidate, whose
+    # value is masked and whose place stands for hi
+    candidates = np.exp(steps)[:, 1:-1]
+    conventional = DEFAULT_A_RULE(n)
+    seeded = (lo < conventional) & (conventional < hi)
+    grid = np.sort(np.column_stack([candidates, np.where(seeded, conventional, candidates[:, -1])]))
+    kl, dl = k[lanes], d[lanes]
 
-    ``descending=True`` means g goes + -> - left to right (the lower endpoint);
-    otherwise - -> + (the upper endpoint).
-    """
-    for _ in range(200):
-        if hi - lo <= 1e-10 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if (gap(mid) < 0.0) == descending:
-            hi = mid
-        else:
-            lo = mid
-    # return the feasible side so downstream evaluations stay informative
-    return hi if descending else lo
+    def width(a, rows):
+        return _width_multiplier(a, n, alpha, kl[rows], dl[rows])
+
+    values = width(grid, np.broadcast_to(np.arange(lanes.size)[:, None], grid.shape))
+    values[~seeded, -1] = np.inf
+    grid[~seeded, -1] = hi[~seeded]
+    a_star[lanes] = _golden_lanes(width, grid, values, lo, hi, tol=1e-8)[0]
+    return a_star
 
 
 @lru_cache(maxsize=1024)
@@ -555,20 +632,8 @@ def _optimize_a_cached(
     """optimize_a's search; None when no a is feasible, so that failed
     searches are cached too."""
     d = delta_of(delta, n, kurtosis_bound)
-    feasible = feasible_a_interval(n, alpha, kurtosis_bound, delta)
-    if feasible is None:
-        return None
-    a_low, a_high = feasible
-    candidates = np.exp(np.linspace(math.log(a_low), math.log(a_high), 258))[1:-1]
-    conventional = DEFAULT_A_RULE(n)
-    if a_low < conventional < a_high:
-        candidates = np.sort(np.append(candidates, conventional))
-
-    def width(a):
-        return _width_multiplier(a, n, alpha, kurtosis_bound, d)
-
-    a_star, _ = _grid_then_golden(width, candidates, a_low, a_high, tol=1e-8)
-    return a_star
+    a = float(_optimize_lanes(n, alpha, np.array([kurtosis_bound]), np.array([d]))[0])
+    return None if math.isnan(a) else a
 
 
 def optimize_a(
@@ -578,9 +643,9 @@ def optimize_a(
 
     One array evaluation of the width on a 256-point log grid inside
     ``feasible_a_interval`` (plus the conventional 1 + n^(-1/5) when
-    feasible), then scalar golden-section refinement between the best grid
-    point's neighbours to an argument tolerance of 1e-8; the result's width
-    never exceeds that of any grid point.  Results are cached per
+    feasible), then golden-section refinement between the best grid point's
+    neighbours to an argument tolerance of 1e-8; the result's width never
+    exceeds that of any grid point.  Results are cached per
     (n, alpha, K, provider), failed searches included.  Raises
     FeasibilityError when the feasible interval is empty.
     """
@@ -593,6 +658,29 @@ def optimize_a(
     return a
 
 
+def _fixed_a(a_rule: Callable[[int], float], n: int) -> float:
+    a = float(a_rule(n))
+    if not math.isfinite(a) or a <= 1.0:
+        raise ConfigError(f"a_rule({n}) = {a!r}; fixed rules must return a > 1")
+    return a
+
+
+def _alpha_min_lanes(n: int, a_rule: ARule, k: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``alpha_min`` of each lane."""
+    if not isinstance(a_rule, OptimizedRule):
+        value = 2.0 * _tuning_terms(_fixed_a(a_rule, n), n, k, d)[1]
+    else:
+        grid = np.sort(np.append(_SCAN_GRID, DEFAULT_A_RULE(n)))
+        values = 2.0 * _tuning_terms(grid, n, k[:, None], d[:, None])[1]
+
+        def objective(a, lanes):
+            return 2.0 * _tuning_terms(a, n, k[lanes], d[lanes])[1]
+
+        grid = np.broadcast_to(grid, values.shape)
+        value = _golden_lanes(objective, grid, values, 1.0 + 1e-14, 2.0 * grid[0, -1], tol=1e-10)[1]
+    return np.where(value < 1.0, value, 1.0)
+
+
 def alpha_min(
     n: int, kurtosis_bound: float, a_rule: ARule, delta: DeltaProvider
 ) -> float:
@@ -601,24 +689,13 @@ def alpha_min(
     Closed form 2 (1 - Phi(sqrt(n/a)) + delta_n + nu(a)/2) at a fixed rule's
     a; for the optimized rule, the infimum of that expression over a > 1: one
     array evaluation over the scan grid of ``feasible_a_interval`` (plus the
-    conventional 1 + n^(-1/5)), then scalar golden-section refinement between
-    the best point's neighbours to tolerance 1e-10.  Clamped to 1.
+    conventional 1 + n^(-1/5)), then golden-section refinement between the
+    best point's neighbours to tolerance 1e-10.  Clamped to 1.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     d = delta_of(delta, n, kurtosis_bound)
-
-    def objective(a):
-        return 2.0 * _tuning_terms(a, n, kurtosis_bound, d)[1]
-
-    if not isinstance(a_rule, OptimizedRule):
-        a = float(a_rule(n))
-        if not math.isfinite(a) or a <= 1.0:
-            raise ConfigError(f"a_rule({n}) = {a!r}; fixed rules must return a > 1")
-        return min(1.0, float(objective(a)))
-    grid = np.sort(np.append(_SCAN_GRID, DEFAULT_A_RULE(n)))
-    _, value = _grid_then_golden(objective, grid, 1.0 + 1e-14, 2.0 * float(grid[-1]), tol=1e-10)
-    return min(1.0, value)
+    return float(_alpha_min_lanes(n, a_rule, np.array([float(kurtosis_bound)]), np.array([d]))[0])
 
 
 def unknown_variance_width_factor(n: int, cfg: MeanCiConfig) -> float | None:

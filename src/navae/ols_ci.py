@@ -585,15 +585,22 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
             "design second-moment matrix is numerically singular; plug-in "
             "bounds are undefined (lambda_min(S) = 0 means no identification)"
         )
-    rot_sq = _row_sq_norms(x @ psd_sqrt(fit.s_dagger).array)
-    rot_sq2 = rot_sq * rot_sq
-    k_reg = float(np.mean(rot_sq2 - 2.0 * rot_sq + p))
-    # fourth powers as squares of squares: numpy's generic ** 4 on a signed
-    # base costs tens of times as much
-    res_sq = fit.residuals * fit.residuals
-    k_eps = float(np.mean(rot_sq2 * (res_sq * res_sq)))
-    influence = (x @ (fit.s_dagger.array @ np.asarray(u, dtype=float))) * fit.residuals
-    second = float(np.mean(influence * influence))
+    # moments that overflow are a DataError below, not a warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        rot_sq = _row_sq_norms(x @ psd_sqrt(fit.s_dagger).array)
+        rot_sq2 = rot_sq * rot_sq
+        k_reg = float(np.mean(rot_sq2 - 2.0 * rot_sq + p))
+        # fourth powers as squares of squares: numpy's generic ** 4 on a signed
+        # base costs tens of times as much
+        res_sq = fit.residuals * fit.residuals
+        k_eps = float(np.mean(rot_sq2 * (res_sq * res_sq)))
+        influence = (x @ (fit.s_dagger.array @ np.asarray(u, dtype=float))) * fit.residuals
+        second = float(np.mean(influence * influence))
+    if not (math.isfinite(k_reg) and math.isfinite(k_eps)):
+        raise DataError(
+            "plug-in moments K_reg/K_eps overflow: the regressors or residuals are "
+            "too large to take to the fourth power; rescale the data"
+        )
     if second <= 0.0:
         raise DegenerateSampleError(
             "all estimated influence values are zero; K_xi plug-in undefined"

@@ -8,7 +8,9 @@ but finds their last violation by the original exhaustive back-scan.
 The CSV loader oracles are the CLI's original csv.reader + float() row
 loops, kept verbatim.  The coverage-study oracles are the harness's
 original loops: a fresh generator from ``substream`` and one ``interval``
-call (or one OLS fit) per replication.
+call (or one OLS fit) per replication.  The tuning-search oracles run one
+scalar search per (n, alpha, K, delta_n), each point a float through the
+library's kernel, where the library advances many searches at once.
 Tests compare library output against these.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 from navae.cli import _parse_vector
 from navae.dgp_sim import SimReport, _aggregate, substream
 from navae.errors import ConfigError, DataError, UnboundedScanError
-from navae.mean_ci import Sample
+from navae.mean_ci import DEFAULT_A_RULE, Sample, _SCAN_GRID, _tuning_terms, _width_multiplier
 from navae.ols_ci import N_SCAN_CAP, Design, ci_asymp, ci_edg, nu_edg, ols_fit
 
 mp.mp.dps = 50
@@ -359,3 +361,94 @@ def ols_width_means_oracle(dgp, method, n: int, alpha: float, replications: int,
             edg_widths.append(edg_ci.width)
         asymp_widths.append(ci_asymp(design, alpha, fit=fit).width)
     return (float(np.mean(edg_widths)) if edg_widths else None), float(np.mean(asymp_widths))
+
+
+# ---------------------------------------------------------------------------
+# tuning searches, one scalar search at a time
+# ---------------------------------------------------------------------------
+
+
+def _grid_then_golden_oracle(fn, grid, lo, hi, tol):
+    values = fn(grid)
+    best = int(np.argmin(values))
+    a = float(grid[best - 1]) if best > 0 else lo
+    b = float(grid[best + 1]) if best + 1 < grid.size else hi
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x, fx = (c, fc) if fc < fd else (d, fd)
+    if fx <= values[best]:
+        return x, float(fx)
+    return float(grid[best]), float(values[best])
+
+
+def _bisect_oracle(gap, lo, hi, descending):
+    for _ in range(200):
+        if hi - lo <= 1e-10 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if (gap(mid) < 0.0) == descending:
+            hi = mid
+        else:
+            lo = mid
+    return hi if descending else lo
+
+
+def feasible_a_interval_oracle(n: int, alpha: float, k: float, d: float):
+    """feasible_a_interval at delta_n = d, or None."""
+
+    def gap(a):
+        return _tuning_terms(a, n, k, d)[1] - alpha / 2.0
+
+    grid = _SCAN_GRID
+    feasible = np.nonzero(gap(grid) < 0.0)[0]
+    if feasible.size == 0:
+        return None
+    first, last = int(feasible[0]), int(feasible[-1])
+    lo = float(grid[first - 1]) if first > 0 else 1.0 + 1e-14
+    a_low = _bisect_oracle(gap, lo, float(grid[first]), descending=True)
+    if last == grid.size - 1:
+        hi = float(grid[last])
+        while gap(hi) < 0.0:
+            hi *= 2.0
+    else:
+        hi = float(grid[last + 1])
+    return a_low, _bisect_oracle(gap, float(grid[last]), hi, descending=False)
+
+
+def optimize_a_oracle(n: int, alpha: float, k: float, d: float):
+    """optimize_a at delta_n = d, or None where no a is feasible."""
+    feasible = feasible_a_interval_oracle(n, alpha, k, d)
+    if feasible is None:
+        return None
+    a_low, a_high = feasible
+    candidates = np.exp(np.linspace(math.log(a_low), math.log(a_high), 258))[1:-1]
+    conventional = DEFAULT_A_RULE(n)
+    if a_low < conventional < a_high:
+        candidates = np.sort(np.append(candidates, conventional))
+
+    def width(a):
+        return _width_multiplier(a, n, alpha, k, d)
+
+    return _grid_then_golden_oracle(width, candidates, a_low, a_high, tol=1e-8)[0]
+
+
+def alpha_min_oracle(n: int, k: float, d: float) -> float:
+    """alpha_min under the optimized rule at delta_n = d."""
+
+    def objective(a):
+        return 2.0 * _tuning_terms(a, n, k, d)[1]
+
+    grid = np.sort(np.append(_SCAN_GRID, DEFAULT_A_RULE(n)))
+    _, value = _grid_then_golden_oracle(objective, grid, 1.0 + 1e-14, 2.0 * float(grid[-1]), 1e-10)
+    return min(1.0, value)

@@ -229,6 +229,28 @@ def test_overflowing_data_is_a_data_error(in_tmp, capsys, values, method):
     assert not (in_tmp / "mean_ci_report.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["clt", "student", "unknown-variance"])
+def test_underflowing_variance_is_a_data_error(in_tmp, capsys, method):
+    # the squared deviations of data this small underflow to zero: the
+    # interval would have width 0, which cannot cover
+    values = np.random.default_rng(5).exponential(1.0, 20000) * 1e-170
+    path = write(in_tmp / "tiny.csv", "\n".join(repr(float(v)) for v in values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["mean-ci", "--alpha", "0.1", "--method", method, "--K", "9",
+                            "--input", str(path)])
+    assert code == 3
+    assert "underflows the float range" in capsys.readouterr().err
+    assert not (in_tmp / "mean_ci_report.csv").exists()
+    # a constant sample keeps its zero-width interval
+    write(in_tmp / "constant.csv", "1e-170\n" * 20000)
+    assert run_command(["mean-ci", "--alpha", "0.1", "--method", method, "--K", "9",
+                        "--input", str(in_tmp / "constant.csv")]) == 0
+    (row,) = read_report(in_tmp / "mean_ci_report.csv")
+    assert row.lower == row.upper == 1e-170
+    capsys.readouterr()
+
+
 def test_plugin_kurtosis_interval_scales_with_the_data(in_tmp, capsys):
     values = np.random.default_rng(4).exponential(1.0, 5000)
     bounds = []
@@ -286,6 +308,24 @@ def test_ols_ci_command(in_tmp, capsys):
     assert out.count("interval:") == 2
     rows = read_report(in_tmp / "ols_ci_report.csv")
     assert rows[0].method == "edg"
+
+
+def test_overflowing_ols_plug_in_moments_are_a_data_error(in_tmp, capsys):
+    # y * 1e77 fits, but the plug-in K_eps takes residuals to the fourth power
+    path = ols_file(in_tmp, n=300)
+    rows = path.read_text(encoding="utf-8").splitlines()
+    scaled = [rows[0]] + [
+        ",".join([repr(float(y) * 1e77)] + rest)
+        for y, *rest in (row.split(",") for row in rows[1:])
+    ]
+    write(path, "\n".join(scaled) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        code = run_command(["ols-ci", "--input", str(path), "--add-intercept", "--u", "0,0,1",
+                            "--alpha", "0.10", "--k-xi", "9"])
+    assert code == 3
+    assert "K_reg/K_eps overflow" in capsys.readouterr().err
+    assert not (in_tmp / "ols_ci_report.csv").exists()
 
 
 def test_ols_ci_u_mismatch_is_config_error(in_tmp, capsys):
@@ -699,6 +739,21 @@ def test_width_curve_negative_seed_is_a_config_error(tmp_path, method):
     assert done.returncode == 2
     assert "seed must be >= 0, got -1" in done.stderr
     assert not (tmp_path / "width_curve_report.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["unknown-variance", "known-variance"])
+def test_width_curve_rejects_negative_replications(in_tmp, capsys, method):
+    argv = ["width-curve", "--method", method, "--alpha", "0.1", "--K", "9", "--sigma", "1",
+            "--n", "10000"]
+    assert run_command(argv + ["--replications", "-3"]) == 2
+    assert "replications must be >= 0, got -3" in capsys.readouterr().err
+    assert not (in_tmp / "width_curve_report.csv").exists()
+    # zero replications ask for the ratios alone
+    assert run_command(argv + ["--replications", "0"]) == 0
+    (row,) = read_report(in_tmp / "width_curve_report.csv")
+    assert (row.width is None) == (method == "unknown-variance")
+    assert row.ratio is not None
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("n", ["inf", "1e400", "100.7"])

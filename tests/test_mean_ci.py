@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -40,7 +41,14 @@ from navae.mean_ci import (
 from navae.rules import OPTIMIZED, PowerRule
 from navae.specialfn import std_normal_cdf, std_normal_quantile
 
-from oracles import mp_quantile, t_quantile_df1, t_quantile_df2
+from oracles import (
+    alpha_min_oracle,
+    feasible_a_interval_oracle,
+    mp_quantile,
+    optimize_a_oracle,
+    t_quantile_df1,
+    t_quantile_df2,
+)
 
 BE = BerryEsseen()
 FIXED_RULE = PowerRule(1.0, 1.0, -0.2)
@@ -645,3 +653,65 @@ def test_affine_equivariance_property(lam, c):
     b = ci_chebyshev(s2, 0.1, lam * lam * 3.0)
     assert b.lower == pytest.approx(lam * a.lower + c, rel=1e-9, abs=1e-7)
     assert b.upper == pytest.approx(lam * a.upper + c, rel=1e-9, abs=1e-7)
+
+
+def test_tuning_terms_are_the_same_at_a_float_and_an_array():
+    # the searches evaluate single points inside arrays of lanes; a float's
+    # ** 2 (libm pow) and an array's square used to differ in the last ulp
+    a = np.exp(np.random.default_rng(11).uniform(0.0, math.log(1e6), 20_000))
+    a = a[a > 1.0]
+    for n, k, d in ((2000, 9.0, 0.01), (20_000, 3.0, 1e-3), (10**6, 25.0, 1e-4)):
+        nu, excess = mean_ci._tuning_terms(a, n, k, d)
+        for j, x in enumerate(a.tolist()):
+            assert mean_ci._tuning_terms(x, n, k, d) == (nu[j], excess[j])
+            one_nu, one_excess = mean_ci._tuning_terms(np.array([x]), n, k, d)
+            assert (one_nu[0], one_excess[0]) == (nu[j], excess[j])
+
+
+def test_lane_searches_equal_scalar_searches_bit_for_bit():
+    # lanes with different K share every numpy call at one n; each must run
+    # exactly its own scalar search, whether infeasible, seeded with the
+    # conventional a or not, or extended past the top of the scan grid
+    kurtosis = np.array([1.0, 1.7, 3.0, 9.0, 9.0, 25.0, 400.0])
+    seen = set()
+    for n in (2, 100, 2000, 20_000, 10**6, 10**8):
+        d = np.array([delta_of(BE, n, k) for k in kurtosis])
+        for alpha in (0.05, 0.32):
+            lows, highs = mean_ci._feasible_lanes(n, alpha, kurtosis, d)
+            stars = mean_ci._optimize_lanes(n, alpha, kurtosis, d)
+            for j, k in enumerate(kurtosis.tolist()):
+                expected = feasible_a_interval_oracle(n, alpha, k, d[j])
+                assert feasible_a_interval(n, alpha, k, BE) == expected
+                if expected is None:
+                    assert math.isnan(lows[j]) and math.isnan(highs[j]) and math.isnan(stars[j])
+                    seen.add("infeasible")
+                    continue
+                assert (lows[j], highs[j]) == expected
+                assert stars[j] == optimize_a_oracle(n, alpha, k, d[j]) == optimize_a(n, alpha, k, BE)
+                seen.add("extended" if expected[1] > mean_ci._SCAN_GRID[-1] else "inside")
+                conventional = mean_ci.DEFAULT_A_RULE(n)
+                seen.add("seeded" if expected[0] < conventional < expected[1] else "unseeded")
+        amins = mean_ci._alpha_min_lanes(n, OPTIMIZED, kurtosis, d)
+        for j, k in enumerate(kurtosis.tolist()):
+            assert amins[j] == alpha_min_oracle(n, k, d[j]) == alpha_min(n, k, OPTIMIZED, BE)
+    assert seen == {"infeasible", "extended", "inside", "seeded", "unseeded"}
+
+
+@pytest.mark.parametrize("method", ["clt", "student", "unknown-variance"])
+def test_underflowing_sigma_hat_is_a_data_error(method):
+    interval = {
+        "clt": lambda s: ci_clt(s, 0.1),
+        "student": lambda s: ci_student(s, 0.1),
+        "unknown-variance": lambda s: ci_unknown_variance(s, cfg_unknown(0.1)),
+    }[method]
+    values = np.random.default_rng(2).exponential(1.0, 20_000)
+    for scale in (1e-170, 1e-160):  # sigma_hat^2 zero, then subnormal
+        sample = Sample(values * scale)
+        assert sample.sigma_hat_sq < sys.float_info.min
+        with pytest.raises(DataError, match="underflows the float range"):
+            interval(sample)
+    # the known variance does not scale with sigma_hat, and constant samples
+    # keep their zero-width interval
+    assert not ci_known_variance(Sample(values * 1e-170), 1.0, cfg_known(0.1, 1.0)).whole_line
+    for constant in (0.1, 1e-170, 0.0):
+        assert interval(Sample(np.full(20_000, constant))).is_degenerate

@@ -1,8 +1,9 @@
 """The coverage-study engine against the per-replication oracle loop.
 
 The engine computes a cell's Philox keys in one pass, resets one generator
-to each (for the built-in DGPs), and evaluates fixed-rule mean intervals a chunk of replications at
-a time.  None of that may change a draw, a record or an error.
+to each (for the built-in DGPs), evaluates fixed-rule mean intervals a chunk of replications at
+a time, and runs the tuning searches of a plug-in-K slice on lanes.  None of that may change a
+draw, a record or an error.
 """
 
 import math
@@ -32,7 +33,14 @@ from navae.dgp_sim import (
     substream,
     width_curve,
 )
-from navae.errors import ConfigError, DataError, InsufficientDataError, NavaeError
+from navae.errors import (
+    ConfigError,
+    DataError,
+    DegenerateSampleError,
+    DomainError,
+    InsufficientDataError,
+    NavaeError,
+)
 from navae.mean_ci import Sample
 from navae.ols_ci import OlsBounds, OlsTuning, PlugIn
 from navae.rules import OPTIMIZED
@@ -150,6 +158,7 @@ STUDIES = {
             UnknownVarianceMethod(a_rule=OPTIMIZED, track_alpha_min=True),
             UnknownVarianceMethod(kurtosis_bound=None, track_alpha_min=True),
             UnknownVarianceMethod(kurtosis_bound=4.0, track_alpha_min=True),
+            UnknownVarianceMethod(kurtosis_bound=None, a_rule=OPTIMIZED, track_alpha_min=True),
         ),
         n_grid=N_GRID, replications=20, alpha=0.1, base_seed=17,
     ),
@@ -213,6 +222,25 @@ def test_fixed_rule_cells_do_not_call_interval(monkeypatch):
     assert run_coverage_study(spec, workers=2) == run_coverage_study(spec)
     monkeypatch.undo()
     assert run_coverage_study(spec) == coverage_study_oracle(spec)
+
+
+def test_plug_in_cells_do_not_call_interval(monkeypatch):
+    # each slice of a plug-in cell is one lane search over its K values
+    def no_interval(self, sample, alpha):
+        raise AssertionError("interval called")
+
+    methods = (UnknownVarianceMethod(kurtosis_bound=None, a_rule=OPTIMIZED, track_alpha_min=True),
+               UnknownVarianceMethod(kurtosis_bound=None, track_alpha_min=True),
+               UnknownVarianceMethod(kurtosis_bound=None, a_rule=OPTIMIZED, plug_in_inflation=2.0))
+    monkeypatch.setattr(UnknownVarianceMethod, "interval", no_interval)
+    spec = SimStudySpec(dgp=ExponentialMean(), methods=methods, n_grid=(10, 3000, 20000),
+                        replications=30, alpha=0.1, base_seed=1)
+    report = run_coverage_study(spec)
+    assert run_coverage_study(spec, workers=2) == report
+    monkeypatch.undo()
+    assert report == coverage_study_oracle(spec)
+    row = report.row(methods[0].label, 3000)
+    assert 0.0 < row.whole_line_fraction < 1.0  # both bounded and infeasible lanes
 
 
 @pytest.mark.parametrize("method", [EDG, UnknownVarianceMethod(kurtosis_bound=9.0),
@@ -304,6 +332,48 @@ def test_an_overflowing_interval_raises_the_serial_data_error(monkeypatch):
     expected, raised = _errors(spec, monkeypatch)
     assert expected[0] is DataError
     assert raised == [expected] * 6
+
+
+def _constant_when_positive(n, rng):
+    x = rng.standard_normal(n)
+    return np.full(n, 2.0) if x[0] > 0.0 else x
+
+
+def test_a_plug_in_error_raises_the_serial_error(monkeypatch):
+    assert [_first_draw(9, 40, r) > 0.0 for r in range(3)] == [False, False, True]
+    plug_in = UnknownVarianceMethod(kurtosis_bound=None, a_rule=OPTIMIZED, track_alpha_min=True)
+    spec = SimStudySpec(dgp=CustomMeanDgp(draw=_constant_when_positive, target=0.0),
+                        methods=(plug_in,), n_grid=(40,), replications=7, alpha=0.1, base_seed=9)
+    expected, raised = _errors(spec, monkeypatch)
+    assert expected == (DegenerateSampleError, "kurtosis undefined for a zero-variance sample")
+    assert raised == [expected] * 6
+    # a level the searches reject fails at replication 0, as interval does
+    spec = SimStudySpec(dgp=ExponentialMean(), methods=(plug_in,), n_grid=(40,), replications=7,
+                        alpha=0.6, base_seed=4)
+    expected, raised = _errors(spec, monkeypatch)
+    assert expected[0] is DomainError
+    assert raised == [expected] * 6
+
+
+def _tiny(n, rng):
+    # sigma_hat^2 is subnormal, so the plug-in K is still defined
+    return rng.exponential(1.0, n) * 1e-160
+
+
+@pytest.mark.parametrize("method", [CltMethod(), StudentMethod(), UnknownVarianceMethod(kurtosis_bound=9.0),
+                                    UnknownVarianceMethod(kurtosis_bound=None)],
+                         ids=["clt", "student", "unknown-variance", "unknown-variance-plug-in"])
+def test_an_underflowing_sigma_hat_raises_the_serial_data_error(method, monkeypatch):
+    spec = SimStudySpec(dgp=CustomMeanDgp(draw=_tiny, target=1e-160), methods=(method,),
+                        n_grid=(20000,), replications=3, alpha=0.1, base_seed=8)
+    expected, raised = _errors(spec, monkeypatch)
+    assert expected[0] is DataError and "underflows the float range" in expected[1]
+    assert raised == [expected] * 6
+    # the known variance does not scale with sigma_hat: its chunks fall back
+    # to interval, which gives the oracle's records
+    known = SimStudySpec(dgp=spec.dgp, methods=(KnownVarianceMethod(sigma=1e-150, kurtosis_bound=9.0),),
+                         n_grid=(20000,), replications=3, alpha=0.1, base_seed=8)
+    assert run_coverage_study(known) == coverage_study_oracle(known)
 
 
 def _one_value_when_positive(n, rng):
