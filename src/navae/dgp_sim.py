@@ -14,7 +14,7 @@ of replications at once with array arithmetic that gives every interval bit
 for bit as its scalar ``ci_*`` function does, and every error as the serial
 loop raises it.  Unknown variance with a plug-in K computes each
 replication's mean, sigma_hat^2 and K once, then runs the tuning searches
-for a whole slice of replications on lanes (``mean_ci``), one lane per K,
+for a block of up to 64 replications on lanes (``mean_ci``), one lane per K,
 with the same guarantees.  With one worker every replication runs in the
 calling process, in order.  With k > 1, each (method, n) cell's replications are
 cut into k contiguous slices: the calling process runs the first slice of
@@ -46,15 +46,12 @@ from .mean_ci import (
     MeanCiConfig,
     Sample,
     UnknownVariance,
-    _alpha_min_lanes,
     _clt_half_width,
-    _fixed_a,
     _known_variance_half_width,
-    _optimize_lanes,
     _sigma_hat_half_width,
     _student_half_width,
     _unknown_variance_half_width,
-    _width_multiplier,
+    _unknown_variance_lanes,
     alpha_min,
     ci_chebyshev,
     ci_clt,
@@ -359,6 +356,17 @@ class _CellRule(NamedTuple):
     alpha_min: float | None = None
 
 
+class _LaneRule(NamedTuple):
+    """Every interval of a (method, n) cell as mean +/- (sigma_hat/sqrt(n))
+    times a width factor that depends on the sample only through its plug-in
+    kurtosis bound: ``kurtosis(sample)`` is that bound, and ``lanes(bounds)``
+    gives the width factors (+inf for the whole line) and the tracked
+    alpha_mins (or None) of an array of bounds, from one lane search."""
+
+    kurtosis: Callable
+    lanes: Callable
+
+
 class _Method:
     """Shared defaults of the interval methods: a baseline interval for a
     mean, no alpha_min tracked, and no cell rule, so each replication calls
@@ -370,7 +378,7 @@ class _Method:
     def alpha_min_value(self, data) -> float | None:
         return None
 
-    def cell_rule(self, n: int, alpha: float) -> _CellRule | None:
+    def cell_rule(self, n: int, alpha: float) -> _CellRule | _LaneRule | None:
         return None
 
 
@@ -476,26 +484,11 @@ class UnknownVarianceMethod(_Method):
             return None
         return alpha_min(sample.n, self._bound(sample), self.a_rule, self.delta)
 
-    def lane_rule(self, n: int, alpha: float, kurtosis_bounds: np.ndarray) -> tuple:
-        """For plug-in bounds, one per replication: the width factor of each
-        (+inf where the interval is the whole line) and its tracked alpha_min
-        (None when untracked), as ``interval`` and ``alpha_min_value`` give
-        them at that bound, from one lane search over all of them."""
-        deltas = np.array([delta_of(self.delta, n, k) for k in kurtosis_bounds.tolist()])
-        if isinstance(self.a_rule, OptimizedRule):
-            a = _optimize_lanes(n, alpha, kurtosis_bounds, deltas)
-        else:
-            a = np.full(kurtosis_bounds.shape, _fixed_a(self.a_rule, n))
-        # a NaN a (no feasible a) fails the feasibility test: factor +inf
-        factors = _width_multiplier(a, n, alpha, kurtosis_bounds, deltas)
-        if not self.track_alpha_min:
-            return factors, None
-        return factors, _alpha_min_lanes(n, self.a_rule, kurtosis_bounds, deltas)
-
-    def cell_rule(self, n: int, alpha: float) -> _CellRule | None:
-        """None with a plug-in bound, which each sample sets."""
+    def cell_rule(self, n: int, alpha: float) -> _CellRule | _LaneRule:
+        """A lane rule with a plug-in bound, which each sample sets."""
         if self.kurtosis_bound is None:
-            return None
+            return _LaneRule(self._bound, lambda bounds: _unknown_variance_lanes(
+                n, alpha, self.a_rule, self.delta, bounds, self.track_alpha_min))
         half_width = _unknown_variance_half_width(n, self._config(alpha, self.kurtosis_bound))
         if not self.track_alpha_min:
             return _CellRule(half_width)
@@ -620,6 +613,12 @@ def _aggregate(method, n, alpha, records) -> SimReportRow:
 #: into (512 KiB): a chunk is 2**16 // n replications, or one when n is larger.
 _CHUNK_DOUBLES = 1 << 16
 
+#: Doubles per lane in a lane search's largest arrays (its scan grids of
+#: about a thousand points): a lane-rule cell runs one search per block of
+#: _CHUNK_DOUBLES // _LANE_DOUBLES replications (64), so that its arrays, like
+#: a chunk's buffer, do not grow with the replication count.
+_LANE_DOUBLES = 1 << 10
+
 
 def _interval_records(
     spec: SimStudySpec, method_index: int, n: int, streams: _CellStreams, start: int, stop: int
@@ -634,6 +633,22 @@ def _interval_records(
         amin = method.alpha_min_value(data)
         records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
     return records
+
+
+def _centered_records(
+    target: float, means: np.ndarray, half, whole: np.ndarray, alpha_mins: list
+) -> list | None:
+    """Records of the intervals means +/- half (an array or one float), the
+    whole line where ``whole``, with the given alpha_mins; None when a
+    bounded one is not a finite ordered pair: ``interval`` then decides."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = means - half, means + half
+        widths = (upper - lower).tolist()
+    if not (np.isfinite(lower) & np.isfinite(upper) & (lower <= upper) | whole).all():
+        return None
+    covered = ((lower <= target) & (target <= upper) | whole).tolist()
+    return [(c, w, None if w else x, a)
+            for c, w, x, a in zip(covered, whole.tolist(), widths, alpha_mins)]
 
 
 def _chunk_records(dgp, n: int, rule: _CellRule, seeds, buffer: np.ndarray) -> list | None:
@@ -660,47 +675,35 @@ def _chunk_records(dgp, n: int, rule: _CellRule, seeds, buffer: np.ndarray) -> l
         np.multiply(buffer, buffer, out=buffer)
         variances = np.add.reduce(buffer, axis=1) / n
         half = rule.half_width(variances)
-        lower, upper = means - half, means + half
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and (lower <= upper).all()
-            and (variances >= sys.float_info.min).all()):
+    if not (variances >= sys.float_info.min).all():
         return None
-    target = dgp.target
-    covered = ((lower <= target) & (target <= upper)).tolist()
-    return [(c, False, w, rule.alpha_min) for c, w in zip(covered, (upper - lower).tolist())]
+    whole = np.zeros(len(buffer), dtype=bool)
+    return _centered_records(dgp.target, means, half, whole, [rule.alpha_min] * len(buffer))
 
 
-def _lane_records(spec: SimStudySpec, method: UnknownVarianceMethod, n: int, seeds) -> list | None:
-    """Records of a slice of a plug-in unknown-variance cell, one per stream
+def _lane_records(dgp, n: int, rule: _LaneRule, seeds) -> list | None:
+    """Records of a block of replications under a lane rule, one per stream
     seed.  Each replication's mean, sigma_hat^2 and plug-in K are computed
-    once, by the ``Sample`` properties and ``sample_kurtosis`` that
-    ``interval`` calls; one lane search over the slice's K values
-    (``UnknownVarianceMethod.lane_rule``) then gives every width factor and
-    tracked alpha_min, and the intervals take ``interval``'s half-width
-    expression.  None when a sample is not n values long, a sigma_hat^2 or
-    K is outside the normal float range or an interval is not a finite
-    ordered pair: ``interval`` then decides."""
+    once, by the ``Sample`` properties and the rule's ``kurtosis``, which
+    ``interval`` calls too; one lane search over the block's K values then
+    gives every width factor and tracked alpha_min, and the intervals take
+    ``interval``'s half-width expression.  None when a sample is not n
+    values long, a sigma_hat^2 or K is outside the normal float range or an
+    interval is not a finite ordered pair: ``interval`` then decides."""
     moments = []
     for seed in seeds:
-        sample = spec.dgp.sample(n, seed)
+        sample = dgp.sample(n, seed)
         variance = sample.sigma_hat_sq
         if sample.n != n or not sys.float_info.min <= variance < math.inf:
             return None
-        moments.append((sample.mean, variance, method._bound(sample)))
+        moments.append((sample.mean, variance, rule.kurtosis(sample)))
     means, variances, bounds = np.array(moments).T
     if not np.isfinite(bounds).all():
         return None
-    factors, alpha_mins = method.lane_rule(n, spec.alpha, bounds)
-    bounded = np.isfinite(factors)
-    half = _sigma_hat_half_width(n, factors[bounded])(variances[bounded])
-    lower, upper = means[bounded] - half, means[bounded] + half
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and (lower <= upper).all()):
-        return None
-    target = spec.dgp.target
-    covered, widths = [True] * len(means), [None] * len(means)
-    for j, lo, hi in zip(np.nonzero(bounded)[0].tolist(), lower.tolist(), upper.tolist()):
-        covered[j], widths[j] = lo <= target <= hi, hi - lo
+    factors, alpha_mins = rule.lanes(bounds)
+    half = _sigma_hat_half_width(n, factors)(variances)
     alpha_mins = [None] * len(means) if alpha_mins is None else alpha_mins.tolist()
-    return list(zip(covered, (~bounded).tolist(), widths, alpha_mins))
+    return _centered_records(dgp.target, means, half, np.isinf(factors), alpha_mins)
 
 
 def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudySpec) -> list:
@@ -709,41 +712,39 @@ def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudyS
 
     Replication r draws from the stream ``substream(base_seed, method_index,
     n, r)`` seeds, for the built-in DGPs through one generator reset to
-    each key (``_CellStreams``).  A plug-in unknown-variance method runs
-    the slice through ``_lane_records``, one lane search for all its
-    replications.  A method with a cell rule (the fixed-tuning mean
-    intervals) runs in chunks of at most ``_CHUNK_DOUBLES`` drawn values,
-    each evaluated by array arithmetic that equals ``interval``'s bit for
-    bit.  If the rule or anything in a slice or chunk raises, or it has a
-    value that ``_lane_records`` or ``_chunk_records`` leaves to
-    ``interval``, those replications run again one ``interval`` call each,
-    in order, so any error raised is the one the serial loop raises first.
+    each key (``_CellStreams``).  A method with a cell rule (the fixed-tuning
+    mean intervals) runs in chunks of at most ``_CHUNK_DOUBLES`` drawn
+    values, each evaluated by array arithmetic that equals ``interval``'s
+    bit for bit; one with a lane rule (unknown variance with a plug-in K)
+    runs in blocks of ``_CHUNK_DOUBLES // _LANE_DOUBLES`` replications, one
+    lane search each (``_lane_records``).  If the rule or anything in a
+    chunk or block raises, or it has a value that ``_chunk_records`` or
+    ``_lane_records`` leaves to ``interval``, those replications run again
+    one ``interval`` call each, in order, so any error raised is the one
+    the serial loop raises first.
     """
     method = spec.methods[method_index]
     streams = _CellStreams(spec.dgp, spec.base_seed, method_index, n, start, stop)
-    if isinstance(method, UnknownVarianceMethod) and method.kurtosis_bound is None:
-        try:
-            records = _lane_records(spec, method, n, map(streams.seed, range(start, stop)))
-        except Exception:  # the rerun raises it again, or an earlier error
-            records = None
-        if records is None:
-            records = _interval_records(spec, method_index, n, streams, start, stop)
-        return records
     try:
         rule = method.cell_rule(n, spec.alpha)
     except Exception:  # interval raises it again, after its replication's draw
         rule = None
     if rule is None:
         return _interval_records(spec, method_index, n, streams, start, stop)
-    rows = max(1, _CHUNK_DOUBLES // n)
-    buffer = np.empty((min(rows, stop - start), n))
+    if isinstance(rule, _LaneRule):
+        rows, buffer = max(1, _CHUNK_DOUBLES // _LANE_DOUBLES), None
+    else:
+        rows = max(1, _CHUNK_DOUBLES // n)
+        buffer = np.empty((min(rows, stop - start), n))
     records = []
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
+        seeds = map(streams.seed, range(lo, hi))
         try:
-            chunk = _chunk_records(
-                spec.dgp, n, rule, map(streams.seed, range(lo, hi)), buffer[: hi - lo]
-            )
+            if buffer is None:
+                chunk = _lane_records(spec.dgp, n, rule, seeds)
+            else:
+                chunk = _chunk_records(spec.dgp, n, rule, seeds, buffer[: hi - lo])
         except Exception:  # the rerun raises it again, or an earlier error
             chunk = None
         if chunk is None:

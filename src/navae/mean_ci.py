@@ -713,6 +713,23 @@ def unknown_variance_width_factor(n: int, cfg: MeanCiConfig) -> float | None:
     return None if math.isinf(w) else w
 
 
+def _unknown_variance_lanes(
+    n: int, alpha: float, a_rule: ARule, delta: DeltaProvider, k: np.ndarray, track: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """For an array of kurtosis bounds K >= 1 at sample size n, one lane
+    search over all of them: each K's ``unknown_variance_width_factor``
+    (+inf where it is None) and, when ``track``, its ``alpha_min`` (else
+    None), bit for bit as the one-K functions give them."""
+    d = np.array([delta_of(delta, n, kl) for kl in k.tolist()])
+    if isinstance(a_rule, OptimizedRule):
+        a = _optimize_lanes(n, alpha, k, d)
+    else:
+        a = np.full(k.shape, _fixed_a(a_rule, n))
+    # a NaN a (no feasible a) fails the feasibility test: factor +inf
+    factors = _width_multiplier(a, n, alpha, k, d)
+    return factors, _alpha_min_lanes(n, a_rule, k, d) if track else None
+
+
 def _fourth_moment_ratio(x: np.ndarray, second_sq: float) -> float:
     """mean(x^4) / second_sq, a kurtosis, with second_sq the caller's rounding
     of mean(x^2)^2 > 0 (+inf when it overflows).  Outside the normal float

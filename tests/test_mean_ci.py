@@ -697,6 +697,19 @@ def test_lane_searches_equal_scalar_searches_bit_for_bit():
     assert seen == {"infeasible", "extended", "inside", "seeded", "unseeded"}
 
 
+@pytest.mark.parametrize("a_rule", [OPTIMIZED, mean_ci.DEFAULT_A_RULE], ids=["optimized", "fixed"])
+def test_unknown_variance_lanes_equal_the_one_k_functions(a_rule):
+    kurtosis = np.array([1.0, 2.5, 9.0, 40.0, 400.0])
+    for n in (100, 3000, 20_000):
+        factors, amins = mean_ci._unknown_variance_lanes(n, 0.1, a_rule, BE, kurtosis, True)
+        assert mean_ci._unknown_variance_lanes(n, 0.1, a_rule, BE, kurtosis, False)[1] is None
+        for j, k in enumerate(kurtosis.tolist()):
+            cfg = MeanCiConfig(alpha=0.1, kurtosis_bound=k, delta=BE, a_rule=a_rule)
+            factor = unknown_variance_width_factor(n, cfg)
+            assert factors[j] == (math.inf if factor is None else factor)
+            assert amins[j] == alpha_min(n, k, a_rule, BE)
+
+
 @pytest.mark.parametrize("method", ["clt", "student", "unknown-variance"])
 def test_underflowing_sigma_hat_is_a_data_error(method):
     interval = {

@@ -243,6 +243,26 @@ def test_plug_in_cells_do_not_call_interval(monkeypatch):
     assert 0.0 < row.whole_line_fraction < 1.0  # both bounded and infeasible lanes
 
 
+def test_plug_in_slices_search_in_blocks_of_64_lanes(monkeypatch):
+    # a lane search's arrays grow with its lanes, so a slice runs in blocks
+    sizes = []
+    search = dgp_sim._unknown_variance_lanes
+
+    def recording(n, alpha, a_rule, delta, k, track):
+        sizes.append(k.size)
+        return search(n, alpha, a_rule, delta, k, track)
+
+    monkeypatch.setattr(dgp_sim, "_unknown_variance_lanes", recording)
+    method = UnknownVarianceMethod(kurtosis_bound=None, a_rule=OPTIMIZED, track_alpha_min=True)
+    spec = SimStudySpec(dgp=ExponentialMean(), methods=(method,), n_grid=(3000,), replications=150,
+                        alpha=0.1, base_seed=6)
+    assert run_coverage_study(spec) == coverage_study_oracle(spec)
+    assert sizes == [64, 64, 22]
+    sizes.clear()
+    assert run_coverage_study(spec, workers=2) == coverage_study_oracle(spec)
+    assert sizes == [64, 11]  # the calling process's slice; the child's is not seen here
+
+
 @pytest.mark.parametrize("method", [EDG, UnknownVarianceMethod(kurtosis_bound=9.0),
                                     KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0)],
                          ids=["edg", "unknown-variance", "known-variance"])
