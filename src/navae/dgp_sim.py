@@ -8,19 +8,21 @@ of a whole cell in one pass and resets one generator to each key, which
 draws exactly what a generator built from ``substream`` draws; any other
 DGP (``CustomMeanDgp`` included) is given the ``substream`` seed sequence
 itself, so a draw that spawns child generators or reads the generator's
-seed sequence sees that replication's own.  Fixed-tuning mean methods (CLT,
-Student, known variance, unknown variance with a fixed K) evaluate a chunk
-of replications at once with array arithmetic that gives every interval bit
-for bit as its scalar ``ci_*`` function does, and every error as the serial
-loop raises it.  Unknown variance with a plug-in K computes each
-replication's mean, sigma_hat^2 and K once, then runs the tuning searches
-for a block of up to 64 replications on lanes (``mean_ci``), one lane per K,
-with the same guarantees.  With one worker every replication runs in the
-calling process, in order.  With k > 1, each (method, n) cell's replications are
-cut into k contiguous slices: the calling process runs the first slice of
-every cell and k - 1 children forked from it run the others; the slices are
-joined back in replication order before any row is computed.  Where the
-platform cannot fork, studies run serially at any worker count.
+seed sequence sees that replication's own.  The CLT, Student, known- and
+unknown-variance methods have a cell rule: a slice of replications is drawn
+a chunk at a time into one buffer and reduced to per-replication means,
+sigma_hat^2 and, for a plug-in K, fourth moments, from which the rule gives
+every interval of the slice with array arithmetic, bit for bit as the
+scalar ``ci_*`` function does; a plug-in K's tuning searches run on lanes
+(``mean_ci``), one lane per K, up to 64 at a time.  A slice with a value
+the arrays cannot settle runs again one ``interval`` call per replication,
+so every error is the one the serial loop raises.  With one worker every
+replication runs in the calling process, in order.  With k > 1, each
+(method, n) cell's replications are cut into k contiguous slices: the
+calling process runs the first slice of every cell and k - 1 children
+forked from it run the others; the slices are joined back in replication
+order before any row is computed.  Where the platform cannot fork, studies
+run serially at any worker count.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .mean_ci import (
     UnknownVariance,
     _clt_half_width,
     _known_variance_half_width,
+    _plug_in_kurtosis,
     _sigma_hat_half_width,
     _student_half_width,
     _unknown_variance_half_width,
@@ -348,23 +351,23 @@ _RESET_DGPS = (ExponentialMean, GumbelHeteroLinear)
 
 
 class _CellRule(NamedTuple):
-    """Every interval of a (method, n) cell as mean +/- half_width(sigma_hat^2),
-    with ``half_width`` None when each is the whole line; ``alpha_min`` is the
-    alpha_min tracked for every replication, or None."""
+    """Every interval of a (method, n) cell as mean +/- a half-width that
+    depends on the sample only through its sigma_hat^2 and, when
+    ``inflation`` is not None, its plug-in kurtosis bound K with that
+    inflation (``mean_ci._plug_in_kurtosis``).  ``intervals(sigma_hat_sq,
+    k)`` maps a slice's arrays of them (k None without a plug-in) to the
+    half-widths, NaN where an interval is the whole line, and the tracked
+    alpha_mins: an array, or one value for every replication."""
 
-    half_width: Callable | None
-    alpha_min: float | None = None
+    intervals: Callable
+    inflation: float | None = None
 
 
-class _LaneRule(NamedTuple):
-    """Every interval of a (method, n) cell as mean +/- (sigma_hat/sqrt(n))
-    times a width factor that depends on the sample only through its plug-in
-    kurtosis bound: ``kurtosis(sample)`` is that bound, and ``lanes(bounds)``
-    gives the width factors (+inf for the whole line) and the tracked
-    alpha_mins (or None) of an array of bounds, from one lane search."""
-
-    kurtosis: Callable
-    lanes: Callable
+def _fixed_rule(half_width: Callable | None, alpha_min: float | None = None) -> _CellRule:
+    """The rule of a cell whose intervals are mean +/- half_width(sigma_hat^2),
+    or the whole line when ``half_width`` is None, with one alpha_min."""
+    return _CellRule(lambda sigma_hat_sq, k: (
+        math.nan if half_width is None else half_width(sigma_hat_sq), alpha_min))
 
 
 class _Method:
@@ -378,7 +381,7 @@ class _Method:
     def alpha_min_value(self, data) -> float | None:
         return None
 
-    def cell_rule(self, n: int, alpha: float) -> _CellRule | _LaneRule | None:
+    def cell_rule(self, n: int, alpha: float) -> _CellRule | None:
         return None
 
 
@@ -390,7 +393,7 @@ class CltMethod(_Method):
         return ci_clt(sample, alpha)
 
     def cell_rule(self, n: int, alpha: float) -> _CellRule:
-        return _CellRule(_clt_half_width(n, alpha))
+        return _fixed_rule(_clt_half_width(n, alpha))
 
 
 @dataclass(frozen=True)
@@ -401,7 +404,7 @@ class StudentMethod(_Method):
         return ci_student(sample, alpha)
 
     def cell_rule(self, n: int, alpha: float) -> _CellRule:
-        return _CellRule(_student_half_width(n, alpha))
+        return _fixed_rule(_student_half_width(n, alpha))
 
 
 @dataclass(frozen=True)
@@ -443,7 +446,7 @@ class KnownVarianceMethod(_Method):
         return ci_known_variance(sample, self.sigma, self._config(alpha))
 
     def cell_rule(self, n: int, alpha: float) -> _CellRule:
-        return _CellRule(_known_variance_half_width(n, self.sigma, self._config(alpha)))
+        return _fixed_rule(_known_variance_half_width(n, self.sigma, self._config(alpha)))
 
 
 @dataclass(frozen=True)
@@ -465,7 +468,7 @@ class UnknownVarianceMethod(_Method):
     def _bound(self, sample: Sample) -> float:
         if self.kurtosis_bound is not None:
             return self.kurtosis_bound
-        return max(1.0, sample_kurtosis(sample, self.plug_in_inflation))
+        return sample_kurtosis(sample, self.plug_in_inflation)
 
     def _config(self, alpha: float, kurtosis_bound: float) -> MeanCiConfig:
         return MeanCiConfig(
@@ -484,15 +487,25 @@ class UnknownVarianceMethod(_Method):
             return None
         return alpha_min(sample.n, self._bound(sample), self.a_rule, self.delta)
 
-    def cell_rule(self, n: int, alpha: float) -> _CellRule | _LaneRule:
-        """A lane rule with a plug-in bound, which each sample sets."""
+    def cell_rule(self, n: int, alpha: float) -> _CellRule:
         if self.kurtosis_bound is None:
-            return _LaneRule(self._bound, lambda bounds: _unknown_variance_lanes(
-                n, alpha, self.a_rule, self.delta, bounds, self.track_alpha_min))
+            return _CellRule(lambda sigma_hat_sq, k: self._plug_in_intervals(n, alpha, sigma_hat_sq, k),
+                             inflation=self.plug_in_inflation)
         half_width = _unknown_variance_half_width(n, self._config(alpha, self.kurtosis_bound))
-        if not self.track_alpha_min:
-            return _CellRule(half_width)
-        return _CellRule(half_width, alpha_min(n, self.kurtosis_bound, self.a_rule, self.delta))
+        amin = alpha_min(n, self.kurtosis_bound, self.a_rule, self.delta) if self.track_alpha_min else None
+        return _fixed_rule(half_width, amin)
+
+    def _plug_in_intervals(self, n: int, alpha: float, sigma_hat_sq: np.ndarray, k: np.ndarray):
+        """A plug-in rule's half-widths and alpha_mins: one lane search per
+        block of at most ``_CHUNK_DOUBLES // _LANE_DOUBLES`` K values, so that
+        its arrays do not grow with the slice."""
+        block = max(1, _CHUNK_DOUBLES // _LANE_DOUBLES)
+        searches = [_unknown_variance_lanes(n, alpha, self.a_rule, self.delta, k[lo : lo + block],
+                                            self.track_alpha_min) for lo in range(0, k.size, block)]
+        factors = np.concatenate([factor for factor, _ in searches])
+        half = _sigma_hat_half_width(n, factors)(sigma_hat_sq)
+        half[np.isinf(factors)] = math.nan
+        return half, np.concatenate([amin for _, amin in searches]) if self.track_alpha_min else None
 
 
 @dataclass(frozen=True)
@@ -609,14 +622,14 @@ def _aggregate(method, n, alpha, records) -> SimReportRow:
     )
 
 
-#: Doubles in the buffer that one chunk of a cell-rule cell's draws is copied
+#: Doubles in the buffer that one chunk of a cell-rule slice's draws is copied
 #: into (512 KiB): a chunk is 2**16 // n replications, or one when n is larger.
 _CHUNK_DOUBLES = 1 << 16
 
 #: Doubles per lane in a lane search's largest arrays (its scan grids of
-#: about a thousand points): a lane-rule cell runs one search per block of
-#: _CHUNK_DOUBLES // _LANE_DOUBLES replications (64), so that its arrays, like
-#: a chunk's buffer, do not grow with the replication count.
+#: about a thousand points): a plug-in rule runs one search per block of
+#: _CHUNK_DOUBLES // _LANE_DOUBLES K values (64), so that its arrays, like a
+#: chunk's buffer, do not grow with the replication count.
 _LANE_DOUBLES = 1 << 10
 
 
@@ -635,75 +648,60 @@ def _interval_records(
     return records
 
 
-def _centered_records(
-    target: float, means: np.ndarray, half, whole: np.ndarray, alpha_mins: list
-) -> list | None:
-    """Records of the intervals means +/- half (an array or one float), the
-    whole line where ``whole``, with the given alpha_mins; None when a
-    bounded one is not a finite ordered pair: ``interval`` then decides."""
+def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int) -> list | None:
+    """Records of replications ``start`` to ``stop - 1`` under a cell rule.
+
+    The draws pass through a buffer of at most ``_CHUNK_DOUBLES`` values, a
+    chunk of replications at a time, and are reduced to per-replication
+    means, sigma_hat^2 and, for a plug-in rule, fourth moments of the
+    deviations: ``np.add.reduce(..., axis=1) / n`` of the values, their
+    squared deviations and the squares of those, which equal ``Sample.mean``,
+    ``Sample.sigma_hat_sq`` and the m4 of ``sample_kurtosis`` bit for bit.
+    The rule then gives the slice's half-widths at once, by the expressions
+    ``interval`` evaluates too.  None when a sample is not n values long, a
+    sigma_hat^2 is below the normal float range, a K is outside
+    ``_plug_in_kurtosis``'s direct form or an interval is not a finite
+    ordered pair: ``interval`` then decides.
+    """
+    count = stop - start
+    rows = max(1, _CHUNK_DOUBLES // n)
+    buffer = np.empty((min(rows, count), n))
+    moments = np.empty((2 if rule.inflation is None else 3, count))
+    for lo in range(0, count, rows):
+        chunk = buffer[: min(rows, count - lo)]
+        for j in range(len(chunk)):
+            values = dgp.sample(n, streams.seed(start + lo + j)).values
+            if values.size != n:
+                return None
+            chunk[j] = values
+        # an overflow here sends the slice to interval, which raises its DataError
+        with np.errstate(over="ignore", invalid="ignore"):
+            means, *powers = moments[:, lo : lo + len(chunk)]
+            np.divide(np.add.reduce(chunk, axis=1), n, out=means)
+            np.subtract(chunk, means[:, None], out=chunk)
+            for power in powers:  # sigma_hat^2, then m4
+                np.multiply(chunk, chunk, out=chunk)
+                np.divide(np.add.reduce(chunk, axis=1), n, out=power)
+    means, variances, *fourths = moments
+    if not (variances >= sys.float_info.min).all():
+        return None
+    k = None
+    if fourths:
+        with np.errstate(over="ignore"):
+            k = _plug_in_kurtosis(fourths[0], variances * variances, n, rule.inflation)
+        if not np.isfinite(k).all():
+            return None
+    half, alpha_mins = rule.intervals(variances, k)
+    whole = np.broadcast_to(np.isnan(half), (count,))
     with np.errstate(over="ignore", invalid="ignore"):
         lower, upper = means - half, means + half
         widths = (upper - lower).tolist()
     if not (np.isfinite(lower) & np.isfinite(upper) & (lower <= upper) | whole).all():
         return None
-    covered = ((lower <= target) & (target <= upper) | whole).tolist()
+    covered = ((lower <= dgp.target) & (dgp.target <= upper) | whole).tolist()
+    alpha_mins = alpha_mins.tolist() if isinstance(alpha_mins, np.ndarray) else [alpha_mins] * count
     return [(c, w, None if w else x, a)
             for c, w, x, a in zip(covered, whole.tolist(), widths, alpha_mins)]
-
-
-def _chunk_records(dgp, n: int, rule: _CellRule, seeds, buffer: np.ndarray) -> list | None:
-    """Records of one chunk of replications under a cell rule, one row of
-    ``buffer`` per stream seed.  Row means and sigma_hat^2 are
-    ``np.add.reduce(..., axis=1) / n``, which equals ``Sample.mean`` and
-    ``Sample.sigma_hat_sq`` bit for bit, and the intervals take the rule's
-    half-width expression, which ``interval`` evaluates too.  None when a
-    sample is not n values long, a sigma_hat^2 is below the normal float
-    range or an interval is not a finite ordered pair: ``interval`` then
-    decides."""
-    for j, seed in enumerate(seeds):
-        values = dgp.sample(n, seed).values
-        if values.size != n:
-            return None
-        if rule.half_width is not None:
-            buffer[j] = values
-    if rule.half_width is None:
-        return [(True, True, None, rule.alpha_min)] * len(buffer)
-    # an overflow here sends the chunk to interval, which raises its DataError
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = np.add.reduce(buffer, axis=1) / n
-        np.subtract(buffer, means[:, None], out=buffer)
-        np.multiply(buffer, buffer, out=buffer)
-        variances = np.add.reduce(buffer, axis=1) / n
-        half = rule.half_width(variances)
-    if not (variances >= sys.float_info.min).all():
-        return None
-    whole = np.zeros(len(buffer), dtype=bool)
-    return _centered_records(dgp.target, means, half, whole, [rule.alpha_min] * len(buffer))
-
-
-def _lane_records(dgp, n: int, rule: _LaneRule, seeds) -> list | None:
-    """Records of a block of replications under a lane rule, one per stream
-    seed.  Each replication's mean, sigma_hat^2 and plug-in K are computed
-    once, by the ``Sample`` properties and the rule's ``kurtosis``, which
-    ``interval`` calls too; one lane search over the block's K values then
-    gives every width factor and tracked alpha_min, and the intervals take
-    ``interval``'s half-width expression.  None when a sample is not n
-    values long, a sigma_hat^2 or K is outside the normal float range or an
-    interval is not a finite ordered pair: ``interval`` then decides."""
-    moments = []
-    for seed in seeds:
-        sample = dgp.sample(n, seed)
-        variance = sample.sigma_hat_sq
-        if sample.n != n or not sys.float_info.min <= variance < math.inf:
-            return None
-        moments.append((sample.mean, variance, rule.kurtosis(sample)))
-    means, variances, bounds = np.array(moments).T
-    if not np.isfinite(bounds).all():
-        return None
-    factors, alpha_mins = rule.lanes(bounds)
-    half = _sigma_hat_half_width(n, factors)(variances)
-    alpha_mins = [None] * len(means) if alpha_mins is None else alpha_mins.tolist()
-    return _centered_records(dgp.target, means, half, np.isinf(factors), alpha_mins)
 
 
 def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudySpec) -> list:
@@ -712,44 +710,22 @@ def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudyS
 
     Replication r draws from the stream ``substream(base_seed, method_index,
     n, r)`` seeds, for the built-in DGPs through one generator reset to
-    each key (``_CellStreams``).  A method with a cell rule (the fixed-tuning
-    mean intervals) runs in chunks of at most ``_CHUNK_DOUBLES`` drawn
-    values, each evaluated by array arithmetic that equals ``interval``'s
-    bit for bit; one with a lane rule (unknown variance with a plug-in K)
-    runs in blocks of ``_CHUNK_DOUBLES // _LANE_DOUBLES`` replications, one
-    lane search each (``_lane_records``).  If the rule or anything in a
-    chunk or block raises, or it has a value that ``_chunk_records`` or
-    ``_lane_records`` leaves to ``interval``, those replications run again
-    one ``interval`` call each, in order, so any error raised is the one
-    the serial loop raises first.
+    each key (``_CellStreams``).  A method with a cell rule (the CLT,
+    Student, known- and unknown-variance intervals) evaluates the whole
+    slice by array arithmetic that equals ``interval``'s bit for bit
+    (``_rule_records``).  If the rule or anything in the slice raises, or
+    it has a value that ``_rule_records`` leaves to ``interval``, the whole
+    slice runs again one ``interval`` call each, in order, so any error
+    raised is the one the serial loop raises first.
     """
-    method = spec.methods[method_index]
     streams = _CellStreams(spec.dgp, spec.base_seed, method_index, n, start, stop)
     try:
-        rule = method.cell_rule(n, spec.alpha)
-    except Exception:  # interval raises it again, after its replication's draw
-        rule = None
-    if rule is None:
-        return _interval_records(spec, method_index, n, streams, start, stop)
-    if isinstance(rule, _LaneRule):
-        rows, buffer = max(1, _CHUNK_DOUBLES // _LANE_DOUBLES), None
-    else:
-        rows = max(1, _CHUNK_DOUBLES // n)
-        buffer = np.empty((min(rows, stop - start), n))
-    records = []
-    for lo in range(start, stop, rows):
-        hi = min(lo + rows, stop)
-        seeds = map(streams.seed, range(lo, hi))
-        try:
-            if buffer is None:
-                chunk = _lane_records(spec.dgp, n, rule, seeds)
-            else:
-                chunk = _chunk_records(spec.dgp, n, rule, seeds, buffer[: hi - lo])
-        except Exception:  # the rerun raises it again, or an earlier error
-            chunk = None
-        if chunk is None:
-            chunk = _interval_records(spec, method_index, n, streams, lo, hi)
-        records += chunk
+        rule = spec.methods[method_index].cell_rule(n, spec.alpha)
+        records = None if rule is None else _rule_records(spec.dgp, n, rule, streams, start, stop)
+    except Exception:  # the rerun raises it again, or an earlier error
+        records = None
+    if records is None:
+        records = _interval_records(spec, method_index, n, streams, start, stop)
     return records
 
 

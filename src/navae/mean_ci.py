@@ -730,36 +730,47 @@ def _unknown_variance_lanes(
     return factors, _alpha_min_lanes(n, a_rule, k, d) if track else None
 
 
-def _fourth_moment_ratio(x: np.ndarray, second_sq: float) -> float:
-    """mean(x^4) / second_sq, a kurtosis, with second_sq the caller's rounding
-    of mean(x^2)^2 > 0 (+inf when it overflows).  Outside the normal float
-    range x is first divided by max|x|, which leaves the ratio unchanged;
-    inside it the direct form runs.  A DataError if x has overflowed."""
+def _plug_in_kurtosis(fourth, second_sq, n: int, inflation: float):
+    """The plug-in kurtosis bound max(1, (m4 / sigma_hat^4)(1 + M/sqrt(n))) of n
+    centred values, from fourth = m4 and second_sq = sigma_hat^4, at floats or
+    arrays alike (a kurtosis is >= 1; the max absorbs last-ulp rounding).  NaN
+    where fourth is not finite or second_sq is outside the normal float range,
+    where the quotient is inaccurate (``_deviation_kurtosis`` rescales there)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.maximum(np.divide(fourth, second_sq) * (1.0 + inflation / math.sqrt(n)), 1.0)
+    direct = np.isfinite(fourth) & (second_sq >= sys.float_info.min) & (second_sq < math.inf)
+    return np.where(direct, k, math.nan)
+
+
+def _deviation_kurtosis(x: np.ndarray, second_sq: float, inflation: float = 0.0) -> float:
+    """``_plug_in_kurtosis`` of the deviations x, with second_sq the caller's
+    rounding of mean(x^2)^2 > 0 (+inf when it overflows).  Outside the normal
+    float range x is first divided by max|x|, which leaves the ratio
+    unchanged.  A DataError if x has overflowed."""
     with np.errstate(over="ignore"):
         # squaring twice avoids numpy's generic float power (about 40x slower)
         sq = x * x
-        fourth = float(np.mean(sq * sq))
-    if math.isfinite(fourth) and sys.float_info.min <= second_sq < math.inf:
-        return fourth / second_sq
+        k = float(_plug_in_kurtosis(float(np.mean(sq * sq)), second_sq, x.size, inflation))
+    if not math.isnan(k):
+        return k
     scale = float(np.max(np.abs(x)))
     if not math.isfinite(scale):
         raise DataError("fourth moment overflows: the deviations are too large to standardise")
-    z = x / scale
-    z_sq = z * z
-    return float(np.mean(z_sq * z_sq)) / float(np.mean(z_sq)) ** 2
+    z_sq = np.square(x / scale)
+    fourth, second = float(np.mean(z_sq * z_sq)), float(np.mean(z_sq))
+    return float(_plug_in_kurtosis(fourth, second**2, x.size, inflation))
 
 
 def sample_kurtosis(sample: Sample, inflation: float = 0.0) -> float:
-    """Plug-in kurtosis m4 / sigma_hat^4, optionally inflated by (1 + M/sqrt(n)).
+    """Plug-in kurtosis bound max(1, (m4 / sigma_hat^4)(1 + M/sqrt(n))), M >= 0.
 
     The inflation multiplier trades tightness for robustness of the plug-in;
     the default 0 reproduces the raw estimate, which does not depend on the
-    scale of the data (``_fourth_moment_ratio``).
+    scale of the data (``_deviation_kurtosis``).
     """
     if inflation < 0.0:
         raise DomainError(f"inflation must be >= 0, got {inflation!r}")
     var = sample.sigma_hat_sq
     if var <= 0.0:
         raise DegenerateSampleError("kurtosis undefined for a zero-variance sample")
-    k = _fourth_moment_ratio(sample.values - sample.mean, var * var)
-    return k * (1.0 + inflation / math.sqrt(sample.n))
+    return _deviation_kurtosis(sample.values - sample.mean, var * var, inflation)

@@ -45,7 +45,7 @@ from .errors import (
     UnboundedScanError,
 )
 from .linalg import SymMatrix, psd_sqrt, pseudo_inverse, sym_eigen
-from .mean_ci import ConfidenceInterval, _check_alpha, _fourth_moment_ratio
+from .mean_ci import ConfidenceInterval, _check_alpha, _deviation_kurtosis
 from .rules import PowerRule
 from .specialfn import std_normal_quantile
 
@@ -164,14 +164,19 @@ def ols_fit(design: Design) -> OlsFit:
     # Design has checked x, but x'x can still overflow: _built rejects that
     s = SymMatrix._built(x.T @ x / n)
     s_dagger = pseudo_inverse(s)
-    beta = s_dagger.array @ (x.T @ y / n)
-    residuals = y - x @ beta
-    res_sq = residuals * residuals
-    norm_sq = _row_sq_norms(x)
-    m4 = float(np.mean(norm_sq * norm_sq))
-    m31 = float(np.mean(norm_sq * np.sqrt(norm_sq) * np.abs(residuals)))
-    m_xe2 = float(np.mean(norm_sq * res_sq))
-    mid = (x * res_sq[:, None]).T @ x / n
+    # a response that overflows here is the DataError below; m4 and m31 of
+    # large but finite regressors may still be +inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = s_dagger.array @ (x.T @ y / n)
+        residuals = y - x @ beta
+        res_sq = residuals * residuals
+        norm_sq = _row_sq_norms(x)
+        m4 = float(np.mean(norm_sq * norm_sq))
+        m31 = float(np.mean(norm_sq * np.sqrt(norm_sq) * np.abs(residuals)))
+        m_xe2 = float(np.mean(norm_sq * res_sq))
+        mid = (x * res_sq[:, None]).T @ x / n
+    if not math.isfinite(m_xe2):
+        raise DataError("OLS fit overflows: the squared residuals are too large; rescale the response")
     v_hat = SymMatrix(s_dagger.array @ mid @ s_dagger.array)
     t4 = float(np.linalg.norm(mid @ s_dagger.array, 2))
     residuals = residuals.copy()
@@ -605,9 +610,8 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
         raise DegenerateSampleError(
             "all estimated influence values are zero; K_xi plug-in undefined"
         )
-    # >= 1 by Jensen; the max only absorbs last-ulp rounding.  A float's **
-    # raises OverflowError past sqrt(max float), where the ratio rescales.
-    k_xi = max(1.0, _fourth_moment_ratio(influence, second**2 if second < 1e154 else math.inf))
+    # a float's ** raises OverflowError past sqrt(max float), where the ratio rescales
+    k_xi = _deviation_kurtosis(influence, second**2 if second < 1e154 else math.inf)
     mult = 1.0 + inflation / math.sqrt(n)
     return OlsBounds(
         lambda_reg=lam_min / mult,

@@ -311,21 +311,23 @@ def test_ols_ci_command(in_tmp, capsys):
 
 
 def test_overflowing_ols_plug_in_moments_are_a_data_error(in_tmp, capsys):
-    # y * 1e77 fits, but the plug-in K_eps takes residuals to the fourth power
-    path = ols_file(in_tmp, n=300)
-    rows = path.read_text(encoding="utf-8").splitlines()
-    scaled = [rows[0]] + [
-        ",".join([repr(float(y) * 1e77)] + rest)
-        for y, *rest in (row.split(",") for row in rows[1:])
-    ]
-    write(path, "\n".join(scaled) + "\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
-        code = run_command(["ols-ci", "--input", str(path), "--add-intercept", "--u", "0,0,1",
-                            "--alpha", "0.10", "--k-xi", "9"])
-    assert code == 3
-    assert "K_reg/K_eps overflow" in capsys.readouterr().err
-    assert not (in_tmp / "ols_ci_report.csv").exists()
+    # y * 1e77 fits, but the plug-in K_eps takes residuals to the fourth
+    # power; at y * 1e200 the fit's own squared residuals overflow
+    rows = ols_file(in_tmp, n=300).read_text(encoding="utf-8").splitlines()
+    for scale, message in [(1e77, "K_reg/K_eps overflow"), (1e200, "squared residuals are too large")]:
+        path = in_tmp / f"scaled_{scale:g}.csv"
+        scaled = [rows[0]] + [
+            ",".join([repr(float(y) * scale)] + rest)
+            for y, *rest in (row.split(",") for row in rows[1:])
+        ]
+        write(path, "\n".join(scaled) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            code = run_command(["ols-ci", "--input", str(path), "--add-intercept", "--u", "0,0,1",
+                                "--alpha", "0.10", "--k-xi", "9"])
+        assert code == 3, scale
+        assert message in capsys.readouterr().err
+        assert not (in_tmp / "ols_ci_report.csv").exists()
 
 
 def test_ols_ci_u_mismatch_is_config_error(in_tmp, capsys):

@@ -512,6 +512,16 @@ def test_ols_fit_rejects_overflowing_second_moment():
             ols_fit(design)
 
 
+def test_ols_fit_rejects_overflowing_squared_residuals_without_a_warning():
+    # y * 1e200 fits, but its squared residuals and the sandwich middle do not
+    design = simulated_design(300, 4)
+    for scale in (1e200, -1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            with pytest.raises(DataError, match="OLS fit overflows: the squared residuals"):
+                ols_fit(Design(x=design.x, y=design.y * scale, u=design.u))
+
+
 def test_plug_in_intercept_only_k_reg_zero():
     rng = np.random.default_rng(9)
     y = rng.exponential(1.0, 50)

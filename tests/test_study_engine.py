@@ -1,9 +1,9 @@
 """The coverage-study engine against the per-replication oracle loop.
 
 The engine computes a cell's Philox keys in one pass, resets one generator
-to each (for the built-in DGPs), evaluates fixed-rule mean intervals a chunk of replications at
-a time, and runs the tuning searches of a plug-in-K slice on lanes.  None of that may change a
-draw, a record or an error.
+to each (for the built-in DGPs), evaluates the mean intervals of a whole slice from
+per-replication moments drawn through a chunk buffer, and runs the tuning searches of a
+plug-in-K slice on lanes.  None of that may change a draw, a record or an error.
 """
 
 import math
@@ -195,18 +195,24 @@ def test_study_equals_the_oracle_loop(name, chunk, monkeypatch):
         assert run_coverage_study(spec, workers=workers) == expected
 
 
-@pytest.mark.parametrize("method", [CltMethod(), StudentMethod(), UnknownVarianceMethod(kurtosis_bound=2.0)],
-                         ids=["clt", "student", "unknown-variance"])
+@pytest.mark.parametrize("method", [
+    CltMethod(),
+    StudentMethod(),
+    UnknownVarianceMethod(kurtosis_bound=2.0),
+    UnknownVarianceMethod(kurtosis_bound=None, track_alpha_min=True),
+    UnknownVarianceMethod(kurtosis_bound=None, a_rule=OPTIMIZED, track_alpha_min=True),
+    UnknownVarianceMethod(kurtosis_bound=None, plug_in_inflation=2.0),
+], ids=["clt", "student", "unknown-variance", "plug-in", "plug-in-optimized", "plug-in-inflated"])
 def test_chunk_records_equal_the_oracle_records_bit_for_bit(method, monkeypatch):
     monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", 1 << 10)
+    monkeypatch.setattr(dgp_sim, "_LANE_DOUBLES", 1 << 4)  # plug-in lane blocks stay 64 wide
     for n_grid, replications in [(tuple(range(2, 40)), 40), ((100, 1000, 65536, 65537, 100_000), 3)]:
         spec = SimStudySpec(dgp=ExponentialMean(), methods=(method,), n_grid=n_grid,
                             replications=replications, alpha=0.2, base_seed=29)
         for n in n_grid:
-            assert _run_slice(0, n, 0, replications, spec) == replication_records_oracle(spec, 0, n)
-            assert _run_slice(0, n, 7 % replications, replications, spec) == (
-                replication_records_oracle(spec, 0, n)[7 % replications:]
-            )
+            expected = replication_records_oracle(spec, 0, n)
+            assert _run_slice(0, n, 0, replications, spec) == expected
+            assert _run_slice(0, n, 7 % replications, replications, spec) == expected[7 % replications:]
 
 
 def test_fixed_rule_cells_do_not_call_interval(monkeypatch):
@@ -261,6 +267,37 @@ def test_plug_in_slices_search_in_blocks_of_64_lanes(monkeypatch):
     sizes.clear()
     assert run_coverage_study(spec, workers=2) == coverage_study_oracle(spec)
     assert sizes == [64, 11]  # the calling process's slice; the child's is not seen here
+
+
+def _exponential_scaled_by(scale):
+    return CustomMeanDgp(draw=lambda n, rng: rng.exponential(1.0, n) * scale, target=scale)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-79, 1e-100], ids=["1e100", "1e-79", "1e-100"])
+def test_plug_in_k_that_needs_rescaling_runs_through_interval(scale, monkeypatch):
+    # sigma_hat^4 leaves the normal float range (at 1e-79 it is subnormal, and
+    # m4 / sigma_hat^4 is finite but inexact), so only sample_kurtosis's
+    # rescaled form gives K: every slice is handed to interval
+    methods = (UnknownVarianceMethod(kurtosis_bound=None, track_alpha_min=True),
+               UnknownVarianceMethod(kurtosis_bound=None, a_rule=OPTIMIZED, plug_in_inflation=2.0))
+    spec = SimStudySpec(dgp=_exponential_scaled_by(scale), methods=methods, n_grid=(40, 20000),
+                        replications=12, alpha=0.1, base_seed=21)
+    expected = coverage_study_oracle(spec)
+    assert expected.row(methods[0].label, 20000).whole_line_fraction == 0.0
+    calls = []
+    interval = UnknownVarianceMethod.interval
+
+    def counting(self, sample, alpha):
+        calls.append(sample.n)
+        return interval(self, sample, alpha)
+
+    monkeypatch.setattr(UnknownVarianceMethod, "interval", counting)
+    assert run_coverage_study(spec) == expected
+    assert len(calls) == 2 * 2 * 12
+    for chunk in (1 << 16, 64):
+        monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
+        for workers in (1, 2, 3):
+            assert run_coverage_study(spec, workers=workers) == expected
 
 
 @pytest.mark.parametrize("method", [EDG, UnknownVarianceMethod(kurtosis_bound=9.0),
