@@ -20,20 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from .dgp_sim import (
+    BOUND_KEYS,
+    METHOD_KEYS,
     ExponentialMean,
     GumbelHeteroLinear,
-    OlsEdgMethod,
     method_from_config,
     run_coverage_study,
     study_from_config,
     width_curve,
 )
-from .edgeworth import DeltaProvider, provider_from_string
 from .errors import ConfigError, DataError, DomainError, NavaeError
 from .mean_ci import ConfidenceInterval, Sample, alpha_min, feasible_a_interval
-from .ols_ci import Design, OlsBounds, OlsTuning, PlugIn, ci_asymp, n_zero
+from .ols_ci import Design, n_zero
 from .report import ReportRow, row_as_dict, write_report, write_summary
-from .rules import OptimizedRule, parse_rule
 
 __all__ = ["load_mean_csv", "load_ols_csv", "run_command", "main"]
 
@@ -207,10 +206,20 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return tuple(int(n) for n in values)
 
 
-def _warn_uncertified(provider: DeltaProvider) -> None:
-    if not provider.certified:
+def _bound_flag(text: str) -> float | str:
+    """A bound flag's text as the config value it spells: the number
+    ``float`` reads, else the text, with any case of 'plugin' read as
+    'plugin'."""
+    try:
+        return float(text)
+    except ValueError:
+        return "plugin" if text.strip().lower() == "plugin" else text
+
+
+def _warn_uncertified(method) -> None:
+    if method.navae and not method.delta.certified:
         print(
-            f"UNCERTIFIED-DELTA: provider {provider.label!r} omits remainder "
+            f"UNCERTIFIED-DELTA: provider {method.delta.label!r} omits remainder "
             "terms; the finite-sample validity guarantee does not apply"
         )
 
@@ -271,51 +280,37 @@ def _interval_row(ci: ConfidenceInterval, n: int, alpha: float) -> ReportRow:
     )
 
 
-#: The ``simulate`` config keys each mean method takes from the flags; each
-#: flag's dest is its key, and a flag left unset is required.
-_MEAN_METHOD_FLAGS = {
-    "known-variance": ("sigma", "K", "delta"),
-    "unknown-variance": ("K", "delta", "a_rule", "inflation"),
-    "chebyshev": ("var_bound",),
-    "hoeffding": ("support",),
-}
+def _flag_value(args, key: str):
+    """The config value of ``key`` that the flags spell, None if unset."""
+    if key == "bounds":
+        return {bound: getattr(args, bound) for bound in BOUND_KEYS}
+    value = getattr(args, key, None)
+    if key == "support" and value is not None:
+        return _parse_vector(value).tolist()
+    return value
 
 
-def _mean_method(args):
-    """The mean method ``mean-ci`` or ``width-curve`` flags select, built by
-    ``method_from_config`` as a ``simulate`` config entry would be."""
-    config = {"name": args.method}
-    for key in _MEAN_METHOD_FLAGS.get(args.method, ()):
-        value = getattr(args, key)
-        if value is None:
-            raise ConfigError(f"--{key.replace('_', '-')} is required for {args.method}")
-        config[key] = _parse_vector(value).tolist() if key == "support" else value
-    return method_from_config(config)
-
-
-def _edg_tuning(args, a_rule_flag: str, delta: DeltaProvider | None = None) -> OlsTuning:
-    """The OLS tuning of the ``--omega-rule`` flag, the a_n rule flag named
-    ``a_rule_flag`` and ``delta``, parsed from ``--delta`` when None."""
-    a_rule = getattr(args, a_rule_flag.replace("-", "_"))
-    return OlsTuning(omega_rule=_explicit_rule(args.omega_rule, "omega-rule"),
-                     a_rule=_explicit_rule(a_rule, a_rule_flag),
-                     delta=provider_from_string(args.delta) if delta is None else delta)
-
-
-def _edg_method(args, a_rule_flag: str) -> OlsEdgMethod:
-    """The ``edg`` method the ``ols-ci`` or ``width-curve`` flags select."""
-    bounds = OlsBounds(**{
-        name: _bound_from_flag(getattr(args, name), name.replace("_", "-"), args.inflation)
-        for name in ("lambda_reg", "k_reg", "k_eps", "k_xi")
-    })
-    return OlsEdgMethod(bounds, _edg_tuning(args, a_rule_flag))
+def _method(args, name: str | None = None):
+    """The interval method ``name`` (default ``--method``) that the flags
+    select, built by ``method_from_config`` as a ``simulate`` config entry
+    would be.  A flag left unset keeps its key's default; a required key,
+    and ``--K``, must be set."""
+    name = name or args.method
+    required, optional = METHOD_KEYS[name]
+    config = {"name": name}
+    for key in (*required, *optional):
+        value = _flag_value(args, key)
+        if value is not None:
+            config[key] = value
+        elif key in required or key == "K":
+            raise ConfigError(f"--{key.replace('_', '-')} is required for {name}")
+    return method_from_config(config, getattr(args, "inflation", 0.0))
 
 
 def _cmd_mean_ci(args) -> int:
     sample = load_mean_csv(args.input)
-    method = _mean_method(args)
-    if method.navae:
-        _warn_uncertified(method.delta)
+    method = _method(args)
+    _warn_uncertified(method)
     ci = method.interval(sample, args.alpha)
     _print_interval(ci)
     rows = [_interval_row(ci, sample.n, args.alpha)]
@@ -324,23 +319,11 @@ def _cmd_mean_ci(args) -> int:
     return 0
 
 
-def _bound_from_flag(text: str, name: str, inflation: float) -> float | PlugIn:
-    if text.strip().lower() == "plugin":
-        return PlugIn(inflation)
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"--{name} must be a number or 'plugin', got {text!r}") from exc
-
-
 def _cmd_ols_ci(args) -> int:
     design = load_ols_csv(args.input, args.add_intercept, args.u)
-    if args.method == "asymp":
-        ci = ci_asymp(design, args.alpha)
-    else:
-        method = _edg_method(args, "a-rule")
-        _warn_uncertified(method.delta)
-        ci = method.interval(design, args.alpha)
+    method = _method(args)
+    _warn_uncertified(method)
+    ci = method.interval(design, args.alpha)
     _print_interval(ci)
     rows = [_interval_row(ci, design.n, args.alpha)]
     _emit(args, "ols-ci", rows, {"input": str(args.input), "method": args.method,
@@ -348,47 +331,28 @@ def _cmd_ols_ci(args) -> int:
     return 0
 
 
-def _explicit_rule(text: str, flag: str):
-    rule = parse_rule(text)
-    if isinstance(rule, OptimizedRule):
-        raise ConfigError(f"--{flag} must be an explicit formula, not 'optimized'")
-    return rule
-
-
 def _cmd_feasibility(args) -> int:
-    delta = provider_from_string(args.delta)
+    # each mode keeps the tuning defaults of the method it serves
+    method = _method(args, "edg" if args.mode == "n-zero" else "unknown-variance")
     rows: list[ReportRow] = []
     if args.mode == "alpha-min":
-        a_rule = parse_rule(args.a_rule)
         for n in _parse_n_list(args.n):
-            value = alpha_min(n, args.K, a_rule, delta)
+            value = alpha_min(n, args.K, method.a_rule, method.delta)
             rows.append(ReportRow(method="alpha-min", n=n, alpha_min=value))
             print(f"alpha_min(n={n}, K={args.K}) = {value!r}")
     elif args.mode == "a-interval":
         if args.alpha is None:
             raise ConfigError("--alpha is required for a-interval mode")
         for n in _parse_n_list(args.n):
-            interval = feasible_a_interval(n, args.alpha, args.K, delta)
-            if interval is None:
-                rows.append(ReportRow(method="a-interval", n=n, alpha=args.alpha))
-                print(f"I_n(n={n}) = empty")
-            else:
-                rows.append(
-                    ReportRow(
-                        method="a-interval",
-                        n=n,
-                        alpha=args.alpha,
-                        a_lower=interval[0],
-                        a_upper=interval[1],
-                    )
-                )
-                print(f"I_n(n={n}) = ({interval[0]!r}, {interval[1]!r})")
+            interval = feasible_a_interval(n, args.alpha, args.K, method.delta)
+            lower, upper = interval or (None, None)
+            rows.append(ReportRow(method="a-interval", n=n, alpha=args.alpha, a_lower=lower,
+                                  a_upper=upper))
+            print(f"I_n(n={n}) = " + ("empty" if interval is None else f"({lower!r}, {upper!r})"))
     else:  # n-zero
         if args.alpha is None:
             raise ConfigError("--alpha is required for n-zero mode")
-        tuning = _edg_tuning(args, "a-rule", delta)
-        bounds = OlsBounds(lambda_reg=1.0, k_reg=args.k_reg, k_eps=1.0, k_xi=args.k_xi)
-        value = n_zero(args.alpha, tuning, bounds)
+        value = n_zero(args.alpha, method.tuning, method.bounds)
         rows.append(ReportRow(method="n-zero", alpha=args.alpha, n_zero=value))
         print(f"n_zero = {value}")
     _emit(args, "feasibility", rows, {"mode": args.mode})
@@ -405,8 +369,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
     study = study_from_config(config)
     for method in study.methods:
-        if getattr(method, "navae", False):
-            _warn_uncertified(method.delta)
+        _warn_uncertified(method)
     report = run_coverage_study(study, workers=args.workers)
     rows = [
         ReportRow(
@@ -433,14 +396,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_width_curve(args) -> int:
-    if args.method == "edg":
-        method = _edg_method(args, "a-rule-ols")
-        dgp = GumbelHeteroLinear(u=tuple(float(v) for v in _parse_vector(args.u)))
-    else:
-        method = _mean_method(args)
-        dgp = ExponentialMean()
-    if method.navae:
-        _warn_uncertified(method.delta)
+    method = _method(args)
+    _warn_uncertified(method)
+    dgp = (GumbelHeteroLinear(u=tuple(float(v) for v in _parse_vector(args.u)))
+           if method.family == "ols" else ExponentialMean())
     curve = width_curve(
         dgp,
         method,
@@ -459,6 +418,18 @@ def _cmd_width_curve(args) -> int:
     return 0
 
 
+def _add_edg_flags(parser, k_xi: float | str = "plugin") -> None:
+    """The edg bound flags, plug-in by default but for ``--k-xi`` (``k_xi``),
+    ``--inflation``, ``--omega-rule`` and ``--delta``."""
+    for bound in BOUND_KEYS:
+        parser.add_argument(f"--{bound.replace('_', '-')}", type=_bound_flag,
+                            default=k_xi if bound == "k_xi" else "plugin",
+                            help="a number or 'plugin'")
+    parser.add_argument("--inflation", type=float, default=0.0)
+    parser.add_argument("--omega-rule", dest="omega_rule")
+    parser.add_argument("--delta", help="delta provider spec")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="navae",
@@ -466,6 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # tuning flags default to None: the method keeps the library's default
     mean = sub.add_parser("mean-ci", help="confidence interval for a scalar mean")
     mean.add_argument("--input", required=True, help="CSV with one numeric column")
     mean.add_argument("--alpha", type=float, required=True)
@@ -475,8 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["clt", "student", "chebyshev", "hoeffding", "known-variance", "unknown-variance"],
     )
     mean.add_argument("--K", default=None, help="kurtosis bound, a number or 'plugin'")
-    mean.add_argument("--delta", default="be", help="delta provider spec")
-    mean.add_argument("--a-rule", dest="a_rule", default="1+n^-0.2")
+    mean.add_argument("--delta", help="delta provider spec")
+    mean.add_argument("--a-rule", dest="a_rule")
     mean.add_argument("--sigma", type=float, default=None, help="known standard deviation")
     mean.add_argument("--var-bound", dest="var_bound", type=float, default=None)
     mean.add_argument("--support", default=None, help="a,b support for hoeffding")
@@ -490,14 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ols.add_argument("--add-intercept", dest="add_intercept", action="store_true")
     ols.add_argument("--alpha", type=float, required=True)
     ols.add_argument("--method", default="edg", choices=["asymp", "edg"])
-    ols.add_argument("--lambda-reg", dest="lambda_reg", default="plugin")
-    ols.add_argument("--k-reg", dest="k_reg", default="plugin")
-    ols.add_argument("--k-eps", dest="k_eps", default="plugin")
-    ols.add_argument("--k-xi", dest="k_xi", default="plugin")
-    ols.add_argument("--inflation", type=float, default=0.0)
-    ols.add_argument("--omega-rule", dest="omega_rule", default="n^-1/5")
-    ols.add_argument("--a-rule", dest="a_rule", default="1+20*n^-2/5")
-    ols.add_argument("--delta", default="be")
+    _add_edg_flags(ols)
+    ols.add_argument("--a-rule", dest="a_rule")
     ols.add_argument("--output", default=None)
     ols.set_defaults(handler=_cmd_ols_ci)
 
@@ -506,13 +472,15 @@ def _build_parser() -> argparse.ArgumentParser:
     feas.add_argument("--K", type=float, default=9.0)
     feas.add_argument("--alpha", type=float, default=None)
     feas.add_argument("--n", default="1000")
-    feas.add_argument("--a-rule", dest="a_rule", default="1+n^-0.2")
-    feas.add_argument("--omega-rule", dest="omega_rule", default="n^-1/5")
+    feas.add_argument("--a-rule", dest="a_rule", help="default: the unknown-variance rule, "
+                      "or the edg rule in n-zero mode")
+    feas.add_argument("--omega-rule", dest="omega_rule")
     feas.add_argument("--k-reg", dest="k_reg", type=float, default=1.0)
     feas.add_argument("--k-xi", dest="k_xi", type=float, default=9.0)
-    feas.add_argument("--delta", default="be")
+    feas.add_argument("--delta")
     feas.add_argument("--output", default=None)
-    feas.set_defaults(handler=_cmd_feasibility)
+    # n_zero reads only K_reg and K_xi of the edg bounds
+    feas.set_defaults(handler=_cmd_feasibility, lambda_reg=1.0, k_eps=1.0)
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage study from JSON config")
     sim.add_argument("--config", required=True)
@@ -533,17 +501,10 @@ def _build_parser() -> argparse.ArgumentParser:
     wc.add_argument("--alpha", type=float, required=True)
     wc.add_argument("--n", required=True, help="comma-separated n grid")
     wc.add_argument("--K", default=None)
-    wc.add_argument("--delta", default="be")
     wc.add_argument("--sigma", type=float, default=None)
-    wc.add_argument("--a-rule", dest="a_rule", default="1+n^-0.2")
+    wc.add_argument("--a-rule", "--a-rule-ols", dest="a_rule", help="the a_n rule of --method")
     wc.add_argument("--u", default="0,0,1")
-    wc.add_argument("--lambda-reg", dest="lambda_reg", default="plugin")
-    wc.add_argument("--k-reg", dest="k_reg", default="plugin")
-    wc.add_argument("--k-eps", dest="k_eps", default="plugin")
-    wc.add_argument("--k-xi", dest="k_xi", default="9")
-    wc.add_argument("--inflation", type=float, default=0.0)
-    wc.add_argument("--omega-rule", dest="omega_rule", default="n^-1/5")
-    wc.add_argument("--a-rule-ols", dest="a_rule_ols", default="1+20*n^-2/5")
+    _add_edg_flags(wc, k_xi=9.0)
     wc.add_argument("--replications", "-M", type=int, default=0)
     wc.add_argument("--seed", type=int, default=0)
     wc.add_argument("--output", default=None)

@@ -66,6 +66,8 @@ from .mean_ci import (
     unknown_variance_width_factor,
 )
 from .ols_ci import (
+    DEFAULT_OLS_A_RULE,
+    DEFAULT_OMEGA_RULE,
     Design,
     OlsBounds,
     OlsTuning,
@@ -74,7 +76,7 @@ from .ols_ci import (
     ci_edg,
     ols_fit,
 )
-from .rules import OptimizedRule, format_rule, parse_rule
+from .rules import OptimizedRule, PowerRule, format_rule, parse_rule
 from .specialfn import std_normal_quantile
 
 __all__ = [
@@ -100,6 +102,8 @@ __all__ = [
     "width_curve",
     "substream",
     "dgp_from_config",
+    "METHOD_KEYS",
+    "BOUND_KEYS",
     "method_from_config",
     "study_from_config",
 ]
@@ -945,7 +949,7 @@ def _section(value, what: str) -> dict:
     return dict(value)
 
 
-def _take(config: dict, *, required: dict, optional: dict, what: str) -> dict:
+def _take(config: dict, *, required: tuple, optional: dict, what: str) -> dict:
     unknown = set(config) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {what} config")
@@ -989,8 +993,10 @@ def _seed(value) -> int:
 
 
 def _delta(value) -> DeltaProvider:
-    """The delta provider a config string names; a non-string is a
-    ``ConfigError``."""
+    """The delta provider a config string names, or a default provider
+    itself; any other value is a ``ConfigError``."""
+    if isinstance(value, DeltaProvider):
+        return value
     if not isinstance(value, str):
         raise ConfigError(f"delta must be a provider string such as 'be', got {value!r}")
     return provider_from_string(value)
@@ -1007,11 +1013,11 @@ def dgp_from_config(config: dict):
     cfg = _section(config, "DGP")
     kind = cfg.pop("kind", None)
     if kind == "exponential-mean":
-        values = _take(cfg, required={}, optional={"rate": 1.0}, what="exponential-mean")
+        values = _take(cfg, required=(), optional={"rate": 1.0}, what="exponential-mean")
         return ExponentialMean(rate=_number(values["rate"], "rate"))
     if kind == "gumbel-hetero-linear":
         values = _take(
-            cfg, required={}, optional={"u": (0.0, 0.0, 1.0)}, what="gumbel-hetero-linear"
+            cfg, required=(), optional={"u": (0.0, 0.0, 1.0)}, what="gumbel-hetero-linear"
         )
         u = values["u"]
         if not isinstance(u, (list, tuple)):
@@ -1020,107 +1026,96 @@ def dgp_from_config(config: dict):
     raise ConfigError(f"unknown DGP kind {kind!r}")
 
 
-def _bound_spec(value, name: str) -> float | PlugIn:
+#: The config keys of each method: the required ones, and the optional ones
+#: with their defaults, the library's own.  ``method_from_config`` takes its
+#: keys from here and the command line its flags.  An edg ``bounds`` object
+#: holds the four ``BOUND_KEYS``.
+METHOD_KEYS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "clt": ((), {}),
+    "student": ((), {}),
+    "chebyshev": (("var_bound",), {}),
+    "hoeffding": (("support",), {}),
+    "known-variance": (("sigma", "K"), {"delta": BerryEsseen()}),
+    "unknown-variance": ((), {"K": UnknownVarianceMethod.kurtosis_bound,
+                              "delta": BerryEsseen(), "a_rule": DEFAULT_A_RULE,
+                              "inflation": 0.0, "track_alpha_min": False}),
+    "asymp": ((), {}),
+    "edg": (("bounds",), {"delta": BerryEsseen(), "omega_rule": DEFAULT_OMEGA_RULE,
+                          "a_rule": DEFAULT_OLS_A_RULE}),
+}
+BOUND_KEYS = ("lambda_reg", "k_reg", "k_eps", "k_xi")
+
+
+def _bound_spec(value, name: str, inflation: float = 0.0) -> float | PlugIn:
+    """An edg bound: a number, or 'plugin' for the estimate from the data
+    inflated by ``inflation``."""
+    if value == "plugin":
+        return PlugIn(inflation)
     if isinstance(value, str):
-        if value == "plugin":
-            return PlugIn()
-        raise ConfigError(f"bound must be a number or 'plugin', got {value!r}")
+        raise ConfigError(f"{name} must be a number or 'plugin', got {value!r}")
     return _number(value, name)
 
 
-def method_from_config(config: dict):
+def _rule(value, name: str, explicit: bool = False) -> ARule:
+    """A tuning rule: the one a config string spells, or a default rule
+    itself.  ``explicit`` rules out 'optimized', which edg cannot search."""
+    rule = value if isinstance(value, (PowerRule, OptimizedRule)) else parse_rule(str(value))
+    if explicit and isinstance(rule, OptimizedRule):
+        raise ConfigError(f"edg {name} must be an explicit formula, not 'optimized'")
+    return rule
+
+
+def method_from_config(config: dict, inflation: float = 0.0):
+    """The interval method a config entry names, with the keys ``METHOD_KEYS``
+    lists for it.  ``inflation`` inflates the edg bounds tagged 'plugin'; it
+    comes from ``--inflation`` on the command line, and a config entry has
+    no key for it."""
     cfg = _section(config, "method")
     name = cfg.pop("name", None)
+    if not isinstance(name, str) or name not in METHOD_KEYS:
+        raise ConfigError(f"unknown method name {name!r}")
+    required, optional = METHOD_KEYS[name]
+    values = _take(cfg, required=required, optional=optional, what=name)
     if name == "clt":
-        _take(cfg, required={}, optional={}, what="clt")
         return CltMethod()
     if name == "student":
-        _take(cfg, required={}, optional={}, what="student")
         return StudentMethod()
+    if name == "asymp":
+        return OlsAsympMethod()
     if name == "chebyshev":
-        values = _take(cfg, required={"var_bound": None}, optional={}, what="chebyshev")
         return ChebyshevMethod(var_bound=_number(values["var_bound"], "var_bound"))
     if name == "hoeffding":
-        values = _take(cfg, required={"support": None}, optional={}, what="hoeffding")
         support = values["support"]
         if not isinstance(support, (list, tuple)) or len(support) != 2:
             raise ConfigError(f"hoeffding support must be two numbers [a, b], got {support!r}")
-        return HoeffdingMethod(
-            support_lower=_number(support[0], "support entry"),
-            support_upper=_number(support[1], "support entry"),
-        )
+        return HoeffdingMethod(*(_number(end, "support entry") for end in support))
     if name == "known-variance":
-        values = _take(
-            cfg,
-            required={"sigma": None, "K": None},
-            optional={"delta": "be"},
-            what="known-variance",
-        )
-        return KnownVarianceMethod(
-            sigma=_number(values["sigma"], "sigma"),
-            kurtosis_bound=_number(values["K"], "K"),
-            delta=_delta(values["delta"]),
-        )
+        return KnownVarianceMethod(sigma=_number(values["sigma"], "sigma"),
+                                   kurtosis_bound=_number(values["K"], "K"),
+                                   delta=_delta(values["delta"]))
     if name == "unknown-variance":
-        values = _take(
-            cfg,
-            required={},
-            optional={
-                "K": 9.0,
-                "delta": "be",
-                "a_rule": "1+n^-0.2",
-                "inflation": 0.0,
-                "track_alpha_min": False,
-            },
-            what="unknown-variance",
-        )
-        kurt = None if values["K"] == "plugin" else _number(values["K"], "K")
         return UnknownVarianceMethod(
-            kurtosis_bound=kurt,
+            kurtosis_bound=None if values["K"] == "plugin" else _number(values["K"], "K"),
             delta=_delta(values["delta"]),
-            a_rule=parse_rule(str(values["a_rule"])),
+            a_rule=_rule(values["a_rule"], "a_rule"),
             plug_in_inflation=_number(values["inflation"], "inflation"),
             track_alpha_min=_flag(values["track_alpha_min"], "track_alpha_min"),
         )
-    if name == "asymp":
-        _take(cfg, required={}, optional={}, what="asymp")
-        return OlsAsympMethod()
-    if name == "edg":
-        values = _take(
-            cfg,
-            required={"bounds": None},
-            optional={
-                "delta": "be",
-                "omega_rule": "n^-1/5",
-                "a_rule": "1+20*n^-2/5",
-            },
-            what="edg",
-        )
-        bounds_cfg = _take(
-            _section(values["bounds"], "edg bounds"),
-            required={"lambda_reg": None, "k_reg": None, "k_eps": None, "k_xi": None},
-            optional={},
-            what="edg bounds",
-        )
-        bounds = OlsBounds(**{name: _bound_spec(value, name) for name, value in bounds_cfg.items()})
-        omega_rule = parse_rule(str(values["omega_rule"]))
-        a_rule = parse_rule(str(values["a_rule"]))
-        if isinstance(omega_rule, OptimizedRule) or isinstance(a_rule, OptimizedRule):
-            raise ConfigError("edg tuning rules must be explicit formulas")
-        tuning = OlsTuning(
-            omega_rule=omega_rule,
-            a_rule=a_rule,
-            delta=_delta(values["delta"]),
-        )
-        return OlsEdgMethod(bounds=bounds, tuning=tuning)
-    raise ConfigError(f"unknown method name {name!r}")
+    bounds = _take(_section(values["bounds"], "edg bounds"), required=BOUND_KEYS, optional={},
+                   what="edg bounds")
+    return OlsEdgMethod(
+        bounds=OlsBounds(**{key: _bound_spec(bounds[key], key, inflation) for key in BOUND_KEYS}),
+        tuning=OlsTuning(omega_rule=_rule(values["omega_rule"], "omega_rule", explicit=True),
+                         a_rule=_rule(values["a_rule"], "a_rule", explicit=True),
+                         delta=_delta(values["delta"])),
+    )
 
 
 def study_from_config(config: dict) -> SimStudySpec:
     """Build a study from the JSON document schema; unknown keys rejected."""
     values = _take(
         _section(config, "simulation study"),
-        required={"dgp": None, "methods": None, "n": None, "alpha": None, "replications": None},
+        required=("dgp", "methods", "n", "alpha", "replications"),
         optional={"seed": 0},
         what="simulation study",
     )

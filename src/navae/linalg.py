@@ -105,17 +105,15 @@ def spectral_norm(m: SymMatrix | np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
-def pseudo_inverse(m: SymMatrix | np.ndarray, rtol: float | None = None) -> SymMatrix:
+def pseudo_inverse(m: SymMatrix | np.ndarray) -> SymMatrix:
     """Moore-Penrose pseudo-inverse via the eigendecomposition.
 
-    Eigenvalues with |lambda| <= rtol * max|lambda| are treated as zero; the
-    default rtol is p * machine epsilon, the usual cutoff for rank decisions.
+    Eigenvalues with |lambda| <= p * machine epsilon * max|lambda|, the usual
+    cutoff for rank decisions, are treated as zero.
     """
     sym = _as_sym(m)
     values, vectors = sym_eigen(sym)
-    if rtol is None:
-        rtol = sym.dim * np.finfo(float).eps
-    cutoff = rtol * float(np.max(np.abs(values))) if values.size else 0.0
+    cutoff = sym.dim * np.finfo(float).eps * float(np.max(np.abs(values))) if values.size else 0.0
     inv = np.where(np.abs(values) > cutoff, 1.0 / np.where(values == 0.0, 1.0, values), 0.0)
     return SymMatrix._built((vectors * inv) @ vectors.T)
 

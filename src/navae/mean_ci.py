@@ -314,9 +314,10 @@ def ci_hoeffding(
 ) -> ConfidenceInterval:
     """Hoeffding interval mean +/- ((b-a)/2) sqrt(2 ln(2/alpha)) / sqrt(n)."""
     alpha = _check_alpha(alpha)
-    if not support_lower < support_upper:
+    if not (support_lower < support_upper and math.isfinite(support_upper - support_lower)):
         raise DomainError(
-            f"support must satisfy a < b, got [{support_lower!r}, {support_upper!r}]"
+            f"support must satisfy a < b with a finite width b - a, got "
+            f"[{support_lower!r}, {support_upper!r}]"
         )
     lo = float(np.min(sample.values))
     hi = float(np.max(sample.values))

@@ -273,7 +273,6 @@ class OlsTuning:
     omega_rule: Callable[[int], float] = DEFAULT_OMEGA_RULE
     a_rule: Callable[[int], float] = DEFAULT_OLS_A_RULE
     delta: DeltaProvider = BerryEsseen()
-    rho: float | None = None
 
     def omega(self, n: int) -> float:
         w = float(self.omega_rule(n))
@@ -327,7 +326,12 @@ def r_var(gamma: float, fit: OlsFit, bounds: OlsBounds) -> float:
     lam = bounds.lambda_reg
     gt = _gamma_tilde(gamma, n, bounds.k_reg)
     ratio = gt / (1.0 - gt)
-    term1 = 2.0 / (n * lam**3) * (ratio + 1.0) ** 2 * math.sqrt(bounds.k_eps / gamma) * fit.m4
+    try:  # a float's ** raises OverflowError; the cube is the first power to overflow
+        lam3 = lam**3
+    except OverflowError as exc:
+        raise DataError(f"r_var overflows: lambda_reg = {lam!r} is too large to cube; "
+                        "rescale the regressors") from exc
+    term1 = 2.0 / (n * lam3) * (ratio + 1.0) ** 2 * math.sqrt(bounds.k_eps / gamma) * fit.m4
     term2 = (
         2.0
         * math.sqrt(2.0)
@@ -707,5 +711,4 @@ def tuning_for_rate(
         omega_rule=PowerRule(0.0, 1.0, -rate_r(rho)),
         a_rule=PowerRule(1.0, float(a_coefficient), -0.4),
         delta=delta,
-        rho=float(rho),
     )

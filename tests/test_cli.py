@@ -330,6 +330,43 @@ def test_overflowing_ols_plug_in_moments_are_a_data_error(in_tmp, capsys):
         assert not (in_tmp / "ols_ci_report.csv").exists()
 
 
+def test_overflowing_ols_regressors_are_a_data_error(in_tmp, capsys):
+    # regressors times 1e60 without the intercept: lambda_min(S) is near
+    # 1e120, too large for r_var to cube
+    rows = ols_file(in_tmp).read_text(encoding="utf-8").splitlines()
+    scaled = [rows[0]] + [
+        ",".join([y] + [repr(float(x) * 1e60) for x in rest])
+        for y, *rest in (row.split(",") for row in rows[1:])
+    ]
+    path = write(in_tmp / "scaled_x.csv", "\n".join(scaled) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        code = run_command(["ols-ci", "--input", str(path), "--u", "0,1", "--alpha", "0.10",
+                            "--k-xi", "9"])
+    assert code == 3
+    assert "r_var overflows" in capsys.readouterr().err
+    assert not (in_tmp / "ols_ci_report.csv").exists()
+
+
+def test_ols_ci_defaults_are_the_library_defaults(in_tmp, capsys):
+    from navae.ols_ci import OlsBounds, OlsTuning, ci_edg
+
+    # uniform regressor and errors: every plug-in bound is small enough for a
+    # bounded interval at n = 2000
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, 2000)
+    eps = rng.uniform(-1.0, 1.0, 2000)
+    rows = [f"{1.0 + v + e!r},{v!r}" for v, e in zip(x.tolist(), eps.tolist())]
+    path = write(in_tmp / "uniform.csv", "y,x1\n" + "\n".join(rows) + "\n")
+    assert run_command(["ols-ci", "--input", str(path), "--add-intercept", "--u", "0,1",
+                        "--alpha", "0.2"]) == 0
+    (row,) = read_report(in_tmp / "ols_ci_report.csv")
+    ci = ci_edg(load_ols_csv(path, True, "0,1"), 0.2, OlsBounds.all_plug_in(), OlsTuning())
+    assert not ci.whole_line
+    assert (row.lower, row.upper) == (ci.lower, ci.upper)
+    assert f"[{ci.lower!r}, {ci.upper!r}]" in capsys.readouterr().out
+
+
 def test_ols_ci_u_mismatch_is_config_error(in_tmp, capsys):
     path = ols_file(in_tmp, n=100)
     code = run_command(
@@ -388,6 +425,20 @@ def test_feasibility_n_zero(in_tmp, capsys):
     assert code == 0
     rows = read_report(in_tmp / "feasibility_report.csv")
     assert rows[0].n_zero == 3655
+    capsys.readouterr()
+
+
+def test_feasibility_tuning_defaults_follow_the_mode(in_tmp, capsys):
+    # n-zero takes the OLS tuning of ols-ci, whose whole-line threshold at
+    # these bounds is 3655; alpha-min takes the unknown-variance a_n rule
+    assert run_command(["feasibility", "--mode", "n-zero", "--alpha", "0.1", "--k-reg", "0.01",
+                        "--k-xi", "9"]) == 0
+    assert read_report(in_tmp / "feasibility_report.csv")[0].n_zero == 3655
+    reports = []
+    for rule in ([], ["--a-rule", "1+n^-0.2"]):
+        assert run_command(["feasibility", "--mode", "alpha-min", "--n", "500,5000"] + rule) == 0
+        reports.append((in_tmp / "feasibility_report.csv").read_bytes())
+    assert reports[0] == reports[1]
     capsys.readouterr()
 
 
@@ -766,3 +817,69 @@ def test_width_curve_rejects_non_integral_n(in_tmp, capsys, n):
     )
     assert code == 2
     assert "n values must be finite integers" in capsys.readouterr().err
+
+
+def test_width_curve_a_rule_sets_the_edg_rule(in_tmp, capsys):
+    from navae.dgp_sim import GumbelHeteroLinear, OlsEdgMethod, width_curve
+    from navae.ols_ci import OlsBounds, OlsTuning, PlugIn
+    from navae.rules import parse_rule
+
+    argv = ["width-curve", "--method", "edg", "--alpha", "0.1", "--n", "5000", "-M", "4",
+            "--seed", "3"]
+    reports = []
+    for flags in ([], ["--a-rule-ols", "1+10*n^-2/5"], ["--a-rule", "1+10*n^-2/5"]):
+        assert run_command(argv + flags) == 0
+        reports.append((in_tmp / "width_curve_report.csv").read_bytes())
+    assert reports[1] == reports[2] != reports[0]
+    method = OlsEdgMethod(OlsBounds(PlugIn(), PlugIn(), PlugIn(), 9.0),
+                          OlsTuning(a_rule=parse_rule("1+10*n^-2/5")))
+    (expected,) = width_curve(GumbelHeteroLinear(), method, (5000,), 0.1, 4, 3)
+    (row,) = read_report(in_tmp / "width_curve_report.csv")
+    assert (row.width, row.ratio) == (expected.mean_width, expected.ratio)
+    capsys.readouterr()
+
+
+MEAN_ARGV = ["mean-ci", "--input", "m.csv", "--alpha", "0.1", "--method"]
+OLS_ARGV = ["ols-ci", "--input", "o.csv", "--u", "0,1", "--alpha", "0.1", "--method"]
+METHOD_CASES = {
+    "clt": ({"name": "clt"}, MEAN_ARGV + ["clt", "--K", "9"]),
+    "student": ({"name": "student"}, MEAN_ARGV + ["student"]),
+    "chebyshev": ({"name": "chebyshev", "var_bound": 2.5},
+                  MEAN_ARGV + ["chebyshev", "--var-bound", "2.5"]),
+    "hoeffding": ({"name": "hoeffding", "support": [-1, 10]},
+                  MEAN_ARGV + ["hoeffding", "--support=-1,10"]),
+    "known-variance": ({"name": "known-variance", "sigma": 1.5, "K": 9, "delta": "edg-leading"},
+                       MEAN_ARGV + ["known-variance", "--sigma", "1.5", "--K", "9",
+                                    "--delta", "edg-leading", "--a-rule", "2"]),
+    "unknown-variance": ({"name": "unknown-variance", "K": "plugin", "a_rule": "optimized",
+                          "inflation": 2.0},
+                         MEAN_ARGV + ["unknown-variance", "--K", "plugin", "--a-rule",
+                                      "optimized", "--inflation", "2"]),
+    "asymp": ({"name": "asymp"}, OLS_ARGV + ["asymp", "--k-reg", "x"]),
+    "edg": ({"name": "edg", "omega_rule": "n^-1/4", "a_rule": "1+10*n^-2/5",
+             "bounds": {"lambda_reg": "plugin", "k_reg": 0.5, "k_eps": "plugin", "k_xi": 9}},
+            OLS_ARGV + ["edg", "--k-reg", "0.5", "--k-xi", "9", "--lambda-reg", "PlugIn",
+                        "--omega-rule", "n^-1/4", "--a-rule", "1+10*n^-2/5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METHOD_CASES))
+def test_flags_build_the_method_their_config_entry_builds(name):
+    from navae.cli import _build_parser, _method
+    from navae.dgp_sim import METHOD_KEYS, method_from_config
+
+    assert set(METHOD_CASES) == set(METHOD_KEYS)
+    config, argv = METHOD_CASES[name]
+    assert _method(_build_parser().parse_args(argv)) == method_from_config(config)
+    if name == "edg":  # --inflation reaches the plug-in tags
+        inflated = _method(_build_parser().parse_args(argv + ["--inflation", "1.5"]))
+        assert inflated == method_from_config(config, inflation=1.5)
+        assert inflated.bounds.k_eps.inflation == 1.5
+
+
+@pytest.mark.parametrize("support", ["-inf,1", "-1e308,1e308"])
+def test_hoeffding_support_without_a_finite_width_is_a_config_error(in_tmp, capsys, support):
+    code = run_command(["mean-ci", "--alpha", "0.1", "--method", "hoeffding",
+                        f"--support={support}", "--input", str(mean_file(in_tmp))])
+    assert code == 2
+    assert "support must satisfy a < b with a finite width" in capsys.readouterr().err

@@ -200,6 +200,13 @@ def test_hoeffding_support_violation():
         ci_hoeffding(Sample(np.array([0.5])), 0.1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("support", [(-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)],
+                         ids=["infinite-lower", "infinite-upper", "overflowing-width"])
+def test_hoeffding_support_must_have_a_finite_width(support):
+    with pytest.raises(DomainError, match="support must satisfy a < b with a finite width"):
+        ci_hoeffding(Sample(np.array([0.5])), 0.1, *support)
+
+
 # ---------------------------------------------------------------------------
 # nu_var and the finite-sample intervals
 # ---------------------------------------------------------------------------

@@ -522,6 +522,21 @@ def test_ols_fit_rejects_overflowing_squared_residuals_without_a_warning():
                 ols_fit(Design(x=design.x, y=design.y * scale, u=design.u))
 
 
+def test_r_var_overflow_is_a_data_error_without_a_warning():
+    # regressors times 1e60 put lambda_min(S) near 1e120, whose cube r_var
+    # cannot take as a float
+    from navae.dgp_sim import sample_gumbel_hetero_linear
+
+    d = sample_gumbel_hetero_linear(5000, 1)
+    bounds = OlsBounds(PlugIn(), PlugIn(), PlugIn(), 9.0)
+    for scale in (1e60, 1e80, 1e100):
+        design = Design(x=d.x[:, 1:] * scale, y=d.y, u=np.array([0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            with pytest.raises(DataError, match="r_var overflows"):
+                ci_edg(design, 0.1, bounds, OlsTuning())
+
+
 def test_plug_in_intercept_only_k_reg_zero():
     rng = np.random.default_rng(9)
     y = rng.exponential(1.0, 50)
@@ -709,4 +724,3 @@ def test_tuning_for_rate():
     tuning = tuning_for_rate(0.19)
     assert tuning.omega_rule(32) == pytest.approx(32.0**-0.19)
     assert tuning.a_rule(32) == pytest.approx(1.0 + 32.0**-0.4)
-    assert tuning.rho == 0.19
