@@ -80,9 +80,8 @@ def load_ols_csv(path: str | Path, add_intercept: bool, u_spec: str) -> Design:
     table = _read_floats(path, lines, p_file + 1)
     if not len(table):
         raise DataError(f"{path}: no data rows")
-    x = table[:, 1:]
-    if add_intercept:
-        x = np.column_stack([np.ones(len(table)), x])
+    x = np.ones((len(table), columns))
+    x[:, int(add_intercept):] = table[:, 1:]
     return Design(x=x, y=table[:, 0], u=u)
 
 

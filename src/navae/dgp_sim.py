@@ -280,7 +280,9 @@ def sample_gumbel_hetero_linear(
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     rng = _generator(seed)
-    regressors = rng.standard_normal((n, 2)) @ _GUMBEL_REGRESSOR_CHOL.T
+    x = np.empty((n, 3))
+    x[:, 0] = 1.0
+    regressors = np.matmul(rng.standard_normal((n, 2)), _GUMBEL_REGRESSOR_CHOL.T, out=x[:, 1:])
     total = regressors[:, 0] + regressors[:, 1]
     gumbel_scale = np.abs(total) * math.sqrt(6.0) / math.pi
     gumbel_loc = -EULER_MASCHERONI * gumbel_scale
@@ -288,7 +290,6 @@ def sample_gumbel_hetero_linear(
     # exact zeros to the smallest positive lattice point changes nothing else
     uniforms = np.maximum(rng.random(n), 2.0**-53)
     eps = gumbel_loc - gumbel_scale * np.log(-np.log(uniforms))
-    x = np.column_stack([np.ones(n), regressors])
     y = x @ np.asarray(GUMBEL_BETA) + eps
     return Design(x=x, y=y, u=np.asarray(u, dtype=float))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -122,8 +122,10 @@ class OlsFit:
 
     ``m4``, ``m31``, ``m_xe2`` are the sample moments n^-1 sum |X_i|^4,
     n^-1 sum |X_i|^3 |e_i|, n^-1 sum |X_i e_i|^2, and ``t4`` the spectral
-    norm of n^-1 sum X_i X_i' S^+ e_i^2, all consumed by the variance-error
-    bound.
+    norm of n^-1 sum X_i X_i' S^+ e_i^2.  Only the variance-error bound reads
+    them, so they are computed the first time they are read.  ``_xt`` is the
+    C-ordered copy of x' the fit was computed from, ``_mid`` the sandwich
+    middle n^-1 sum X_i X_i' e_i^2.
     """
 
     design: Design
@@ -132,56 +134,68 @@ class OlsFit:
     s: SymMatrix
     s_dagger: SymMatrix
     v_hat: SymMatrix
-    m4: float
-    m31: float
-    m_xe2: float
-    t4: float
+    _xt: np.ndarray
+    _mid: np.ndarray
 
     @property
     def n(self) -> int:
         return self.design.n
 
+    @cached_property
+    def _row_moments(self) -> tuple[float, float, float]:
+        # the moments of large but finite regressors may be +inf, which r_var carries
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_sq = np.einsum("ij,ij->j", self._xt, self._xt)
+            e = np.abs(self.residuals)
+            terms = (norm_sq * norm_sq, norm_sq * np.sqrt(norm_sq) * e, norm_sq * (e * e))
+            return tuple(float(np.mean(t)) for t in terms)
 
-def _row_sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row of a 2-D array.
+    m4 = property(lambda self: self._row_moments[0])
+    m31 = property(lambda self: self._row_moments[1])
+    m_xe2 = property(lambda self: self._row_moments[2])
 
-    Accumulated one column at a time: for the few columns of a design this
-    is several times faster than ``np.sum(a * a, axis=1)``, whose reduction
-    runs over a short inner axis per row, and it adds the squares in the same
-    order for up to 7 columns.
-    """
-    out = a[:, 0] * a[:, 0]
-    for j in range(1, a.shape[1]):
-        col = a[:, j]
-        out += col * col
-    return out
+    @cached_property
+    def t4(self) -> float:
+        return float(np.linalg.norm(self._mid @ self.s_dagger.array, 2))
+
+
+def _blocks(n: int, p: int) -> list[slice]:
+    """Slices of the n rows such that a (p, block) array takes 128 KiB: it stays
+    in cache, and malloc reuses it where a (p, n) temporary beside the fit's
+    copy of x' was mapped and faulted in anew every call (556 faults at p = 30)."""
+    step = max(1, 2**14 // p)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def ols_fit(design: Design) -> OlsFit:
-    """Least-squares fit via the pseudo-inverse (min-norm for singular S)."""
+    """Least-squares fit via the pseudo-inverse (min-norm for singular S).
+
+    x'y, the residuals and the sandwich middle are products with ``_xt``, a
+    C-ordered copy of x' made a block of rows at a time (a plain copy strides
+    through x p times), which the fit keeps for the moments and
+    ``plug_in_bounds``.  S is ``_xt @ x`` up to p = 4 and BLAS's symmetric
+    x.T @ x above, where the general product at times stalled.
+    """
     x, y = design.x, design.y
-    n = design.n
+    n, p = x.shape
+    blocks = _blocks(n, p)
+    xt = np.empty((p, n))
+    for rows in blocks:
+        xt[:, rows] = x[rows].T
     # Design has checked x, but x'x can still overflow: _built rejects that
-    s = SymMatrix._built(x.T @ x / n)
+    s = SymMatrix._built((xt @ x if p <= 4 else x.T @ x) / n)
     s_dagger = pseudo_inverse(s)
-    # a response that overflows here is the DataError below; m4 and m31 of
-    # large but finite regressors may still be +inf
+    # a response that overflows here is the DataError below
     with np.errstate(over="ignore", invalid="ignore"):
-        beta = s_dagger.array @ (x.T @ y / n)
-        residuals = y - x @ beta
+        beta = s_dagger.array @ (xt @ y / n)
+        residuals = y - beta @ xt
         res_sq = residuals * residuals
-        norm_sq = _row_sq_norms(x)
-        m4 = float(np.mean(norm_sq * norm_sq))
-        m31 = float(np.mean(norm_sq * np.sqrt(norm_sq) * np.abs(residuals)))
-        m_xe2 = float(np.mean(norm_sq * res_sq))
-        mid = (x * res_sq[:, None]).T @ x / n
-    if not math.isfinite(m_xe2):
+        mid = sum((xt[:, b] * res_sq[b]) @ xt[:, b].T for b in blocks) / n
+    if not np.isfinite(mid).all():
         raise DataError("OLS fit overflows: the squared residuals are too large; rescale the response")
     v_hat = SymMatrix(s_dagger.array @ mid @ s_dagger.array)
-    t4 = float(np.linalg.norm(mid @ s_dagger.array, 2))
-    residuals = residuals.copy()
-    residuals.setflags(write=False)
-    beta.setflags(write=False)
+    for a in (residuals, beta, xt):
+        a.setflags(write=False)
     return OlsFit(
         design=design,
         beta_hat=beta,
@@ -189,10 +203,8 @@ def ols_fit(design: Design) -> OlsFit:
         s=s,
         s_dagger=s_dagger,
         v_hat=v_hat,
-        m4=m4,
-        m31=m31,
-        m_xe2=m_xe2,
-        t4=t4,
+        _xt=xt,
+        _mid=mid,
     )
 
 
@@ -331,6 +343,9 @@ def r_var(gamma: float, fit: OlsFit, bounds: OlsBounds) -> float:
     except OverflowError as exc:
         raise DataError(f"r_var overflows: lambda_reg = {lam!r} is too large to cube; "
                         "rescale the regressors") from exc
+    if lam3 == 0.0:
+        raise ConfigError(f"lambda_reg = {lam!r} is too small: its cube, which r_var divides by, "
+                          "underflows to 0")
     term1 = 2.0 / (n * lam3) * (ratio + 1.0) ** 2 * math.sqrt(bounds.k_eps / gamma) * fit.m4
     term2 = (
         2.0
@@ -578,13 +593,14 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
 
     lambda_reg_hat = lambda_min(S); K_reg_hat, K_eps_hat use the rotated rows
     (S^+)^(1/2) X_i; K_xi_hat is the kurtosis of the estimated influence
-    values u'S^+ X_i e_i.  Upper-bound estimates are multiplied by
+    values u'S^+ X_i e_i; both are products with the fit's C-ordered copy of
+    x' (rotated rows a block at a time).  Upper-bound estimates are multiplied by
     (1 + inflation/sqrt(n)); the lower bound lambda_reg_hat is divided by it,
     which is the conservative direction for a lower bound.
     """
     if not math.isfinite(inflation) or inflation < 0.0:
         raise DomainError(f"inflation must be >= 0, got {inflation!r}")
-    x = fit.design.x
+    xt = fit._xt
     n, p = fit.design.n, fit.design.p
     eigenvalues, _ = sym_eigen(fit.s)
     lam_min = float(eigenvalues[-1])
@@ -596,14 +612,17 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
         )
     # moments that overflow are a DataError below, not a warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        rot_sq = _row_sq_norms(x @ psd_sqrt(fit.s_dagger).array)
+        # the rotated rows, transposed ((S^+)^(1/2) is symmetric), block by block
+        root = psd_sqrt(fit.s_dagger).array
+        rotated = (root @ xt[:, b] for b in _blocks(n, p))
+        rot_sq = np.concatenate([np.einsum("ij,ij->j", r, r) for r in rotated])
         rot_sq2 = rot_sq * rot_sq
         k_reg = float(np.mean(rot_sq2 - 2.0 * rot_sq + p))
         # fourth powers as squares of squares: numpy's generic ** 4 on a signed
         # base costs tens of times as much
         res_sq = fit.residuals * fit.residuals
         k_eps = float(np.mean(rot_sq2 * (res_sq * res_sq)))
-        influence = (x @ (fit.s_dagger.array @ np.asarray(u, dtype=float))) * fit.residuals
+        influence = ((fit.s_dagger.array @ np.asarray(u, dtype=float)) @ xt) * fit.residuals
         second = float(np.mean(influence * influence))
     if not (math.isfinite(k_reg) and math.isfinite(k_eps)):
         raise DataError(

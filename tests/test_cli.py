@@ -330,6 +330,17 @@ def test_overflowing_ols_plug_in_moments_are_a_data_error(in_tmp, capsys):
         assert not (in_tmp / "ols_ci_report.csv").exists()
 
 
+def test_underflowing_lambda_reg_is_a_config_error(in_tmp, capsys):
+    # the cube of lambda_reg = 1e-200 underflows to 0, and r_var divides by it
+    path = ols_file(in_tmp)
+    code = run_command(["ols-ci", "--input", str(path), "--add-intercept", "--u", "0,0,1",
+                        "--alpha", "0.1", "--lambda-reg", "1e-200", "--k-reg", "0.01",
+                        "--k-eps", "1", "--k-xi", "9"])
+    assert code == 2
+    assert "lambda_reg" in capsys.readouterr().err
+    assert not (in_tmp / "ols_ci_report.csv").exists()
+
+
 def test_overflowing_ols_regressors_are_a_data_error(in_tmp, capsys):
     # regressors times 1e60 without the intercept: lambda_min(S) is near
     # 1e120, too large for r_var to cube

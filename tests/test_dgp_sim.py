@@ -74,6 +74,25 @@ def test_gumbel_design_shape_and_intercept():
     assert d.u == pytest.approx([0.0, 0.0, 1.0])
 
 
+def test_gumbel_draws_match_the_column_stack_form():
+    # the sampler fills one (n, 3) array; the form it replaced stacked the
+    # intercept onto the regressors, and every draw must stay bit for bit;
+    # n = 3 is the smallest design Design accepts (n >= p)
+    from navae.dgp_sim import EULER_MASCHERONI, GUMBEL_BETA, _GUMBEL_REGRESSOR_CHOL, _generator
+
+    for n in (3, 7, 5000):
+        for seed in (0, 41, substream(7, 1, n, 3)):
+            rng = _generator(seed)
+            regressors = rng.standard_normal((n, 2)) @ _GUMBEL_REGRESSOR_CHOL.T
+            scale = np.abs(regressors[:, 0] + regressors[:, 1]) * math.sqrt(6.0) / math.pi
+            uniforms = np.maximum(rng.random(n), 2.0**-53)
+            eps = -EULER_MASCHERONI * scale - scale * np.log(-np.log(uniforms))
+            x = np.column_stack([np.ones(n), regressors])
+            y = x @ np.asarray(GUMBEL_BETA) + eps
+            d = sample_gumbel_hetero_linear(n, seed)
+            assert d.x.tobytes() == x.tobytes() and d.y.tobytes() == y.tobytes(), (n, seed)
+
+
 def test_gumbel_regressor_covariance():
     d = sample_gumbel_hetero_linear(4 * 10**5, seed=11)
     cov = np.cov(d.x[:, 1], d.x[:, 2])

@@ -537,6 +537,78 @@ def test_r_var_overflow_is_a_data_error_without_a_warning():
                 ci_edg(design, 0.1, bounds, OlsTuning())
 
 
+def test_r_var_underflowing_lambda_reg_is_a_config_error():
+    # lambda_reg = 1e-110 is positive, but its cube, which r_var divides by,
+    # underflows to 0
+    from navae.dgp_sim import sample_gumbel_hetero_linear
+
+    design = sample_gumbel_hetero_linear(5000, 1)
+    for lam in (1e-110, 1e-200, 5e-324):
+        with pytest.raises(ConfigError, match="lambda_reg"):
+            ci_edg(design, 0.1, OlsBounds(lam, 0.01, 1.0, 9.0), OlsTuning())
+
+
+def _close(actual, expected, rel=1e-12):
+    # relative to the largest entry: entries near zero carry the rounding of
+    # their whole sum
+    np.testing.assert_allclose(actual, expected, rtol=rel, atol=rel * np.max(np.abs(expected)))
+
+
+def test_fit_and_plug_in_agree_on_every_design_layout():
+    # ols_fit works from a transposed copy of x; C-ordered, F-ordered and
+    # strided designs must give the same fit, and the fit must match the
+    # numpy.linalg oracles
+    for p, n in ((1, 200), (3, 3000), (30, 2000)):
+        rng = np.random.default_rng(p)
+        wide = rng.standard_normal((2 * n, p))
+        wide[:, 0] += 2.0
+        strided = wide[::2]
+        y = strided @ np.linspace(1.0, -1.0, p) + np.abs(strided[:, -1]) * rng.gumbel(size=n)
+        u = np.eye(p)[-1]
+        layouts = [np.ascontiguousarray(strided), np.asfortranarray(strided), strided]
+        fits = [ols_fit(Design(x=x, y=y, u=u)) for x in layouts]
+        oracle = ols_fit_oracle(np.ascontiguousarray(strided), y)
+        expected = plug_in_oracle(np.ascontiguousarray(strided), y, u)
+        for fit in fits:
+            assert fit.beta_hat.tobytes() == fits[0].beta_hat.tobytes(), p
+            assert fit.residuals.tobytes() == fits[0].residuals.tobytes(), p
+            _close(fit.s.array, oracle["s"])
+            _close(fit.beta_hat, oracle["beta"])
+            _close(fit.residuals, oracle["residuals"])
+            _close(fit._mid, oracle["mid"])
+            _close(fit.v_hat.array, oracle["v_hat"])
+            bounds = plug_in_bounds(fit, u)
+            for name, value in expected.items():
+                assert getattr(bounds, name) == pytest.approx(value, rel=1e-12), (p, name)
+        # the moments are read after plug_in_bounds here and before it on a fresh fit
+        fresh = ols_fit(Design(x=layouts[1], y=y, u=u))
+        moments = [(f.m4, f.m31, f.m_xe2, f.t4) for f in (fits[0], fresh)]
+        plug_in_bounds(fresh, u)
+        assert moments[0] == moments[1], p
+        e = oracle["residuals"]
+        norms = np.sqrt(np.sum(strided * strided, axis=1))
+        t4 = np.linalg.norm(oracle["mid"] @ oracle["s_dagger"], 2)
+        for value, power_form in zip(moments[0], (np.mean(norms**4), np.mean(norms**3 * np.abs(e)),
+                                                  np.mean(norms**2 * e**2), t4)):
+            assert value == pytest.approx(power_form, rel=1e-12), p
+
+
+def test_asymp_and_whole_line_edg_compute_no_moment():
+    # only the bounded edg branch reads m4, m31, m_xe2 and t4
+    design = simulated_design(3000, 5, u=(0.0, 0.0, 1.0))
+    fields = {f.name for f in dataclasses.fields(ols_fit(design))}
+    fit = ols_fit(design)
+    ci_asymp(design, 0.1, fit=fit)
+    assert set(fit.__dict__) == fields
+    bounds = OlsBounds(PlugIn(), PlugIn(), PlugIn(), 9.0)
+    assert ci_edg(design, 0.1, bounds, STUDY_TUNING, fit=fit).whole_line
+    assert set(fit.__dict__) == fields
+    bounded = simulated_design(5000, 5, u=(0.0, 0.0, 1.0))
+    fit = ols_fit(bounded)
+    assert not ci_edg(bounded, 0.1, bounds, STUDY_TUNING, fit=fit).whole_line
+    assert set(fit.__dict__) > fields
+
+
 def test_plug_in_intercept_only_k_reg_zero():
     rng = np.random.default_rng(9)
     y = rng.exponential(1.0, 50)
