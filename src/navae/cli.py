@@ -80,7 +80,7 @@ def load_ols_csv(path: str | Path, add_intercept: bool, u_spec: str) -> Design:
     table = _read_floats(path, lines, p_file + 1)
     if not len(table):
         raise DataError(f"{path}: no data rows")
-    x = np.ones((len(table), columns))
+    x = np.ones((len(table), columns), order="F")  # the layout Design keeps
     x[:, int(add_intercept):] = table[:, 1:]
     return Design(x=x, y=table[:, 0], u=u)
 

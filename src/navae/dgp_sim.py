@@ -280,6 +280,7 @@ def sample_gumbel_hetero_linear(
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     rng = _generator(seed)
+    # C order: y = x @ beta below rounds differently on a Fortran-ordered x
     x = np.empty((n, 3))
     x[:, 0] = 1.0
     regressors = np.matmul(rng.standard_normal((n, 2)), _GUMBEL_REGRESSOR_CHOL.T, out=x[:, 1:])

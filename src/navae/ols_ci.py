@@ -102,8 +102,10 @@ class Design:
             raise DataError("design and outcome entries must be finite")
         if not np.all(np.isfinite(u)) or not np.any(u != 0.0):
             raise DomainError("direction u must be finite and nonzero")
+        # x in Fortran order: x.T is then the C-ordered (p, n) array that
+        # ols_fit and plug_in_bounds take their products and row sums from
         for name, arr in (("x", x), ("y", y), ("u", u)):
-            arr = arr.copy()
+            arr = arr.copy(order="F")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -123,9 +125,8 @@ class OlsFit:
     ``m4``, ``m31``, ``m_xe2`` are the sample moments n^-1 sum |X_i|^4,
     n^-1 sum |X_i|^3 |e_i|, n^-1 sum |X_i e_i|^2, and ``t4`` the spectral
     norm of n^-1 sum X_i X_i' S^+ e_i^2.  Only the variance-error bound reads
-    them, so they are computed the first time they are read.  ``_xt`` is the
-    C-ordered copy of x' the fit was computed from, ``_mid`` the sandwich
-    middle n^-1 sum X_i X_i' e_i^2.
+    them, so they are computed the first time they are read.  ``_mid`` is the
+    sandwich middle n^-1 sum X_i X_i' e_i^2.
     """
 
     design: Design
@@ -134,7 +135,6 @@ class OlsFit:
     s: SymMatrix
     s_dagger: SymMatrix
     v_hat: SymMatrix
-    _xt: np.ndarray
     _mid: np.ndarray
 
     @property
@@ -145,10 +145,13 @@ class OlsFit:
     def _row_moments(self) -> tuple[float, float, float]:
         # the moments of large but finite regressors may be +inf, which r_var carries
         with np.errstate(over="ignore", invalid="ignore"):
-            norm_sq = np.einsum("ij,ij->j", self._xt, self._xt)
+            norm_sq = _col_sq_norms(self.design.x.T)
             e = np.abs(self.residuals)
-            terms = (norm_sq * norm_sq, norm_sq * np.sqrt(norm_sq) * e, norm_sq * (e * e))
-            return tuple(float(np.mean(t)) for t in terms)
+            return (
+                float(np.mean(norm_sq * norm_sq)),
+                float(np.mean(norm_sq * np.sqrt(norm_sq) * e)),
+                float(np.mean(norm_sq * (e * e))),
+            )
 
     m4 = property(lambda self: self._row_moments[0])
     m31 = property(lambda self: self._row_moments[1])
@@ -159,42 +162,35 @@ class OlsFit:
         return float(np.linalg.norm(self._mid @ self.s_dagger.array, 2))
 
 
-def _blocks(n: int, p: int) -> list[slice]:
-    """Slices of the n rows such that a (p, block) array takes 128 KiB: it stays
-    in cache, and malloc reuses it where a (p, n) temporary beside the fit's
-    copy of x' was mapped and faulted in anew every call (556 faults at p = 30)."""
-    step = max(1, 2**14 // p)
-    return [slice(i, i + step) for i in range(0, n, step)]
+def _col_sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of ``a``.  A (p, n) temporary passed here is
+    freed on return; kept alive beside the (n,) ones after it, it made malloc
+    trim the heap and fault it in again on every call at large n."""
+    return np.einsum("ij,ij->j", a, a)
 
 
 def ols_fit(design: Design) -> OlsFit:
     """Least-squares fit via the pseudo-inverse (min-norm for singular S).
 
-    x'y, the residuals and the sandwich middle are products with ``_xt``, a
-    C-ordered copy of x' made a block of rows at a time (a plain copy strides
-    through x p times), which the fit keeps for the moments and
-    ``plug_in_bounds``.  S is ``_xt @ x`` up to p = 4 and BLAS's symmetric
-    x.T @ x above, where the general product at times stalled.
+    Every product reads x' as ``design.x.T``, which is C-ordered because
+    Design keeps x in Fortran order: S = x'x / n (BLAS's symmetric product),
+    x'y, the residuals and the sandwich middle.
     """
     x, y = design.x, design.y
-    n, p = x.shape
-    blocks = _blocks(n, p)
-    xt = np.empty((p, n))
-    for rows in blocks:
-        xt[:, rows] = x[rows].T
+    n = design.n
+    xt = x.T
     # Design has checked x, but x'x can still overflow: _built rejects that
-    s = SymMatrix._built((xt @ x if p <= 4 else x.T @ x) / n)
+    s = SymMatrix._built(xt @ x / n)
     s_dagger = pseudo_inverse(s)
     # a response that overflows here is the DataError below
     with np.errstate(over="ignore", invalid="ignore"):
         beta = s_dagger.array @ (xt @ y / n)
         residuals = y - beta @ xt
-        res_sq = residuals * residuals
-        mid = sum((xt[:, b] * res_sq[b]) @ xt[:, b].T for b in blocks) / n
+        mid = (xt * (residuals * residuals)) @ x / n
     if not np.isfinite(mid).all():
         raise DataError("OLS fit overflows: the squared residuals are too large; rescale the response")
     v_hat = SymMatrix(s_dagger.array @ mid @ s_dagger.array)
-    for a in (residuals, beta, xt):
+    for a in (residuals, beta):
         a.setflags(write=False)
     return OlsFit(
         design=design,
@@ -203,7 +199,6 @@ def ols_fit(design: Design) -> OlsFit:
         s=s,
         s_dagger=s_dagger,
         v_hat=v_hat,
-        _xt=xt,
         _mid=mid,
     )
 
@@ -343,10 +338,11 @@ def r_var(gamma: float, fit: OlsFit, bounds: OlsBounds) -> float:
     except OverflowError as exc:
         raise DataError(f"r_var overflows: lambda_reg = {lam!r} is too large to cube; "
                         "rescale the regressors") from exc
-    if lam3 == 0.0:
-        raise ConfigError(f"lambda_reg = {lam!r} is too small: its cube, which r_var divides by, "
-                          "underflows to 0")
-    term1 = 2.0 / (n * lam3) * (ratio + 1.0) ** 2 * math.sqrt(bounds.k_eps / gamma) * fit.m4
+    scale = 2.0 / (n * lam3) if n * lam3 > 0.0 else math.inf
+    if math.isinf(scale):
+        raise ConfigError(f"lambda_reg = {lam!r} is too small: 2/(n lambda_reg^3) in r_var "
+                          "overflows")
+    term1 = scale * (ratio + 1.0) ** 2 * math.sqrt(bounds.k_eps / gamma) * fit.m4
     term2 = (
         2.0
         * math.sqrt(2.0)
@@ -593,14 +589,14 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
 
     lambda_reg_hat = lambda_min(S); K_reg_hat, K_eps_hat use the rotated rows
     (S^+)^(1/2) X_i; K_xi_hat is the kurtosis of the estimated influence
-    values u'S^+ X_i e_i; both are products with the fit's C-ordered copy of
-    x' (rotated rows a block at a time).  Upper-bound estimates are multiplied by
+    values u'S^+ X_i e_i; both are products with the C-ordered x' of the
+    fit's Fortran-ordered design.  Upper-bound estimates are multiplied by
     (1 + inflation/sqrt(n)); the lower bound lambda_reg_hat is divided by it,
     which is the conservative direction for a lower bound.
     """
     if not math.isfinite(inflation) or inflation < 0.0:
         raise DomainError(f"inflation must be >= 0, got {inflation!r}")
-    xt = fit._xt
+    xt = fit.design.x.T
     n, p = fit.design.n, fit.design.p
     eigenvalues, _ = sym_eigen(fit.s)
     lam_min = float(eigenvalues[-1])
@@ -612,10 +608,8 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
         )
     # moments that overflow are a DataError below, not a warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        # the rotated rows, transposed ((S^+)^(1/2) is symmetric), block by block
-        root = psd_sqrt(fit.s_dagger).array
-        rotated = (root @ xt[:, b] for b in _blocks(n, p))
-        rot_sq = np.concatenate([np.einsum("ij,ij->j", r, r) for r in rotated])
+        # the rotated rows, transposed ((S^+)^(1/2) is symmetric)
+        rot_sq = _col_sq_norms(psd_sqrt(fit.s_dagger).array @ xt)
         rot_sq2 = rot_sq * rot_sq
         k_reg = float(np.mean(rot_sq2 - 2.0 * rot_sq + p))
         # fourth powers as squares of squares: numpy's generic ** 4 on a signed

@@ -539,11 +539,13 @@ def test_r_var_overflow_is_a_data_error_without_a_warning():
 
 def test_r_var_underflowing_lambda_reg_is_a_config_error():
     # lambda_reg = 1e-110 is positive, but its cube, which r_var divides by,
-    # underflows to 0
+    # underflows to 0; from 1e-104 down the cube is subnormal and
+    # 2/(n lambda_reg^3) overflows
     from navae.dgp_sim import sample_gumbel_hetero_linear
 
     design = sample_gumbel_hetero_linear(5000, 1)
-    for lam in (1e-110, 1e-200, 5e-324):
+    assert not ci_edg(design, 0.1, OlsBounds(1e-103, 0.01, 1.0, 9.0), OlsTuning()).whole_line
+    for lam in (1e-104, 1e-105, 1e-107, 1e-110, 1e-200, 5e-324):
         with pytest.raises(ConfigError, match="lambda_reg"):
             ci_edg(design, 0.1, OlsBounds(lam, 0.01, 1.0, 9.0), OlsTuning())
 
@@ -555,9 +557,10 @@ def _close(actual, expected, rel=1e-12):
 
 
 def test_fit_and_plug_in_agree_on_every_design_layout():
-    # ols_fit works from a transposed copy of x; C-ordered, F-ordered and
-    # strided designs must give the same fit, and the fit must match the
-    # numpy.linalg oracles
+    # Design stores x in Fortran order whatever the layout it is given
+    # (C-ordered, F-ordered or strided), so x.T, which ols_fit and
+    # plug_in_bounds read, is C-ordered; the fit must match the numpy.linalg
+    # oracles
     for p, n in ((1, 200), (3, 3000), (30, 2000)):
         rng = np.random.default_rng(p)
         wide = rng.standard_normal((2 * n, p))
@@ -566,23 +569,24 @@ def test_fit_and_plug_in_agree_on_every_design_layout():
         y = strided @ np.linspace(1.0, -1.0, p) + np.abs(strided[:, -1]) * rng.gumbel(size=n)
         u = np.eye(p)[-1]
         layouts = [np.ascontiguousarray(strided), np.asfortranarray(strided), strided]
-        fits = [ols_fit(Design(x=x, y=y, u=u)) for x in layouts]
+        designs = [Design(x=x, y=y, u=u) for x in layouts]
+        for design in designs:
+            assert design.x.T.flags.c_contiguous, p
+            assert design.x.tobytes(order="F") == designs[0].x.tobytes(order="F"), p
         oracle = ols_fit_oracle(np.ascontiguousarray(strided), y)
         expected = plug_in_oracle(np.ascontiguousarray(strided), y, u)
-        for fit in fits:
-            assert fit.beta_hat.tobytes() == fits[0].beta_hat.tobytes(), p
-            assert fit.residuals.tobytes() == fits[0].residuals.tobytes(), p
-            _close(fit.s.array, oracle["s"])
-            _close(fit.beta_hat, oracle["beta"])
-            _close(fit.residuals, oracle["residuals"])
-            _close(fit._mid, oracle["mid"])
-            _close(fit.v_hat.array, oracle["v_hat"])
-            bounds = plug_in_bounds(fit, u)
-            for name, value in expected.items():
-                assert getattr(bounds, name) == pytest.approx(value, rel=1e-12), (p, name)
+        fit = ols_fit(designs[0])
+        _close(fit.s.array, oracle["s"])
+        _close(fit.beta_hat, oracle["beta"])
+        _close(fit.residuals, oracle["residuals"])
+        _close(fit._mid, oracle["mid"])
+        _close(fit.v_hat.array, oracle["v_hat"])
+        bounds = plug_in_bounds(fit, u)
+        for name, value in expected.items():
+            assert getattr(bounds, name) == pytest.approx(value, rel=1e-12), (p, name)
         # the moments are read after plug_in_bounds here and before it on a fresh fit
-        fresh = ols_fit(Design(x=layouts[1], y=y, u=u))
-        moments = [(f.m4, f.m31, f.m_xe2, f.t4) for f in (fits[0], fresh)]
+        fresh = ols_fit(designs[1])
+        moments = [(f.m4, f.m31, f.m_xe2, f.t4) for f in (fit, fresh)]
         plug_in_bounds(fresh, u)
         assert moments[0] == moments[1], p
         e = oracle["residuals"]
