@@ -14,15 +14,17 @@ a chunk at a time into one buffer and reduced to per-replication means,
 sigma_hat^2 and, for a plug-in K, fourth moments, from which the rule gives
 every interval of the slice with array arithmetic, bit for bit as the
 scalar ``ci_*`` function does; a plug-in K's tuning searches run on lanes
-(``mean_ci``), one lane per K, up to 64 at a time.  A slice with a value
-the arrays cannot settle runs again one ``interval`` call per replication,
-so every error is the one the serial loop raises.  With one worker every
-replication runs in the calling process, in order.  With k > 1, each
-(method, n) cell's replications are cut into k contiguous slices: the
-calling process runs the first slice of every cell and k - 1 children
-forked from it run the others; the slices are joined back in replication
-order before any row is computed.  Where the platform cannot fork, studies
-run serially at any worker count.
+(``mean_ci``), one lane per K, up to 64 at a time.  ``ExponentialMean``
+draws each replication straight into its row of the buffer, with no
+``Sample``; other DGPs' ``sample`` values are copied in.  A slice with a
+value the arrays cannot settle, a non-finite one included, runs again one
+``interval`` call per replication, so every error is the serial loop's.
+With one worker every replication runs in the calling process, in order.
+With k > 1, each (method, n) cell's replications are cut into k contiguous
+slices: the calling process runs the first slice of every cell and k - 1
+children forked from it run the others; the slices are joined back in
+replication order before any row is computed.  Where the platform cannot
+fork, studies run serially at any worker count.
 """
 
 from __future__ import annotations
@@ -251,18 +253,23 @@ class _CellStreams:
         return self._generator
 
 
+def _fill_exponential(out: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
+    """``out`` (1-D, contiguous) filled with -ln(U)/rate, U uniform in (0,1]."""
+    rng.random(out=out)
+    # -log1p(-u)/rate in place, as log1p(-u)/(-rate): negation is exact
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out /= -rate
+    return out
+
+
 def sample_exponential(n: int, seed: SeedLike, rate: float = 1.0) -> Sample:
     """Exponential draws by inverse CDF -ln(U)/rate with U uniform in (0,1]."""
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     if rate <= 0.0:
         raise DomainError(f"rate must be positive, got {rate!r}")
-    u = _generator(seed).random(n)
-    # -log1p(-u)/rate in place, as log1p(-u)/(-rate): negation is exact
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    u /= -rate
-    return Sample(u)
+    return Sample(_fill_exponential(np.empty(n), _generator(seed), rate))
 
 
 def sample_gumbel_hetero_linear(
@@ -658,28 +665,36 @@ def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: in
     """Records of replications ``start`` to ``stop - 1`` under a cell rule.
 
     The draws pass through a buffer of at most ``_CHUNK_DOUBLES`` values, a
-    chunk of replications at a time, and are reduced to per-replication
-    means, sigma_hat^2 and, for a plug-in rule, fourth moments of the
-    deviations: ``np.add.reduce(..., axis=1) / n`` of the values, their
-    squared deviations and the squares of those, which equal ``Sample.mean``,
-    ``Sample.sigma_hat_sq`` and the m4 of ``sample_kurtosis`` bit for bit.
+    chunk of replications at a time (``ExponentialMean`` fills its rows with
+    ``_fill_exponential``, other DGPs' ``sample`` values are copied in), and
+    are reduced to per-replication means, sigma_hat^2 and, for a plug-in
+    rule, fourth moments of the deviations: ``np.add.reduce(..., axis=1) / n``
+    of the values, their squared deviations and the squares of those, which
+    equal ``Sample.mean``, ``Sample.sigma_hat_sq`` and the m4 of
+    ``sample_kurtosis`` bit for bit.
     The rule then gives the slice's half-widths at once, by the expressions
     ``interval`` evaluates too.  None when a sample is not n values long, a
-    sigma_hat^2 is below the normal float range, a K is outside
-    ``_plug_in_kurtosis``'s direct form or an interval is not a finite
-    ordered pair: ``interval`` then decides.
+    sigma_hat^2 is NaN (a draw is not finite) or below the normal float
+    range, a K is outside ``_plug_in_kurtosis``'s direct form or an interval
+    is not a finite ordered pair: ``interval`` then decides.
     """
+    fill = type(dgp) is ExponentialMean
+    if fill and not dgp.rate > 0.0:
+        return None  # sample_exponential rejects the rate
     count = stop - start
     rows = max(1, _CHUNK_DOUBLES // n)
     buffer = np.empty((min(rows, count), n))
     moments = np.empty((2 if rule.inflation is None else 3, count))
     for lo in range(0, count, rows):
         chunk = buffer[: min(rows, count - lo)]
-        for j in range(len(chunk)):
+        for j, row in enumerate(chunk):
+            if fill:
+                _fill_exponential(row, streams.seed(start + lo + j), dgp.rate)
+                continue
             values = dgp.sample(n, streams.seed(start + lo + j)).values
             if values.size != n:
                 return None
-            chunk[j] = values
+            row[:] = values
         # an overflow here sends the slice to interval, which raises its DataError
         with np.errstate(over="ignore", invalid="ignore"):
             means, *powers = moments[:, lo : lo + len(chunk)]

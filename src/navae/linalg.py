@@ -111,16 +111,23 @@ def pseudo_inverse(m: SymMatrix | np.ndarray) -> SymMatrix:
     Eigenvalues with |lambda| <= p * machine epsilon * max|lambda|, the usual
     cutoff for rank decisions, are treated as zero.
     """
-    sym = _as_sym(m)
-    values, vectors = sym_eigen(sym)
-    cutoff = sym.dim * np.finfo(float).eps * float(np.max(np.abs(values))) if values.size else 0.0
+    return _pseudo_inverse_of(*sym_eigen(m))
+
+
+def _pseudo_inverse_of(values: np.ndarray, vectors: np.ndarray) -> SymMatrix:
+    """``pseudo_inverse`` of the matrix whose ``sym_eigen`` is (values, vectors)."""
+    cutoff = values.size * np.finfo(float).eps * float(np.max(np.abs(values))) if values.size else 0.0
     inv = np.where(np.abs(values) > cutoff, 1.0 / np.where(values == 0.0, 1.0, values), 0.0)
     return SymMatrix._built((vectors * inv) @ vectors.T)
 
 
 def psd_sqrt(m: SymMatrix | np.ndarray) -> SymMatrix:
     """Symmetric PSD square root; tiny negative eigenvalues are clamped to 0."""
-    sym = _as_sym(m)
+    return SymMatrix._built(_psd_sqrt_array(_as_sym(m)))
+
+
+def _psd_sqrt_array(sym: SymMatrix) -> np.ndarray:
+    """``psd_sqrt(sym).array`` without the wrapper: ``_built`` leaves its (R + R')/2 as it is."""
     values, vectors = sym_eigen(sym)
     scale = float(np.max(np.abs(values))) if values.size else 0.0
     floor = -1e-10 * max(scale, 1e-300)
@@ -129,7 +136,8 @@ def psd_sqrt(m: SymMatrix | np.ndarray) -> SymMatrix:
             f"matrix has a materially negative eigenvalue {float(np.min(values)):.6e}"
         )
     roots = np.sqrt(np.clip(values, 0.0, None))
-    return SymMatrix._built((vectors * roots) @ vectors.T)
+    root = (vectors * roots) @ vectors.T
+    return 0.5 * (root + root.T)
 
 
 def cholesky(m: SymMatrix | np.ndarray) -> np.ndarray:

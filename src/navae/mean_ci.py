@@ -743,6 +743,11 @@ def _plug_in_kurtosis(fourth, second_sq, n: int, inflation: float):
     return np.where(direct, k, math.nan)
 
 
+def _mean(v: np.ndarray) -> float:
+    """``float(np.mean(v))`` of a 1-D float array, by the same sum and division."""
+    return float(np.add.reduce(v)) / v.size
+
+
 def _deviation_kurtosis(x: np.ndarray, second_sq: float, inflation: float = 0.0) -> float:
     """``_plug_in_kurtosis`` of the deviations x, with second_sq the caller's
     rounding of mean(x^2)^2 > 0 (+inf when it overflows).  Outside the normal
@@ -751,7 +756,7 @@ def _deviation_kurtosis(x: np.ndarray, second_sq: float, inflation: float = 0.0)
     with np.errstate(over="ignore"):
         # squaring twice avoids numpy's generic float power (about 40x slower)
         sq = x * x
-        k = float(_plug_in_kurtosis(float(np.mean(sq * sq)), second_sq, x.size, inflation))
+        k = float(_plug_in_kurtosis(_mean(sq * sq), second_sq, x.size, inflation))
     if not math.isnan(k):
         return k
     scale = float(np.max(np.abs(x)))

@@ -19,7 +19,9 @@ whole real line.  ``n_zero`` brackets each condition's last violation by
 doubling n, then bisects the part of the bracket where the condition is
 provably monotone (past a computed n*, for power-rule tunings with
 nonpositive exponents and a delta bound that does not grow in n) and scans
-the rest back one n at a time; both give the same integer.
+the rest back one n at a time; both give the same integer.  Each condition's
+result is cached on the inputs it reads: (alpha, tuning, K_reg) for the
+first, (alpha, tuning, K_xi) for the second.
 
 The four distribution-class constants (lambda_reg, K_reg, K_eps, K_xi) may
 be fixed a priori or estimated by plug-in; plug-in trades the formal
@@ -44,8 +46,8 @@ from .errors import (
     FeasibilityError,
     UnboundedScanError,
 )
-from .linalg import SymMatrix, psd_sqrt, pseudo_inverse, sym_eigen
-from .mean_ci import ConfidenceInterval, _check_alpha, _deviation_kurtosis
+from .linalg import SymMatrix, _psd_sqrt_array, _pseudo_inverse_of, sym_eigen
+from .mean_ci import ConfidenceInterval, _check_alpha, _deviation_kurtosis, _mean
 from .rules import PowerRule
 from .specialfn import std_normal_quantile
 
@@ -126,7 +128,8 @@ class OlsFit:
     n^-1 sum |X_i|^3 |e_i|, n^-1 sum |X_i e_i|^2, and ``t4`` the spectral
     norm of n^-1 sum X_i X_i' S^+ e_i^2.  Only the variance-error bound reads
     them, so they are computed the first time they are read.  ``_mid`` is the
-    sandwich middle n^-1 sum X_i X_i' e_i^2.
+    sandwich middle n^-1 sum X_i X_i' e_i^2, and ``_s_eigenvalues`` those of
+    S, descending, from the eigendecomposition that gave S^+.
     """
 
     design: Design
@@ -136,6 +139,7 @@ class OlsFit:
     s_dagger: SymMatrix
     v_hat: SymMatrix
     _mid: np.ndarray
+    _s_eigenvalues: np.ndarray
 
     @property
     def n(self) -> int:
@@ -148,9 +152,9 @@ class OlsFit:
             norm_sq = _col_sq_norms(self.design.x.T)
             e = np.abs(self.residuals)
             return (
-                float(np.mean(norm_sq * norm_sq)),
-                float(np.mean(norm_sq * np.sqrt(norm_sq) * e)),
-                float(np.mean(norm_sq * (e * e))),
+                _mean(norm_sq * norm_sq),
+                _mean(norm_sq * np.sqrt(norm_sq) * e),
+                _mean(norm_sq * (e * e)),
             )
 
     m4 = property(lambda self: self._row_moments[0])
@@ -159,7 +163,8 @@ class OlsFit:
 
     @cached_property
     def t4(self) -> float:
-        return float(np.linalg.norm(self._mid @ self.s_dagger.array, 2))
+        # the spectral norm as np.linalg.norm(..., 2) takes it: the largest singular value
+        return float(np.linalg.svd(self._mid @ self.s_dagger.array, compute_uv=False)[0])
 
 
 def _col_sq_norms(a: np.ndarray) -> np.ndarray:
@@ -181,7 +186,8 @@ def ols_fit(design: Design) -> OlsFit:
     xt = x.T
     # Design has checked x, but x'x can still overflow: _built rejects that
     s = SymMatrix._built(xt @ x / n)
-    s_dagger = pseudo_inverse(s)
+    eigenvalues, eigenvectors = sym_eigen(s)
+    s_dagger = _pseudo_inverse_of(eigenvalues, eigenvectors)
     # a response that overflows here is the DataError below
     with np.errstate(over="ignore", invalid="ignore"):
         beta = s_dagger.array @ (xt @ y / n)
@@ -200,6 +206,7 @@ def ols_fit(design: Design) -> OlsFit:
         s_dagger=s_dagger,
         v_hat=v_hat,
         _mid=mid,
+        _s_eigenvalues=eigenvalues,
     )
 
 
@@ -282,16 +289,24 @@ class OlsTuning:
     delta: DeltaProvider = BerryEsseen()
 
     def omega(self, n: int) -> float:
-        w = float(self.omega_rule(n))
+        w = _rule_value(self.omega_rule, n, "omega_rule")
         if not 0.0 < w < 1.0:
             raise ConfigError(f"omega_rule({n}) = {w!r}; must lie in (0,1)")
         return w
 
     def a(self, n: int) -> float:
-        a = float(self.a_rule(n))
+        a = _rule_value(self.a_rule, n, "a_rule")
         if not math.isfinite(a) or a <= 1.0:
             raise ConfigError(f"a_rule({n}) = {a!r}; must exceed 1")
         return a
+
+
+def _rule_value(rule: Callable[[int], float], n: int, name: str) -> float:
+    value = rule(n)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}({n}) = {value!r}; must be a number") from exc
 
 
 def _require_resolved(bounds: OlsBounds, what: str) -> None:
@@ -471,11 +486,67 @@ def _positive_beyond(rule: PowerRule, coeffs: tuple[float, float, float]) -> int
 _MARGIN = 1e-3
 
 
-def _n_zero_impl(alpha: float, tuning: OlsTuning, k_reg: float, k_xi: float) -> int:
-    """The larger of the last violations of cond_reg and cond_edg.
+@lru_cache(maxsize=4096)
+def _last_reg_violation(alpha: float, tuning: OlsTuning, k_reg: float) -> int:
+    """The last n with n <= 2 K_reg/(omega_n alpha) (cond_reg; ``n_zero``)."""
 
-    cond_reg(n) is n <= 2 K_reg/(omega_n alpha) and cond_edg(n) is
-    nu_edg(n) >= alpha/2.  A sample size where a tuning rule leaves its
+    def cond_reg(n: int) -> bool:
+        try:
+            return n <= 2.0 * k_reg / (tuning.omega(n) * alpha)
+        except ConfigError:
+            return True
+
+    def cond_reg_margin(n: int) -> bool:
+        try:
+            return 2.0 * k_reg / (tuning.omega(n) * alpha) <= n * (1.0 - _MARGIN)
+        except ConfigError:
+            return False
+
+    rule = tuning.omega_rule
+    reg_from = (_positive_beyond(rule, (0.0, 1.0 + rule.exponent, rule.c1))
+                if isinstance(rule, PowerRule) else None)
+    return _last_violation(cond_reg, cond_reg_margin, reg_from, "n <= 2 K_reg/(omega_n alpha)")
+
+
+@lru_cache(maxsize=4096)
+def _last_edg_violation(alpha: float, tuning: OlsTuning, k_xi: float) -> int:
+    """The last n with nu_edg(n) >= alpha/2 (cond_edg; ``n_zero``)."""
+
+    def cond_edg(n: int) -> bool:
+        try:
+            return nu_edg(n, alpha, tuning, k_xi) >= alpha / 2.0
+        except ConfigError:
+            return True
+
+    def cond_edg_margin(n: int) -> bool:
+        try:
+            return nu_edg(n, alpha, tuning, k_xi) <= (alpha / 2.0) * (1.0 - _MARGIN)
+        except ConfigError:
+            return False
+
+    def edg_at_cap() -> str:
+        try:
+            value = f"{nu_edg(N_SCAN_CAP, alpha, tuning, k_xi):.6g}"
+        except ConfigError as exc:
+            value = f"undefined ({exc})"
+        return f": nu_edg = {value} at n = {N_SCAN_CAP}, alpha/2 = {alpha / 2.0:.6g}"
+
+    omega_rule, a_rule = tuning.omega_rule, tuning.a_rule
+    edg_from = None
+    if (isinstance(omega_rule, PowerRule) and isinstance(a_rule, PowerRule)
+            and omega_rule.c2 * omega_rule.exponent <= 0.0 and tuning.delta.nonincreasing):
+        c1, e = a_rule.c1, a_rule.exponent
+        edg_from = _positive_beyond(a_rule, (1.0, 2.0 * c1 - 1.0 + 2.0 * e, c1 * (c1 - 1.0)))
+    return _last_violation(cond_edg, cond_edg_margin, edg_from, "nu_edg >= alpha/2", edg_at_cap)
+
+
+def n_zero(alpha: float, tuning: OlsTuning, bounds: OlsBounds) -> int:
+    """Last sample size forced into the whole-real-line regime (0 if none).
+
+    The larger of the last violations of cond_reg(n), n <= 2 K_reg/(omega_n
+    alpha), and then of cond_edg(n), nu_edg(n) >= alpha/2, each cached on the
+    inputs it reads: (alpha, tuning, K_reg) and (alpha, tuning, K_xi).  A
+    tuning that cannot be hashed is scanned without the caches.  A sample size where a tuning rule leaves its
     range (omega(1) = 1 for every power rule) counts as violating.
 
     ``_last_violation`` bisects from n* on, where a condition holds on an
@@ -519,69 +590,15 @@ def _n_zero_impl(alpha: float, tuning: OlsTuning, k_reg: float, k_xi: float) -> 
     hold, and that the bisection returns the integer the back-scan returns
     rests on the keys checked in ``test_n_zero_matches_backscan``.
     """
-
-    def cond_reg(n: int) -> bool:
-        try:
-            return n <= 2.0 * k_reg / (tuning.omega(n) * alpha)
-        except ConfigError:
-            return True
-
-    def cond_reg_margin(n: int) -> bool:
-        try:
-            return 2.0 * k_reg / (tuning.omega(n) * alpha) <= n * (1.0 - _MARGIN)
-        except ConfigError:
-            return False
-
-    def cond_edg(n: int) -> bool:
-        try:
-            return nu_edg(n, alpha, tuning, k_xi) >= alpha / 2.0
-        except ConfigError:
-            return True
-
-    def cond_edg_margin(n: int) -> bool:
-        try:
-            return nu_edg(n, alpha, tuning, k_xi) <= (alpha / 2.0) * (1.0 - _MARGIN)
-        except ConfigError:
-            return False
-
-    def edg_at_cap() -> str:
-        try:
-            value = f"{nu_edg(N_SCAN_CAP, alpha, tuning, k_xi):.6g}"
-        except ConfigError as exc:
-            value = f"undefined ({exc})"
-        return f": nu_edg = {value} at n = {N_SCAN_CAP}, alpha/2 = {alpha / 2.0:.6g}"
-
-    omega_rule, a_rule = tuning.omega_rule, tuning.a_rule
-    reg_from = edg_from = None
-    if isinstance(omega_rule, PowerRule):
-        reg_from = _positive_beyond(omega_rule, (0.0, 1.0 + omega_rule.exponent, omega_rule.c1))
-        if (
-            isinstance(a_rule, PowerRule)
-            and omega_rule.c2 * omega_rule.exponent <= 0.0
-            and tuning.delta.nonincreasing
-        ):
-            c1, e = a_rule.c1, a_rule.exponent
-            edg_from = _positive_beyond(a_rule, (1.0, 2.0 * c1 - 1.0 + 2.0 * e, c1 * (c1 - 1.0)))
-    return max(
-        _last_violation(cond_reg, cond_reg_margin, reg_from, "n <= 2 K_reg/(omega_n alpha)"),
-        _last_violation(cond_edg, cond_edg_margin, edg_from, "nu_edg >= alpha/2", edg_at_cap),
-    )
-
-
-@lru_cache(maxsize=4096)
-def _n_zero_cached(alpha: float, tuning: OlsTuning, k_reg: float, k_xi: float) -> int:
-    return _n_zero_impl(alpha, tuning, k_reg, k_xi)
-
-
-def n_zero(alpha: float, tuning: OlsTuning, bounds: OlsBounds) -> int:
-    """Last sample size forced into the whole-real-line regime (0 if none)."""
     alpha = _check_alpha(alpha)
     _require_resolved(bounds, "n_zero")
     try:
-        return _n_zero_cached(alpha, tuning, float(bounds.k_reg), float(bounds.k_xi))
-    except TypeError:
-        # unhashable custom rules; compute without the cache
-        return _n_zero_impl(alpha, tuning, float(bounds.k_reg), float(bounds.k_xi))
+        hash(tuning)
+    except TypeError:  # an unhashable custom rule or provider
+        reg, edg = _last_reg_violation.__wrapped__, _last_edg_violation.__wrapped__
+    else:
+        reg, edg = _last_reg_violation, _last_edg_violation
+    return max(reg(alpha, tuning, float(bounds.k_reg)), edg(alpha, tuning, float(bounds.k_xi)))
 
 
 def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBounds:
@@ -598,7 +615,7 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
         raise DomainError(f"inflation must be >= 0, got {inflation!r}")
     xt = fit.design.x.T
     n, p = fit.design.n, fit.design.p
-    eigenvalues, _ = sym_eigen(fit.s)
+    eigenvalues = fit._s_eigenvalues
     lam_min = float(eigenvalues[-1])
     lam_max = float(eigenvalues[0])
     if lam_min <= max(lam_max, 1.0) * 1e-12:
@@ -609,15 +626,15 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
     # moments that overflow are a DataError below, not a warning here
     with np.errstate(over="ignore", invalid="ignore"):
         # the rotated rows, transposed ((S^+)^(1/2) is symmetric)
-        rot_sq = _col_sq_norms(psd_sqrt(fit.s_dagger).array @ xt)
+        rot_sq = _col_sq_norms(_psd_sqrt_array(fit.s_dagger) @ xt)
         rot_sq2 = rot_sq * rot_sq
-        k_reg = float(np.mean(rot_sq2 - 2.0 * rot_sq + p))
+        k_reg = _mean(rot_sq2 - 2.0 * rot_sq + p)
         # fourth powers as squares of squares: numpy's generic ** 4 on a signed
         # base costs tens of times as much
         res_sq = fit.residuals * fit.residuals
-        k_eps = float(np.mean(rot_sq2 * (res_sq * res_sq)))
+        k_eps = _mean(rot_sq2 * (res_sq * res_sq))
         influence = ((fit.s_dagger.array @ np.asarray(u, dtype=float)) @ xt) * fit.residuals
-        second = float(np.mean(influence * influence))
+        second = _mean(influence * influence)
     if not (math.isfinite(k_reg) and math.isfinite(k_eps)):
         raise DataError(
             "plug-in moments K_reg/K_eps overflow: the regressors or residuals are "

@@ -24,6 +24,7 @@ from navae.errors import (
     NavaeError,
     UnboundedScanError,
 )
+from navae import ols_ci
 from navae.mean_ci import Sample, ci_clt
 from navae.ols_ci import (
     Design,
@@ -462,6 +463,51 @@ def test_n_zero_table_below_first_row():
             assert "n=39" in value[1]
         else:
             assert value == expected
+
+
+def test_n_zero_caches_the_edg_scan_across_k_reg(monkeypatch):
+    # a plug-in K_reg changes with every sample; cond_edg does not depend on it
+    alpha, tuning = 0.0917, STUDY_TUNING
+    n_zero(alpha, tuning, OlsBounds(lambda_reg=1.0, k_reg=0.01, k_eps=1.0, k_xi=9.0))
+    calls = []
+    real = ols_ci.nu_edg
+    monkeypatch.setattr(ols_ci, "nu_edg", lambda *args: calls.append(args) or real(*args))
+    for k_reg in (0.02, 0.3, 4.0):
+        value = n_zero(alpha, tuning, OlsBounds(lambda_reg=1.0, k_reg=k_reg, k_eps=1.0, k_xi=9.0))
+        assert value == n_zero_backscan_oracle(alpha, tuning, k_reg, 9.0)
+    assert calls == []
+    n_zero(alpha, tuning, OlsBounds(lambda_reg=1.0, k_reg=4.0, k_eps=1.0, k_xi=8.0))
+    assert calls  # a new K_xi scans cond_edg
+
+
+@pytest.mark.parametrize("field", ["omega_rule", "a_rule"])
+@pytest.mark.parametrize("value", [None, "wide"])
+def test_a_rule_value_that_is_not_a_number_is_a_config_error(field, value, monkeypatch):
+    tuning = OlsTuning(**{field: lambda n: value})
+    with pytest.raises(ConfigError, match=rf"{field}\(10\) = {value!r}; must be a number"):
+        tuning.omega(10) if field == "omega_rule" else tuning.a(10)
+    # the rule leaves its range at every n, so its condition is violated to the
+    # cap; each condition is scanned once
+    scanned = []
+    real = ols_ci._last_violation
+    monkeypatch.setattr(ols_ci, "_last_violation", lambda *args: scanned.append(args[3]) or real(*args))
+    with pytest.raises(NavaeError):
+        n_zero(0.1, tuning, OlsBounds(lambda_reg=1.0, k_reg=0.01, k_eps=1.0, k_xi=9.0))
+    reg, edg = "n <= 2 K_reg/(omega_n alpha)", "nu_edg >= alpha/2"
+    assert scanned == ([reg] if field == "omega_rule" else [reg, edg])
+
+
+class _UnhashableRule:
+    __hash__ = None
+
+    def __call__(self, n):
+        return n**-0.2
+
+
+def test_n_zero_of_an_unhashable_rule_skips_the_cache():
+    tuning = dataclasses.replace(STUDY_TUNING, omega_rule=_UnhashableRule())
+    value = _n_zero_outcome(n_zero, 0.10, tuning, 0.01, 9.0)
+    assert value == _n_zero_outcome(n_zero_backscan_oracle, 0.10, tuning, 0.01, 9.0) == 3655
 
 
 def test_n_zero_requires_resolved_bounds():

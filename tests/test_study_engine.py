@@ -174,7 +174,9 @@ STUDIES = {
         n_grid=N_GRID, replications=13, alpha=0.05, base_seed=2**40 + 3,
     ),
     "ols": SimStudySpec(
-        dgp=GumbelHeteroLinear(), methods=(OlsAsympMethod(), EDG),
+        # the all-plug-in edg's K_xi, and with it the n_zero key, changes every replication
+        dgp=GumbelHeteroLinear(),
+        methods=(OlsAsympMethod(), EDG, OlsEdgMethod(bounds=OlsBounds.all_plug_in(inflation=1.0))),
         n_grid=(40, 4000), replications=5, alpha=0.1, base_seed=5,
     ),
 }
@@ -267,6 +269,28 @@ def test_plug_in_slices_search_in_blocks_of_64_lanes(monkeypatch):
     sizes.clear()
     assert run_coverage_study(spec, workers=2) == coverage_study_oracle(spec)
     assert sizes == [64, 11]  # the calling process's slice; the child's is not seen here
+
+
+def test_exponential_cells_build_no_sample_per_replication(monkeypatch):
+    # a fixed-rule or plug-in cell on the built-in exponential DGP draws into
+    # its chunk buffer, not through sample_exponential's validated Sample
+    built = []
+    post_init = Sample.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Sample, "__post_init__", counting)
+    methods = (CltMethod(), StudentMethod(), KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0),
+               UnknownVarianceMethod(a_rule=OPTIMIZED, track_alpha_min=True),
+               UnknownVarianceMethod(kurtosis_bound=None, track_alpha_min=True))
+    spec = SimStudySpec(dgp=ExponentialMean(rate=2.0), methods=methods, n_grid=(10, 5000),
+                        replications=30, alpha=0.1, base_seed=1)
+    report = run_coverage_study(spec)
+    assert built == []
+    monkeypatch.undo()
+    assert report == coverage_study_oracle(spec)
 
 
 def _exponential_scaled_by(scale):
@@ -377,6 +401,42 @@ def test_a_nan_in_the_middle_of_a_chunk_raises_the_serial_error(monkeypatch):
     before = SimStudySpec(dgp=dgp, methods=spec.methods, n_grid=(50,), replications=6,
                           alpha=0.1, base_seed=7)
     assert run_coverage_study(before) == coverage_study_oracle(before)
+
+
+def test_a_nan_in_an_exponential_chunk_raises_the_serial_error(monkeypatch):
+    # the shared fill puts a NaN in the middle of replication 5's row, so
+    # sample_exponential's Sample (the oracle) and the chunk path both see it
+    first = [-np.log1p(-np.random.Generator(np.random.Philox(substream(4, 0, 50, r))).random())
+             for r in range(12)]
+    assert [x > 2.0 for x in first] == [False] * 5 + [True] + [False] * 6
+    fill = dgp_sim._fill_exponential
+
+    def nan_above_two(out, rng, rate):
+        fill(out, rng, rate)
+        if out[0] > 2.0:
+            out[out.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(dgp_sim, "_fill_exponential", nan_above_two)
+    methods = (CltMethod(), UnknownVarianceMethod(kurtosis_bound=None, track_alpha_min=True))
+    spec = SimStudySpec(dgp=ExponentialMean(), methods=methods, n_grid=(50,), replications=12,
+                        alpha=0.1, base_seed=4)
+    expected, raised = _errors(spec, monkeypatch)
+    assert expected == (DataError, "sample values must be finite")
+    assert raised == [expected] * 6
+    before = SimStudySpec(dgp=ExponentialMean(), methods=methods[:1], n_grid=(50,), replications=5,
+                          alpha=0.1, base_seed=4)
+    assert run_coverage_study(before) == coverage_study_oracle(before)
+
+
+@pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan], ids=["negative", "zero", "nan"])
+def test_an_exponential_rate_that_sampling_rejects_raises_the_serial_error(rate, monkeypatch):
+    # a negative rate would fill the chunk buffer with finite values
+    spec = SimStudySpec(dgp=ExponentialMean(rate=rate), methods=(CltMethod(),), n_grid=(50,),
+                        replications=6, alpha=0.1, base_seed=3)
+    expected, raised = _errors(spec, monkeypatch)
+    assert expected[0] is (DataError if math.isnan(rate) else DomainError)
+    assert raised == [expected] * 6
 
 
 def _huge(n, rng):
