@@ -68,8 +68,7 @@ from .mean_ci import (
     unknown_variance_width_factor,
 )
 from .ols_ci import (
-    DEFAULT_OLS_A_RULE,
-    DEFAULT_OMEGA_RULE,
+    BOUND_KEYS,
     Design,
     OlsBounds,
     OlsTuning,
@@ -1044,23 +1043,24 @@ def dgp_from_config(config: dict):
 
 
 #: The config keys of each method: the required ones, and the optional ones
-#: with their defaults, the library's own.  ``method_from_config`` takes its
-#: keys from here and the command line its flags.  An edg ``bounds`` object
-#: holds the four ``BOUND_KEYS``.
+#: with their defaults, read from the class each configures.
+#: ``method_from_config`` takes its keys from here and the command line its
+#: flags.  An edg ``bounds`` object holds the four ``BOUND_KEYS``.
 METHOD_KEYS: dict[str, tuple[tuple[str, ...], dict]] = {
     "clt": ((), {}),
     "student": ((), {}),
     "chebyshev": (("var_bound",), {}),
     "hoeffding": (("support",), {}),
-    "known-variance": (("sigma", "K"), {"delta": BerryEsseen()}),
+    "known-variance": (("sigma", "K"), {"delta": KnownVarianceMethod.delta}),
     "unknown-variance": ((), {"K": UnknownVarianceMethod.kurtosis_bound,
-                              "delta": BerryEsseen(), "a_rule": DEFAULT_A_RULE,
-                              "inflation": 0.0, "track_alpha_min": False}),
+                              "delta": UnknownVarianceMethod.delta,
+                              "a_rule": UnknownVarianceMethod.a_rule,
+                              "inflation": UnknownVarianceMethod.plug_in_inflation,
+                              "track_alpha_min": UnknownVarianceMethod.track_alpha_min}),
     "asymp": ((), {}),
-    "edg": (("bounds",), {"delta": BerryEsseen(), "omega_rule": DEFAULT_OMEGA_RULE,
-                          "a_rule": DEFAULT_OLS_A_RULE}),
+    "edg": (("bounds",), {"delta": OlsTuning.delta, "omega_rule": OlsTuning.omega_rule,
+                          "a_rule": OlsTuning.a_rule}),
 }
-BOUND_KEYS = ("lambda_reg", "k_reg", "k_eps", "k_xi")
 
 
 def _bound_spec(value, name: str, inflation: float = 0.0) -> float | PlugIn:

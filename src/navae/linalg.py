@@ -80,10 +80,6 @@ class SymMatrix:
         object.__setattr__(m, "array", sym)
         return m
 
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
     @classmethod
     def from_array(cls, values) -> "SymMatrix":
         return cls(np.array(values, dtype=float))

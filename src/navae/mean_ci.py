@@ -47,7 +47,7 @@ from .errors import (
     InsufficientDataError,
     InvariantError,
 )
-from .rules import OptimizedRule, PowerRule
+from .rules import OptimizedRule, PowerRule, _rule_value
 from .specialfn import std_normal_quantile
 
 __all__ = [
@@ -105,7 +105,13 @@ class ConfidenceInterval:
 
     @classmethod
     def bounded(cls, lower: float, upper: float, level: float, method: str) -> "ConfidenceInterval":
-        return cls(level=level, method=method, lower=float(lower), upper=float(upper))
+        """[lower, upper] of ``method``; an endpoint that overflows is a
+        DataError naming the method (the data's scale, not an invariant)."""
+        lower, upper = float(lower), float(upper)
+        if not (math.isfinite(lower) and math.isfinite(upper)):
+            raise DataError(f"{method} interval overflows: an endpoint is not finite; "
+                            "rescale the data")
+        return cls(level=level, method=method, lower=lower, upper=upper)
 
     @classmethod
     def whole(cls, level: float, method: str) -> "ConfidenceInterval":
@@ -200,6 +206,12 @@ class MeanCiConfig:
             )
 
 
+def _check_inflation(inflation: float) -> None:
+    """A plug-in inflation M must be finite and >= 0."""
+    if not math.isfinite(inflation) or inflation < 0.0:
+        raise DomainError(f"inflation must be >= 0, got {inflation!r}")
+
+
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -222,11 +234,11 @@ def _centered(
     sample: Sample, half_width: Callable | None, alpha: float, method: str, scaled: bool = True
 ):
     """mean +/- half_width(sigma_hat^2), or the whole line when half_width is
-    None.  Endpoints that overflow are a DataError: the half-width's other
-    inputs are finite configuration values.  When the half-width scales with
-    sigma_hat (``scaled``), a sigma_hat^2 below the normal float range is a
-    DataError too unless the sample is constant: the squared deviations have
-    underflowed, and the interval would be too narrow to cover."""
+    None; endpoints that overflow are ``ConfidenceInterval.bounded``'s
+    DataError.  When the half-width scales with sigma_hat (``scaled``), a
+    sigma_hat^2 below the normal float range is a DataError unless the
+    sample is constant: the squared deviations have underflowed, and the
+    interval would be too narrow to cover."""
     level = 1.0 - float(alpha)
     if half_width is None:
         return ConfidenceInterval.whole(level, method)
@@ -237,10 +249,7 @@ def _centered(
             "rescale the data"
         )
     half = half_width(var)
-    lower, upper = sample.mean - half, sample.mean + half
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise DataError(f"{method} interval overflows: the squared deviations are too large")
-    return ConfidenceInterval.bounded(lower, upper, level, method)
+    return ConfidenceInterval.bounded(sample.mean - half, sample.mean + half, level, method)
 
 
 def _clt_half_width(n: int, alpha: float) -> Callable:
@@ -660,7 +669,7 @@ def optimize_a(
 
 
 def _fixed_a(a_rule: Callable[[int], float], n: int) -> float:
-    a = float(a_rule(n))
+    a = _rule_value(a_rule, n, "a_rule")
     if not math.isfinite(a) or a <= 1.0:
         raise ConfigError(f"a_rule({n}) = {a!r}; fixed rules must return a > 1")
     return a
@@ -774,8 +783,7 @@ def sample_kurtosis(sample: Sample, inflation: float = 0.0) -> float:
     the default 0 reproduces the raw estimate, which does not depend on the
     scale of the data (``_deviation_kurtosis``).
     """
-    if inflation < 0.0:
-        raise DomainError(f"inflation must be >= 0, got {inflation!r}")
+    _check_inflation(inflation)
     var = sample.sigma_hat_sq
     if var <= 0.0:
         raise DegenerateSampleError("kurtosis undefined for a zero-variance sample")

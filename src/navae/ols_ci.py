@@ -31,7 +31,7 @@ finite-sample guarantee for practicality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Callable, Union
 
@@ -47,11 +47,13 @@ from .errors import (
     UnboundedScanError,
 )
 from .linalg import SymMatrix, _psd_sqrt_array, _pseudo_inverse_of, sym_eigen
-from .mean_ci import ConfidenceInterval, _check_alpha, _deviation_kurtosis, _mean
-from .rules import PowerRule
+from .mean_ci import (ConfidenceInterval, _check_alpha, _check_inflation, _deviation_kurtosis,
+                      _fixed_a, _mean)
+from .rules import PowerRule, _rule_value
 from .specialfn import std_normal_quantile
 
 __all__ = [
+    "BOUND_KEYS",
     "Design",
     "OlsFit",
     "PlugIn",
@@ -72,11 +74,6 @@ __all__ = [
 
 #: Hard cap for the n0 upward scan.
 N_SCAN_CAP = 10**9
-
-#: Tuning used in the heteroskedastic simulation design:
-#: omega_n = n^(-1/5), a_n = 1 + 20 n^(-2/5).
-DEFAULT_OMEGA_RULE = PowerRule(0.0, 1.0, -0.2)
-DEFAULT_OLS_A_RULE = PowerRule(1.0, 20.0, -0.4)
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,7 @@ class OlsBounds:
     k_xi: BoundSpec
 
     def __post_init__(self) -> None:
-        for name in ("lambda_reg", "k_reg", "k_eps", "k_xi"):
+        for name in BOUND_KEYS:
             value = getattr(self, name)
             if isinstance(value, PlugIn):
                 continue
@@ -269,23 +266,24 @@ class OlsBounds:
 
     @property
     def is_resolved(self) -> bool:
-        return not any(
-            isinstance(getattr(self, name), PlugIn)
-            for name in ("lambda_reg", "k_reg", "k_eps", "k_xi")
-        )
+        return not any(isinstance(getattr(self, name), PlugIn) for name in BOUND_KEYS)
 
     @classmethod
     def all_plug_in(cls, inflation: float = 0.0) -> "OlsBounds":
-        tag = PlugIn(inflation)
-        return cls(lambda_reg=tag, k_reg=tag, k_eps=tag, k_xi=tag)
+        return cls(**dict.fromkeys(BOUND_KEYS, PlugIn(inflation)))
+
+
+#: The names of the four class constants, in field order.
+BOUND_KEYS = tuple(field.name for field in fields(OlsBounds))
 
 
 @dataclass(frozen=True)
 class OlsTuning:
     """Tuning sequences omega_n in (0,1) and a_n > 1, plus the delta provider."""
 
-    omega_rule: Callable[[int], float] = DEFAULT_OMEGA_RULE
-    a_rule: Callable[[int], float] = DEFAULT_OLS_A_RULE
+    # the heteroskedastic simulation design: omega_n = n^(-1/5), a_n = 1 + 20 n^(-2/5)
+    omega_rule: Callable[[int], float] = PowerRule(0.0, 1.0, -0.2)
+    a_rule: Callable[[int], float] = PowerRule(1.0, 20.0, -0.4)
     delta: DeltaProvider = BerryEsseen()
 
     def omega(self, n: int) -> float:
@@ -295,18 +293,7 @@ class OlsTuning:
         return w
 
     def a(self, n: int) -> float:
-        a = _rule_value(self.a_rule, n, "a_rule")
-        if not math.isfinite(a) or a <= 1.0:
-            raise ConfigError(f"a_rule({n}) = {a!r}; must exceed 1")
-        return a
-
-
-def _rule_value(rule: Callable[[int], float], n: int, name: str) -> float:
-    value = rule(n)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}({n}) = {value!r}; must be a number") from exc
+        return _fixed_a(self.a_rule, n)
 
 
 def _require_resolved(bounds: OlsBounds, what: str) -> None:
@@ -381,68 +368,92 @@ def nu_edg(n: int, alpha: float, tuning: OlsTuning, k_xi: float) -> float:
     return (omega * alpha + var_term) / 2.0 + delta
 
 
+_MARGIN = 1e-3
+
+
 def _last_violation(
-    condition: Callable[[int], bool],
-    margin_ok: Callable[[int], bool],
+    value: Callable[[int], float],
+    level: Callable[[int], float],
     monotone_from: int | None,
     name: str,
-    at_cap: Callable[[], str] = lambda: "",
+    at_cap: Callable[[str], str] | None = None,
 ) -> int:
-    """Largest n with condition(n) true, assuming violations die out.
+    """Largest n violating value(n) >= level(n), assuming violations die out.
 
-    Geometric scan (doubling) until the margin check passes at three
-    consecutive grid points; the answer lies between the last grid violation
+    The one place that judges a sample size, evaluating value and level once
+    per n: n violates when value >= level, and it satisfies the condition
+    with margin when value <= level (1 - _MARGIN).  A ConfigError from
+    value (a tuning rule outside its range at n) counts as a violation.
+
+    Geometric scan (doubling) until three consecutive grid points satisfy the
+    condition with margin; the answer lies between the last grid violation
     and the first of those points, first_clean.  Capped at N_SCAN_CAP; the
     ``UnboundedScanError`` raised there names the condition and adds
-    ``at_cap()``, the condition's terms at the cap.
+    ``at_cap(text)``, with text the value at the cap (or ``undefined (...)``).
 
-    On [monotone_from, first_clean] the caller guarantees that the points
-    where condition holds all come before the points where it fails; that
-    part of the bracket is bisected on this split (about 22 evaluations at
-    n0 = 3.4M).  Below monotone_from, or everywhere when it is None, the
-    bracket is scanned back from first_clean - 1 one n at a time.
+    On [monotone_from, first_clean] the caller guarantees that the violating
+    points all come before the others; that part of the bracket is bisected
+    on this split (about 22 evaluations at n0 = 3.4M).  Below monotone_from,
+    or everywhere when it is None, the bracket is scanned back from
+    first_clean - 1 one n at a time.
     """
+
+    def measure(n: int) -> tuple[float, float, ConfigError | None]:
+        try:
+            return value(n), level(n), None
+        except ConfigError as exc:
+            return math.inf, 0.0, exc
+
+    def violated(n: int) -> bool:
+        v, lv, _ = measure(n)
+        return v >= lv
+
     clean_streak = 0
     first_clean = None
     last_seen_violation = 0
     n = 1
     while n <= N_SCAN_CAP:
-        if condition(n):
+        v, lv, _ = measure(n)
+        if v >= lv:
             last_seen_violation = n
             clean_streak = 0
             first_clean = None
-        elif margin_ok(n):
+        elif v <= lv * (1.0 - _MARGIN):
             if clean_streak == 0:
                 first_clean = n
             clean_streak += 1
             if clean_streak >= 3:
                 break
         else:
-            # failed but without margin; keep scanning before trusting it
+            # satisfied but without margin; keep scanning before trusting it
             clean_streak = 0
             first_clean = None
         n *= 2
     else:
+        detail = ""
+        if at_cap is not None:
+            v, _, exc = measure(N_SCAN_CAP)
+            detail = at_cap(f"{v:.6g}" if exc is None else f"undefined ({exc})")
         raise UnboundedScanError(
             f"condition {name} still violated with insufficient margin "
-            f"beyond n = {N_SCAN_CAP}{at_cap()}"
+            f"beyond n = {N_SCAN_CAP}{detail}"
         )
     top = first_clean
     if monotone_from is not None:
         lo = max(monotone_from, last_seen_violation + 1)
         if lo < top:
-            if condition(lo):
+            if violated(lo):
                 hi = top
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
-                    if condition(mid):
+                    if violated(mid):
                         lo = mid
                     else:
                         hi = mid
                 return lo
             top = lo
     for m in range(top - 1, last_seen_violation, -1):
-        if condition(m):
+        if violated(m):
             return m
     return last_seen_violation
 
@@ -483,61 +494,31 @@ def _positive_beyond(rule: PowerRule, coeffs: tuple[float, float, float]) -> int
     return n_star if (a2 * t + a1) * t + a0 > 0.0 else None
 
 
-_MARGIN = 1e-3
-
-
 @lru_cache(maxsize=4096)
 def _last_reg_violation(alpha: float, tuning: OlsTuning, k_reg: float) -> int:
     """The last n with n <= 2 K_reg/(omega_n alpha) (cond_reg; ``n_zero``)."""
-
-    def cond_reg(n: int) -> bool:
-        try:
-            return n <= 2.0 * k_reg / (tuning.omega(n) * alpha)
-        except ConfigError:
-            return True
-
-    def cond_reg_margin(n: int) -> bool:
-        try:
-            return 2.0 * k_reg / (tuning.omega(n) * alpha) <= n * (1.0 - _MARGIN)
-        except ConfigError:
-            return False
-
     rule = tuning.omega_rule
     reg_from = (_positive_beyond(rule, (0.0, 1.0 + rule.exponent, rule.c1))
                 if isinstance(rule, PowerRule) else None)
-    return _last_violation(cond_reg, cond_reg_margin, reg_from, "n <= 2 K_reg/(omega_n alpha)")
+    return _last_violation(lambda n: 2.0 * k_reg / (tuning.omega(n) * alpha), lambda n: n,
+                           reg_from, "n <= 2 K_reg/(omega_n alpha)")
 
 
 @lru_cache(maxsize=4096)
 def _last_edg_violation(alpha: float, tuning: OlsTuning, k_xi: float) -> int:
     """The last n with nu_edg(n) >= alpha/2 (cond_edg; ``n_zero``)."""
-
-    def cond_edg(n: int) -> bool:
-        try:
-            return nu_edg(n, alpha, tuning, k_xi) >= alpha / 2.0
-        except ConfigError:
-            return True
-
-    def cond_edg_margin(n: int) -> bool:
-        try:
-            return nu_edg(n, alpha, tuning, k_xi) <= (alpha / 2.0) * (1.0 - _MARGIN)
-        except ConfigError:
-            return False
-
-    def edg_at_cap() -> str:
-        try:
-            value = f"{nu_edg(N_SCAN_CAP, alpha, tuning, k_xi):.6g}"
-        except ConfigError as exc:
-            value = f"undefined ({exc})"
-        return f": nu_edg = {value} at n = {N_SCAN_CAP}, alpha/2 = {alpha / 2.0:.6g}"
-
     omega_rule, a_rule = tuning.omega_rule, tuning.a_rule
     edg_from = None
     if (isinstance(omega_rule, PowerRule) and isinstance(a_rule, PowerRule)
             and omega_rule.c2 * omega_rule.exponent <= 0.0 and tuning.delta.nonincreasing):
         c1, e = a_rule.c1, a_rule.exponent
         edg_from = _positive_beyond(a_rule, (1.0, 2.0 * c1 - 1.0 + 2.0 * e, c1 * (c1 - 1.0)))
-    return _last_violation(cond_edg, cond_edg_margin, edg_from, "nu_edg >= alpha/2", edg_at_cap)
+    half_alpha = alpha / 2.0
+    return _last_violation(
+        lambda n: nu_edg(n, alpha, tuning, k_xi), lambda n: half_alpha, edg_from,
+        "nu_edg >= alpha/2",
+        lambda text: f": nu_edg = {text} at n = {N_SCAN_CAP}, alpha/2 = {half_alpha:.6g}",
+    )
 
 
 def n_zero(alpha: float, tuning: OlsTuning, bounds: OlsBounds) -> int:
@@ -611,8 +592,7 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
     (1 + inflation/sqrt(n)); the lower bound lambda_reg_hat is divided by it,
     which is the conservative direction for a lower bound.
     """
-    if not math.isfinite(inflation) or inflation < 0.0:
-        raise DomainError(f"inflation must be >= 0, got {inflation!r}")
+    _check_inflation(inflation)
     xt = fit.design.x.T
     n, p = fit.design.n, fit.design.p
     eigenvalues = fit._s_eigenvalues
@@ -647,37 +627,20 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
     # a float's ** raises OverflowError past sqrt(max float), where the ratio rescales
     k_xi = _deviation_kurtosis(influence, second**2 if second < 1e154 else math.inf)
     mult = 1.0 + inflation / math.sqrt(n)
-    return OlsBounds(
-        lambda_reg=lam_min / mult,
-        k_reg=k_reg * mult,
-        k_eps=k_eps * mult,
-        k_xi=k_xi * mult,
-    )
+    return OlsBounds(lam_min / mult, k_reg * mult, k_eps * mult, k_xi * mult)
 
 
 def resolve_bounds(bounds: OlsBounds, fit: OlsFit, u: np.ndarray) -> OlsBounds:
     """Replace plug-in tags with estimates computed from one shared fit."""
     if bounds.is_resolved:
         return bounds
-    inflations = {
-        spec.inflation
-        for spec in (bounds.lambda_reg, bounds.k_reg, bounds.k_eps, bounds.k_xi)
-        if isinstance(spec, PlugIn)
-    }
+    specs = {name: getattr(bounds, name) for name in BOUND_KEYS}
+    inflations = {spec.inflation for spec in specs.values() if isinstance(spec, PlugIn)}
     estimates = {m: plug_in_bounds(fit, u, m) for m in inflations}
-
-    def pick(name: str) -> float:
-        spec = getattr(bounds, name)
-        if isinstance(spec, PlugIn):
-            return float(getattr(estimates[spec.inflation], name))
-        return float(spec)
-
-    return OlsBounds(
-        lambda_reg=pick("lambda_reg"),
-        k_reg=pick("k_reg"),
-        k_eps=pick("k_eps"),
-        k_xi=pick("k_xi"),
-    )
+    return OlsBounds(**{
+        name: float(getattr(estimates[spec.inflation], name) if isinstance(spec, PlugIn) else spec)
+        for name, spec in specs.items()
+    })
 
 
 def ci_edg(

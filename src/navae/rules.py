@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigError
 
@@ -35,6 +36,16 @@ class OptimizedRule:
 
 
 OPTIMIZED = OptimizedRule()
+
+
+def _rule_value(rule: Callable[[int], float], n: int, name: str) -> float:
+    """``float(rule(n))``; a value that ``float()`` rejects is a ConfigError
+    naming the rule ``name``, n and the value."""
+    value = rule(n)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}({n}) = {value!r}; must be a number") from exc
 
 # number: int/float literal with optional sign and exponent part
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

@@ -359,6 +359,31 @@ def test_overflowing_ols_regressors_are_a_data_error(in_tmp, capsys):
     assert not (in_tmp / "ols_ci_report.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["ols-ci", "mean-ci"])
+def test_overflowing_interval_endpoints_are_a_data_error(in_tmp, capsys, command):
+    # edg with fixed bounds on regressors times 1e80, whose fourth moments
+    # overflow in r_var, and a Hoeffding interval on a support as wide as
+    # the floats
+    if command == "ols-ci":
+        rows = ols_file(in_tmp, seed=1).read_text(encoding="utf-8").splitlines()
+        scaled = [rows[0]] + [
+            ",".join([y] + [repr(float(x) * 1e80) for x in rest])
+            for y, *rest in (row.split(",") for row in rows[1:])
+        ]
+        path = write(in_tmp / "scaled_x.csv", "\n".join(scaled) + "\n")
+        argv = ["--add-intercept", "--u", "0,0,1", "--lambda-reg", "1", "--k-reg", "0.01",
+                "--k-eps", "1", "--k-xi", "9"]
+    else:
+        path = write(in_tmp / "huge.csv", "1.7e308\n")
+        argv = ["--method", "hoeffding", "--support", "0,1.7e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        code = run_command([command, "--input", str(path), "--alpha", "0.1", *argv])
+    assert code == 3
+    assert "interval overflows" in capsys.readouterr().err
+    assert not (in_tmp / f"{command.replace('-', '_')}_report.csv").exists()
+
+
 def test_ols_ci_defaults_are_the_library_defaults(in_tmp, capsys):
     from navae.ols_ci import OlsBounds, OlsTuning, ci_edg
 

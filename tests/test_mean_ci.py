@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navae import mean_ci
+from navae.dgp_sim import sample_gumbel_hetero_linear
 from navae.edgeworth import BerryEsseen, EdgeworthLeading, UserSupplied, delta_of
 from navae.errors import (
     ConfigError,
@@ -38,6 +39,7 @@ from navae.mean_ci import (
     student_quantile,
     unknown_variance_width_factor,
 )
+from navae.ols_ci import Design, OlsBounds, OlsTuning, ci_edg
 from navae.rules import OPTIMIZED, PowerRule
 from navae.specialfn import std_normal_cdf, std_normal_quantile
 
@@ -571,8 +573,9 @@ def test_sample_kurtosis_two_point():
 def test_sample_kurtosis_inflation():
     s = Sample(np.array([-1.0, 1.0, -1.0, 1.0]))
     assert sample_kurtosis(s, inflation=2.0) == pytest.approx(1.0 + 2.0 / 2.0)
-    with pytest.raises(DomainError):
-        sample_kurtosis(s, inflation=-0.1)
+    for inflation in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sample_kurtosis(s, inflation=inflation)
 
 
 def test_sample_kurtosis_matches_fourth_power():
@@ -632,6 +635,16 @@ def test_overflowing_moments_are_data_errors():
         # the known-variance interval does not use sigma_hat^2
         ci = ci_known_variance(wide, 1.0, known)
         assert not ci.whole_line and math.isfinite(ci.width)
+        # any method's endpoints that overflow: a Hoeffding interval on a
+        # support as wide as the floats, and edg with fixed bounds on
+        # regressors whose fourth moments overflow in r_var
+        with pytest.raises(DataError, match="hoeffding interval overflows"):
+            ci_hoeffding(Sample(np.array([1.7e308])), 0.1, 0.0, 1.7e308)
+        d = sample_gumbel_hetero_linear(5000, 1)
+        x = d.x.copy()
+        x[:, 1:] *= 1e80
+        with pytest.raises(DataError, match="edg interval overflows"):
+            ci_edg(Design(x, d.y, d.u), 0.1, OlsBounds(1.0, 0.01, 1.0, 9.0), OlsTuning())
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from navae.errors import (
     UnboundedScanError,
 )
 from navae import ols_ci
-from navae.mean_ci import Sample, ci_clt
+from navae.dgp_sim import ExponentialMean, SimStudySpec, UnknownVarianceMethod, run_coverage_study
+from navae.mean_ci import MeanCiConfig, Sample, alpha_min, ci_clt, ci_unknown_variance
 from navae.ols_ci import (
     Design,
     OlsBounds,
@@ -495,6 +496,17 @@ def test_a_rule_value_that_is_not_a_number_is_a_config_error(field, value, monke
         n_zero(0.1, tuning, OlsBounds(lambda_reg=1.0, k_reg=0.01, k_eps=1.0, k_xi=9.0))
     reg, edg = "n <= 2 K_reg/(omega_n alpha)", "nu_edg >= alpha/2"
     assert scanned == ([reg] if field == "omega_rule" else [reg, edg])
+    if field == "a_rule":
+        # the mean intervals read a fixed a_rule through the same check
+        message = rf"a_rule\((10|50)\) = {value!r}; must be a number"
+        cfg = MeanCiConfig(alpha=0.1, kurtosis_bound=9.0, a_rule=lambda n: value)
+        study = SimStudySpec(dgp=ExponentialMean(), methods=(UnknownVarianceMethod(a_rule=lambda n: value),),
+                             n_grid=(50,), replications=3, alpha=0.1)
+        for call in (lambda: ci_unknown_variance(Sample(np.arange(10.0)), cfg),
+                     lambda: alpha_min(10, 9.0, lambda n: value, BerryEsseen()),
+                     lambda: run_coverage_study(study)):
+            with pytest.raises(ConfigError, match=message):
+                call()
 
 
 class _UnhashableRule:
