@@ -398,27 +398,25 @@ def _last_violation(
     first_clean - 1 one n at a time.
     """
 
-    def measure(n: int) -> tuple[float, float, ConfigError | None]:
+    def judge(n: int) -> tuple[bool, bool, float | ConfigError]:
+        """(violated, satisfied with margin, the value or the ConfigError) at n."""
         try:
-            return value(n), level(n), None
+            v, lv = value(n), level(n)
         except ConfigError as exc:
-            return math.inf, 0.0, exc
-
-    def violated(n: int) -> bool:
-        v, lv, _ = measure(n)
-        return v >= lv
+            return True, False, exc
+        return v >= lv, v <= lv * (1.0 - _MARGIN), v
 
     clean_streak = 0
     first_clean = None
     last_seen_violation = 0
     n = 1
     while n <= N_SCAN_CAP:
-        v, lv, _ = measure(n)
-        if v >= lv:
+        violated, clean, _ = judge(n)
+        if violated:
             last_seen_violation = n
             clean_streak = 0
             first_clean = None
-        elif v <= lv * (1.0 - _MARGIN):
+        elif clean:
             if clean_streak == 0:
                 first_clean = n
             clean_streak += 1
@@ -432,8 +430,8 @@ def _last_violation(
     else:
         detail = ""
         if at_cap is not None:
-            v, _, exc = measure(N_SCAN_CAP)
-            detail = at_cap(f"{v:.6g}" if exc is None else f"undefined ({exc})")
+            v = judge(N_SCAN_CAP)[2]
+            detail = at_cap(f"undefined ({v})" if isinstance(v, ConfigError) else f"{v:.6g}")
         raise UnboundedScanError(
             f"condition {name} still violated with insufficient margin "
             f"beyond n = {N_SCAN_CAP}{detail}"
@@ -442,18 +440,18 @@ def _last_violation(
     if monotone_from is not None:
         lo = max(monotone_from, last_seen_violation + 1)
         if lo < top:
-            if violated(lo):
+            if judge(lo)[0]:
                 hi = top
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
-                    if violated(mid):
+                    if judge(mid)[0]:
                         lo = mid
                     else:
                         hi = mid
                 return lo
             top = lo
     for m in range(top - 1, last_seen_violation, -1):
-        if violated(m):
+        if judge(m)[0]:
             return m
     return last_seen_violation
 
