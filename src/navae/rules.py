@@ -47,6 +47,7 @@ def _rule_value(rule: Callable[[int], float], n: int, name: str) -> float:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}({n}) = {value!r}; must be a number") from exc
 
+
 # number: int/float literal with optional sign and exponent part
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _EXP = r"(?P<exp>[+-]?(?:\d+\.?\d*|\.\d+)(?:/\d+\.?\d*)?)"
