@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -267,16 +268,12 @@ def _emit(args, command: str, rows, params: dict) -> None:
     print(f"summary: {summary_path}")
 
 
-def _interval_row(ci: ConfidenceInterval, n: int, alpha: float) -> ReportRow:
-    return ReportRow(
-        method=ci.method,
-        n=n,
-        alpha=alpha,
-        lower=ci.lower,
-        upper=ci.upper,
-        is_whole_line=ci.whole_line,
-        width=ci.width,
-    )
+def _report_row(row) -> ReportRow:
+    """A coverage-study or width-curve row as a report row: the row's fields,
+    with ``mean_width`` as ``width``."""
+    values = asdict(row)
+    values["width"] = values.pop("mean_width")
+    return ReportRow(**values)
 
 
 def _flag_value(args, key: str):
@@ -306,27 +303,21 @@ def _method(args, name: str | None = None):
     return method_from_config(config, getattr(args, "inflation", 0.0))
 
 
-def _cmd_mean_ci(args) -> int:
-    sample = load_mean_csv(args.input)
+def _cmd_interval(args) -> int:
+    """``mean-ci`` and ``ols-ci``: one interval from the ``--input`` CSV,
+    read before the method is built."""
+    if args.command == "mean-ci":
+        data, params = load_mean_csv(args.input), {}
+    else:
+        data, params = load_ols_csv(args.input, args.add_intercept, args.u), {"u": args.u}
     method = _method(args)
     _warn_uncertified(method)
-    ci = method.interval(sample, args.alpha)
+    ci = method.interval(data, args.alpha)
     _print_interval(ci)
-    rows = [_interval_row(ci, sample.n, args.alpha)]
-    _emit(args, "mean-ci", rows, {"input": str(args.input), "method": args.method,
-                                  "alpha": args.alpha})
-    return 0
-
-
-def _cmd_ols_ci(args) -> int:
-    design = load_ols_csv(args.input, args.add_intercept, args.u)
-    method = _method(args)
-    _warn_uncertified(method)
-    ci = method.interval(design, args.alpha)
-    _print_interval(ci)
-    rows = [_interval_row(ci, design.n, args.alpha)]
-    _emit(args, "ols-ci", rows, {"input": str(args.input), "method": args.method,
-                                 "alpha": args.alpha, "u": args.u})
+    row = ReportRow(method=ci.method, n=data.n, alpha=args.alpha, lower=ci.lower,
+                    upper=ci.upper, is_whole_line=ci.whole_line, width=ci.width)
+    params.update(input=str(args.input), method=args.method, alpha=args.alpha)
+    _emit(args, args.command, [row], params)
     return 0
 
 
@@ -370,27 +361,12 @@ def _cmd_simulate(args) -> int:
     for method in study.methods:
         _warn_uncertified(method)
     report = run_coverage_study(study, workers=args.workers)
-    rows = [
-        ReportRow(
-            method=r.method,
-            n=r.n,
-            alpha=r.alpha,
-            coverage=r.coverage,
-            mc_se=r.mc_se,
-            width=r.mean_width,
-            whole_line_fraction=r.whole_line_fraction,
-            mean_alpha_min=r.mean_alpha_min,
-            median_alpha_min=r.median_alpha_min,
-            replications=r.replications,
-        )
-        for r in report.rows
-    ]
     for r in report.rows:
         print(
             f"coverage[{r.method}, n={r.n}] = {r.coverage:.4f} "
             f"(mc se {r.mc_se:.4f}, whole-line share {r.whole_line_fraction:.4f})"
         )
-    _emit(args, "simulate", rows, {"config": str(args.config)})
+    _emit(args, "simulate", [_report_row(r) for r in report.rows], {"config": str(args.config)})
     return 0
 
 
@@ -407,13 +383,10 @@ def _cmd_width_curve(args) -> int:
         replications=args.replications,
         base_seed=args.seed,
     )
-    rows = [
-        ReportRow(method=r.method, n=r.n, alpha=r.alpha, width=r.mean_width, ratio=r.ratio)
-        for r in curve
-    ]
     for r in curve:
         print(f"width[{r.method}, n={r.n}]: mean {r.mean_width!r}, ratio {r.ratio!r}")
-    _emit(args, "width-curve", rows, {"method": args.method, "alpha": args.alpha})
+    _emit(args, "width-curve", [_report_row(r) for r in curve],
+          {"method": args.method, "alpha": args.alpha})
     return 0
 
 
@@ -453,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mean.add_argument("--support", default=None, help="a,b support for hoeffding")
     mean.add_argument("--inflation", type=float, default=0.0)
     mean.add_argument("--output", default=None)
-    mean.set_defaults(handler=_cmd_mean_ci)
+    mean.set_defaults(handler=_cmd_interval)
 
     ols = sub.add_parser("ols-ci", help="confidence interval for u'beta in OLS")
     ols.add_argument("--input", required=True, help="CSV with header y,x1,...,xp")
@@ -464,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_edg_flags(ols)
     ols.add_argument("--a-rule", dest="a_rule")
     ols.add_argument("--output", default=None)
-    ols.set_defaults(handler=_cmd_ols_ci)
+    ols.set_defaults(handler=_cmd_interval)
 
     feas = sub.add_parser("feasibility", help="alpha_min, feasible a intervals, n_zero")
     feas.add_argument("--mode", required=True, choices=["alpha-min", "a-interval", "n-zero"])

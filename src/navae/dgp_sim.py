@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .edgeworth import BerryEsseen, DeltaProvider, delta_of, provider_from_string
+from .edgeworth import BerryEsseen, DeltaProvider, provider_from_string
 from .errors import ConfigError, DomainError
 from .linalg import cholesky
 from .mean_ci import (
@@ -50,7 +50,9 @@ from .mean_ci import (
     MeanCiConfig,
     Sample,
     UnknownVariance,
+    _check_inflation,
     _clt_half_width,
+    _known_variance_factor,
     _known_variance_half_width,
     _plug_in_kurtosis,
     _sigma_hat_half_width,
@@ -451,7 +453,7 @@ class KnownVarianceMethod(_Method):
             alpha=alpha,
             kurtosis_bound=self.kurtosis_bound,
             delta=self.delta,
-            variance=KnownVariance(self.sigma**2),
+            variance=KnownVariance(self.sigma * self.sigma),  # sigma**2 raises on overflow
         )
 
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
@@ -471,6 +473,9 @@ class UnknownVarianceMethod(_Method):
     plug_in_inflation: float = 0.0
     track_alpha_min: bool = False
     navae = True
+
+    def __post_init__(self) -> None:
+        _check_inflation(self.plug_in_inflation)
 
     @property
     def label(self) -> str:
@@ -878,17 +883,15 @@ class WidthCurveRow:
     ratio: float | None
 
 
-def _width_ratio(n: int, alpha: float, method) -> float | None:
-    """A mean method's width over the CLT width, in which the data cancels;
-    None where the interval is the whole line."""
+def _width_factor(n: int, alpha: float, method) -> float | None:
+    """A mean method's half-width per unit sigma/sqrt(n), which over the CLT
+    quantile q(1 - alpha/2) is its width ratio; None where the interval is
+    the whole line."""
     if isinstance(method, KnownVarianceMethod):
-        delta = delta_of(method.delta, n, method.kurtosis_bound)
-        factor = None if delta >= alpha / 2.0 else std_normal_quantile(1.0 - alpha / 2.0 + delta)
-    elif method.kurtosis_bound is None:
+        return _known_variance_factor(n, method.sigma, method._config(alpha))
+    if method.kurtosis_bound is None:
         raise ConfigError("deterministic width ratio needs a fixed kurtosis bound")
-    else:
-        factor = unknown_variance_width_factor(n, method._config(alpha, method.kurtosis_bound))
-    return None if factor is None else factor / std_normal_quantile(1.0 - alpha / 2.0)
+    return unknown_variance_width_factor(n, method._config(alpha, method.kurtosis_bound))
 
 
 def width_curve(
@@ -914,11 +917,12 @@ def width_curve(
     if isinstance(method, (KnownVarianceMethod, UnknownVarianceMethod)):
         if replications < 0:
             raise ConfigError(f"replications must be >= 0, got {replications}")
-        ratios = {n: _width_ratio(n, alpha, method) for n in n_grid}
+        factors = {n: _width_factor(n, alpha, method) for n in n_grid}
+        q = std_normal_quantile(1.0 - alpha / 2.0)
+        ratios = {n: None if f is None else f / q for n, f in factors.items()}
         bounded = tuple(n for n in n_grid if ratios[n] is not None)
         widths = {}
         if isinstance(method, KnownVarianceMethod):
-            q = std_normal_quantile(1.0 - alpha / 2.0)
             widths = {n: 2.0 * method.sigma / math.sqrt(n) * q * ratios[n] for n in bounded}
         elif replications > 0 and bounded:
             study = SimStudySpec(dgp, (method,), bounded, replications, alpha, base_seed)

@@ -18,7 +18,6 @@ ported remainder bound can be injected without code changes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,8 +127,21 @@ class EdgeworthContinuousLeading(DeltaProvider):
         return delta_edgeworth_continuous_leading(n, kurtosis_bound)
 
 
+class _Declared(DeltaProvider):
+    """A provider from outside the package, labelled ``user:<name>`` and
+    certified only when its ``declared_certified`` field says so."""
+
+    @property
+    def certified(self) -> bool:
+        return self.declared_certified
+
+    @property
+    def label(self) -> str:
+        return f"user:{self.name}"
+
+
 @dataclass(frozen=True)
-class UserSupplied(DeltaProvider):
+class UserSupplied(_Declared):
     """Inject an externally computed bound; certification is declared by the caller."""
 
     fn: Callable[[int, float], float]
@@ -144,14 +156,6 @@ class UserSupplied(DeltaProvider):
                 f"at (n={n}, K={kurtosis_bound}); need a finite positive bound"
             )
         return value
-
-    @property
-    def certified(self) -> bool:
-        return self.declared_certified
-
-    @property
-    def label(self) -> str:
-        return f"user:{self.name}"
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ class MinOf(DeltaProvider):
 
 
 @dataclass(frozen=True)
-class TableProvider(DeltaProvider):
+class TableProvider(_Declared):
     """Step interpolation of a (n, K, delta) table, conservative upward.
 
     A row (n', K', d') is a valid bound at every (n, K) with n >= n' and
@@ -213,14 +217,6 @@ class TableProvider(DeltaProvider):
             )
         return min(valid)
 
-    @property
-    def certified(self) -> bool:
-        return self.declared_certified
-
-    @property
-    def label(self) -> str:
-        return f"user:{self.name}"
-
 
 def delta_of(provider: DeltaProvider, n: int, kurtosis_bound: float) -> float:
     """Evaluate a provider and enforce positivity/finiteness of the result."""
@@ -234,20 +230,18 @@ def delta_of(provider: DeltaProvider, n: int, kurtosis_bound: float) -> float:
 
 
 def _load_table(path: str | Path) -> tuple[tuple[int, float, float], ...]:
-    rows: list[tuple[int, float, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if lineno == 1 and row[0].strip().lower() == "n":
-                continue
-            if len(row) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected 'n,K,delta', got {row!r}")
-            try:
-                rows.append((int(row[0]), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return tuple(rows)
+    """The ``n,K,delta`` rows of a table file, read as the CLI reads its CSV
+    inputs; line 1 may be a header whose first cell is ``n``.  An n that is
+    not an integer is a ``ConfigError``."""
+    from .cli import _first_record, _read_floats  # cli imports this module
+
+    first, lines = _first_record(path)
+    is_header = bool(first) and first[0].strip().lower() == "n"
+    rows = _read_floats(path, lines if is_header else 0, 3).tolist()
+    for n, _, _ in rows:
+        if not (math.isfinite(n) and n.is_integer()):
+            raise ConfigError(f"{path}: delta-table n must be an integer, got {n!r}")
+    return tuple((int(n), k, d) for n, k, d in rows)
 
 
 def provider_from_string(spec: str) -> DeltaProvider:

@@ -179,7 +179,7 @@ class KnownVariance:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.sigma_sq) or self.sigma_sq <= 0.0:
-            raise DomainError(f"known variance must be positive, got {self.sigma_sq!r}")
+            raise DomainError(f"known variance must be finite and positive, got {self.sigma_sq!r}")
 
 
 @dataclass(frozen=True)
@@ -358,10 +358,10 @@ def nu_var(a: float, n: int, kurtosis_bound: float) -> float:
     return float(_tuning_terms(a, n, kurtosis_bound, 0.0)[0])
 
 
-def _known_variance_half_width(n: int, sigma_known: float, cfg: MeanCiConfig) -> Callable | None:
-    """The known-variance half-width (sigma/sqrt(n)) q(1 - alpha/2 + delta_n)
-    at sample size n, as a constant function of sigma_hat^2; None when
-    delta_n >= alpha/2 makes the interval the whole real line."""
+def _known_variance_factor(n: int, sigma_known: float, cfg: MeanCiConfig) -> float | None:
+    """q(1 - alpha/2 + delta_n), the known-variance half-width per unit
+    sigma/sqrt(n) at sample size n; None when delta_n >= alpha/2 makes the
+    interval the whole real line."""
     if not math.isfinite(sigma_known) or sigma_known <= 0.0:
         raise DomainError(f"sigma_known must be positive, got {sigma_known!r}")
     if not isinstance(cfg.variance, KnownVariance):
@@ -374,7 +374,16 @@ def _known_variance_half_width(n: int, sigma_known: float, cfg: MeanCiConfig) ->
     delta = delta_of(cfg.delta, n, cfg.kurtosis_bound)
     if delta >= cfg.alpha / 2.0:
         return None
-    half = sigma_known / math.sqrt(n) * std_normal_quantile(1.0 - cfg.alpha / 2.0 + delta)
+    return std_normal_quantile(1.0 - cfg.alpha / 2.0 + delta)
+
+
+def _known_variance_half_width(n: int, sigma_known: float, cfg: MeanCiConfig) -> Callable | None:
+    """The known-variance half-width (sigma/sqrt(n)) ``_known_variance_factor``
+    as a constant function of sigma_hat^2; None in the whole-real-line regime."""
+    factor = _known_variance_factor(n, sigma_known, cfg)
+    if factor is None:
+        return None
+    half = sigma_known / math.sqrt(n) * factor
     return lambda sigma_hat_sq: half
 
 

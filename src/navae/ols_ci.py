@@ -231,8 +231,7 @@ class PlugIn:
     inflation: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.inflation) or self.inflation < 0.0:
-            raise ConfigError(f"inflation must be >= 0, got {self.inflation!r}")
+        _check_inflation(self.inflation)
 
 
 BoundSpec = Union[float, PlugIn]

@@ -193,6 +193,40 @@ def test_mean_ci_hoeffding_support_needs_two_numbers(in_tmp, capsys, support):
     assert "hoeffding support must be two numbers" in capsys.readouterr().err
 
 
+def test_mean_ci_delta_table_route(in_tmp, capsys):
+    from navae.edgeworth import TableProvider
+    from navae.mean_ci import MeanCiConfig, ci_unknown_variance
+    from navae.rules import OPTIMIZED
+
+    path = mean_file(in_tmp, n=1000)
+    write(in_tmp / "table.csv", "n,K,delta\n100,9,0.05\n1000,9,0.02\n")
+    code = run_command(["mean-ci", "--alpha", "0.1", "--K", "9", "--delta", "user:table.csv",
+                        "--a-rule", "optimized", "--input", str(path)])
+    assert code == 0
+    assert "UNCERTIFIED-DELTA: provider 'user:table.csv'" in capsys.readouterr().out
+    (row,) = read_report(in_tmp / "mean_ci_report.csv")
+    table = TableProvider(rows=((100, 9.0, 0.05), (1000, 9.0, 0.02)), name="table.csv")
+    ci = ci_unknown_variance(load_mean_csv(path), MeanCiConfig(0.1, 9.0, table, OPTIMIZED))
+    assert ci.width is not None
+    assert (row.lower, row.upper) == (ci.lower, ci.upper)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mean-ci", "--alpha", "0.1", "--K", "9", "--input", "m.csv"],
+     ["feasibility", "--mode", "alpha-min", "--K", "9"]],
+    ids=["mean-ci", "feasibility"],
+)
+def test_unreadable_delta_table_is_a_data_error(in_tmp, capsys, command):
+    mean_file(in_tmp, n=100)
+    assert run_command(command + ["--delta", "user:missing.csv"]) == 3
+    assert "data error: cannot open missing.csv" in capsys.readouterr().err
+    (in_tmp / "latin1.csv").write_bytes(b"\xff100,9,0.02\n")
+    assert run_command(command + ["--delta", "user:latin1.csv"]) == 3
+    assert "data error: latin1.csv:1: not valid UTF-8: byte 0xff" in capsys.readouterr().err
+    assert not list(in_tmp.glob("*_report.*"))
+
+
 def test_mean_ci_whole_line_row(in_tmp, capsys):
     path = mean_file(in_tmp, n=100)
     assert run_command(["mean-ci", "--alpha", "0.05", "--K", "9", "--input", str(path)]) == 0
@@ -212,6 +246,9 @@ def test_mean_ci_error_codes(in_tmp, capsys):
         ["mean-ci", "--alpha", "0.1", "--method", "chebyshev", "--input", str(ok)]
     ) == 2
     assert run_command(["mean-ci", "--alpha", "0.1", "--input", str(in_tmp / "none.csv")]) == 3
+    # a known sigma whose square overflows is a config error, not an OverflowError
+    assert run_command(["mean-ci", "--alpha", "0.1", "--method", "known-variance", "--K", "9",
+                        "--sigma", "1e200", "--input", str(ok)]) == 2
     capsys.readouterr()
 
 
@@ -648,6 +685,16 @@ def test_simulate_non_string_delta_is_config_error(in_tmp, capsys, method):
     assert "delta must be a provider string" in capsys.readouterr().err
 
 
+def test_simulate_negative_plug_in_inflation_is_a_config_error(in_tmp, capsys):
+    method = {"name": "unknown-variance", "K": "plugin", "inflation": -0.5}
+    write(in_tmp / "sim.json", json.dumps({"dgp": {"kind": "exponential-mean"},
+                                           "methods": [method], "n": [100], "alpha": 0.1,
+                                           "replications": 5}))
+    assert run_command(["simulate", "--config", "sim.json"]) == 2
+    assert "config error: inflation must be >= 0, got -0.5" in capsys.readouterr().err
+    assert not (in_tmp / "simulate_report.csv").exists()
+
+
 @pytest.mark.parametrize("flag", ["false", 0, 1, None])
 def test_simulate_track_alpha_min_must_be_boolean(in_tmp, capsys, flag):
     study = {"dgp": {"kind": "exponential-mean"}, "n": [100], "alpha": 0.1, "replications": 5}
@@ -843,6 +890,22 @@ def test_width_curve_rejects_negative_replications(in_tmp, capsys, method):
     assert (row.width is None) == (method == "unknown-variance")
     assert row.ratio is not None
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--alpha", "1.5", "--sigma", "1"], "alpha must be in (0,1), got 1.5"),
+     (["--alpha", "-0.1", "--sigma", "1"], "alpha must be in (0,1), got -0.1"),
+     (["--alpha", "0.1", "--sigma", "-1"], "sigma_known must be positive, got -1.0"),
+     (["--alpha", "0.1", "--sigma", "0"], "known variance must be finite and positive, got 0.0"),
+     (["--alpha", "0.1", "--sigma", "1e200"], "known variance must be finite and positive, got inf")],
+    ids=["alpha-above-1", "alpha-negative", "sigma-negative", "sigma-zero", "sigma-squared-overflows"],
+)
+def test_width_curve_checks_known_variance_as_mean_ci_does(in_tmp, capsys, flags, message):
+    argv = ["width-curve", "--method", "known-variance", "--K", "9", "--n", "100000"]
+    assert run_command(argv + flags) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (in_tmp / "width_curve_report.csv").exists()
 
 
 @pytest.mark.parametrize("n", ["inf", "1e400", "100.7"])

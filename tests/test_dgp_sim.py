@@ -32,7 +32,7 @@ from navae.dgp_sim import (
     width_curve,
 )
 from navae.cli import run_command
-from navae.errors import ConfigError, DataError, NavaeError
+from navae.errors import ConfigError, DataError, DomainError, NavaeError
 from navae.edgeworth import delta_of
 from navae.mean_ci import MeanCiConfig, sample_kurtosis, unknown_variance_width_factor
 from navae.ols_ci import OlsBounds, OlsTuning, PlugIn, ols_fit
@@ -453,6 +453,10 @@ def test_known_variance_width_ratio_values():
     assert all(r >= 1.0 for r in ratios)
     # deterministic widths: 2 sigma/sqrt(n) q(1-alpha/2+delta)
     assert rows[0].mean_width == pytest.approx(2 * 0.019492959642172056, rel=1e-9)
+    # the checks of ci_known_variance hold for the curve too
+    with pytest.raises(DomainError, match="sigma_known must be positive"):
+        width_curve(ExponentialMean(), KnownVarianceMethod(sigma=-1.0, kurtosis_bound=9.0),
+                    (10**4,), 0.1)
 
 
 def test_known_variance_ratio_none_in_whole_line_regime():

@@ -13,7 +13,7 @@ from navae.edgeworth import (
     delta_of,
     provider_from_string,
 )
-from navae.errors import ConfigError, DomainError, ProviderError
+from navae.errors import ConfigError, DataError, DomainError, ProviderError
 
 
 def test_berry_esseen_values():
@@ -139,6 +139,16 @@ def test_table_rejects_bad_rows(tmp_path):
     table.write_text("100,9,-0.5\n")
     with pytest.raises(ConfigError):
         provider_from_string(f"user:{table}")
+    table.write_text("100.5,9,0.02\n")
+    with pytest.raises(ConfigError):
+        provider_from_string(f"user:{table}")
+    # the CLI's CSV reader: a cell that is not a number is a data error
+    table.write_text("n,K,delta\n100,nine,0.02\n")
+    with pytest.raises(DataError, match=r"bad\.csv:2: "):
+        provider_from_string(f"user:{table}")
+    table.write_text("1e3,9,0.02\n")
+    (row,) = provider_from_string(f"user:{table}").rows
+    assert row == (1000, 9.0, 0.02) and type(row[0]) is int
 
 
 def test_table_provider_direct_construction():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navae import mean_ci
-from navae.dgp_sim import sample_gumbel_hetero_linear
+from navae.dgp_sim import UnknownVarianceMethod, sample_gumbel_hetero_linear
 from navae.edgeworth import BerryEsseen, EdgeworthLeading, UserSupplied, delta_of
 from navae.errors import (
     ConfigError,
@@ -39,7 +39,7 @@ from navae.mean_ci import (
     student_quantile,
     unknown_variance_width_factor,
 )
-from navae.ols_ci import Design, OlsBounds, OlsTuning, ci_edg
+from navae.ols_ci import Design, OlsBounds, OlsTuning, PlugIn, ci_edg
 from navae.rules import OPTIMIZED, PowerRule
 from navae.specialfn import std_normal_cdf, std_normal_quantile
 
@@ -576,6 +576,11 @@ def test_sample_kurtosis_inflation():
     for inflation in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
             sample_kurtosis(s, inflation=inflation)
+        # a study's plug-in K and an OLS plug-in bound take the same rule
+        with pytest.raises(DomainError, match="inflation must be >= 0"):
+            UnknownVarianceMethod(kurtosis_bound=None, plug_in_inflation=inflation)
+        with pytest.raises(DomainError, match="inflation must be >= 0"):
+            PlugIn(inflation)
 
 
 def test_sample_kurtosis_matches_fourth_power():
