@@ -88,7 +88,7 @@ def load_ols_csv(path: str | Path, add_intercept: bool, u_spec: str) -> Design:
 
 def _open_csv(path: str | Path):
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
 
@@ -351,7 +351,7 @@ def _cmd_feasibility(args) -> int:
 
 def _cmd_simulate(args) -> int:
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             config = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot open {args.config}: {exc}") from exc

@@ -189,10 +189,13 @@ class TableProvider(_Declared):
     """Step interpolation of a (n, K, delta) table, conservative upward.
 
     A row (n', K', d') is a valid bound at every (n, K) with n >= n' and
-    K <= K' because delta decreases in n and increases in K.  A query picks
-    the smallest delta among all rows valid for it, and fails if no row
-    covers the query point.
+    K <= K' because delta decreases in n and increases in K.  A query takes
+    the smallest of those rows' deltas and the trivial bound 1, so where no
+    row covers (n, K) the interval is the whole line.  The valid rows only
+    grow with n, so ``n_zero`` bisects a table.
     """
+
+    nonincreasing = True
 
     rows: tuple[tuple[int, float, float], ...]
     declared_certified: bool = False
@@ -209,13 +212,7 @@ class TableProvider(_Declared):
 
     def delta(self, n: int, kurtosis_bound: float) -> float:
         n, k = _check_nk(n, kurtosis_bound)
-        valid = [d for (rn, rk, d) in self.rows if rn <= n and rk >= k]
-        if not valid:
-            raise ProviderError(
-                f"delta table {self.name!r} has no row covering (n={n}, K={k}); "
-                "need a row with n' <= n and K' >= K"
-            )
-        return min(valid)
+        return min([1.0] + [d for (rn, rk, d) in self.rows if rn <= n and rk >= k])
 
 
 def delta_of(provider: DeltaProvider, n: int, kurtosis_bound: float) -> float:

@@ -192,7 +192,7 @@ def ols_fit(design: Design) -> OlsFit:
         mid = (xt * (residuals * residuals)) @ x / n
     if not np.isfinite(mid).all():
         raise DataError("OLS fit overflows: the squared residuals are too large; rescale the response")
-    v_hat = SymMatrix(s_dagger.array @ mid @ s_dagger.array)
+    v_hat = SymMatrix._built(s_dagger.array @ mid @ s_dagger.array)
     for a in (residuals, beta):
         a.setflags(write=False)
     return OlsFit(
@@ -553,9 +553,9 @@ def n_zero(alpha: float, tuning: OlsTuning, bounds: OlsBounds) -> int:
         Q(t(n)) changes sign at most twice, where t(n) meets a real root of
         Q; from n*_edg on Q(t(n)) > 0.
       - delta_n: the provider reports ``nonincreasing``.  Berry-Esseen and
-        the Edgeworth leading terms fall like n^-1/2 or n^-1, and a minimum
-        of nonincreasing bounds is nonincreasing.  A delta table raises below
-        its first row, so it keeps the scan.
+        the Edgeworth leading terms fall like n^-1/2 or n^-1, a table takes
+        its minimum over rows that only grow with n, and a minimum of
+        nonincreasing bounds is nonincreasing.
       So nu_edg >= alpha/2 holds on an initial segment of [n*_edg, inf).
 
     Rounding: +, *, / and sqrt are correctly rounded and so monotone in each

@@ -257,7 +257,7 @@ def load_mean_csv_oracle(path: str | Path) -> Sample:
     """Read a single numeric column; optional header ``x``; blanks skipped."""
     values: list[float] = []
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -283,7 +283,7 @@ def load_ols_csv_oracle(path: str | Path, add_intercept: bool, u_spec: str) -> D
     coordinate of ``u_spec`` refers to it.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:

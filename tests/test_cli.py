@@ -40,6 +40,9 @@ def test_load_mean_csv_forms(tmp_path):
     assert list(s.values) == [1500.0, -2.0]
     s = load_mean_csv(write(tmp_path / "c.csv", "1\n\n\n2\n"))
     assert list(s.values) == [1.0, 2.0]
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    for text in ("\ufeffx\n1\n2\n", "\ufeff1\n2\n"):
+        assert list(load_mean_csv(write(tmp_path / "bom.csv", text)).values) == [1.0, 2.0]
 
 
 @pytest.mark.parametrize(
@@ -88,6 +91,8 @@ def test_load_ols_csv(tmp_path):
     assert d.x.shape == (3, 2)
     assert np.all(d.x[:, 0] == 1.0)
     assert d.u == pytest.approx([0.0, 1.0])
+    bom = load_ols_csv(write(tmp_path / "bom.csv", "\ufeffy,x1\n1,0\n2,1\n3,2\n"), True, "0,1")
+    assert np.array_equal(bom.x, d.x) and np.array_equal(bom.y, d.y)
     with pytest.raises(ConfigError):
         load_ols_csv(path, add_intercept=True, u_spec="0,1,0")
     with pytest.raises(DataError):
@@ -209,6 +214,12 @@ def test_mean_ci_delta_table_route(in_tmp, capsys):
     ci = ci_unknown_variance(load_mean_csv(path), MeanCiConfig(0.1, 9.0, table, OPTIMIZED))
     assert ci.width is not None
     assert (row.lower, row.upper) == (ci.lower, ci.upper)
+    # below the table's first row delta is the trivial bound 1: the whole line
+    write(in_tmp / "late.csv", "n,K,delta\n5000,9,0.001\n")
+    assert run_command(["mean-ci", "--alpha", "0.1", "--K", "9", "--delta", "user:late.csv",
+                        "--input", str(path)]) == 0
+    assert "R (whole real line)" in capsys.readouterr().out
+    assert read_report(in_tmp / "mean_ci_report.csv")[0].is_whole_line is True
 
 
 @pytest.mark.parametrize(
@@ -421,16 +432,20 @@ def test_overflowing_interval_endpoints_are_a_data_error(in_tmp, capsys, command
     assert not (in_tmp / f"{command.replace('-', '_')}_report.csv").exists()
 
 
-def test_ols_ci_defaults_are_the_library_defaults(in_tmp, capsys):
-    from navae.ols_ci import OlsBounds, OlsTuning, ci_edg
-
-    # uniform regressor and errors: every plug-in bound is small enough for a
-    # bounded interval at n = 2000
+def uniform_ols_file(tmp_path):
+    """Uniform regressor and errors: every plug-in bound is small enough for a
+    bounded interval at n = 2000."""
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, 2000)
     eps = rng.uniform(-1.0, 1.0, 2000)
     rows = [f"{1.0 + v + e!r},{v!r}" for v, e in zip(x.tolist(), eps.tolist())]
-    path = write(in_tmp / "uniform.csv", "y,x1\n" + "\n".join(rows) + "\n")
+    return write(tmp_path / "uniform.csv", "y,x1\n" + "\n".join(rows) + "\n")
+
+
+def test_ols_ci_defaults_are_the_library_defaults(in_tmp, capsys):
+    from navae.ols_ci import OlsBounds, OlsTuning, ci_edg
+
+    path = uniform_ols_file(in_tmp)
     assert run_command(["ols-ci", "--input", str(path), "--add-intercept", "--u", "0,1",
                         "--alpha", "0.2"]) == 0
     (row,) = read_report(in_tmp / "ols_ci_report.csv")
@@ -438,6 +453,38 @@ def test_ols_ci_defaults_are_the_library_defaults(in_tmp, capsys):
     assert not ci.whole_line
     assert (row.lower, row.upper) == (ci.lower, ci.upper)
     assert f"[{ci.lower!r}, {ci.upper!r}]" in capsys.readouterr().out
+
+
+def test_ols_ci_delta_table_route(in_tmp, capsys):
+    from navae.edgeworth import TableProvider
+    from navae.ols_ci import OlsBounds, OlsTuning, ci_edg
+
+    path = uniform_ols_file(in_tmp)
+    command = ["ols-ci", "--input", str(path), "--add-intercept", "--u", "0,1", "--alpha", "0.2"]
+    for first_n, whole_line in ((1000, False), (5000, True)):
+        write(in_tmp / "table.csv", f"n,K,delta\n{first_n},9,0.01\n")
+        assert run_command(command + ["--delta", "user:table.csv"]) == 0
+        (row,) = read_report(in_tmp / "ols_ci_report.csv")
+        tuning = OlsTuning(delta=TableProvider(rows=((first_n, 9.0, 0.01),), name="table.csv"))
+        ci = ci_edg(load_ols_csv(path, True, "0,1"), 0.2, OlsBounds.all_plug_in(), tuning)
+        assert ci.whole_line is row.is_whole_line is whole_line
+        assert (row.lower, row.upper) == (ci.lower, ci.upper)
+    capsys.readouterr()
+
+
+def test_ols_ci_near_collinear_regressors(in_tmp, capsys):
+    # the round-off of S^+ M S^+ is not symmetric to 1e-12 here
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(200)
+    x2 = z + 1e-4 * rng.standard_normal(200)
+    y = 1.0 + 2.0 * z - x2 + (1.0 + np.abs(z)) * rng.standard_normal(200)
+    rows = [f"{a!r},{b!r},{c!r}" for a, b, c in zip(y.tolist(), (1000 * z).tolist(),
+                                                    (1000 * x2).tolist())]
+    path = write(in_tmp / "collinear.csv", "y,x1,x2\n" + "\n".join(rows) + "\n")
+    for method in ("asymp", "edg"):
+        assert run_command(["ols-ci", "--input", str(path), "--add-intercept", "--u", "0,1,0",
+                            "--alpha", "0.1", "--method", method]) == 0
+    assert "R (whole real line), level 0.9, method edg" in capsys.readouterr().out
 
 
 def test_ols_ci_u_mismatch_is_config_error(in_tmp, capsys):
@@ -501,6 +548,16 @@ def test_feasibility_n_zero(in_tmp, capsys):
     capsys.readouterr()
 
 
+def test_feasibility_n_zero_delta_table(in_tmp, capsys):
+    # a table whose first row is at n = 50,000 reads delta = 1 below it
+    write(in_tmp / "t50k.csv", "n,K,delta\n50000,9,0.001\n")
+    for delta, expected in (("user:t50k.csv", 49999), ("min(be,user:t50k.csv)", 3655)):
+        assert run_command(["feasibility", "--mode", "n-zero", "--alpha", "0.1", "--k-xi", "9",
+                            "--k-reg", "0.01", "--delta", delta]) == 0
+        assert read_report(in_tmp / "feasibility_report.csv")[0].n_zero == expected
+    capsys.readouterr()
+
+
 def test_feasibility_tuning_defaults_follow_the_mode(in_tmp, capsys):
     # n-zero takes the OLS tuning of ols-ci, whose whole-line threshold at
     # these bounds is 3655; alpha-min takes the unknown-variance a_n rule
@@ -541,6 +598,9 @@ def test_simulate_byte_identical(in_tmp, capsys):
         ["simulate", "--config", str(cfg_path), "--output", "s3.csv", "--workers", "3"]
     ) == 0
     assert (in_tmp / "s1.csv").read_bytes() == (in_tmp / "s3.csv").read_bytes()
+    write(in_tmp / "bom.json", "\ufeff" + json.dumps(config))
+    assert run_command(["simulate", "--config", "bom.json", "--output", "s4.csv"]) == 0
+    assert (in_tmp / "s1.csv").read_bytes() == (in_tmp / "s4.csv").read_bytes()
     capsys.readouterr()
 
 

@@ -118,11 +118,10 @@ def test_table_provider_conservative_upward(tmp_path):
     # smaller K may use the K=4 row, taking the tightest valid bound
     assert provider.delta(1000, 4.0) == 0.01
     assert provider.delta(2000, 3.0) == 0.01
-    # no coverage below the smallest tabulated n
-    with pytest.raises(ProviderError):
-        provider.delta(50, 9.0)
-    with pytest.raises(ProviderError):
-        provider.delta(1000, 20.0)
+    # no row covers a point below the smallest tabulated n or above every K:
+    # the trivial bound 1
+    assert provider.delta(50, 9.0) == 1.0
+    assert provider.delta(1000, 20.0) == 1.0
 
 
 def test_table_provider_certified_suffix(tmp_path):
@@ -167,8 +166,8 @@ def test_provider_from_string_nested_min():
 def test_nonincreasing_flags():
     table = TableProvider(rows=((10, 9.0, 0.3),), name="inline")
     user = UserSupplied(fn=lambda n, k: 0.1)
-    for provider in (BerryEsseen(), EdgeworthLeading(), EdgeworthContinuousLeading()):
+    for provider in (BerryEsseen(), EdgeworthLeading(), EdgeworthContinuousLeading(), table,
+                     MinOf((BerryEsseen(), EdgeworthLeading())), MinOf((BerryEsseen(), table))):
         assert provider.nonincreasing
-    assert MinOf((BerryEsseen(), EdgeworthLeading())).nonincreasing
-    for provider in (table, user, MinOf((BerryEsseen(), table)), MinOf((user,))):
+    for provider in (user, MinOf((user,)), MinOf((table, user))):
         assert not provider.nonincreasing

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from navae import mean_ci
 from navae.dgp_sim import UnknownVarianceMethod, sample_gumbel_hetero_linear
-from navae.edgeworth import BerryEsseen, EdgeworthLeading, UserSupplied, delta_of
+from navae.edgeworth import BerryEsseen, EdgeworthLeading, TableProvider, UserSupplied, delta_of
 from navae.errors import (
     ConfigError,
     DataError,
@@ -546,6 +546,21 @@ def test_alpha_min_optimized_dominates_fixed():
 
 def test_alpha_min_clamped_to_one():
     assert alpha_min(1, 9.0, FIXED_RULE, BE) == 1.0
+
+
+def test_table_without_a_covering_row_gives_the_whole_line():
+    # delta = 1 below the first row (n = 100) and at K above every row (K = 20)
+    table = TableProvider(rows=((1000, 9.0, 0.001),))
+    for n, k in ((100, 9.0), (10**4, 20.0)):
+        s = Sample(np.random.default_rng(0).standard_normal(n))
+        assert alpha_min(n, k, FIXED_RULE, table) == 1.0
+        assert alpha_min(n, k, OPTIMIZED, table) == 1.0
+        assert feasible_a_interval(n, 0.1, k, table) is None
+        assert ci_unknown_variance(s, cfg_unknown(0.1, k, OPTIMIZED, table)).whole_line
+        assert ci_known_variance(s, 1.0, cfg_known(0.1, 1.0, k, table)).whole_line
+    # the row covers n = 10^4 at K = 9
+    s = Sample(np.random.default_rng(0).standard_normal(10**4))
+    assert not ci_known_variance(s, 1.0, cfg_known(0.1, 1.0, 9.0, table)).whole_line
 
 
 def test_width_factor_matches_interval():

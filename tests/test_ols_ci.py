@@ -11,6 +11,7 @@ from navae.edgeworth import (
     BerryEsseen,
     EdgeworthContinuousLeading,
     EdgeworthLeading,
+    MinOf,
     TableProvider,
     UserSupplied,
     delta_berry_esseen,
@@ -119,6 +120,21 @@ def test_fit_duplicated_column_min_norm():
     target_dup = float(np.array([0.0, 1.0, 1.0]) @ fit_dup.beta_hat)
     target_dedup = float(np.array([0.0, 1.0]) @ fit_dedup.beta_hat)
     assert target_dup == pytest.approx(target_dedup, rel=1e-9)
+
+
+def test_fit_near_collinear_regressors():
+    # S^+ M S^+ built from nearly collinear, large regressors is symmetric
+    # only to about 3e-9 relative; v_hat symmetrizes it as (A + A')/2
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(200)
+    x2 = z + 1e-4 * rng.standard_normal(200)
+    y = 1.0 + 2.0 * z - x2 + (1.0 + np.abs(z)) * rng.standard_normal(200)
+    x = np.column_stack([np.ones(200), 1000.0 * z, 1000.0 * x2])
+    design = Design(x=x, y=y, u=np.array([0.0, 1.0, 0.0]))
+    fit = ols_fit(design)
+    product = fit.s_dagger.array @ fit._mid @ fit.s_dagger.array
+    assert np.array_equal(fit.v_hat.array, 0.5 * (product + product.T))
+    assert not ci_asymp(design, 0.1, fit).whole_line
 
 
 def test_fit_matches_numpy_oracle():
@@ -366,6 +382,25 @@ def _n_zero_outcome(fn, alpha, tuning, k_reg, k_xi):
         return type(exc), str(exc)
 
 
+def _check_n_zero(alpha, tuning, k_reg, k_xi):
+    """Check n_zero against the back-scan oracle; the outcome, and whether
+    the oracle ran."""
+    value = _n_zero_outcome(n_zero, alpha, tuning, k_reg, k_xi)
+    if isinstance(value, int) and value > 10**5:
+        # the back-scan costs one nu_edg call per n; past 1e5 check only
+        # that n0 violates and n0 + 1 does not
+        assert [
+            n <= 2.0 * k_reg / (tuning.omega(n) * alpha)
+            or nu_edg(n, alpha, tuning, k_xi) >= alpha / 2.0
+            for n in (value, value + 1)
+        ] == [True, False]
+        return value, False
+    assert value == _n_zero_outcome(n_zero_backscan_oracle, alpha, tuning, k_reg, k_xi), (
+        alpha, k_reg, k_xi, tuning.delta, tuning.a_rule,
+    )
+    return value, True
+
+
 def test_n_zero_matches_backscan():
     compared = 0
     for alpha, k_reg, k_xi, delta, base in itertools.product(
@@ -375,21 +410,7 @@ def test_n_zero_matches_backscan():
         (BerryEsseen(), EdgeworthLeading(), EdgeworthContinuousLeading()),
         (STUDY_TUNING, tuning_for_rate(0.0)),
     ):
-        tuning = dataclasses.replace(base, delta=delta)
-        value = _n_zero_outcome(n_zero, alpha, tuning, k_reg, k_xi)
-        if isinstance(value, int) and value > 10**5:
-            # the back-scan costs one nu_edg call per n; past 1e5 check only
-            # that n0 violates and n0 + 1 does not
-            assert [
-                n <= 2.0 * k_reg / (tuning.omega(n) * alpha)
-                or nu_edg(n, alpha, tuning, k_xi) >= alpha / 2.0
-                for n in (value, value + 1)
-            ] == [True, False]
-            continue
-        compared += 1
-        assert value == _n_zero_outcome(n_zero_backscan_oracle, alpha, tuning, k_reg, k_xi), (
-            alpha, k_reg, k_xi, delta, base.a_rule,
-        )
+        compared += _check_n_zero(alpha, dataclasses.replace(base, delta=delta), k_reg, k_xi)[1]
     assert compared >= 300
 
 
@@ -447,12 +468,11 @@ def test_n_zero_scans_where_monotonicity_is_unproved():
 
 def test_n_zero_table_below_first_row():
     # omega = 2 n^-1/5 leaves (0,1) for n <= 32 and the table has no row below
-    # n = 40, so the doubling bracket holds points where the provider raises;
-    # a table is not ``nonincreasing`` and keeps the back-scan: with a larger
-    # delta the last violation (54) lies above those points, with a smaller
-    # one the scan stops at n = 39 with the provider's error
+    # n = 40, where it reads the trivial bound delta = 1, a violation; a table
+    # is ``nonincreasing`` and is bisected: with a larger delta the last
+    # violation (54) lies above the first row, with a smaller one it is n = 39
     omega = PowerRule(0.0, 2.0, -0.2)
-    for delta, expected in ((0.025, 54), (0.001, None)):
+    for delta, expected in ((0.025, 54), (0.001, 39)):
         tuning = OlsTuning(
             omega_rule=omega,
             a_rule=PowerRule(1.0, 20.0, -0.4),
@@ -460,10 +480,31 @@ def test_n_zero_table_below_first_row():
         )
         value = _n_zero_outcome(n_zero, 0.5, tuning, 0.01, 1.0)
         assert value == _n_zero_outcome(n_zero_backscan_oracle, 0.5, tuning, 0.01, 1.0)
-        if expected is None:
-            assert "n=39" in value[1]
-        else:
-            assert value == expected
+        assert value == expected
+
+
+def test_n_zero_bisects_tables_like_the_backscan():
+    # a table reads delta = 1 where no row covers (n, K_xi): below its first
+    # row, and at every n for a K_xi above every row, which scans to the cap;
+    # a minimum with Berry-Esseen covers those points
+    tables = (
+        TableProvider(rows=((50_000, 9.0, 0.001),)),
+        TableProvider(rows=((100, 9.0, 0.2), (1000, 9.0, 0.05), (5000, 9.0, 0.01),
+                            (20_000, 50.0, 0.004))),
+        TableProvider(rows=((10, 2.0, 0.3), (3000, 2.0, 0.02))),
+    )
+    outcomes = set()
+    for alpha, k_xi, delta, base in itertools.product(
+        (0.05, 0.1, 0.2),
+        (1.0, 9.0, 50.0),
+        tables + tuple(MinOf((BerryEsseen(), table)) for table in tables),
+        (STUDY_TUNING, tuning_for_rate(0.0)),
+    ):
+        value, _ = _check_n_zero(alpha, dataclasses.replace(base, delta=delta), 0.01, k_xi)
+        outcomes.add(value[0] if isinstance(value, tuple) else int)
+    assert outcomes == {int, UnboundedScanError}
+    tuning = OlsTuning(delta=tables[0])
+    assert n_zero(0.1, tuning, OlsBounds(lambda_reg=1.0, k_reg=0.01, k_eps=1.0, k_xi=9.0)) == 49_999
 
 
 def test_n_zero_caches_the_edg_scan_across_k_reg(monkeypatch):
