@@ -125,6 +125,13 @@ def _first_record(path: str | Path) -> tuple[list[str] | None, int]:
 _ASCII_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
+def _has_ascii_separator(path: str | Path) -> bool:
+    """Whether the file holds one of ``_ASCII_SEPARATORS``; it is read once,
+    and its bytes are freed before numpy parses it."""
+    data = Path(path).read_bytes()
+    return any(sep in data for sep in _ASCII_SEPARATORS)
+
+
 def _read_floats(path: str | Path, header_lines: int, width: int | None) -> np.ndarray:
     """Every non-blank record after the first ``header_lines`` lines, as a
     row of floats.
@@ -140,7 +147,7 @@ def _read_floats(path: str | Path, header_lines: int, width: int | None) -> np.n
     only in a cell holding a non-ASCII character, so full rows of a file with
     those bytes go to the row loop.
     """
-    if width is not None and any(sep in Path(path).read_bytes() for sep in _ASCII_SEPARATORS):
+    if width is not None and _has_ascii_separator(path):
         return _read_rows(path, header_lines, width)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")

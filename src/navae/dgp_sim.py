@@ -9,16 +9,24 @@ draws exactly what a generator built from ``substream`` draws; any other
 DGP (``CustomMeanDgp`` included) is given the ``substream`` seed sequence
 itself, so a draw that spawns child generators or reads the generator's
 seed sequence sees that replication's own.  The CLT, Student, known- and
-unknown-variance methods have a cell rule: a slice of replications is drawn
-a chunk at a time into one buffer and reduced to per-replication means,
-sigma_hat^2 and, for a plug-in K, fourth moments, from which the rule gives
-every interval of the slice with array arithmetic, bit for bit as the
-scalar ``ci_*`` function does; a plug-in K's tuning searches run on lanes
-(``mean_ci``), one lane per K, up to 64 at a time.  ``ExponentialMean``
-draws each replication straight into its row of the buffer, with no
-``Sample``; other DGPs' ``sample`` values are copied in.  A slice with a
-value the arrays cannot settle, a non-finite one included, runs again one
-``interval`` call per replication, so every error is the serial loop's.
+unknown-variance methods and the OLS ``asymp`` and ``edg`` methods have a
+cell rule, which gives every interval of a slice with array arithmetic, bit
+for bit as the scalar ``ci_*`` function does.  A mean slice is drawn a chunk
+at a time into one buffer of at most ``_CHUNK_DOUBLES`` values and reduced
+to per-replication means, sigma_hat^2 and, for a plug-in K, fourth moments;
+a plug-in K's tuning searches run on lanes (``mean_ci``), one lane per K, up
+to 64 at a time.  ``ExponentialMean`` draws each replication straight into
+its row of the buffer, with no ``Sample``; other mean DGPs' ``sample``
+values are copied in.  An OLS slice on ``GumbelHeteroLinear`` is drawn a
+block at a time, at most ``_CHUNK_DOUBLES // ((p + 1) n)`` replications (3
+at n = 5000, 5 at n = 3000, one when n is larger), with no ``Design``: x'
+and y go into stacked (R, p, n) and (R, n) buffers, and the block is fitted,
+given plug-in bounds and given its intervals as one stack (``ols_ci``), with
+one cached ``n_zero`` call per replication.  A slice with a value the arrays
+cannot settle (a non-finite draw, a singular S under plug-in bounds, zero
+influence values, an overflow, a ``FeasibilityError`` or a scan error
+included) runs again one ``interval`` call per replication, so every error
+is the serial loop's.
 With one worker every replication runs in the calling process, in order.
 With k > 1, each (method, n) cell's replications are cut into k contiguous
 slices: the calling process runs the first slice of every cell and k - 1
@@ -75,6 +83,11 @@ from .ols_ci import (
     OlsBounds,
     OlsTuning,
     PlugIn,
+    _asymp_halves,
+    _centres,
+    _check_direction,
+    _edg_halves,
+    _fit,
     ci_asymp,
     ci_edg,
     ols_fit,
@@ -121,6 +134,8 @@ GUMBEL_REGRESSOR_COV.setflags(write=False)
 _GUMBEL_REGRESSOR_CHOL = cholesky(GUMBEL_REGRESSOR_COV)
 _GUMBEL_REGRESSOR_CHOL.setflags(write=False)
 GUMBEL_BETA = (2.0, 1.0, -3.0)
+_GUMBEL_BETA_ARRAY = np.array(GUMBEL_BETA)
+_GUMBEL_BETA_ARRAY.setflags(write=False)
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
@@ -273,6 +288,31 @@ def sample_exponential(n: int, seed: SeedLike, rate: float = 1.0) -> Sample:
     return Sample(_fill_exponential(np.empty(n), _generator(seed), rate))
 
 
+def _fill_gumbel(x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
+    """``x`` ((n, 3), C-ordered) and ``y`` ((n,), contiguous) filled with one
+    draw of ``sample_gumbel_hetero_linear``'s model: the intercept column,
+    the regressors, then the outcome."""
+    n = y.size
+    x[:, 0] = 1.0
+    regressors = np.matmul(rng.standard_normal((n, 2)), _GUMBEL_REGRESSOR_CHOL.T, out=x[:, 1:])
+    gumbel_scale = regressors[:, 0] + regressors[:, 1]
+    # |X1 + X2| sqrt(6)/pi, in place
+    np.abs(gumbel_scale, out=gumbel_scale)
+    gumbel_scale *= math.sqrt(6.0)
+    gumbel_scale /= math.pi
+    gumbel_loc = -EULER_MASCHERONI * gumbel_scale
+    # U in (0,1): the generator yields [0,1) on a 2^-53 lattice, so lifting
+    # exact zeros to the smallest positive lattice point changes nothing else
+    uniforms = rng.random(n)
+    np.maximum(uniforms, 2.0**-53, out=uniforms)
+    gumbel = np.log(-np.log(uniforms))
+    gumbel *= gumbel_scale
+    np.subtract(gumbel_loc, gumbel, out=gumbel_loc)  # eps
+    # C order: x @ beta rounds differently on a Fortran-ordered x
+    np.matmul(x, _GUMBEL_BETA_ARRAY, out=y)
+    y += gumbel_loc
+
+
 def sample_gumbel_hetero_linear(
     n: int, seed: SeedLike, u: Sequence[float] = (0.0, 0.0, 1.0)
 ) -> Design:
@@ -287,19 +327,8 @@ def sample_gumbel_hetero_linear(
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    rng = _generator(seed)
-    # C order: y = x @ beta below rounds differently on a Fortran-ordered x
-    x = np.empty((n, 3))
-    x[:, 0] = 1.0
-    regressors = np.matmul(rng.standard_normal((n, 2)), _GUMBEL_REGRESSOR_CHOL.T, out=x[:, 1:])
-    total = regressors[:, 0] + regressors[:, 1]
-    gumbel_scale = np.abs(total) * math.sqrt(6.0) / math.pi
-    gumbel_loc = -EULER_MASCHERONI * gumbel_scale
-    # U in (0,1): the generator yields [0,1) on a 2^-53 lattice, so lifting
-    # exact zeros to the smallest positive lattice point changes nothing else
-    uniforms = np.maximum(rng.random(n), 2.0**-53)
-    eps = gumbel_loc - gumbel_scale * np.log(-np.log(uniforms))
-    y = x @ np.asarray(GUMBEL_BETA) + eps
+    x, y = np.empty((n, 3)), np.empty(n)
+    _fill_gumbel(x, y, _generator(seed))
     return Design(x=x, y=y, u=np.asarray(u, dtype=float))
 
 
@@ -365,13 +394,19 @@ _RESET_DGPS = (ExponentialMean, GumbelHeteroLinear)
 
 
 class _CellRule(NamedTuple):
-    """Every interval of a (method, n) cell as mean +/- a half-width that
-    depends on the sample only through its sigma_hat^2 and, when
-    ``inflation`` is not None, its plug-in kurtosis bound K with that
-    inflation (``mean_ci._plug_in_kurtosis``).  ``intervals(sigma_hat_sq,
-    k)`` maps a slice's arrays of them (k None without a plug-in) to the
-    half-widths, NaN where an interval is the whole line, and the tracked
-    alpha_mins: an array, or one value for every replication."""
+    """Every interval of a (method, n) cell from array arithmetic.
+
+    A mean method's interval is mean +/- a half-width that depends on the
+    sample only through its sigma_hat^2 and, when ``inflation`` is not None,
+    its plug-in kurtosis bound K with that inflation
+    (``mean_ci._plug_in_kurtosis``).  ``intervals(sigma_hat_sq, k)`` maps a
+    slice's arrays of them (k None without a plug-in) to the half-widths, NaN
+    where an interval is the whole line, and the tracked alpha_mins: an
+    array, or one value for every replication.
+
+    An OLS method's interval is u'beta +/- a half-width: ``intervals(fits,
+    u)`` maps a block's stacked fits (``ols_ci._Fits``) to the half-widths
+    and the whole-line mask."""
 
     intervals: Callable
     inflation: float | None = None
@@ -453,7 +488,7 @@ class KnownVarianceMethod(_Method):
             alpha=alpha,
             kurtosis_bound=self.kurtosis_bound,
             delta=self.delta,
-            variance=KnownVariance(self.sigma * self.sigma),  # sigma**2 raises on overflow
+            variance=KnownVariance(self.sigma),
         )
 
     def interval(self, sample: Sample, alpha: float) -> ConfidenceInterval:
@@ -533,6 +568,9 @@ class OlsAsympMethod(_Method):
     def interval(self, design: Design, alpha: float) -> ConfidenceInterval:
         return ci_asymp(design, alpha)
 
+    def cell_rule(self, n: int, alpha: float) -> _CellRule:
+        return _CellRule(lambda fits, u: _asymp_halves(fits, u, alpha))
+
 
 @dataclass(frozen=True)
 class OlsEdgMethod(_Method):
@@ -548,6 +586,9 @@ class OlsEdgMethod(_Method):
 
     def interval(self, design: Design, alpha: float) -> ConfidenceInterval:
         return ci_edg(design, alpha, self.bounds, self.tuning)
+
+    def cell_rule(self, n: int, alpha: float) -> _CellRule:
+        return _CellRule(lambda fits, u: _edg_halves(fits, u, alpha, self.bounds, self.tuning))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +681,9 @@ def _aggregate(method, n, alpha, records) -> SimReportRow:
 
 
 #: Doubles in the buffer that one chunk of a cell-rule slice's draws is copied
-#: into (512 KiB): a chunk is 2**16 // n replications, or one when n is larger.
+#: into (512 KiB): a chunk is 2**16 // n replications of a mean DGP, or
+#: 2**16 // ((p + 1) n) designs (x' and y) of an OLS DGP, or one when n is
+#: larger.
 _CHUNK_DOUBLES = 1 << 16
 
 #: Doubles per lane in a lane search's largest arrays (its scan grids of
@@ -665,8 +708,9 @@ def _interval_records(
     return records
 
 
-def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int) -> list | None:
-    """Records of replications ``start`` to ``stop - 1`` under a cell rule.
+def _mean_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int):
+    """``(means, half-widths, whole-line mask, alpha_mins)`` of replications
+    ``start`` to ``stop - 1`` of a mean cell, or None.
 
     The draws pass through a buffer of at most ``_CHUNK_DOUBLES`` values, a
     chunk of replications at a time (``ExponentialMean`` fills its rows with
@@ -675,12 +719,9 @@ def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: in
     rule, fourth moments of the deviations: ``np.add.reduce(..., axis=1) / n``
     of the values, their squared deviations and the squares of those, which
     equal ``Sample.mean``, ``Sample.sigma_hat_sq`` and the m4 of
-    ``sample_kurtosis`` bit for bit.
-    The rule then gives the slice's half-widths at once, by the expressions
-    ``interval`` evaluates too.  None when a sample is not n values long, a
-    sigma_hat^2 is NaN (a draw is not finite) or below the normal float
-    range, a K is outside ``_plug_in_kurtosis``'s direct form or an interval
-    is not a finite ordered pair: ``interval`` then decides.
+    ``sample_kurtosis`` bit for bit.  None when a sample is not n values
+    long, a sigma_hat^2 is NaN (a draw is not finite) or below the normal
+    float range, or a K is outside ``_plug_in_kurtosis``'s direct form.
     """
     fill = type(dgp) is ExponentialMean
     if fill and not dgp.rate > 0.0:
@@ -717,9 +758,66 @@ def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: in
         if not np.isfinite(k).all():
             return None
     half, alpha_mins = rule.intervals(variances, k)
-    whole = np.broadcast_to(np.isnan(half), (count,))
+    return means, half, np.isnan(half), alpha_mins
+
+
+def _ols_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int):
+    """``(u'beta_hats, half-widths, whole-line mask, None)`` of replications
+    ``start`` to ``stop - 1`` of an OLS cell on ``GumbelHeteroLinear``, or
+    None for any other DGP, n below p or a draw that is not finite.
+
+    A block of at most ``_CHUNK_DOUBLES // ((p + 1) n)`` replications (at
+    least one) is drawn at a time: ``_fill_gumbel`` fills one C-ordered
+    (n, p) scratch design per replication, as ``sample_gumbel_hetero_linear``
+    does, and its x' and y are copied into the block's (R, p, n) and (R, n)
+    buffers, the layout ``Design`` gives every product, with no ``Design``
+    built.  One finite check covers the block; then the block is fitted
+    (``ols_ci._fit``) and the rule gives its intervals.
+    """
+    if type(dgp) is not GumbelHeteroLinear:
+        return None
+    p = len(GUMBEL_BETA)
+    u = np.asarray(dgp.u, dtype=float).reshape(-1)
+    _check_direction(u, p)  # an error sends the slice to interval, which raises it
+    if n < p:
+        return None  # Design rejects the design
+    count = stop - start
+    rows = min(count, max(1, _CHUNK_DOUBLES // ((p + 1) * n)))
+    x, xt, y = np.empty((n, p)), np.empty((rows, p, n)), np.empty((rows, n))
+    centres, halves, wholes = [], [], []
+    for lo in range(0, count, rows):
+        size = min(rows, count - lo)
+        for j in range(size):
+            _fill_gumbel(x, y[j], streams.seed(start + lo + j))
+            xt[j] = x.T
+        if not (np.isfinite(xt[:size]).all() and np.isfinite(y[:size]).all()):
+            return None
+        fits = _fit(xt[:size], y[:size])
+        half, whole = rule.intervals(fits, u)
+        centres.append(_centres(fits, u))
+        halves.append(half)
+        wholes.append(whole)
+    return np.concatenate(centres), np.concatenate(halves), np.concatenate(wholes), None
+
+
+def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int) -> list | None:
+    """Records of replications ``start`` to ``stop - 1`` under a cell rule.
+
+    ``_mean_intervals`` or ``_ols_intervals`` gives the slice's centres,
+    half-widths and whole-line mask at once, by the expressions ``interval``
+    evaluates too; the records follow from them here.  None when those give
+    None or an interval that is not the whole line is not a finite ordered
+    pair: ``interval`` then decides.
+    """
+    settle = _ols_intervals if dgp.family == "ols" else _mean_intervals
+    intervals = settle(dgp, n, rule, streams, start, stop)
+    if intervals is None:
+        return None
+    count = stop - start
+    centres, half, whole, alpha_mins = intervals
+    whole = np.broadcast_to(whole, (count,))
     with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = means - half, means + half
+        lower, upper = centres - half, centres + half
         widths = (upper - lower).tolist()
     if not (np.isfinite(lower) & np.isfinite(upper) & (lower <= upper) | whole).all():
         return None
@@ -736,12 +834,16 @@ def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudyS
     Replication r draws from the stream ``substream(base_seed, method_index,
     n, r)`` seeds, for the built-in DGPs through one generator reset to
     each key (``_CellStreams``).  A method with a cell rule (the CLT,
-    Student, known- and unknown-variance intervals) evaluates the whole
-    slice by array arithmetic that equals ``interval``'s bit for bit
-    (``_rule_records``).  If the rule or anything in the slice raises, or
-    it has a value that ``_rule_records`` leaves to ``interval``, the whole
-    slice runs again one ``interval`` call each, in order, so any error
-    raised is the one the serial loop raises first.
+    Student, known- and unknown-variance intervals, and asymp and edg on
+    ``GumbelHeteroLinear``) evaluates the whole slice by array arithmetic
+    that equals ``interval``'s bit for bit (``_rule_records``), the OLS
+    methods in blocks of at most ``_CHUNK_DOUBLES // ((p + 1) n)``
+    replications.  If the rule or anything in the slice raises, or it has a
+    value that ``_rule_records`` leaves to ``interval`` (a non-finite draw,
+    a singular S under plug-in bounds, zero influence values, an overflow, a
+    ``FeasibilityError`` or a scan error among them), the whole slice runs
+    again one ``interval`` call each, in order, so any error raised is the
+    one the serial loop raises first.
     """
     streams = _CellStreams(spec.dgp, spec.base_seed, method_index, n, start, stop)
     try:

@@ -11,9 +11,13 @@ relative pivot floor that makes Cholesky reject numerically singular input.
 Validation runs where a matrix enters from outside.  ``SymMatrix(...)``,
 ``SymMatrix.from_array`` and every public function handed a raw array check
 the shape, finiteness and symmetry in full.  Matrices the library has just
-built symmetric itself (x'x/n in ``ols_fit`` and the results of
-``pseudo_inverse`` and ``psd_sqrt``) are wrapped by ``SymMatrix._built``,
-which keeps the finite check and the symmetrisation and skips the rest.
+built symmetric itself (x'x/n in the OLS fit and the results of
+``pseudo_inverse`` and ``psd_sqrt``) go through ``_symmetrized``, which keeps
+the finite check and the symmetrisation and skips the rest.
+
+The private helpers (``_symmetrized``, ``_eigh_desc``, ``_pseudo_inverse_of``,
+``_psd_sqrt_array``) take one matrix or a stack of them (leading axes), and
+do to each matrix of a stack what they do to one matrix alone.
 """
 
 from __future__ import annotations
@@ -67,15 +71,13 @@ class SymMatrix:
 
     @classmethod
     def _built(cls, a: np.ndarray) -> "SymMatrix":
-        """Wrap a square array built symmetric up to round-off by this library.
+        """Wrap a square array built symmetric up to round-off by this library
+        (``_symmetrized``)."""
+        return cls._of(_symmetrized(a))
 
-        The finite check runs on the symmetrized array, so it also catches an
-        overflow in (M + M')/2.
-        """
-        sym = 0.5 * (a + a.T)
-        if not np.isfinite(sym).all():
-            raise DataError("matrix entries must be finite")
-        sym.setflags(write=False)
+    @classmethod
+    def _of(cls, sym: np.ndarray) -> "SymMatrix":
+        """Wrap a matrix that ``_symmetrized`` returned (or one of its stack) as it is."""
         m = object.__new__(cls)
         object.__setattr__(m, "array", sym)
         return m
@@ -85,14 +87,32 @@ class SymMatrix:
         return cls(np.array(values, dtype=float))
 
 
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(A + A')/2 of a square array (or of each matrix of a stack), read-only.
+
+    The finite check runs on the symmetrized array, so it also catches an
+    overflow in (A + A')/2.
+    """
+    sym = 0.5 * (a + np.swapaxes(a, -1, -2))
+    if not np.isfinite(sym).all():
+        raise DataError("matrix entries must be finite")
+    sym.setflags(write=False)
+    return sym
+
+
 def _as_sym(m: SymMatrix | np.ndarray) -> SymMatrix:
     return m if isinstance(m, SymMatrix) else SymMatrix.from_array(m)
 
 
+def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a symmetric array or stack, eigenvalues descending."""
+    values, vectors = np.linalg.eigh(a)
+    return values[..., ::-1], vectors[..., ::-1]
+
+
 def sym_eigen(m: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors (as columns)."""
-    values, vectors = np.linalg.eigh(_as_sym(m).array)
-    return values[::-1], vectors[:, ::-1]
+    return _eigh_desc(_as_sym(m).array)
 
 
 def spectral_norm(m: SymMatrix | np.ndarray) -> float:
@@ -107,33 +127,40 @@ def pseudo_inverse(m: SymMatrix | np.ndarray) -> SymMatrix:
     Eigenvalues with |lambda| <= p * machine epsilon * max|lambda|, the usual
     cutoff for rank decisions, are treated as zero.
     """
-    return _pseudo_inverse_of(*sym_eigen(m))
+    return SymMatrix._of(_pseudo_inverse_of(*sym_eigen(m)))
 
 
-def _pseudo_inverse_of(values: np.ndarray, vectors: np.ndarray) -> SymMatrix:
-    """``pseudo_inverse`` of the matrix whose ``sym_eigen`` is (values, vectors)."""
-    cutoff = values.size * np.finfo(float).eps * float(np.max(np.abs(values))) if values.size else 0.0
+def _largest_magnitude(values: np.ndarray) -> np.ndarray:
+    """max |eigenvalue| of each matrix, kept as a trailing axis of length 1
+    (0 for a 0 x 0 matrix)."""
+    return np.max(np.abs(values), axis=-1, keepdims=True, initial=0.0)
+
+
+def _pseudo_inverse_of(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``pseudo_inverse(...).array`` of the matrix (or stack) whose
+    ``_eigh_desc`` is (values, vectors)."""
+    cutoff = values.shape[-1] * np.finfo(float).eps * _largest_magnitude(values)
     inv = np.where(np.abs(values) > cutoff, 1.0 / np.where(values == 0.0, 1.0, values), 0.0)
-    return SymMatrix._built((vectors * inv) @ vectors.T)
+    return _symmetrized((vectors * inv[..., None, :]) @ np.swapaxes(vectors, -1, -2))
 
 
 def psd_sqrt(m: SymMatrix | np.ndarray) -> SymMatrix:
     """Symmetric PSD square root; tiny negative eigenvalues are clamped to 0."""
-    return SymMatrix._built(_psd_sqrt_array(_as_sym(m)))
+    return SymMatrix._built(_psd_sqrt_array(_as_sym(m).array))
 
 
-def _psd_sqrt_array(sym: SymMatrix) -> np.ndarray:
-    """``psd_sqrt(sym).array`` without the wrapper: ``_built`` leaves its (R + R')/2 as it is."""
-    values, vectors = sym_eigen(sym)
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    floor = -1e-10 * max(scale, 1e-300)
+def _psd_sqrt_array(sym: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` of a symmetric array (or stack) without the wrapper:
+    ``_built`` leaves its (R + R')/2 as it is."""
+    values, vectors = _eigh_desc(sym)
+    floor = -1e-10 * np.maximum(_largest_magnitude(values), 1e-300)
     if np.any(values < floor):
         raise NotPositiveDefiniteError(
             f"matrix has a materially negative eigenvalue {float(np.min(values)):.6e}"
         )
     roots = np.sqrt(np.clip(values, 0.0, None))
-    root = (vectors * roots) @ vectors.T
-    return 0.5 * (root + root.T)
+    root = (vectors * roots[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
 def cholesky(m: SymMatrix | np.ndarray) -> np.ndarray:

@@ -175,11 +175,14 @@ class Sample:
 
 @dataclass(frozen=True)
 class KnownVariance:
-    sigma_sq: float
+    """A known variance, given by its standard deviation sigma (sigma^2 itself
+    may lie outside the float range when sigma does not)."""
+
+    sigma: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.sigma_sq) or self.sigma_sq <= 0.0:
-            raise DomainError(f"known variance must be finite and positive, got {self.sigma_sq!r}")
+        if not math.isfinite(self.sigma) or self.sigma <= 0.0:
+            raise DomainError(f"sigma_known must be positive, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -366,10 +369,10 @@ def _known_variance_factor(n: int, sigma_known: float, cfg: MeanCiConfig) -> flo
         raise DomainError(f"sigma_known must be positive, got {sigma_known!r}")
     if not isinstance(cfg.variance, KnownVariance):
         raise ConfigError("ci_known_variance requires cfg.variance = KnownVariance")
-    if not math.isclose(sigma_known, math.sqrt(cfg.variance.sigma_sq), rel_tol=1e-12):
+    if not math.isclose(sigma_known, cfg.variance.sigma, rel_tol=1e-12):
         raise ConfigError(
             f"sigma_known = {sigma_known!r} disagrees with the configured known "
-            f"variance {cfg.variance.sigma_sq!r}"
+            f"variance's sigma {cfg.variance.sigma!r}"
         )
     delta = delta_of(cfg.delta, n, cfg.kurtosis_bound)
     if delta >= cfg.alpha / 2.0:
@@ -394,7 +397,7 @@ def ci_known_variance(
 
     Whole real line exactly when delta_n >= alpha/2; otherwise the CLT
     interval with the quantile argument enlarged by delta_n.  ``sigma_known``
-    must match ``cfg.variance.sigma_sq`` to a relative 1e-12.
+    must match ``cfg.variance.sigma`` to a relative 1e-12.
     """
     return _centered(sample, _known_variance_half_width(sample.n, sigma_known, cfg), cfg.alpha,
                      "known-variance", scaled=False)
@@ -761,28 +764,33 @@ def _plug_in_kurtosis(fourth, second_sq, n: int, inflation: float):
     return np.where(direct, k, math.nan)
 
 
-def _mean(v: np.ndarray) -> float:
-    """``float(np.mean(v))`` of a 1-D float array, by the same sum and division."""
-    return float(np.add.reduce(v)) / v.size
+def _means(a: np.ndarray):
+    """The mean of each row (last axis) of ``a``, by ``np.mean``'s sum and
+    division: one value for a 1-D array, and bit for bit that value for each
+    row of a stack."""
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
 
 
-def _deviation_kurtosis(x: np.ndarray, second_sq: float, inflation: float = 0.0) -> float:
+def _deviation_kurtosis(x: np.ndarray, second_sq, inflation: float = 0.0):
     """``_plug_in_kurtosis`` of the deviations x, with second_sq the caller's
-    rounding of mean(x^2)^2 > 0 (+inf when it overflows).  Outside the normal
-    float range x is first divided by max|x|, which leaves the ratio
-    unchanged.  A DataError if x has overflowed."""
+    rounding of mean(x^2)^2 > 0 (+inf when it overflows).  x is one sample
+    (a float is returned) or a stack of rows with one second_sq each (an
+    array is returned).  Outside the normal float range a row is first
+    divided by its max|x|, which leaves the ratio unchanged.  A DataError if
+    a row has overflowed."""
+    rows = np.atleast_2d(x)
     with np.errstate(over="ignore"):
         # squaring twice avoids numpy's generic float power (about 40x slower)
-        sq = x * x
-        k = float(_plug_in_kurtosis(_mean(sq * sq), second_sq, x.size, inflation))
-    if not math.isnan(k):
-        return k
-    scale = float(np.max(np.abs(x)))
-    if not math.isfinite(scale):
-        raise DataError("fourth moment overflows: the deviations are too large to standardise")
-    z_sq = np.square(x / scale)
-    fourth, second = float(np.mean(z_sq * z_sq)), float(np.mean(z_sq))
-    return float(_plug_in_kurtosis(fourth, second**2, x.size, inflation))
+        sq = rows * rows
+        k = _plug_in_kurtosis(_means(sq * sq), second_sq, rows.shape[1], inflation)
+    for r in np.flatnonzero(np.isnan(k)):
+        scale = float(np.max(np.abs(rows[r])))
+        if not math.isfinite(scale):
+            raise DataError("fourth moment overflows: the deviations are too large to standardise")
+        z_sq = np.square(rows[r] / scale)
+        fourth, second = float(np.mean(z_sq * z_sq)), float(np.mean(z_sq))
+        k[r] = _plug_in_kurtosis(fourth, second**2, rows.shape[1], inflation)
+    return k if x.ndim > 1 else float(k[0])
 
 
 def sample_kurtosis(sample: Sample, inflation: float = 0.0) -> float:

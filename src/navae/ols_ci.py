@@ -26,6 +26,16 @@ first, (alpha, tuning, K_xi) for the second.
 The four distribution-class constants (lambda_reg, K_reg, K_eps, K_xi) may
 be fixed a priori or estimated by plug-in; plug-in trades the formal
 finite-sample guarantee for practicality.
+
+The fit, the plug-in bounds and the interval arithmetic are written once,
+over a stack of R designs of one size (``_Fits``, ``_fit``,
+``_plug_in_estimates``, ``_asymp_halves``, ``_edg_halves``): ``ols_fit``,
+``plug_in_bounds``, ``ci_asymp`` and ``ci_edg`` are their case R = 1, and the
+coverage-study harness (``dgp_sim``) hands them a block of replications.
+Every product of a stack is numpy's per-matrix BLAS or LAPACK call on the
+layout a single design has, and every reduction runs along a contiguous
+last axis, so each design's numbers are bit for bit those of a stack of one.
+n_zero stays one (cached) scalar call per design.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -46,9 +56,9 @@ from .errors import (
     FeasibilityError,
     UnboundedScanError,
 )
-from .linalg import SymMatrix, _psd_sqrt_array, _pseudo_inverse_of, sym_eigen
+from .linalg import SymMatrix, _eigh_desc, _psd_sqrt_array, _pseudo_inverse_of, _symmetrized
 from .mean_ci import (ConfidenceInterval, _check_alpha, _check_inflation, _deviation_kurtosis,
-                      _fixed_a, _mean)
+                      _fixed_a, _means)
 from .rules import PowerRule, _rule_value
 from .specialfn import std_normal_quantile
 
@@ -76,6 +86,14 @@ __all__ = [
 N_SCAN_CAP = 10**9
 
 
+def _check_direction(u: np.ndarray, p: int) -> None:
+    """A direction u of the target u'beta must be p finite values, not all zero."""
+    if u.size != p:
+        raise ConfigError(f"direction length {u.size} does not match p={p}")
+    if not np.all(np.isfinite(u)) or not np.any(u != 0.0):
+        raise DomainError("direction u must be finite and nonzero")
+
+
 @dataclass(frozen=True)
 class Design:
     """Regression data plus the direction u of the target functional u'beta."""
@@ -95,12 +113,9 @@ class Design:
             raise DataError(f"need n >= p >= 1, got n={n}, p={p}")
         if y.size != n:
             raise DataError(f"outcome length {y.size} does not match n={n}")
-        if u.size != p:
-            raise ConfigError(f"direction length {u.size} does not match p={p}")
+        _check_direction(u, p)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DataError("design and outcome entries must be finite")
-        if not np.all(np.isfinite(u)) or not np.any(u != 0.0):
-            raise DomainError("direction u must be finite and nonzero")
         # x in Fortran order: x.T is then the C-ordered (p, n) array that
         # ols_fit and plug_in_bounds take their products and row sums from
         for name, arr in (("x", x), ("y", y), ("u", u)):
@@ -117,6 +132,86 @@ class Design:
         return self.x.shape[1]
 
 
+class _Fits(NamedTuple):
+    """Least-squares fits of a stack of R designs of one size n, every array
+    with a leading axis of length R: x' as ``xt`` (R, p, n), C-ordered, the
+    layout ``Design`` gives ``x.T``; S, its eigenvalues (descending), S^+,
+    the sandwich middle n^-1 sum X_i X_i' e_i^2 and V (R, p, p), symmetrized;
+    beta (R, p) and the residuals (R, n)."""
+
+    xt: np.ndarray
+    s: np.ndarray
+    eigenvalues: np.ndarray
+    s_dagger: np.ndarray
+    beta: np.ndarray
+    residuals: np.ndarray
+    mid: np.ndarray
+    v_hat: np.ndarray
+
+
+def _fit(xt: np.ndarray, y: np.ndarray) -> _Fits:
+    """Least-squares fits of finite designs x' (R, p, n), C-ordered, and y
+    (R, n) via the pseudo-inverse (min-norm for singular S).
+
+    S = x'x / n is BLAS's symmetric product of x' with its own transpose;
+    x'y, the residuals and the sandwich middle are products with x' too.  A
+    DataError when S, S^+, the sandwich middle or V is not finite (for any
+    design of the stack).
+    """
+    n = xt.shape[-1]
+    x = np.swapaxes(xt, -1, -2)
+    # the designs are finite, but x'x can still overflow: _symmetrized rejects that
+    s = _symmetrized(xt @ x / n)
+    eigenvalues, eigenvectors = _eigh_desc(s)
+    s_dagger = _pseudo_inverse_of(eigenvalues, eigenvectors)
+    # a response that overflows here is the DataError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = (s_dagger @ (xt @ y[..., None] / n))[..., 0]
+        residuals = y - (beta[..., None, :] @ xt)[..., 0, :]
+        mid = (xt * (residuals * residuals)[..., None, :]) @ x / n
+    if not np.isfinite(mid).all():
+        raise DataError("OLS fit overflows: the squared residuals are too large; rescale the response")
+    v_hat = _symmetrized(s_dagger @ mid @ s_dagger)
+    for a in (residuals, beta):
+        a.setflags(write=False)
+    return _Fits(xt, s, eigenvalues, s_dagger, beta, residuals, mid, v_hat)
+
+
+def _col_sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of ``a`` (of each matrix of a stack).  A
+    (p, n) temporary passed here is freed on return; kept alive beside the
+    (n,) ones after it, it made malloc trim the heap and fault it in again
+    on every call at large n."""
+    return np.einsum("...ij,...ij->...j", a, a)
+
+
+def _row_moments(fits: _Fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n^-1 sum |X_i|^4, n^-1 sum |X_i|^3 |e_i| and n^-1 sum |X_i e_i|^2 of
+    each fit; the moments of large but finite regressors may be +inf, which
+    r_var carries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = _col_sq_norms(fits.xt)
+        e = np.abs(fits.residuals)
+        return (_means(norm_sq * norm_sq), _means(norm_sq * np.sqrt(norm_sq) * e),
+                _means(norm_sq * (e * e)))
+
+
+def _t4(fits: _Fits) -> np.ndarray:
+    """The spectral norm of n^-1 sum X_i X_i' S^+ e_i^2 of each fit, as
+    np.linalg.norm(..., 2) takes it: the largest singular value."""
+    return np.linalg.svd(fits.mid @ fits.s_dagger, compute_uv=False)[..., 0]
+
+
+def _centres(fits: _Fits, u: np.ndarray) -> np.ndarray:
+    """u'beta of each fit."""
+    return (fits.beta[..., None, :] @ u)[..., 0]
+
+
+def _quadratic(u: np.ndarray, fits: _Fits) -> np.ndarray:
+    """u'V u of each fit."""
+    return ((u @ fits.v_hat)[..., None, :] @ u)[..., 0]
+
+
 @dataclass(frozen=True)
 class OlsFit:
     """Fit artifacts shared by every downstream operation.
@@ -124,9 +219,9 @@ class OlsFit:
     ``m4``, ``m31``, ``m_xe2`` are the sample moments n^-1 sum |X_i|^4,
     n^-1 sum |X_i|^3 |e_i|, n^-1 sum |X_i e_i|^2, and ``t4`` the spectral
     norm of n^-1 sum X_i X_i' S^+ e_i^2.  Only the variance-error bound reads
-    them, so they are computed the first time they are read.  ``_mid`` is the
-    sandwich middle n^-1 sum X_i X_i' e_i^2, and ``_s_eigenvalues`` those of
-    S, descending, from the eigendecomposition that gave S^+.
+    them, so they are computed the first time they are read.  ``_fits`` is
+    this fit as a stack of one (``_fit``), of which every field is a view;
+    ``_mid`` is the sandwich middle n^-1 sum X_i X_i' e_i^2.
     """
 
     design: Design
@@ -135,24 +230,19 @@ class OlsFit:
     s: SymMatrix
     s_dagger: SymMatrix
     v_hat: SymMatrix
-    _mid: np.ndarray
-    _s_eigenvalues: np.ndarray
+    _fits: _Fits
 
     @property
     def n(self) -> int:
         return self.design.n
 
+    @property
+    def _mid(self) -> np.ndarray:
+        return self._fits.mid[0]
+
     @cached_property
     def _row_moments(self) -> tuple[float, float, float]:
-        # the moments of large but finite regressors may be +inf, which r_var carries
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm_sq = _col_sq_norms(self.design.x.T)
-            e = np.abs(self.residuals)
-            return (
-                _mean(norm_sq * norm_sq),
-                _mean(norm_sq * np.sqrt(norm_sq) * e),
-                _mean(norm_sq * (e * e)),
-            )
+        return tuple(float(m[0]) for m in _row_moments(self._fits))
 
     m4 = property(lambda self: self._row_moments[0])
     m31 = property(lambda self: self._row_moments[1])
@@ -160,50 +250,22 @@ class OlsFit:
 
     @cached_property
     def t4(self) -> float:
-        # the spectral norm as np.linalg.norm(..., 2) takes it: the largest singular value
-        return float(np.linalg.svd(self._mid @ self.s_dagger.array, compute_uv=False)[0])
-
-
-def _col_sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared norm of each column of ``a``.  A (p, n) temporary passed here is
-    freed on return; kept alive beside the (n,) ones after it, it made malloc
-    trim the heap and fault it in again on every call at large n."""
-    return np.einsum("ij,ij->j", a, a)
+        return float(_t4(self._fits)[0])
 
 
 def ols_fit(design: Design) -> OlsFit:
-    """Least-squares fit via the pseudo-inverse (min-norm for singular S).
-
-    Every product reads x' as ``design.x.T``, which is C-ordered because
-    Design keeps x in Fortran order: S = x'x / n (BLAS's symmetric product),
-    x'y, the residuals and the sandwich middle.
-    """
-    x, y = design.x, design.y
-    n = design.n
-    xt = x.T
-    # Design has checked x, but x'x can still overflow: _built rejects that
-    s = SymMatrix._built(xt @ x / n)
-    eigenvalues, eigenvectors = sym_eigen(s)
-    s_dagger = _pseudo_inverse_of(eigenvalues, eigenvectors)
-    # a response that overflows here is the DataError below
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta = s_dagger.array @ (xt @ y / n)
-        residuals = y - beta @ xt
-        mid = (xt * (residuals * residuals)) @ x / n
-    if not np.isfinite(mid).all():
-        raise DataError("OLS fit overflows: the squared residuals are too large; rescale the response")
-    v_hat = SymMatrix._built(s_dagger.array @ mid @ s_dagger.array)
-    for a in (residuals, beta):
-        a.setflags(write=False)
+    """Least-squares fit via the pseudo-inverse (min-norm for singular S):
+    ``_fit`` of the stack of one, ``design.x.T``, which is C-ordered because
+    Design keeps x in Fortran order."""
+    fits = _fit(design.x.T[None], design.y[None])
     return OlsFit(
         design=design,
-        beta_hat=beta,
-        residuals=residuals,
-        s=s,
-        s_dagger=s_dagger,
-        v_hat=v_hat,
-        _mid=mid,
-        _s_eigenvalues=eigenvalues,
+        beta_hat=fits.beta[0],
+        residuals=fits.residuals[0],
+        s=SymMatrix._of(fits.s[0]),
+        s_dagger=SymMatrix._of(fits.s_dagger[0]),
+        v_hat=SymMatrix._of(fits.v_hat[0]),
+        _fits=fits,
     )
 
 
@@ -212,16 +274,32 @@ def sandwich_variance(fit: OlsFit) -> SymMatrix:
     return fit.v_hat
 
 
+def _one_interval(fits: _Fits, u: np.ndarray, halves: tuple, alpha: float, method: str) -> ConfidenceInterval:
+    """The interval of a stack of one from its ``(half-widths, whole-line
+    mask)``, centred at u'beta."""
+    half, whole = halves
+    if whole[0]:
+        return ConfidenceInterval.whole(1.0 - alpha, method)
+    centre, half = float(_centres(fits, u)[0]), float(half[0])
+    return ConfidenceInterval.bounded(centre - half, centre + half, 1.0 - alpha, method)
+
+
+def _asymp_halves(fits: _Fits, u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths q(1-alpha/2) sqrt(u'Vu/n) of the asymptotic intervals of
+    a stack of fits (u'Vu below 0 counts as 0), and their whole-line mask:
+    none is the whole line."""
+    variance = _quadratic(u, fits)
+    half = (std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(np.where(variance < 0.0, 0.0, variance))
+            / math.sqrt(fits.xt.shape[-1]))
+    return half, np.zeros(half.shape, dtype=bool)
+
+
 def ci_asymp(design: Design, alpha: float, fit: OlsFit | None = None) -> ConfidenceInterval:
     """CLT-based interval for u'beta with the sandwich variance."""
     alpha = _check_alpha(alpha)
     if fit is None:
         fit = ols_fit(design)
-    u = design.u
-    center = float(u @ fit.beta_hat)
-    variance = max(float(u @ fit.v_hat.array @ u), 0.0)
-    half = std_normal_quantile(1.0 - alpha / 2.0) * math.sqrt(variance) / math.sqrt(design.n)
-    return ConfidenceInterval.bounded(center - half, center + half, 1.0 - alpha, "asymp")
+    return _one_interval(fit._fits, design.u, _asymp_halves(fit._fits, design.u, alpha), alpha, "asymp")
 
 
 @dataclass(frozen=True)
@@ -329,8 +407,20 @@ def r_lin(gamma: float, n: int, bounds: OlsBounds, u_norm: float) -> float:
 
 def r_var(gamma: float, fit: OlsFit, bounds: OlsBounds) -> float:
     """Variance-estimation error bound: the four-term sum consuming the fit moments."""
+    return _r_var(_r_var_weights(gamma, fit.n, bounds), (fit.m4, fit.m31, fit.m_xe2, fit.t4))
+
+
+def _r_var(weights: Sequence[float], moments: Sequence[float]) -> float:
+    """The four-term sum of r_var: each weight times its moment (m4, m31,
+    m_xe2, t4)."""
+    (w1, w2, w3, w4), (m4, m31, m_xe2, t4) = weights, moments
+    return w1 * m4 + w2 * m31 + w3 * m_xe2 + w4 * t4
+
+
+def _r_var_weights(gamma: float, n: int, bounds: OlsBounds) -> tuple[float, float, float, float]:
+    """The weights of the four moments in r_var; every check of r_var runs
+    here, before a moment is read."""
     _require_resolved(bounds, "r_var")
-    n = fit.n
     lam = bounds.lambda_reg
     gt = _gamma_tilde(gamma, n, bounds.k_reg)
     ratio = gt / (1.0 - gt)
@@ -343,18 +433,12 @@ def r_var(gamma: float, fit: OlsFit, bounds: OlsBounds) -> float:
     if math.isinf(scale):
         raise ConfigError(f"lambda_reg = {lam!r} is too small: 2/(n lambda_reg^3) in r_var "
                           "overflows")
-    term1 = scale * (ratio + 1.0) ** 2 * math.sqrt(bounds.k_eps / gamma) * fit.m4
-    term2 = (
-        2.0
-        * math.sqrt(2.0)
-        / (lam**2.5 * math.sqrt(n))
-        * (ratio + 1.0)
-        * (bounds.k_eps / gamma) ** 0.25
-        * fit.m31
+    return (
+        scale * (ratio + 1.0) ** 2 * math.sqrt(bounds.k_eps / gamma),
+        2.0 * math.sqrt(2.0) / (lam**2.5 * math.sqrt(n)) * (ratio + 1.0) * (bounds.k_eps / gamma) ** 0.25,
+        (bounds.k_reg / (n * gamma)) / (lam**2 * (1.0 - gt) ** 2),
+        2.0 * gt / (lam * (1.0 - gt)),
     )
-    term3 = (bounds.k_reg / (n * gamma)) / (lam**2 * (1.0 - gt) ** 2) * fit.m_xe2
-    term4 = 2.0 * gt / (lam * (1.0 - gt)) * fit.t4
-    return term1 + term2 + term3 + term4
 
 
 def nu_edg(n: int, alpha: float, tuning: OlsTuning, k_xi: float) -> float:
@@ -579,6 +663,53 @@ def n_zero(alpha: float, tuning: OlsTuning, bounds: OlsBounds) -> int:
     return max(reg(alpha, tuning, float(bounds.k_reg)), edg(alpha, tuning, float(bounds.k_xi)))
 
 
+def _plug_in_estimates(fits: _Fits, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The uninflated plug-in estimates (lambda_reg, K_reg, K_eps, K_xi) of
+    each fit of a stack (``plug_in_bounds``), raising its error if any fit
+    has one."""
+    eigenvalues = fits.eigenvalues
+    lam_min, lam_max = eigenvalues[..., -1], eigenvalues[..., 0]
+    if (lam_min <= np.maximum(lam_max, 1.0) * 1e-12).any():
+        raise DataError(
+            "design second-moment matrix is numerically singular; plug-in "
+            "bounds are undefined (lambda_min(S) = 0 means no identification)"
+        )
+    p = fits.xt.shape[-2]
+    # moments that overflow are a DataError below, not a warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the rotated rows, transposed ((S^+)^(1/2) is symmetric)
+        rot_sq = _col_sq_norms(_psd_sqrt_array(fits.s_dagger) @ fits.xt)
+        rot_sq2 = rot_sq * rot_sq
+        k_reg = _means(rot_sq2 - 2.0 * rot_sq + p)
+        # fourth powers as squares of squares: numpy's generic ** 4 on a signed
+        # base costs tens of times as much
+        res_sq = fits.residuals * fits.residuals
+        k_eps = _means(rot_sq2 * (res_sq * res_sq))
+        influence = ((fits.s_dagger @ u)[..., None, :] @ fits.xt)[..., 0, :] * fits.residuals
+        second = _means(influence * influence)
+    if not (np.isfinite(k_reg) & np.isfinite(k_eps)).all():
+        raise DataError(
+            "plug-in moments K_reg/K_eps overflow: the regressors or residuals are "
+            "too large to take to the fourth power; rescale the data"
+        )
+    if (second <= 0.0).any():
+        raise DegenerateSampleError(
+            "all estimated influence values are zero; K_xi plug-in undefined"
+        )
+    # a float's ** raises OverflowError past sqrt(max float), where the ratio rescales
+    second_sq = np.array([v**2 if v < 1e154 else math.inf for v in second.tolist()])
+    return lam_min, k_reg, k_eps, _deviation_kurtosis(influence, second_sq)
+
+
+def _inflated(estimates: Sequence[float], n: int, inflation: float) -> OlsBounds:
+    """Plug-in estimates as bounds: the upper-bound estimates multiplied by
+    (1 + inflation/sqrt(n)), the lower bound lambda_reg divided by it, which
+    is the conservative direction for a lower bound."""
+    lam_min, k_reg, k_eps, k_xi = estimates
+    mult = 1.0 + inflation / math.sqrt(n)
+    return OlsBounds(lam_min / mult, k_reg * mult, k_eps * mult, k_xi * mult)
+
+
 def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBounds:
     """Estimate all four class constants from the fit.
 
@@ -590,54 +721,79 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
     which is the conservative direction for a lower bound.
     """
     _check_inflation(inflation)
-    xt = fit.design.x.T
-    n, p = fit.design.n, fit.design.p
-    eigenvalues = fit._s_eigenvalues
-    lam_min = float(eigenvalues[-1])
-    lam_max = float(eigenvalues[0])
-    if lam_min <= max(lam_max, 1.0) * 1e-12:
-        raise DataError(
-            "design second-moment matrix is numerically singular; plug-in "
-            "bounds are undefined (lambda_min(S) = 0 means no identification)"
-        )
-    # moments that overflow are a DataError below, not a warning here
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the rotated rows, transposed ((S^+)^(1/2) is symmetric)
-        rot_sq = _col_sq_norms(_psd_sqrt_array(fit.s_dagger) @ xt)
-        rot_sq2 = rot_sq * rot_sq
-        k_reg = _mean(rot_sq2 - 2.0 * rot_sq + p)
-        # fourth powers as squares of squares: numpy's generic ** 4 on a signed
-        # base costs tens of times as much
-        res_sq = fit.residuals * fit.residuals
-        k_eps = _mean(rot_sq2 * (res_sq * res_sq))
-        influence = ((fit.s_dagger.array @ np.asarray(u, dtype=float)) @ xt) * fit.residuals
-        second = _mean(influence * influence)
-    if not (math.isfinite(k_reg) and math.isfinite(k_eps)):
-        raise DataError(
-            "plug-in moments K_reg/K_eps overflow: the regressors or residuals are "
-            "too large to take to the fourth power; rescale the data"
-        )
-    if second <= 0.0:
-        raise DegenerateSampleError(
-            "all estimated influence values are zero; K_xi plug-in undefined"
-        )
-    # a float's ** raises OverflowError past sqrt(max float), where the ratio rescales
-    k_xi = _deviation_kurtosis(influence, second**2 if second < 1e154 else math.inf)
-    mult = 1.0 + inflation / math.sqrt(n)
-    return OlsBounds(lam_min / mult, k_reg * mult, k_eps * mult, k_xi * mult)
+    estimates = _plug_in_estimates(fit._fits, np.asarray(u, dtype=float))
+    return _inflated([float(e[0]) for e in estimates], fit.n, inflation)
+
+
+def _resolved_rows(bounds: OlsBounds, fits: _Fits, u: np.ndarray) -> list[OlsBounds]:
+    """``resolve_bounds`` for each fit of a stack: one plug-in estimate per
+    fit, inflated by each inflation the tags name."""
+    count = fits.xt.shape[0]
+    if bounds.is_resolved:
+        return [bounds] * count
+    specs = {name: getattr(bounds, name) for name in BOUND_KEYS}
+    inflations = {spec.inflation for spec in specs.values() if isinstance(spec, PlugIn)}
+    n = fits.xt.shape[-1]
+    rows = []
+    for row in zip(*(e.tolist() for e in _plug_in_estimates(fits, u))):
+        estimates = {m: _inflated(row, n, m) for m in inflations}
+        rows.append(OlsBounds(**{
+            name: float(getattr(estimates[spec.inflation], name) if isinstance(spec, PlugIn) else spec)
+            for name, spec in specs.items()
+        }))
+    return rows
 
 
 def resolve_bounds(bounds: OlsBounds, fit: OlsFit, u: np.ndarray) -> OlsBounds:
     """Replace plug-in tags with estimates computed from one shared fit."""
-    if bounds.is_resolved:
-        return bounds
-    specs = {name: getattr(bounds, name) for name in BOUND_KEYS}
-    inflations = {spec.inflation for spec in specs.values() if isinstance(spec, PlugIn)}
-    estimates = {m: plug_in_bounds(fit, u, m) for m in inflations}
-    return OlsBounds(**{
-        name: float(getattr(estimates[spec.inflation], name) if isinstance(spec, PlugIn) else spec)
-        for name, spec in specs.items()
-    })
+    return _resolved_rows(bounds, fit._fits, np.asarray(u, dtype=float))[0]
+
+
+def _edg_halves(
+    fits: _Fits,
+    u: np.ndarray,
+    alpha: float,
+    bounds: OlsBounds,
+    tuning: OlsTuning,
+    moments: Callable[[], Sequence[Sequence[float]]] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths of the edg intervals of a stack of fits, NaN where an
+    interval is the whole real line, and that whole-line mask.
+
+    An interval is the whole line when n <= n0 of its resolved bounds (one
+    cached ``n_zero`` call per fit); otherwise its half-width is
+    (sqrt(a_n) q(1-alpha/2+nu_edg) sqrt(u'Vu + |u|^2 R_var) + R_lin)/sqrt(n),
+    the expanded form that stays well-defined when the variance term is
+    zero, evaluated fit by fit in the order ``ci_edg`` has always used.
+    ``moments()`` gives each fit's (m4, m31, m_xe2, t4), read by R_var only
+    where an interval is bounded; by default they come from the stack.
+    """
+    n = fits.xt.shape[-1]
+    # validate the tuning rules at this n up front (config errors beat the
+    # whole-line branch)
+    omega = tuning.omega(n)
+    a = tuning.a(n)
+    resolved = _resolved_rows(bounds, fits, u)
+    whole = np.array([n <= n_zero(alpha, tuning, b) for b in resolved])
+    half = np.full(whole.shape, math.nan)
+    if whole.all():
+        return half, whole
+    if moments is None:
+        def moments():
+            return list(zip(*(m.tolist() for m in (*_row_moments(fits), _t4(fits)))))
+    gamma = omega * alpha / 2.0
+    u_norm = float(np.sqrt(u @ u))
+    variance = _quadratic(u, fits).tolist()
+    fit_moments = None
+    for r in np.flatnonzero(~whole).tolist():
+        quantile = std_normal_quantile(1.0 - alpha / 2.0 + nu_edg(n, alpha, tuning, float(resolved[r].k_xi)))
+        weights = _r_var_weights(gamma, n, resolved[r])
+        if fit_moments is None:
+            fit_moments = moments()
+        variance_term = max(variance[r], 0.0) + u_norm**2 * _r_var(weights, fit_moments[r])
+        lin_term = r_lin(gamma, n, resolved[r], u_norm)
+        half[r] = (math.sqrt(a) * quantile * math.sqrt(variance_term) + lin_term) / math.sqrt(n)
+    return half, whole
 
 
 def ci_edg(
@@ -656,26 +812,9 @@ def ci_edg(
     alpha = _check_alpha(alpha)
     if fit is None:
         fit = ols_fit(design)
-    n = design.n
-    # validate the tuning rules at this n up front (config errors beat the
-    # whole-line branch)
-    omega = tuning.omega(n)
-    a = tuning.a(n)
-    resolved = resolve_bounds(bounds, fit, design.u)
-    level = 1.0 - alpha
-    if n <= n_zero(alpha, tuning, resolved):
-        return ConfidenceInterval.whole(level, "edg")
-    gamma = omega * alpha / 2.0
-    u = design.u
-    u_norm = float(np.sqrt(u @ u))
-    nu = nu_edg(n, alpha, tuning, float(resolved.k_xi))
-    quantile = std_normal_quantile(1.0 - alpha / 2.0 + nu)
-    variance_term = max(float(u @ fit.v_hat.array @ u), 0.0)
-    variance_term += u_norm**2 * r_var(gamma, fit, resolved)
-    lin_term = r_lin(gamma, n, resolved, u_norm)
-    half = (math.sqrt(a) * quantile * math.sqrt(variance_term) + lin_term) / math.sqrt(n)
-    center = float(u @ fit.beta_hat)
-    return ConfidenceInterval.bounded(center - half, center + half, level, "edg")
+    halves = _edg_halves(fit._fits, design.u, alpha, bounds, tuning,
+                         lambda: [(fit.m4, fit.m31, fit.m_xe2, fit.t4)])
+    return _one_interval(fit._fits, design.u, halves, alpha, "edg")
 
 
 def rate_r(rho: float) -> float:

@@ -257,9 +257,23 @@ def test_mean_ci_error_codes(in_tmp, capsys):
         ["mean-ci", "--alpha", "0.1", "--method", "chebyshev", "--input", str(ok)]
     ) == 2
     assert run_command(["mean-ci", "--alpha", "0.1", "--input", str(in_tmp / "none.csv")]) == 3
-    # a known sigma whose square overflows is a config error, not an OverflowError
-    assert run_command(["mean-ci", "--alpha", "0.1", "--method", "known-variance", "--K", "9",
-                        "--sigma", "1e200", "--input", str(ok)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+@pytest.mark.parametrize("command", ["mean-ci", "width-curve"])
+def test_known_sigma_whose_square_leaves_the_float_range(in_tmp, capsys, command, sigma):
+    # the method carries sigma, not sigma^2: sigma^2 overflows (1e200) or
+    # underflows to 0 (1e-200), but the interval is representable
+    argv = [command, "--alpha", "0.1", "--method", "known-variance", "--K", "9"]
+    argv += ["--input", str(mean_file(in_tmp))] if command == "mean-ci" else ["--n", "100000"]
+    assert run_command(argv + ["--sigma", sigma, "--output", "wide.csv"]) == 0
+    assert run_command(argv + ["--sigma", "1", "--output", "unit.csv"]) == 0
+    (row,), (unit,) = read_report(in_tmp / "wide.csv"), read_report(in_tmp / "unit.csv")
+    assert not row.is_whole_line and np.isfinite(row.width)
+    if command == "width-curve" or sigma == "1e200":
+        # (mean-ci's half-width 1e-202 around a mean near 1 rounds to a point)
+        assert row.width == pytest.approx(unit.width * float(sigma), rel=1e-12)
     capsys.readouterr()
 
 
@@ -957,9 +971,8 @@ def test_width_curve_rejects_negative_replications(in_tmp, capsys, method):
     [(["--alpha", "1.5", "--sigma", "1"], "alpha must be in (0,1), got 1.5"),
      (["--alpha", "-0.1", "--sigma", "1"], "alpha must be in (0,1), got -0.1"),
      (["--alpha", "0.1", "--sigma", "-1"], "sigma_known must be positive, got -1.0"),
-     (["--alpha", "0.1", "--sigma", "0"], "known variance must be finite and positive, got 0.0"),
-     (["--alpha", "0.1", "--sigma", "1e200"], "known variance must be finite and positive, got inf")],
-    ids=["alpha-above-1", "alpha-negative", "sigma-negative", "sigma-zero", "sigma-squared-overflows"],
+     (["--alpha", "0.1", "--sigma", "0"], "sigma_known must be positive, got 0.0")],
+    ids=["alpha-above-1", "alpha-negative", "sigma-negative", "sigma-zero"],
 )
 def test_width_curve_checks_known_variance_as_mean_ci_does(in_tmp, capsys, flags, message):
     argv = ["width-curve", "--method", "known-variance", "--K", "9", "--n", "100000"]

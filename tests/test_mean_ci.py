@@ -64,7 +64,7 @@ def cfg_unknown(alpha, k=9.0, a_rule=FIXED_RULE, delta=BE):
 
 def cfg_known(alpha, sigma, k=9.0, delta=BE):
     return MeanCiConfig(
-        alpha=alpha, kurtosis_bound=k, delta=delta, variance=KnownVariance(sigma**2)
+        alpha=alpha, kurtosis_bound=k, delta=delta, variance=KnownVariance(sigma)
     )
 
 

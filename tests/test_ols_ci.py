@@ -712,6 +712,54 @@ def test_asymp_and_whole_line_edg_compute_no_moment():
     assert set(fit.__dict__) > fields
 
 
+def _stack_designs(p, n, rng):
+    """Four designs of one size and direction; the Gumbel DGP's at p = 3."""
+    u = rng.standard_normal(p)
+    if p == 3:
+        return [simulated_design(n, seed, u=u) for seed in range(4)]
+    designs = []
+    for _ in range(4):
+        x = rng.standard_normal((n, p)) * rng.exponential(1.0, p)
+        x[:, 0] = 1.0
+        y = x @ rng.standard_normal(p) + rng.gumbel(size=n) * (1.0 + np.abs(x[:, -1]))
+        designs.append(Design(x=x, y=y, u=u))
+    return designs
+
+
+def test_a_stack_of_designs_fits_as_each_design_alone():
+    # the fit, plug-in and interval arithmetic is written once over stacks
+    # (ols_fit, plug_in_bounds, ci_asymp and ci_edg are its stacks of one):
+    # each design of a stack gets its numbers alone, bit for bit
+    rng = np.random.default_rng(11)
+    bounds_sets = (OlsBounds(PlugIn(0.5), PlugIn(), PlugIn(1.0), 9.0), OlsBounds.all_plug_in(2.0))
+    bounded = 0
+    for p, n in ((1, 30), (2, 200), (3, 4), (3, 5000), (5, 400)):
+        designs = _stack_designs(p, n, rng)
+        u = designs[0].u
+        fits = ols_ci._fit(np.stack([d.x.T for d in designs]), np.stack([d.y for d in designs]))
+        estimates = ols_ci._plug_in_estimates(fits, u)
+        centres = ols_ci._centres(fits, u)
+        asymp_half, _ = ols_ci._asymp_halves(fits, u, 0.1)
+        edg = [ols_ci._edg_halves(fits, u, 0.1, bounds, STUDY_TUNING) for bounds in bounds_sets]
+        for r, design in enumerate(designs):
+            fit = ols_fit(design)
+            for stacked, alone in ((fits.beta[r], fit.beta_hat), (fits.residuals[r], fit.residuals),
+                                   (fits.s[r], fit.s.array), (fits.s_dagger[r], fit.s_dagger.array),
+                                   (fits.v_hat[r], fit.v_hat.array), (fits.mid[r], fit._mid)):
+                assert stacked.tobytes() == alone.tobytes(), (p, n, r)
+            alone = plug_in_bounds(fit, u)
+            assert [e[r] for e in estimates] == [alone.lambda_reg, alone.k_reg, alone.k_eps, alone.k_xi]
+            ci = ci_asymp(design, 0.1, fit)
+            assert (centres[r] - asymp_half[r], centres[r] + asymp_half[r]) == (ci.lower, ci.upper)
+            for bounds, (edg_half, edg_whole) in zip(bounds_sets, edg):
+                ci = ci_edg(design, 0.1, bounds, STUDY_TUNING, fit)
+                assert edg_whole[r] == ci.whole_line
+                if not ci.whole_line:
+                    bounded += 1
+                    assert (centres[r] - edg_half[r], centres[r] + edg_half[r]) == (ci.lower, ci.upper)
+    assert bounded >= 4
+
+
 def test_plug_in_intercept_only_k_reg_zero():
     rng = np.random.default_rng(9)
     y = rng.exponential(1.0, 50)

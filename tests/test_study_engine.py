@@ -30,6 +30,7 @@ from navae.dgp_sim import (
     _run_slice,
     run_coverage_study,
     sample_exponential,
+    sample_gumbel_hetero_linear,
     substream,
     width_curve,
 )
@@ -42,7 +43,7 @@ from navae.errors import (
     NavaeError,
 )
 from navae.mean_ci import Sample
-from navae.ols_ci import OlsBounds, OlsTuning, PlugIn
+from navae.ols_ci import Design, OlsBounds, OlsTuning, PlugIn
 from navae.rules import OPTIMIZED
 from oracles import coverage_study_oracle, ols_width_means_oracle, replication_records_oracle
 
@@ -293,6 +294,70 @@ def test_exponential_cells_build_no_sample_per_replication(monkeypatch):
     assert report == coverage_study_oracle(spec)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5000])
+def test_gumbel_block_rows_are_the_designs_sample_draws(n):
+    # the engine fills one C-ordered scratch design per replication and
+    # copies x' and y into a block, as sample_gumbel_hetero_linear fills the
+    # design it validates
+    streams = _CellStreams(GumbelHeteroLinear(), 9, 1, n, 2, 7)
+    x, xt, y = np.empty((n, 3)), np.empty((5, 3, n)), np.empty((5, n))
+    for j in range(5):
+        dgp_sim._fill_gumbel(x, y[j], streams.seed(2 + j))
+        xt[j] = x.T
+    for j in range(5):
+        design = sample_gumbel_hetero_linear(n, substream(9, 1, n, 2 + j))
+        assert xt[j].tobytes() == design.x.T.tobytes()
+        assert y[j].tobytes() == design.y.tobytes()
+
+
+def test_ols_cells_build_no_design_per_replication(monkeypatch):
+    # asymp and edg cells on the Gumbel DGP draw into a block and fit it as
+    # one stack; no Design is validated and no interval call is made
+    built = []
+    post_init = Design.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Design, "__post_init__", counting)
+    methods = (OlsAsympMethod(), EDG, OlsEdgMethod(bounds=OlsBounds.all_plug_in(inflation=1.0)),
+               OlsEdgMethod(bounds=OlsBounds(0.5, 0.01, 3.0, 9.0)))
+    spec = SimStudySpec(dgp=GumbelHeteroLinear(u=(0.5, -1.0, 2.0)), methods=methods, n_grid=(40, 4000),
+                        replications=7, alpha=0.1, base_seed=3)
+    report = run_coverage_study(spec)
+    assert built == []
+    assert run_coverage_study(spec, workers=3) == report
+    assert built == []  # the calling process's slice; the children's are not seen here
+    monkeypatch.undo()
+    assert report == coverage_study_oracle(spec)
+    assert report.row("edg", 40).whole_line_fraction == 1.0
+    assert report.row("edg", 4000).whole_line_fraction < 1.0
+
+
+def test_ols_blocks_stay_within_the_chunk_budget(monkeypatch):
+    # a block holds x' and y of at most _CHUNK_DOUBLES // ((p + 1) n)
+    # replications: 5 at n=3000, 3 at n=5000, and one at a time beyond
+    shapes = []
+    fit = dgp_sim._fit
+
+    def recording(xt, y):
+        assert xt.flags.c_contiguous and y.flags.c_contiguous
+        shapes.append(xt.shape)
+        return fit(xt, y)
+
+    monkeypatch.setattr(dgp_sim, "_fit", recording)
+    spec = SimStudySpec(dgp=GumbelHeteroLinear(), methods=(OlsAsympMethod(),), n_grid=(3000, 5000, 20000),
+                        replications=11, alpha=0.1, base_seed=2)
+    assert run_coverage_study(spec) == coverage_study_oracle(spec)
+    assert [shape[0] for shape in shapes] == [5, 5, 1, 3, 3, 3, 2] + [1] * 11
+    assert all(r * 4 * n <= dgp_sim._CHUNK_DOUBLES for r, _, n in shapes if r > 1)
+    shapes.clear()
+    monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", 64)
+    assert run_coverage_study(spec) == coverage_study_oracle(spec)
+    assert [shape[0] for shape in shapes] == [1] * 33
+
+
 def _exponential_scaled_by(scale):
     return CustomMeanDgp(draw=lambda n, rng: rng.exponential(1.0, n) * scale, target=scale)
 
@@ -470,6 +535,64 @@ def test_a_plug_in_error_raises_the_serial_error(monkeypatch):
     expected, raised = _errors(spec, monkeypatch)
     assert expected[0] is DomainError
     assert raised == [expected] * 6
+
+
+def _faulty_gumbel(fault):
+    """The Gumbel fill with a fault in every replication whose first X1
+    draw is above 1.2: a NaN outcome, X2 = X1 (a singular design) or an
+    outcome scaled by 1e200, whose squared residuals overflow."""
+    fill = dgp_sim._fill_gumbel
+
+    def faulty(x, y, rng):
+        fill(x, y, rng)
+        if x[0, 1] > 1.2:
+            if fault == "nan":
+                y[y.size // 2] = np.nan
+            elif fault == "singular":
+                x[:, 2] = x[:, 1]
+            else:
+                y *= 1e200
+
+    return faulty
+
+
+@pytest.mark.parametrize("fault, method, expected", [
+    ("nan", OlsAsympMethod(), "design and outcome entries must be finite"),
+    ("nan", EDG, "design and outcome entries must be finite"),
+    ("singular", EDG, "design second-moment matrix is numerically singular"),
+    ("overflow", OlsAsympMethod(), "OLS fit overflows: the squared residuals are too large"),
+    ("overflow", EDG, "OLS fit overflows: the squared residuals are too large"),
+], ids=["nan-asymp", "nan-edg", "singular-edg", "overflow-asymp", "overflow-edg"])
+def test_a_faulty_ols_draw_raises_the_serial_error(fault, method, expected, monkeypatch):
+    # replications 4 and 7 are faulty: the first block holds good ones before it
+    first = [sample_gumbel_hetero_linear(50, substream(0, 0, 50, r)).x[0, 1] for r in range(8)]
+    assert [x > 1.2 for x in first] == [False] * 4 + [True, False, False, True]
+    monkeypatch.setattr(dgp_sim, "_fill_gumbel", _faulty_gumbel(fault))
+    spec = SimStudySpec(dgp=GumbelHeteroLinear(), methods=(method,), n_grid=(50,), replications=8,
+                        alpha=0.1, base_seed=0)
+    error, raised = _errors(spec, monkeypatch)
+    assert error[0] is DataError and error[1].startswith(expected)
+    assert raised == [error] * 6
+    before = SimStudySpec(dgp=GumbelHeteroLinear(), methods=(method,), n_grid=(50,), replications=4,
+                          alpha=0.1, base_seed=0)
+    assert run_coverage_study(before) == coverage_study_oracle(before)
+
+
+def test_a_singular_design_is_fitted_by_the_asymp_rule(monkeypatch):
+    # S^+ is defined for a singular S, and only plug-in bounds need S invertible
+    monkeypatch.setattr(dgp_sim, "_fill_gumbel", _faulty_gumbel("singular"))
+    spec = SimStudySpec(dgp=GumbelHeteroLinear(u=(0.0, 1.0, 1.0)),
+                        methods=(OlsAsympMethod(), OlsEdgMethod(bounds=OlsBounds(0.5, 0.01, 3.0, 9.0))),
+                        n_grid=(50, 4000), replications=8, alpha=0.1, base_seed=0)
+    expected = coverage_study_oracle(spec)
+    built = []
+    post_init = Design.__post_init__
+    monkeypatch.setattr(Design, "__post_init__", lambda self: built.append(self) or post_init(self))
+    for chunk in (1 << 16, 64):
+        monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
+        for workers in (1, 2, 3):
+            assert run_coverage_study(spec, workers=workers) == expected
+    assert built == []
 
 
 def _tiny(n, rng):
