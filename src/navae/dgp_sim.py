@@ -610,15 +610,15 @@ class SimStudySpec:
     def __post_init__(self) -> None:
         replications = _integer(self.replications, "replications")
         if replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
+            raise ConfigError(f"replications must be >= 1, got {replications}")
         if replications >= 2**32:
             # a replication index is one 32-bit word of its stream key (_cell_keys)
-            raise ConfigError(f"replications must be below 2**32, got {self.replications}")
+            raise ConfigError(f"replications must be below 2**32, got {replications}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         n_grid = tuple(_integer(n, "n entry") for n in self.n_grid)
         if not n_grid or any(n < 1 for n in n_grid):
-            raise ConfigError(f"invalid n grid {self.n_grid!r}")
+            raise ConfigError(f"invalid n grid {n_grid!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha!r}")
         base_seed = _seed(self.base_seed)
@@ -1110,7 +1110,7 @@ def _seed(value) -> int:
     """A study's base seed: a non-negative integer."""
     seed = _integer(value, "seed")
     if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {value!r}")
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
 
 
@@ -1249,12 +1249,11 @@ def study_from_config(config: dict) -> SimStudySpec:
     n_values = values["n"]
     if not isinstance(n_values, (list, tuple)):
         raise ConfigError(f"n must be a list of sample sizes, got {n_values!r}")
-    n_grid = tuple(_integer(n, "n entry") for n in n_values)
     return SimStudySpec(
         dgp=dgp_from_config(values["dgp"]),
         methods=methods,
-        n_grid=n_grid,
-        replications=_integer(values["replications"], "replications"),
+        n_grid=n_values,
+        replications=values["replications"],
         alpha=_number(values["alpha"], "alpha"),
-        base_seed=_integer(values["seed"], "seed"),
+        base_seed=values["seed"],
     )

@@ -13,7 +13,8 @@ Validation runs where a matrix enters from outside.  ``SymMatrix(...)``,
 the shape, finiteness and symmetry in full.  Matrices the library has just
 built symmetric itself (x'x/n in the OLS fit and the results of
 ``pseudo_inverse`` and ``psd_sqrt``) go through ``_symmetrized``, which keeps
-the finite check and the symmetrisation and skips the rest.
+the finite check and the symmetrisation and skips the rest, and
+``SymMatrix._of`` wraps its result as it is.
 
 The private helpers (``_symmetrized``, ``_eigh_desc``, ``_pseudo_inverse_of``,
 ``_psd_sqrt_array``) take one matrix or a stack of them (leading axes), and
@@ -46,8 +47,7 @@ class SymMatrix:
 
     The public constructor rejects a non-square shape, non-finite entries and
     asymmetry beyond 1e-12 relative to the largest entry magnitude.
-    ``_built``, for arrays the library has just built symmetric, only
-    symmetrizes and rejects non-finite entries.
+    ``_of`` wraps an array that ``_symmetrized`` returned, unchecked.
     """
 
     array: np.ndarray
@@ -68,12 +68,6 @@ class SymMatrix:
         sym = 0.5 * (a + a.T)
         sym.setflags(write=False)
         object.__setattr__(self, "array", sym)
-
-    @classmethod
-    def _built(cls, a: np.ndarray) -> "SymMatrix":
-        """Wrap a square array built symmetric up to round-off by this library
-        (``_symmetrized``)."""
-        return cls._of(_symmetrized(a))
 
     @classmethod
     def _of(cls, sym: np.ndarray) -> "SymMatrix":
@@ -146,12 +140,12 @@ def _pseudo_inverse_of(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def psd_sqrt(m: SymMatrix | np.ndarray) -> SymMatrix:
     """Symmetric PSD square root; tiny negative eigenvalues are clamped to 0."""
-    return SymMatrix._built(_psd_sqrt_array(_as_sym(m).array))
+    return SymMatrix._of(_symmetrized(_psd_sqrt_array(_as_sym(m).array)))
 
 
 def _psd_sqrt_array(sym: np.ndarray) -> np.ndarray:
     """``psd_sqrt`` of a symmetric array (or stack) without the wrapper:
-    ``_built`` leaves its (R + R')/2 as it is."""
+    ``_symmetrized`` leaves its (R + R')/2 as it is."""
     values, vectors = _eigh_desc(sym)
     floor = -1e-10 * np.maximum(_largest_magnitude(values), 1e-300)
     if np.any(values < floor):

@@ -28,10 +28,11 @@ be fixed a priori or estimated by plug-in; plug-in trades the formal
 finite-sample guarantee for practicality.
 
 The fit, the plug-in bounds and the interval arithmetic are written once,
-over a stack of R designs of one size (``_Fits``, ``_fit``,
-``_plug_in_estimates``, ``_asymp_halves``, ``_edg_halves``): ``ols_fit``,
-``plug_in_bounds``, ``ci_asymp`` and ``ci_edg`` are their case R = 1, and the
-coverage-study harness (``dgp_sim``) hands them a block of replications.
+over a stack of R designs of one size (``_Fits``, ``_fit``, ``_resolved_rows``,
+``_asymp_halves``, ``_edg_halves``): ``ols_fit``, ``resolve_bounds`` (and
+``plug_in_bounds`` through it), ``ci_asymp`` and ``ci_edg`` are their case
+R = 1, and the coverage-study harness (``dgp_sim``) hands them a block of
+replications; ``_edg_halves`` reads R_var's moments from the stack.
 Every product of a stack is numpy's per-matrix BLAS or LAPACK call on the
 layout a single design has, and every reduction runs along a contiguous
 last axis, so each design's numbers are bit for bit those of a stack of one.
@@ -218,9 +219,9 @@ class OlsFit:
 
     ``m4``, ``m31``, ``m_xe2`` are the sample moments n^-1 sum |X_i|^4,
     n^-1 sum |X_i|^3 |e_i|, n^-1 sum |X_i e_i|^2, and ``t4`` the spectral
-    norm of n^-1 sum X_i X_i' S^+ e_i^2.  Only the variance-error bound reads
-    them, so they are computed the first time they are read.  ``_fits`` is
-    this fit as a stack of one (``_fit``), of which every field is a view;
+    norm of n^-1 sum X_i X_i' S^+ e_i^2, computed the first time ``r_var``
+    (or a caller) reads them; ``ci_edg`` takes its own from the stack.
+    ``_fits`` is this fit as a stack of one (``_fit``), of which every field is a view;
     ``_mid`` is the sandwich middle n^-1 sum X_i X_i' e_i^2.
     """
 
@@ -701,45 +702,34 @@ def _plug_in_estimates(fits: _Fits, u: np.ndarray) -> tuple[np.ndarray, ...]:
     return lam_min, k_reg, k_eps, _deviation_kurtosis(influence, second_sq)
 
 
-def _inflated(estimates: Sequence[float], n: int, inflation: float) -> OlsBounds:
-    """Plug-in estimates as bounds: the upper-bound estimates multiplied by
-    (1 + inflation/sqrt(n)), the lower bound lambda_reg divided by it, which
-    is the conservative direction for a lower bound."""
-    lam_min, k_reg, k_eps, k_xi = estimates
-    mult = 1.0 + inflation / math.sqrt(n)
-    return OlsBounds(lam_min / mult, k_reg * mult, k_eps * mult, k_xi * mult)
-
-
 def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBounds:
-    """Estimate all four class constants from the fit.
+    """Estimate all four class constants from the fit: ``resolve_bounds`` of
+    ``OlsBounds.all_plug_in(inflation)``.
 
     lambda_reg_hat = lambda_min(S); K_reg_hat, K_eps_hat use the rotated rows
     (S^+)^(1/2) X_i; K_xi_hat is the kurtosis of the estimated influence
     values u'S^+ X_i e_i; both are products with the C-ordered x' of the
-    fit's Fortran-ordered design.  Upper-bound estimates are multiplied by
-    (1 + inflation/sqrt(n)); the lower bound lambda_reg_hat is divided by it,
-    which is the conservative direction for a lower bound.
+    fit's Fortran-ordered design.
     """
-    _check_inflation(inflation)
-    estimates = _plug_in_estimates(fit._fits, np.asarray(u, dtype=float))
-    return _inflated([float(e[0]) for e in estimates], fit.n, inflation)
+    return resolve_bounds(OlsBounds.all_plug_in(inflation), fit, u)
 
 
 def _resolved_rows(bounds: OlsBounds, fits: _Fits, u: np.ndarray) -> list[OlsBounds]:
     """``resolve_bounds`` for each fit of a stack: one plug-in estimate per
-    fit, inflated by each inflation the tags name."""
-    count = fits.xt.shape[0]
+    fit.  A tag with inflation M multiplies an upper-bound estimate by
+    (1 + M/sqrt(n)) and divides the lower bound lambda_reg_hat by it, which
+    is the conservative direction for a lower bound."""
     if bounds.is_resolved:
-        return [bounds] * count
+        return [bounds] * fits.xt.shape[0]
     specs = {name: getattr(bounds, name) for name in BOUND_KEYS}
-    inflations = {spec.inflation for spec in specs.values() if isinstance(spec, PlugIn)}
-    n = fits.xt.shape[-1]
+    root_n = math.sqrt(fits.xt.shape[-1])
+    mults = {name: 1.0 + spec.inflation / root_n for name, spec in specs.items() if isinstance(spec, PlugIn)}
     rows = []
     for row in zip(*(e.tolist() for e in _plug_in_estimates(fits, u))):
-        estimates = {m: _inflated(row, n, m) for m in inflations}
         rows.append(OlsBounds(**{
-            name: float(getattr(estimates[spec.inflation], name) if isinstance(spec, PlugIn) else spec)
-            for name, spec in specs.items()
+            name: (spec if name not in mults else
+                   estimate / mults[name] if name == "lambda_reg" else estimate * mults[name])
+            for (name, spec), estimate in zip(specs.items(), row)
         }))
     return rows
 
@@ -749,14 +739,8 @@ def resolve_bounds(bounds: OlsBounds, fit: OlsFit, u: np.ndarray) -> OlsBounds:
     return _resolved_rows(bounds, fit._fits, np.asarray(u, dtype=float))[0]
 
 
-def _edg_halves(
-    fits: _Fits,
-    u: np.ndarray,
-    alpha: float,
-    bounds: OlsBounds,
-    tuning: OlsTuning,
-    moments: Callable[[], Sequence[Sequence[float]]] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _edg_halves(fits: _Fits, u: np.ndarray, alpha: float, bounds: OlsBounds,
+                tuning: OlsTuning) -> tuple[np.ndarray, np.ndarray]:
     """Half-widths of the edg intervals of a stack of fits, NaN where an
     interval is the whole real line, and that whole-line mask.
 
@@ -765,8 +749,8 @@ def _edg_halves(
     (sqrt(a_n) q(1-alpha/2+nu_edg) sqrt(u'Vu + |u|^2 R_var) + R_lin)/sqrt(n),
     the expanded form that stays well-defined when the variance term is
     zero, evaluated fit by fit in the order ``ci_edg`` has always used.
-    ``moments()`` gives each fit's (m4, m31, m_xe2, t4), read by R_var only
-    where an interval is bounded; by default they come from the stack.
+    R_var's moments (m4, m31, m_xe2, t4) are taken from the stack once, and
+    only when some interval is bounded.
     """
     n = fits.xt.shape[-1]
     # validate the tuning rules at this n up front (config errors beat the
@@ -778,19 +762,14 @@ def _edg_halves(
     half = np.full(whole.shape, math.nan)
     if whole.all():
         return half, whole
-    if moments is None:
-        def moments():
-            return list(zip(*(m.tolist() for m in (*_row_moments(fits), _t4(fits)))))
+    moments = list(zip(*(m.tolist() for m in (*_row_moments(fits), _t4(fits)))))
     gamma = omega * alpha / 2.0
     u_norm = float(np.sqrt(u @ u))
     variance = _quadratic(u, fits).tolist()
-    fit_moments = None
     for r in np.flatnonzero(~whole).tolist():
         quantile = std_normal_quantile(1.0 - alpha / 2.0 + nu_edg(n, alpha, tuning, float(resolved[r].k_xi)))
         weights = _r_var_weights(gamma, n, resolved[r])
-        if fit_moments is None:
-            fit_moments = moments()
-        variance_term = max(variance[r], 0.0) + u_norm**2 * _r_var(weights, fit_moments[r])
+        variance_term = max(variance[r], 0.0) + u_norm**2 * _r_var(weights, moments[r])
         lin_term = r_lin(gamma, n, resolved[r], u_norm)
         half[r] = (math.sqrt(a) * quantile * math.sqrt(variance_term) + lin_term) / math.sqrt(n)
     return half, whole
@@ -812,8 +791,7 @@ def ci_edg(
     alpha = _check_alpha(alpha)
     if fit is None:
         fit = ols_fit(design)
-    halves = _edg_halves(fit._fits, design.u, alpha, bounds, tuning,
-                         lambda: [(fit.m4, fit.m31, fit.m_xe2, fit.t4)])
+    halves = _edg_halves(fit._fits, design.u, alpha, bounds, tuning)
     return _one_interval(fit._fits, design.u, halves, alpha, "edg")
 
 
@@ -833,9 +811,10 @@ def rate_r(rho: float) -> float:
 
 
 def tuning_for_rate(
-    rho: float, delta: DeltaProvider = BerryEsseen(), a_coefficient: float = 1.0
+    rho: float, delta: DeltaProvider = BerryEsseen(), a_coefficient: float = OlsTuning.a_rule.c2
 ) -> OlsTuning:
-    """Tuning with omega_n = n^(-r(rho)) and a_n = 1 + a_coefficient * n^(-2/5)."""
+    """Tuning with omega_n = n^(-r(rho)) and a_n = 1 + a_coefficient * n^(-2/5); the
+    coefficient defaults to that of ``OlsTuning``'s a_n rule."""
     return OlsTuning(
         omega_rule=PowerRule(0.0, 1.0, -rate_r(rho)),
         a_rule=PowerRule(1.0, float(a_coefficient), -0.4),

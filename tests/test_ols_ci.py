@@ -356,8 +356,8 @@ def test_n_zero_cap_exceeded():
 def test_n_zero_cap_error_names_the_condition():
     bounds = OlsBounds(lambda_reg=1.0, k_reg=0.0, k_eps=1.0, k_xi=50.0)
     with pytest.raises(UnboundedScanError) as err:
-        n_zero(0.1, tuning_for_rate(0.0), bounds)
-    at_cap = nu_edg(10**9, 0.1, tuning_for_rate(0.0), 50.0)
+        n_zero(0.1, tuning_for_rate(0.0, a_coefficient=1.0), bounds)
+    at_cap = nu_edg(10**9, 0.1, tuning_for_rate(0.0, a_coefficient=1.0), 50.0)
     assert str(err.value) == (
         "condition nu_edg >= alpha/2 still violated with insufficient margin "
         f"beyond n = 1000000000: nu_edg = {at_cap:.6g} at n = 1000000000, alpha/2 = 0.05"
@@ -408,7 +408,7 @@ def test_n_zero_matches_backscan():
         (0.0, 0.01, 0.3, 1.0, 10.0),
         (1.0, 2.0, 9.0, 50.0),
         (BerryEsseen(), EdgeworthLeading(), EdgeworthContinuousLeading()),
-        (STUDY_TUNING, tuning_for_rate(0.0)),
+        (STUDY_TUNING, tuning_for_rate(0.0, a_coefficient=1.0)),
     ):
         compared += _check_n_zero(alpha, dataclasses.replace(base, delta=delta), k_reg, k_xi)[1]
     assert compared >= 300
@@ -498,7 +498,7 @@ def test_n_zero_bisects_tables_like_the_backscan():
         (0.05, 0.1, 0.2),
         (1.0, 9.0, 50.0),
         tables + tuple(MinOf((BerryEsseen(), table)) for table in tables),
-        (STUDY_TUNING, tuning_for_rate(0.0)),
+        (STUDY_TUNING, tuning_for_rate(0.0, a_coefficient=1.0)),
     ):
         value, _ = _check_n_zero(alpha, dataclasses.replace(base, delta=delta), 0.01, k_xi)
         outcomes.add(value[0] if isinstance(value, tuple) else int)
@@ -696,20 +696,22 @@ def test_fit_and_plug_in_agree_on_every_design_layout():
             assert value == pytest.approx(power_form, rel=1e-12), p
 
 
-def test_asymp_and_whole_line_edg_compute_no_moment():
-    # only the bounded edg branch reads m4, m31, m_xe2 and t4
+def test_asymp_and_whole_line_edg_compute_no_moment(monkeypatch):
+    # only the bounded edg branch reads m4, m31, m_xe2 and t4, once per stack
+    calls = []
+    for name in ("_row_moments", "_t4"):
+        real = getattr(ols_ci, name)
+        monkeypatch.setattr(ols_ci, name, lambda fits, name=name, real=real: calls.append(name) or real(fits))
     design = simulated_design(3000, 5, u=(0.0, 0.0, 1.0))
-    fields = {f.name for f in dataclasses.fields(ols_fit(design))}
     fit = ols_fit(design)
     ci_asymp(design, 0.1, fit=fit)
-    assert set(fit.__dict__) == fields
+    assert calls == []
     bounds = OlsBounds(PlugIn(), PlugIn(), PlugIn(), 9.0)
     assert ci_edg(design, 0.1, bounds, STUDY_TUNING, fit=fit).whole_line
-    assert set(fit.__dict__) == fields
+    assert calls == []
     bounded = simulated_design(5000, 5, u=(0.0, 0.0, 1.0))
-    fit = ols_fit(bounded)
-    assert not ci_edg(bounded, 0.1, bounds, STUDY_TUNING, fit=fit).whole_line
-    assert set(fit.__dict__) > fields
+    assert not ci_edg(bounded, 0.1, bounds, STUDY_TUNING).whole_line
+    assert calls == ["_row_moments", "_t4"]
 
 
 def _stack_designs(p, n, rng):
@@ -806,10 +808,18 @@ def test_plug_in_inflation_direction():
     raw = plug_in_bounds(fit, d.u, inflation=0.0)
     inflated = plug_in_bounds(fit, d.u, inflation=3.0)
     mult = 1.0 + 3.0 / math.sqrt(500)
-    assert inflated.k_reg == pytest.approx(raw.k_reg * mult, rel=1e-12)
-    assert inflated.k_eps == pytest.approx(raw.k_eps * mult, rel=1e-12)
-    assert inflated.k_xi == pytest.approx(raw.k_xi * mult, rel=1e-12)
-    assert inflated.lambda_reg == pytest.approx(raw.lambda_reg / mult, rel=1e-12)
+    assert inflated.k_reg == raw.k_reg * mult
+    assert inflated.k_eps == raw.k_eps * mult
+    assert inflated.k_xi == raw.k_xi * mult
+    assert inflated.lambda_reg == raw.lambda_reg / mult
+
+
+def test_plug_in_bounds_is_resolve_bounds_of_all_plug_in():
+    d = simulated_design(500, seed=4)
+    fit = ols_fit(d)
+    for inflation in (0.0, 3.0):
+        resolved = resolve_bounds(OlsBounds.all_plug_in(inflation), fit, d.u)
+        assert dataclasses.asdict(plug_in_bounds(fit, d.u, inflation)) == dataclasses.asdict(resolved)
 
 
 def test_plug_in_degenerate_influence():
@@ -946,4 +956,7 @@ def test_rate_r_branches():
 def test_tuning_for_rate():
     tuning = tuning_for_rate(0.19)
     assert tuning.omega_rule(32) == pytest.approx(32.0**-0.19)
-    assert tuning.a_rule(32) == pytest.approx(1.0 + 32.0**-0.4)
+    assert tuning.a_rule(32) == pytest.approx(1.0 + 20.0 * 32.0**-0.4)
+    # the bounds that scan to the cap under a_n = 1 + n^-2/5 have a finite n0
+    tuning, bounds = tuning_for_rate(0.0), OlsBounds(lambda_reg=1.0, k_reg=0.0, k_eps=1.0, k_xi=50.0)
+    assert n_zero(0.1, tuning, bounds) == n_zero_backscan_oracle(0.1, tuning, 0.0, 50.0)
