@@ -4,8 +4,8 @@ Reproducibility contract: replication r of method i at size n draws from
 its own Philox counter-based stream, the one ``substream(base_seed, i, n,
 r)`` seeds, and a report depends only on the study and its seed, not on the
 worker count.  For the built-in DGPs the harness computes the Philox keys
-of a whole cell in one pass and resets one generator to each key, which
-draws exactly what a generator built from ``substream`` draws; any other
+of a slice as one (count, 2) uint64 array and resets one generator to each
+row, which draws what a generator built from ``substream`` draws; any other
 DGP (``CustomMeanDgp`` included) is given the ``substream`` seed sequence
 itself, so a draw that spawns child generators or reads the generator's
 seed sequence sees that replication's own.  The CLT, Student, known- and
@@ -26,7 +26,8 @@ one cached ``n_zero`` call per replication.  A slice with a value the arrays
 cannot settle (a non-finite draw, a singular S under plug-in bounds, zero
 influence values, an overflow, a ``FeasibilityError`` or a scan error
 included) runs again one ``interval`` call per replication, so every error
-is the serial loop's.
+is the serial loop's.  Either way a slice's records (covered, whole line,
+width and alpha_min per replication) are one (4, count) float array.
 With one worker every replication runs in the calling process, in order.
 With k > 1, each (method, n) cell's replications are cut into k contiguous
 slices: the calling process runs the first slice of every cell and k - 1
@@ -140,18 +141,14 @@ _GUMBEL_BETA_ARRAY.setflags(write=False)
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
-def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(int(seed))
-
-
 def _generator(seed: SeedLike) -> np.random.Generator:
     """A generator drawing from ``seed``'s Philox stream; a generator is used
     as it is."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def substream(base_seed: int, method_index: int, n: int, replication: int) -> np.random.SeedSequence:
@@ -238,8 +235,8 @@ class _CellStreams:
     """The streams of replications ``start`` to ``stop - 1`` of a cell.
 
     For a DGP in ``_RESET_DGPS``, ``seed(r)`` is one Philox generator reset
-    to replication r's key with counter 0 and an empty buffer, the state a
-    fresh ``Philox(substream(base_seed, method_index, n, r))`` starts in.
+    to r's row of the ``_cell_keys`` array, counter 0 and an empty buffer,
+    as a fresh ``Philox(substream(base_seed, method_index, n, r))`` starts.
     Such a generator draws what the fresh one draws but has no seed
     sequence of its own (``spawn`` and ``bit_generator.seed_seq`` would
     differ), so any other DGP gets ``substream(...)`` itself.
@@ -251,22 +248,24 @@ class _CellStreams:
             self._cell = (base_seed, method_index, n)
             self._keys = None
             return
-        self._keys = _cell_keys(base_seed, method_index, n, start, stop).tolist()
+        self._keys = _cell_keys(base_seed, method_index, n, start, stop)
         self._bits = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._bits)
+        # one state dict, reused: only its key changes, and the setter copies it
+        self._state = {"bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": None},
+                       "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def seed(self, replication: int) -> SeedLike:
         if self._keys is None:
             return substream(*self._cell, replication)
-        self._bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZERO_WORDS, "key": self._keys[replication - self._start]},
-            "buffer": _ZERO_WORDS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._state["state"]["key"] = self._keys[replication - self._start]
+        self._bits.state = self._state
         return self._generator
+
+
+def _check_rate(rate: float) -> None:
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise DomainError(f"rate must be finite and positive, got {rate!r}")
 
 
 def _fill_exponential(out: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
@@ -283,9 +282,10 @@ def sample_exponential(n: int, seed: SeedLike, rate: float = 1.0) -> Sample:
     """Exponential draws by inverse CDF -ln(U)/rate with U uniform in (0,1]."""
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    if rate <= 0.0:
-        raise DomainError(f"rate must be positive, got {rate!r}")
-    return Sample(_fill_exponential(np.empty(n), _generator(seed), rate))
+    _check_rate(rate)
+    with np.errstate(over="ignore"):  # a draw past the float range is inf, a DataError
+        values = _fill_exponential(np.empty(n), _generator(seed), rate)
+    return Sample(values)
 
 
 def _fill_gumbel(x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
@@ -659,13 +659,12 @@ class SimReport:
         raise KeyError(f"no report row for ({method_label!r}, {n})")
 
 
-def _aggregate(method, n, alpha, records) -> SimReportRow:
-    m = len(records)
-    covered = sum(1 for rec in records if rec[0])
-    whole = sum(1 for rec in records if rec[1])
-    widths = np.array([rec[2] for rec in records if rec[2] is not None], dtype=float)
-    alpha_mins = np.array([rec[3] for rec in records if rec[3] is not None], dtype=float)
-    coverage = covered / m
+def _aggregate(method, n, alpha, records: np.ndarray) -> SimReportRow:
+    covered, whole, widths, alpha_mins = records
+    m = covered.size
+    widths = widths[whole == 0]  # the bounded intervals' widths, an overflowed inf included
+    alpha_mins = alpha_mins[~np.isnan(alpha_mins)]
+    coverage = float(covered.sum() / m)
     return SimReportRow(
         method=method.label,
         n=n,
@@ -674,7 +673,7 @@ def _aggregate(method, n, alpha, records) -> SimReportRow:
         coverage=coverage,
         mc_se=math.sqrt(coverage * (1.0 - coverage) / m),
         mean_width=float(np.mean(widths)) if widths.size else None,
-        whole_line_fraction=whole / m,
+        whole_line_fraction=float(whole.sum() / m),
         mean_alpha_min=float(np.mean(alpha_mins)) if alpha_mins.size else None,
         median_alpha_min=float(np.median(alpha_mins)) if alpha_mins.size else None,
     )
@@ -695,16 +694,16 @@ _LANE_DOUBLES = 1 << 10
 
 def _interval_records(
     spec: SimStudySpec, method_index: int, n: int, streams: _CellStreams, start: int, stop: int
-) -> list:
+) -> np.ndarray:
     """Records of replications ``start`` to ``stop - 1``, one ``interval``
     call each."""
     dgp, alpha, method = spec.dgp, spec.alpha, spec.methods[method_index]
-    records = []
-    for r in range(start, stop):
+    records = np.empty((4, stop - start))
+    for j, r in enumerate(range(start, stop)):
         data = dgp.sample(n, streams.seed(r))
         ci = method.interval(data, alpha)
         amin = method.alpha_min_value(data)
-        records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
+        records[:, j] = (ci.contains(dgp.target), ci.whole_line, ci.width, amin)  # None is NaN
     return records
 
 
@@ -724,22 +723,23 @@ def _mean_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: 
     float range, or a K is outside ``_plug_in_kurtosis``'s direct form.
     """
     fill = type(dgp) is ExponentialMean
-    if fill and not dgp.rate > 0.0:
-        return None  # sample_exponential rejects the rate
+    if fill:
+        _check_rate(dgp.rate)  # the rerun through sample_exponential raises it again
     count = stop - start
     rows = max(1, _CHUNK_DOUBLES // n)
     buffer = np.empty((min(rows, count), n))
     moments = np.empty((2 if rule.inflation is None else 3, count))
     for lo in range(0, count, rows):
         chunk = buffer[: min(rows, count - lo)]
-        for j, row in enumerate(chunk):
-            if fill:
-                _fill_exponential(row, streams.seed(start + lo + j), dgp.rate)
-                continue
-            values = dgp.sample(n, streams.seed(start + lo + j)).values
-            if values.size != n:
-                return None
-            row[:] = values
+        with np.errstate(over="ignore" if fill else None):  # an inf draw goes on to interval
+            for j, row in enumerate(chunk):
+                if fill:
+                    _fill_exponential(row, streams.seed(start + lo + j), dgp.rate)
+                    continue
+                values = dgp.sample(n, streams.seed(start + lo + j)).values
+                if values.size != n:
+                    return None
+                row[:] = values
         # an overflow here sends the slice to interval, which raises its DataError
         with np.errstate(over="ignore", invalid="ignore"):
             means, *powers = moments[:, lo : lo + len(chunk)]
@@ -784,7 +784,7 @@ def _ols_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: i
     count = stop - start
     rows = min(count, max(1, _CHUNK_DOUBLES // ((p + 1) * n)))
     x, xt, y = np.empty((n, p)), np.empty((rows, p, n)), np.empty((rows, n))
-    centres, halves, wholes = [], [], []
+    intervals = np.empty((3, count))  # centres, half-widths, whole-line mask
     for lo in range(0, count, rows):
         size = min(rows, count - lo)
         for j in range(size):
@@ -793,14 +793,12 @@ def _ols_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: i
         if not (np.isfinite(xt[:size]).all() and np.isfinite(y[:size]).all()):
             return None
         fits = _fit(xt[:size], y[:size])
-        half, whole = rule.intervals(fits, u)
-        centres.append(_centres(fits, u))
-        halves.append(half)
-        wholes.append(whole)
-    return np.concatenate(centres), np.concatenate(halves), np.concatenate(wholes), None
+        intervals[:, lo : lo + size] = (_centres(fits, u), *rule.intervals(fits, u))
+    centres, half, whole = intervals
+    return centres, half, whole == 1, None
 
 
-def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int) -> list | None:
+def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int):
     """Records of replications ``start`` to ``stop - 1`` under a cell rule.
 
     ``_mean_intervals`` or ``_ols_intervals`` gives the slice's centres,
@@ -813,23 +811,25 @@ def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: in
     intervals = settle(dgp, n, rule, streams, start, stop)
     if intervals is None:
         return None
-    count = stop - start
     centres, half, whole, alpha_mins = intervals
-    whole = np.broadcast_to(whole, (count,))
     with np.errstate(over="ignore", invalid="ignore"):
         lower, upper = centres - half, centres + half
-        widths = (upper - lower).tolist()
+        width = upper - lower
     if not (np.isfinite(lower) & np.isfinite(upper) & (lower <= upper) | whole).all():
         return None
-    covered = ((lower <= dgp.target) & (dgp.target <= upper) | whole).tolist()
-    alpha_mins = alpha_mins.tolist() if isinstance(alpha_mins, np.ndarray) else [alpha_mins] * count
-    return [(c, w, None if w else x, a)
-            for c, w, x, a in zip(covered, whole.tolist(), widths, alpha_mins)]
+    records = np.empty((4, stop - start))
+    records[0] = (lower <= dgp.target) & (dgp.target <= upper) | whole
+    records[1] = whole
+    records[2] = np.where(whole, math.nan, width)
+    records[3] = math.nan if alpha_mins is None else alpha_mins
+    return records
 
 
-def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudySpec) -> list:
-    """Records ``(covered, whole_line, width, alpha_min)`` of replications
-    ``start`` to ``stop - 1`` of the (method, n) cell, in order.
+def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudySpec) -> np.ndarray:
+    """Records of replications ``start`` to ``stop - 1`` of the (method, n)
+    cell, in order: one (4, stop - start) float array whose rows are covered
+    (0 or 1), whole_line (0 or 1), width (NaN for the whole line) and
+    alpha_min (NaN where none is tracked).
 
     Replication r draws from the stream ``substream(base_seed, method_index,
     n, r)`` seeds, for the built-in DGPs through one generator reset to
@@ -965,7 +965,7 @@ def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
         errors = [(len(done), k, exc) for k, (done, exc) in enumerate(slices) if exc is not None]
         if errors:
             raise min(errors, key=lambda e: e[:2])[2]
-        records = [[rec for done, _ in slices for rec in done[c]] for c in range(len(cells))]
+        records = [np.concatenate([done[c] for done, _ in slices], axis=1) for c in range(len(cells))]
     return SimReport(tuple(
         _aggregate(spec.methods[i], n, spec.alpha, recs) for (i, n), recs in zip(cells, records)
     ))

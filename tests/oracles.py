@@ -326,10 +326,12 @@ def load_ols_csv_oracle(path: str | Path, add_intercept: bool, u_spec: str) -> D
 
 
 
-def replication_records_oracle(spec, method_index: int, n: int) -> list:
+def replication_records_oracle(spec, method_index: int, n: int) -> np.ndarray:
     """``(covered, whole_line, width, alpha_min)`` of every replication of a
     (method, n) cell, each drawn from a fresh generator on the stream
-    ``substream`` seeds and given one ``interval`` call."""
+    ``substream`` seeds and given one ``interval`` call, as the engine's
+    (4, replications) records: NaN for a whole line's width and an untracked
+    alpha_min."""
     dgp, method = spec.dgp, spec.methods[method_index]
     records = []
     for r in range(spec.replications):
@@ -337,7 +339,8 @@ def replication_records_oracle(spec, method_index: int, n: int) -> list:
         ci = method.interval(data, spec.alpha)
         amin = method.alpha_min_value(data)
         records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
-    return records
+    return np.array([[np.nan if value is None else value for value in rec] for rec in records],
+                    dtype=float).T
 
 
 def coverage_study_oracle(spec) -> SimReport:

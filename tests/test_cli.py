@@ -533,6 +533,18 @@ def test_feasibility_rejects_non_integral_n(in_tmp, capsys, n):
     assert "n values must be finite integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "alpha-min", "--n", "10,abc"], "cannot parse n list '10,abc'"),
+    (["--mode", "alpha-min", "--n", "0"], "n values must be positive, got '0'"),
+    (["--mode", "a-interval"], "--alpha is required for a-interval mode"),
+    (["--mode", "n-zero", "--k-xi", "9"], "--alpha is required for n-zero mode"),
+], ids=["n-not-a-number", "n-zero", "a-interval-no-alpha", "n-zero-no-alpha"])
+def test_feasibility_rejects_a_missing_alpha_and_a_bad_n_list(in_tmp, capsys, flags, message):
+    assert run_command(["feasibility", "--K", "9"] + flags) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (in_tmp / "feasibility_report.csv").exists()
+
+
 def test_feasibility_accepts_integral_float_n(in_tmp, capsys):
     assert run_command(["feasibility", "--mode", "alpha-min", "--K", "9", "--n", "1e5,2000.0"]) == 0
     assert [r.n for r in read_report(in_tmp / "feasibility_report.csv")] == [100000, 2000]

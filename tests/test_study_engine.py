@@ -7,6 +7,9 @@ plug-in-K slice on lanes.  None of that may change a draw, a record or an error.
 """
 
 import math
+import tracemalloc
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -214,8 +217,9 @@ def test_chunk_records_equal_the_oracle_records_bit_for_bit(method, monkeypatch)
                             replications=replications, alpha=0.2, base_seed=29)
         for n in n_grid:
             expected = replication_records_oracle(spec, 0, n)
-            assert _run_slice(0, n, 0, replications, spec) == expected
-            assert _run_slice(0, n, 7 % replications, replications, spec) == expected[7 % replications:]
+            np.testing.assert_array_equal(_run_slice(0, n, 0, replications, spec), expected)
+            np.testing.assert_array_equal(_run_slice(0, n, 7 % replications, replications, spec),
+                                          expected[:, 7 % replications:])
 
 
 def test_fixed_rule_cells_do_not_call_interval(monkeypatch):
@@ -270,6 +274,22 @@ def test_plug_in_slices_search_in_blocks_of_64_lanes(monkeypatch):
     sizes.clear()
     assert run_coverage_study(spec, workers=2) == coverage_study_oracle(spec)
     assert sizes == [64, 11]  # the calling process's slice; the child's is not seen here
+
+
+def test_a_slice_keeps_its_records_and_stream_keys_as_arrays():
+    # 50,000 replications at n = 2: as Python record tuples and key lists
+    # they take about 15.7 MiB, as the (4, m) and (m, 2) arrays about 5 MiB
+    spec = SimStudySpec(dgp=ExponentialMean(), methods=(CltMethod(),), n_grid=(2,),
+                        replications=50_000, alpha=0.1)
+    _run_slice(0, 2, 0, 100, spec)  # warms the half-width caches
+    tracemalloc.start()
+    try:
+        records = _run_slice(0, 2, 0, 50_000, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records.shape == (4, 50_000)
+    assert peak < 10 * 2**20
 
 
 def test_exponential_cells_build_no_sample_per_replication(monkeypatch):
@@ -356,6 +376,40 @@ def test_ols_blocks_stay_within_the_chunk_budget(monkeypatch):
     monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", 64)
     assert run_coverage_study(spec) == coverage_study_oracle(spec)
     assert [shape[0] for shape in shapes] == [1] * 33
+
+
+def test_an_ols_cell_below_p_raises_the_serial_data_error(monkeypatch):
+    # n < p leaves the cell to interval, whose Design rejects it
+    spec = SimStudySpec(dgp=GumbelHeteroLinear(), methods=(OlsAsympMethod(), EDG), n_grid=(2,),
+                        replications=5, alpha=0.1, base_seed=3)
+    expected, raised = _errors(spec, monkeypatch)
+    assert expected == (DataError, "need n >= p >= 1, got n=2, p=3")
+    assert raised == [expected] * 6
+
+
+@dataclass(frozen=True)
+class _DuckGumbel:
+    """``GumbelHeteroLinear``'s draws and target under another type, so its
+    OLS cells are left to interval."""
+
+    family = "ols"
+    target = -3.0
+
+    def sample(self, n, seed):
+        return sample_gumbel_hetero_linear(n, seed)
+
+
+def test_an_ols_cell_on_another_dgp_runs_through_interval():
+    methods = (OlsAsympMethod(), OlsEdgMethod(bounds=OlsBounds.all_plug_in()), EDG)
+    spec = SimStudySpec(dgp=_DuckGumbel(), methods=methods, n_grid=(40, 4000), replications=5,
+                        alpha=0.1, base_seed=4)
+    expected = coverage_study_oracle(spec)
+    assert expected.rows[-1].whole_line_fraction == 0.0  # EDG's intervals at n = 4000 are bounded
+    for workers in (1, 2, 3):
+        assert run_coverage_study(spec, workers=workers) == expected
+    block = SimStudySpec(dgp=GumbelHeteroLinear(), methods=methods, n_grid=(40, 4000), replications=5,
+                         alpha=0.1, base_seed=4)
+    assert run_coverage_study(block) == expected
 
 
 def _exponential_scaled_by(scale):
@@ -494,13 +548,24 @@ def test_a_nan_in_an_exponential_chunk_raises_the_serial_error(monkeypatch):
     assert run_coverage_study(before) == coverage_study_oracle(before)
 
 
-@pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan], ids=["negative", "zero", "nan"])
+@pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf], ids=["negative", "zero", "nan", "inf"])
 def test_an_exponential_rate_that_sampling_rejects_raises_the_serial_error(rate, monkeypatch):
-    # a negative rate would fill the chunk buffer with finite values
+    # a negative rate would fill the chunk buffer with finite values, an
+    # infinite one with zeros
     spec = SimStudySpec(dgp=ExponentialMean(rate=rate), methods=(CltMethod(),), n_grid=(50,),
                         replications=6, alpha=0.1, base_seed=3)
     expected, raised = _errors(spec, monkeypatch)
-    assert expected[0] is (DataError if math.isnan(rate) else DomainError)
+    assert expected == (DomainError, f"rate must be finite and positive, got {rate!r}")
+    assert raised == [expected] * 6
+
+
+def test_an_exponential_rate_whose_draws_overflow_raises_the_serial_data_error(monkeypatch):
+    spec = SimStudySpec(dgp=ExponentialMean(rate=1e-320), methods=(CltMethod(),), n_grid=(50,),
+                        replications=6, alpha=0.1, base_seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow must not warn
+        expected, raised = _errors(spec, monkeypatch)
+    assert expected == (DataError, "sample values must be finite")
     assert raised == [expected] * 6
 
 
@@ -662,6 +727,22 @@ def test_study_rejects_non_integral_fields(fields, message):
         _spec(**fields)
     assert str(info.value) == message
     assert isinstance(info.value, NavaeError)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"replications": 0}, "replications must be >= 1, got 0"),
+    ({"replications": -2}, "replications must be >= 1, got -2"),
+    ({"methods": ()}, "at least one method is required"),
+    ({"n_grid": (0,)}, "invalid n grid (0,)"),
+    ({"n_grid": ()}, "invalid n grid ()"),
+    ({"alpha": 0.0}, "alpha must be in (0,1), got 0.0"),
+    ({"alpha": 1.0}, "alpha must be in (0,1), got 1.0"),
+    ({"alpha": math.nan}, "alpha must be in (0,1), got nan"),
+])
+def test_study_rejects_out_of_range_fields(fields, message):
+    with pytest.raises(ConfigError) as info:
+        _spec(**fields)
+    assert str(info.value) == message
 
 
 def test_study_keeps_integral_fields_as_ints():
