@@ -26,8 +26,9 @@ one cached ``n_zero`` call per replication.  A slice with a value the arrays
 cannot settle (a non-finite draw, a singular S under plug-in bounds, zero
 influence values, an overflow, a ``FeasibilityError`` or a scan error
 included) runs again one ``interval`` call per replication, so every error
-is the serial loop's.  Either way a slice's records (covered, whole line,
-width and alpha_min per replication) are one (4, count) float array.
+is the serial loop's; a cell whose rule proves every interval the whole
+line without data draws nothing.  Either way a slice's records (covered,
+whole line, width and alpha_min per replication) are one (4, count) array.
 With one worker every replication runs in the calling process, in order.
 With k > 1, each (method, n) cell's replications are cut into k contiguous
 slices: the calling process runs the first slice of every cell and k - 1
@@ -89,6 +90,7 @@ from .ols_ci import (
     _check_direction,
     _edg_halves,
     _fit,
+    _last_violations,
     ci_asymp,
     ci_edg,
     ols_fit,
@@ -406,17 +408,21 @@ class _CellRule(NamedTuple):
 
     An OLS method's interval is u'beta +/- a half-width: ``intervals(fits,
     u)`` maps a block's stacked fits (``ols_ci._Fits``) to the half-widths
-    and the whole-line mask."""
+    and the whole-line mask.  ``intervals`` None marks a cell proved the
+    whole line without data, which draws nothing; ``alpha_min`` (None if
+    untracked) is then every replication's."""
 
-    intervals: Callable
+    intervals: Callable | None
     inflation: float | None = None
+    alpha_min: float | None = None
 
 
 def _fixed_rule(half_width: Callable | None, alpha_min: float | None = None) -> _CellRule:
     """The rule of a cell whose intervals are mean +/- half_width(sigma_hat^2),
-    or the whole line when ``half_width`` is None, with one alpha_min."""
-    return _CellRule(lambda sigma_hat_sq, k: (
-        math.nan if half_width is None else half_width(sigma_hat_sq), alpha_min))
+    with one alpha_min; data-free whole line when ``half_width`` is None."""
+    if half_width is None:
+        return _CellRule(None, alpha_min=alpha_min)
+    return _CellRule(lambda sigma_hat_sq, k: (half_width(sigma_hat_sq), alpha_min))
 
 
 class _Method:
@@ -588,6 +594,12 @@ class OlsEdgMethod(_Method):
         return ci_edg(design, alpha, self.bounds, self.tuning)
 
     def cell_rule(self, n: int, alpha: float) -> _CellRule:
+        # config errors first, as in _edg_halves; n0 >= each condition's last violation
+        self.tuning.omega(n)
+        self.tuning.a(n)
+        k_reg, k_xi = (None if isinstance(b, PlugIn) else b for b in (self.bounds.k_reg, self.bounds.k_xi))
+        if n <= _last_violations(alpha, self.tuning, k_reg, k_xi):
+            return _fixed_rule(None)
         return _CellRule(lambda fits, u: _edg_halves(fits, u, alpha, self.bounds, self.tuning))
 
 
@@ -723,8 +735,6 @@ def _mean_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: 
     float range, or a K is outside ``_plug_in_kurtosis``'s direct form.
     """
     fill = type(dgp) is ExponentialMean
-    if fill:
-        _check_rate(dgp.rate)  # the rerun through sample_exponential raises it again
     count = stop - start
     rows = max(1, _CHUNK_DOUBLES // n)
     buffer = np.empty((min(rows, count), n))
@@ -778,7 +788,6 @@ def _ols_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: i
         return None
     p = len(GUMBEL_BETA)
     u = np.asarray(dgp.u, dtype=float).reshape(-1)
-    _check_direction(u, p)  # an error sends the slice to interval, which raises it
     if n < p:
         return None  # Design rejects the design
     count = stop - start
@@ -838,22 +847,39 @@ def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudyS
     ``GumbelHeteroLinear``) evaluates the whole slice by array arithmetic
     that equals ``interval``'s bit for bit (``_rule_records``), the OLS
     methods in blocks of at most ``_CHUNK_DOUBLES // ((p + 1) n)``
-    replications.  If the rule or anything in the slice raises, or it has a
-    value that ``_rule_records`` leaves to ``interval`` (a non-finite draw,
-    a singular S under plug-in bounds, zero influence values, an overflow, a
-    ``FeasibilityError`` or a scan error among them), the whole slice runs
-    again one ``interval`` call each, in order, so any error raised is the
-    one the serial loop raises first.
+    replications; a data-free whole-line cell (``_CellRule``) draws nothing
+    and raises no draw's error (a faulty DGP, an overflowing rate).  If the
+    rule, a built-in DGP's configuration (``_check_dgp``) or anything in the
+    slice raises, or it has a value that ``_rule_records`` leaves to
+    ``interval`` (a non-finite draw, a singular S under plug-in bounds, zero
+    influence values, an overflow, a ``FeasibilityError`` or a scan error
+    among them), the whole slice runs again one ``interval`` call each, in
+    order, so any error raised is the one the serial loop raises first.
     """
+    try:
+        _check_dgp(spec.dgp)
+        rule = spec.methods[method_index].cell_rule(n, spec.alpha)
+    except Exception:  # the rerun raises it again
+        rule = None
+    if rule is not None and rule.intervals is None:
+        amin = math.nan if rule.alpha_min is None else rule.alpha_min
+        return np.tile([[1.0], [1.0], [math.nan], [amin]], (1, stop - start))
     streams = _CellStreams(spec.dgp, spec.base_seed, method_index, n, start, stop)
     try:
-        rule = spec.methods[method_index].cell_rule(n, spec.alpha)
         records = None if rule is None else _rule_records(spec.dgp, n, rule, streams, start, stop)
     except Exception:  # the rerun raises it again, or an earlier error
         records = None
     if records is None:
         records = _interval_records(spec, method_index, n, streams, start, stop)
     return records
+
+
+def _check_dgp(dgp) -> None:
+    """A built-in DGP's configuration checks, which its draws make too."""
+    if type(dgp) is ExponentialMean:
+        _check_rate(dgp.rate)
+    elif type(dgp) is GumbelHeteroLinear:
+        _check_direction(np.asarray(dgp.u, dtype=float).reshape(-1), len(GUMBEL_BETA))
 
 
 def _run_slices(spec: SimStudySpec, cells: list, start: int, stop: int) -> tuple:
@@ -950,8 +976,8 @@ def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
     every cell and k - 1 children it forks run the others, each stopping at
     its own first error; the slices are joined in replication order.  The
     first replication error in (method, n, replication) order is raised, as
-    the serial run raises it.  Where the platform has no ``os.fork`` the
-    study runs serially.
+    the serial run raises it, but a data-free whole-line cell draws nothing.
+    Where the platform has no ``os.fork`` the study runs serially.
     """
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")

@@ -37,7 +37,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import betainc, betaincinv, ndtr, ndtri
 
-from .edgeworth import BerryEsseen, DeltaProvider, delta_of
+from .edgeworth import BerryEsseen, DeltaProvider, _check_nk, delta_of
 from .errors import (
     ConfigError,
     DataError,
@@ -354,11 +354,7 @@ def nu_var(a: float, n: int, kurtosis_bound: float) -> float:
     a = float(a)
     if not math.isfinite(a) or a <= 1.0:
         raise DomainError(f"tuning parameter a must exceed 1, got {a!r}")
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
-    if kurtosis_bound < 1.0:
-        raise DomainError(f"kurtosis bound must be >= 1, got {kurtosis_bound!r}")
-    return float(_tuning_terms(a, n, kurtosis_bound, 0.0)[0])
+    return float(_tuning_terms(a, *_check_nk(n, kurtosis_bound), 0.0)[0])
 
 
 def _known_variance_factor(n: int, sigma_known: float, cfg: MeanCiConfig) -> float | None:
@@ -448,7 +444,8 @@ def _tuning_terms(
     the smallest level with a bounded interval at this a.
     """
     s = 1.0 - 1.0 / a
-    nu = np.exp(-n * (s * s) / (2.0 * kurtosis_bound))
+    # -n s^2/(2K) as (-n/2) s^2/K: halving is exact, and 2K overflows above K = 9e307
+    nu = np.exp((-0.5 * n) * (s * s) / kurtosis_bound)
     return nu, 1.0 - ndtr(np.sqrt(n / a)) + delta + nu / 2.0
 
 

@@ -655,13 +655,19 @@ def n_zero(alpha: float, tuning: OlsTuning, bounds: OlsBounds) -> int:
     """
     alpha = _check_alpha(alpha)
     _require_resolved(bounds, "n_zero")
+    return _last_violations(alpha, tuning, float(bounds.k_reg), float(bounds.k_xi))
+
+
+def _last_violations(alpha: float, tuning: OlsTuning, k_reg: float | None, k_xi: float | None) -> int:
+    """The largest last violation of cond_reg at K_reg, then cond_edg at K_xi, of those given (0 if none)."""
     try:
         hash(tuning)
     except TypeError:  # an unhashable custom rule or provider
         reg, edg = _last_reg_violation.__wrapped__, _last_edg_violation.__wrapped__
     else:
         reg, edg = _last_reg_violation, _last_edg_violation
-    return max(reg(alpha, tuning, float(bounds.k_reg)), edg(alpha, tuning, float(bounds.k_xi)))
+    return max(reg(alpha, tuning, k_reg) if k_reg is not None else 0,
+               edg(alpha, tuning, k_xi) if k_xi is not None else 0)
 
 
 def _plug_in_estimates(fits: _Fits, u: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -291,6 +291,22 @@ def test_overflowing_data_is_a_data_error(in_tmp, capsys, values, method):
     assert not (in_tmp / "mean_ci_report.csv").exists()
 
 
+@pytest.mark.parametrize("command, expected", [
+    (["feasibility", "--mode", "alpha-min", "--K", "1e308", "--n", "100"], "alpha_min(n=100, K=1e+308) = 1.0"),
+    (["feasibility", "--mode", "a-interval", "--K", "1e308", "--alpha", "0.1", "--n", "100"],
+     "I_n(n=100) = empty"),
+    (["mean-ci", "--alpha", "0.1", "--K", "1e308", "--a-rule", "optimized", "--input", "m.csv"],
+     "interval: R (whole real line)"),
+], ids=["alpha-min", "a-interval", "mean-ci"])
+def test_a_kurtosis_bound_near_the_float_maximum_does_not_warn(in_tmp, capsys, command, expected):
+    # 2 K overflows above K = 9e307; the tuning searches must not form it
+    write(in_tmp / "m.csv", "x\n" + "\n".join(str(v) for v in np.linspace(0.0, 3.0, 100)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        assert run_command(command) == 0
+    assert expected in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("method", ["clt", "student", "unknown-variance"])
 def test_underflowing_variance_is_a_data_error(in_tmp, capsys, method):
     # the squared deviations of data this small underflow to zero: the

@@ -220,6 +220,10 @@ def test_nu_var_values():
     assert nu_var(1.1820, 5000, 9.0) == pytest.approx(0.0013798903535677926, abs=1e-5)
     with pytest.raises(DomainError):
         nu_var(1.0, 10, 9.0)
+    # one check of n and K, that of the delta providers: a non-finite K is rejected too
+    for n, k in ((0, 9.0), (10, 0.5), (10, math.nan), (10, math.inf)):
+        with pytest.raises(DomainError, match="sample size must be >= 1|kurtosis bound must be finite and >= 1"):
+            nu_var(1.5, n, k)
 
 
 def test_nu_var_in_unit_interval():

@@ -25,6 +25,8 @@ from navae.dgp_sim import (
     KnownVarianceMethod,
     OlsAsympMethod,
     OlsEdgMethod,
+    SimReport,
+    SimReportRow,
     SimStudySpec,
     StudentMethod,
     UnknownVarianceMethod,
@@ -45,7 +47,7 @@ from navae.errors import (
     InsufficientDataError,
     NavaeError,
 )
-from navae.mean_ci import Sample
+from navae.mean_ci import Sample, alpha_min
 from navae.ols_ci import Design, OlsBounds, OlsTuning, PlugIn
 from navae.rules import OPTIMIZED
 from oracles import coverage_study_oracle, ols_width_means_oracle, replication_records_oracle
@@ -621,12 +623,17 @@ def _faulty_gumbel(fault):
     return faulty
 
 
+#: edg with every bound plug-in: no fixed bound proves a cell the whole line,
+#: so its cells draw at any n
+EDG_PLUG_IN = OlsEdgMethod(bounds=OlsBounds.all_plug_in())
+
+
 @pytest.mark.parametrize("fault, method, expected", [
     ("nan", OlsAsympMethod(), "design and outcome entries must be finite"),
-    ("nan", EDG, "design and outcome entries must be finite"),
-    ("singular", EDG, "design second-moment matrix is numerically singular"),
+    ("nan", EDG_PLUG_IN, "design and outcome entries must be finite"),
+    ("singular", EDG_PLUG_IN, "design second-moment matrix is numerically singular"),
     ("overflow", OlsAsympMethod(), "OLS fit overflows: the squared residuals are too large"),
-    ("overflow", EDG, "OLS fit overflows: the squared residuals are too large"),
+    ("overflow", EDG_PLUG_IN, "OLS fit overflows: the squared residuals are too large"),
 ], ids=["nan-asymp", "nan-edg", "singular-edg", "overflow-asymp", "overflow-edg"])
 def test_a_faulty_ols_draw_raises_the_serial_error(fault, method, expected, monkeypatch):
     # replications 4 and 7 are faulty: the first block holds good ones before it
@@ -658,6 +665,50 @@ def test_a_singular_design_is_fitted_by_the_asymp_rule(monkeypatch):
         for workers in (1, 2, 3):
             assert run_coverage_study(spec, workers=workers) == expected
     assert built == []
+
+
+def _nan_exponential(out, rng, rate):
+    out[:] = np.nan
+
+
+@pytest.mark.parametrize("dgp, method, n, fill, faulty", [
+    (GumbelHeteroLinear(), EDG, 50, "_fill_gumbel", _faulty_gumbel("nan")),
+    (GumbelHeteroLinear(), EDG, 50, "_fill_gumbel", _faulty_gumbel("singular")),
+    (GumbelHeteroLinear(), EDG, 50, "_fill_gumbel", _faulty_gumbel("overflow")),
+    (ExponentialMean(), KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0), 100, "_fill_exponential",
+     _nan_exponential),
+    (ExponentialMean(), UnknownVarianceMethod(kurtosis_bound=9.0, track_alpha_min=True), 100,
+     "_fill_exponential", _nan_exponential),
+], ids=["nan-edg", "singular-edg", "overflow-edg", "known-variance", "unknown-variance"])
+def test_a_data_free_whole_line_cell_draws_nothing(dgp, method, n, fill, faulty, monkeypatch):
+    # edg at K_xi = 9 is the whole line up to n0 >= 3655 whatever K_reg is,
+    # and the mean intervals at K = 9 up to n = 2375 (known variance) and
+    # 2926 (unknown variance, a = 1 + n^-0.2): faults in the draws cannot
+    # change the report, and no draw is made
+    calls = []
+    monkeypatch.setattr(dgp_sim, fill, lambda *args: calls.append(1) or faulty(*args))
+    spec = SimStudySpec(dgp=dgp, methods=(method,), n_grid=(n,), replications=8, alpha=0.1, base_seed=0)
+    amin = alpha_min(n, 9.0, method.a_rule, method.delta) if getattr(method, "track_alpha_min", False) else None
+    expected = SimReport((SimReportRow(method.label, n, 0.1, 8, coverage=1.0, mc_se=0.0, mean_width=None,
+                                       whole_line_fraction=1.0, mean_alpha_min=amin, median_alpha_min=amin),))
+    for chunk in (1 << 16, 64):
+        monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
+        for workers in (1, 2, 3):
+            assert run_coverage_study(spec, workers=workers) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("dgp, method, n", [
+    (ExponentialMean(rate=math.nan), KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0), 100),
+    (ExponentialMean(rate=-1.0), UnknownVarianceMethod(kurtosis_bound=9.0, track_alpha_min=True), 100),
+    (GumbelHeteroLinear(u=(0.0, 0.0, 0.0)), EDG, 50),
+    (GumbelHeteroLinear(u=(0.0, 1.0)), EDG, 50),
+], ids=["nan-rate", "negative-rate", "zero-direction", "short-direction"])
+def test_a_data_free_whole_line_cell_raises_the_dgp_configuration_error(dgp, method, n, monkeypatch):
+    spec = SimStudySpec(dgp=dgp, methods=(method,), n_grid=(n,), replications=6, alpha=0.1, base_seed=0)
+    expected, raised = _errors(spec, monkeypatch)
+    assert issubclass(expected[0], (ConfigError, DomainError))
+    assert raised == [expected] * 6
 
 
 def _tiny(n, rng):
