@@ -35,7 +35,7 @@ from .errors import (
     ProviderError,
     UnboundedScanError,
 )
-from .linalg import SymMatrix, cholesky, psd_sqrt, pseudo_inverse, spectral_norm, sym_eigen
+from .linalg import SymMatrix, cholesky, psd_sqrt, pseudo_inverse, sym_eigen
 from .mean_ci import (
     ConfidenceInterval,
     KnownVariance,
@@ -73,10 +73,9 @@ from .ols_ci import (
     r_var,
     rate_r,
     resolve_bounds,
-    sandwich_variance,
     tuning_for_rate,
 )
 from .rules import OPTIMIZED, OptimizedRule, PowerRule, parse_rule
 from .specialfn import std_normal_cdf, std_normal_pdf, std_normal_quantile
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

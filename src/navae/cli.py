@@ -248,13 +248,22 @@ def _report_paths(args) -> tuple[Path, Path]:
 
 
 def _check_outputs(args) -> None:
-    """A report or summary path naming a file the command reads is a
-    ``ConfigError``, raised before anything runs or is written."""
-    for output in _report_paths(args):
+    """A ``ConfigError``, raised before anything runs or is written, when the
+    report or summary path names a file the command reads, a directory, or a
+    file in a directory that does not exist, or when the two are one path."""
+    report, summary = _report_paths(args)
+    for output in (report, summary):
         for flag in ("config", "input"):
             source = getattr(args, flag, None)
             if source is not None and _same_file(output, source):
                 raise ConfigError(f"output {output} would overwrite the --{flag} file {source}")
+        if output.is_dir():
+            raise ConfigError(f"output {output} is a directory")
+        if not output.parent.is_dir():
+            raise ConfigError(f"output {output}: directory {output.parent} does not exist")
+    if report == summary:
+        raise ConfigError(f"output {report} would be both the report and its JSON summary; "
+                          "give the report another suffix, such as .csv")
 
 
 def _same_file(a, b) -> bool:
@@ -266,11 +275,12 @@ def _same_file(a, b) -> bool:
 
 def _emit(args, command: str, rows, params: dict) -> None:
     output, summary_path = _report_paths(args)
-    write_report(output, rows)
-    write_summary(
-        summary_path,
-        {"command": command, "params": params, "rows": [row_as_dict(r) for r in rows]},
-    )
+    summary = {"command": command, "params": params, "rows": [row_as_dict(r) for r in rows]}
+    for path, write, content in ((output, write_report, rows), (summary_path, write_summary, summary)):
+        try:
+            write(path, content)
+        except OSError as exc:  # one that _check_outputs could not foresee
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     print(f"report: {output}")
     print(f"summary: {summary_path}")
 

@@ -60,6 +60,7 @@ from .mean_ci import (
     MeanCiConfig,
     Sample,
     UnknownVariance,
+    _centred_moments,
     _check_inflation,
     _clt_half_width,
     _known_variance_factor,
@@ -726,11 +727,10 @@ def _mean_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: 
     The draws pass through a buffer of at most ``_CHUNK_DOUBLES`` values, a
     chunk of replications at a time (``ExponentialMean`` fills its rows with
     ``_fill_exponential``, other DGPs' ``sample`` values are copied in), and
-    are reduced to per-replication means, sigma_hat^2 and, for a plug-in
-    rule, fourth moments of the deviations: ``np.add.reduce(..., axis=1) / n``
-    of the values, their squared deviations and the squares of those, which
-    equal ``Sample.mean``, ``Sample.sigma_hat_sq`` and the m4 of
-    ``sample_kurtosis`` bit for bit.  None when a sample is not n values
+    are reduced by ``mean_ci._centred_moments``, which ``Sample`` reduces its
+    values with too, to per-replication means, sigma_hat^2 and, for a
+    plug-in rule, fourth moments of the deviations (bit for bit the m4 of
+    ``sample_kurtosis``).  None when a sample is not n values
     long, a sigma_hat^2 is NaN (a draw is not finite) or below the normal
     float range, or a K is outside ``_plug_in_kurtosis``'s direct form.
     """
@@ -751,13 +751,7 @@ def _mean_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: 
                     return None
                 row[:] = values
         # an overflow here sends the slice to interval, which raises its DataError
-        with np.errstate(over="ignore", invalid="ignore"):
-            means, *powers = moments[:, lo : lo + len(chunk)]
-            np.divide(np.add.reduce(chunk, axis=1), n, out=means)
-            np.subtract(chunk, means[:, None], out=chunk)
-            for power in powers:  # sigma_hat^2, then m4
-                np.multiply(chunk, chunk, out=chunk)
-                np.divide(np.add.reduce(chunk, axis=1), n, out=power)
+        moments[:, lo : lo + len(chunk)] = _centred_moments(chunk, len(moments))
     means, variances, *fourths = moments
     if not (variances >= sys.float_info.min).all():
         return None

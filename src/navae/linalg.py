@@ -2,19 +2,19 @@
 
 The factorizations are LAPACK's, through numpy: ``np.linalg.eigh`` for the
 eigendecomposition (from which the pseudo-inverse and the PSD square root
-derive), ``np.linalg.eigvalsh`` for the spectral norm, and
-``np.linalg.cholesky``.  This module adds what LAPACK leaves to the caller:
-input validation through ``SymMatrix``, the rank cutoff of the pseudo-inverse,
-the clamp of round-off negative eigenvalues in the square root, and a
-relative pivot floor that makes Cholesky reject numerically singular input.
+derive), and ``np.linalg.cholesky`` with ``np.linalg.eigvalsh`` for its pivot
+floor.  This module adds what LAPACK leaves to the caller: input validation
+through ``SymMatrix``, the rank cutoff of the pseudo-inverse, the clamp of
+round-off negative eigenvalues in the square root, and a relative pivot floor
+that makes Cholesky reject numerically singular input.
 
-Validation runs where a matrix enters from outside.  ``SymMatrix(...)``,
-``SymMatrix.from_array`` and every public function handed a raw array check
-the shape, finiteness and symmetry in full.  Matrices the library has just
-built symmetric itself (x'x/n in the OLS fit and the results of
-``pseudo_inverse`` and ``psd_sqrt``) go through ``_symmetrized``, which keeps
-the finite check and the symmetrisation and skips the rest, and
-``SymMatrix._of`` wraps its result as it is.
+Validation runs where a matrix enters from outside: ``SymMatrix(...)`` and
+every public function handed a raw array check the shape, finiteness and
+symmetry in full.  Matrices the library has just built symmetric itself
+(x'x/n in the OLS fit and the results of ``pseudo_inverse`` and
+``psd_sqrt``) go through ``_symmetrized``, which keeps the finite check and
+the symmetrisation and skips the rest, and ``SymMatrix._of`` wraps its
+result as it is.  The OLS fit keeps its matrices as those read-only arrays.
 
 The private helpers (``_symmetrized``, ``_eigh_desc``, ``_pseudo_inverse_of``,
 ``_psd_sqrt_array``) take one matrix or a stack of them (leading axes), and
@@ -34,7 +34,6 @@ __all__ = [
     "sym_eigen",
     "pseudo_inverse",
     "psd_sqrt",
-    "spectral_norm",
     "cholesky",
 ]
 
@@ -76,10 +75,6 @@ class SymMatrix:
         object.__setattr__(m, "array", sym)
         return m
 
-    @classmethod
-    def from_array(cls, values) -> "SymMatrix":
-        return cls(np.array(values, dtype=float))
-
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     """(A + A')/2 of a square array (or of each matrix of a stack), read-only.
@@ -95,7 +90,7 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
 
 
 def _as_sym(m: SymMatrix | np.ndarray) -> SymMatrix:
-    return m if isinstance(m, SymMatrix) else SymMatrix.from_array(m)
+    return m if isinstance(m, SymMatrix) else SymMatrix(m)
 
 
 def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,12 +102,6 @@ def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sym_eigen(m: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors (as columns)."""
     return _eigh_desc(_as_sym(m).array)
-
-
-def spectral_norm(m: SymMatrix | np.ndarray) -> float:
-    """Largest absolute eigenvalue."""
-    values = np.linalg.eigvalsh(_as_sym(m).array)
-    return float(np.max(np.abs(values))) if values.size else 0.0
 
 
 def pseudo_inverse(m: SymMatrix | np.ndarray) -> SymMatrix:
@@ -160,8 +149,8 @@ def _psd_sqrt_array(sym: np.ndarray) -> np.ndarray:
 def cholesky(m: SymMatrix | np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L' = M for strictly positive-definite M.
 
-    Rejects M when a pivot L[j, j]^2 is at most 1e-12 times its spectral norm,
-    which LAPACK alone would accept.
+    Rejects M when a pivot L[j, j]^2 is at most 1e-12 times its spectral norm
+    (its largest |eigenvalue|), which LAPACK alone would accept.
     """
     sym = _as_sym(m)
     try:
@@ -169,7 +158,8 @@ def cholesky(m: SymMatrix | np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
     pivots = np.diag(L) ** 2
-    pivot_floor = 1e-12 * max(spectral_norm(sym), 1e-300)
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(sym.array)), initial=0.0))
+    pivot_floor = 1e-12 * max(norm, 1e-300)
     too_small = pivots <= pivot_floor
     if np.any(too_small):
         j = int(np.argmax(too_small))

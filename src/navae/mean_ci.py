@@ -123,10 +123,6 @@ class ConfidenceInterval:
             return None
         return self.upper - self.lower
 
-    @property
-    def is_degenerate(self) -> bool:
-        return not self.whole_line and self.lower == self.upper
-
     def contains(self, x: float) -> bool:
         if self.whole_line:
             return True
@@ -154,23 +150,44 @@ class Sample:
         return int(self.values.size)
 
     @cached_property
-    def mean(self) -> float:
-        """The sample mean; a DataError when the sum of finite values overflows."""
-        with np.errstate(over="ignore"):
-            mean = float(np.mean(self.values))
+    def _moments(self) -> tuple[float, float]:
+        """(mean, sigma_hat^2): ``_centred_moments`` of the sample as a stack of
+        one; a DataError when the sum of the finite values overflows."""
+        (mean,), (var,) = _centred_moments(self.values[None].copy(), 2).tolist()
         if not math.isfinite(mean):
             raise DataError("sample mean overflows: the values are too large to average")
-        return mean
+        return mean, var
 
-    @cached_property
+    @property
+    def mean(self) -> float:
+        """The sample mean; a DataError when the sum of finite values overflows."""
+        return self._moments[0]
+
+    @property
     def sigma_hat_sq(self) -> float:
         """sigma_hat^2; +inf when the squared deviations overflow."""
-        with np.errstate(over="ignore"):
-            return float(np.mean((self.values - self.mean) ** 2))
+        return self._moments[1]
 
-    def sigma0_sq(self, hypothesized_mean: float) -> float:
-        """Oracle variance estimator centered at a hypothesized mean."""
-        return float(np.mean((self.values - hypothesized_mean) ** 2))
+
+def _centred_moments(rows: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` (1 to 3) of the mean, sigma_hat^2 and the fourth
+    moment of the deviations of each row of ``rows`` (R, n), as (count, R).
+
+    Each is ``np.add.reduce(..., axis=1) / n``, as ``np.mean`` takes it, of
+    the values, their squared deviations and the squares of those, which
+    overwrite ``rows`` in turn.  A moment that overflows is +inf or NaN, with
+    no warning: the caller judges it.
+    """
+    n = rows.shape[1]
+    moments = np.empty((count, len(rows)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, *powers = moments
+        np.divide(np.add.reduce(rows, axis=1), n, out=means)
+        np.subtract(rows, means[:, None], out=rows)
+        for power in powers:
+            np.multiply(rows, rows, out=rows)
+            np.divide(np.add.reduce(rows, axis=1), n, out=power)
+    return moments
 
 
 @dataclass(frozen=True)

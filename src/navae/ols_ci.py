@@ -32,7 +32,8 @@ over a stack of R designs of one size (``_Fits``, ``_fit``, ``_resolved_rows``,
 ``_asymp_halves``, ``_edg_halves``): ``ols_fit``, ``resolve_bounds`` (and
 ``plug_in_bounds`` through it), ``ci_asymp`` and ``ci_edg`` are their case
 R = 1, and the coverage-study harness (``dgp_sim``) hands them a block of
-replications; ``_edg_halves`` reads R_var's moments from the stack.
+replications; ``_edg_halves`` and ``r_var`` read R_var's moments from the
+stack, and ``OlsFit``'s arrays are views of its stack of one.
 Every product of a stack is numpy's per-matrix BLAS or LAPACK call on the
 layout a single design has, and every reduction runs along a contiguous
 last axis, so each design's numbers are bit for bit those of a stack of one.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -57,7 +58,7 @@ from .errors import (
     FeasibilityError,
     UnboundedScanError,
 )
-from .linalg import SymMatrix, _eigh_desc, _psd_sqrt_array, _pseudo_inverse_of, _symmetrized
+from .linalg import _eigh_desc, _psd_sqrt_array, _pseudo_inverse_of, _symmetrized
 from .mean_ci import (ConfidenceInterval, _check_alpha, _check_inflation, _deviation_kurtosis,
                       _fixed_a, _means)
 from .rules import PowerRule, _rule_value
@@ -71,7 +72,6 @@ __all__ = [
     "OlsBounds",
     "OlsTuning",
     "ols_fit",
-    "sandwich_variance",
     "ci_asymp",
     "r_lin",
     "r_var",
@@ -215,43 +215,18 @@ def _quadratic(u: np.ndarray, fits: _Fits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Fit artifacts shared by every downstream operation.
-
-    ``m4``, ``m31``, ``m_xe2`` are the sample moments n^-1 sum |X_i|^4,
-    n^-1 sum |X_i|^3 |e_i|, n^-1 sum |X_i e_i|^2, and ``t4`` the spectral
-    norm of n^-1 sum X_i X_i' S^+ e_i^2, computed the first time ``r_var``
-    (or a caller) reads them; ``ci_edg`` takes its own from the stack.
-    ``_fits`` is this fit as a stack of one (``_fit``), of which every field is a view;
-    ``_mid`` is the sandwich middle n^-1 sum X_i X_i' e_i^2.
-    """
+    """A least-squares fit: ``_fits``, the fit as a stack of one (``_fit``),
+    and read-only views of its arrays: beta, the residuals, S, S^+ and the
+    sandwich variance V = S^+ (n^-1 sum X_i X_i' e_i^2) S^+ (``v_hat``).
+    ``r_var`` and ``ci_edg`` take R_var's moments from ``_fits``."""
 
     design: Design
     beta_hat: np.ndarray
     residuals: np.ndarray
-    s: SymMatrix
-    s_dagger: SymMatrix
-    v_hat: SymMatrix
+    s: np.ndarray
+    s_dagger: np.ndarray
+    v_hat: np.ndarray
     _fits: _Fits
-
-    @property
-    def n(self) -> int:
-        return self.design.n
-
-    @property
-    def _mid(self) -> np.ndarray:
-        return self._fits.mid[0]
-
-    @cached_property
-    def _row_moments(self) -> tuple[float, float, float]:
-        return tuple(float(m[0]) for m in _row_moments(self._fits))
-
-    m4 = property(lambda self: self._row_moments[0])
-    m31 = property(lambda self: self._row_moments[1])
-    m_xe2 = property(lambda self: self._row_moments[2])
-
-    @cached_property
-    def t4(self) -> float:
-        return float(_t4(self._fits)[0])
 
 
 def ols_fit(design: Design) -> OlsFit:
@@ -263,16 +238,11 @@ def ols_fit(design: Design) -> OlsFit:
         design=design,
         beta_hat=fits.beta[0],
         residuals=fits.residuals[0],
-        s=SymMatrix._of(fits.s[0]),
-        s_dagger=SymMatrix._of(fits.s_dagger[0]),
-        v_hat=SymMatrix._of(fits.v_hat[0]),
+        s=fits.s[0],
+        s_dagger=fits.s_dagger[0],
+        v_hat=fits.v_hat[0],
         _fits=fits,
     )
-
-
-def sandwich_variance(fit: OlsFit) -> SymMatrix:
-    """S^+ (n^-1 sum X_i X_i' e_i^2) S^+, the robust coefficient variance."""
-    return fit.v_hat
 
 
 def _one_interval(fits: _Fits, u: np.ndarray, halves: tuple, alpha: float, method: str) -> ConfidenceInterval:
@@ -407,8 +377,10 @@ def r_lin(gamma: float, n: int, bounds: OlsBounds, u_norm: float) -> float:
 
 
 def r_var(gamma: float, fit: OlsFit, bounds: OlsBounds) -> float:
-    """Variance-estimation error bound: the four-term sum consuming the fit moments."""
-    return _r_var(_r_var_weights(gamma, fit.n, bounds), (fit.m4, fit.m31, fit.m_xe2, fit.t4))
+    """Variance-estimation error bound: the four-term sum consuming the fit
+    moments, which it takes from the fit's stack of one as ``ci_edg`` does."""
+    weights = _r_var_weights(gamma, fit.design.n, bounds)
+    return _r_var(weights, [float(m[0]) for m in (*_row_moments(fit._fits), _t4(fit._fits))])
 
 
 def _r_var(weights: Sequence[float], moments: Sequence[float]) -> float:

@@ -6,7 +6,8 @@ and the OLS interval from a straightforward numpy.linalg transcription of
 the defining formulas.  The n0 oracle keeps the library's own predicates
 but finds their last violation by the original exhaustive back-scan.
 The CSV loader oracles are the CLI's original csv.reader + float() row
-loops, kept verbatim.  The coverage-study oracles are the harness's
+loops, kept verbatim, and the sample moment oracle is ``Sample``'s original
+``np.mean`` arithmetic.  The coverage-study oracles are the harness's
 original loops: a fresh generator from ``substream`` and one ``interval``
 call (or one OLS fit) per replication.  The tuning-search oracles run one
 scalar search per (n, alpha, K, delta_n), each point a float through the
@@ -251,6 +252,19 @@ def n_zero_backscan_oracle(alpha: float, tuning, k_reg: float, k_xi: float) -> i
         _last_violation(cond_reg, cond_reg_margin, "n <= 2 K_reg/(omega_n alpha)"),
         _last_violation(cond_edg, cond_edg_margin, "nu_edg >= alpha/2", edg_at_cap),
     )
+
+
+def sample_moments_oracle(values: np.ndarray) -> tuple[float, float]:
+    """(mean, sigma_hat^2) of a sample by ``np.mean``, as ``Sample`` took them
+    before it shared the study engine's row reduction; the DataError of an
+    overflowing mean, and sigma_hat^2 = +inf when the squared deviations
+    overflow."""
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+    if not math.isfinite(mean):
+        raise DataError("sample mean overflows: the values are too large to average")
+    with np.errstate(over="ignore"):
+        return mean, float(np.mean((values - mean) ** 2))
 
 
 def load_mean_csv_oracle(path: str | Path) -> Sample:

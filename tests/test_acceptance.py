@@ -46,7 +46,6 @@ from navae.ols_ci import (
     ci_edg,
     ols_fit,
     plug_in_bounds,
-    sandwich_variance,
 )
 from navae.rules import OPTIMIZED, PowerRule
 from navae.specialfn import std_normal_cdf, std_normal_quantile
@@ -230,7 +229,7 @@ def test_criterion_6_oracle_equivalences():
             )
         )
         expected = np.array([[7.0 / 72.0, -1.0 / 24.0], [-1.0 / 24.0, 1.0 / 24.0]])
-        assert np.max(np.abs(sandwich_variance(fit).array - expected)) <= 1e-12
+        assert np.max(np.abs(fit.v_hat - expected)) <= 1e-12
 
         design = sample_gumbel_hetero_linear(5_000, seed=4242, u=(0.0, 1.0, 0.0))
         ci = ci_edg(

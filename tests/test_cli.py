@@ -810,26 +810,45 @@ def test_simulate_track_alpha_min_must_be_boolean(in_tmp, capsys, flag):
     assert read_report(in_tmp / "out.csv")[0].mean_alpha_min is None
 
 
+_MEAN_CI_D = ["mean-ci", "--alpha", "0.1", "--method", "clt", "--input", "d.csv"]
+
+
 @pytest.mark.parametrize(
-    "argv, source",
+    "argv, message",
     [
-        (["simulate", "--config", "x.json", "--output", "x.csv"], "x.json"),
-        (["simulate", "--config", "x.json", "--output", "x.json"], "x.json"),
-        (["simulate", "--config", "x.json", "--output", "sub/../x.csv"], "x.json"),
+        (["simulate", "--config", "x.json", "--output", "x.csv"],
+         "would overwrite the --config file x.json"),
+        (["simulate", "--config", "x.json", "--output", "x.json"],
+         "would overwrite the --config file x.json"),
+        (["simulate", "--config", "x.json", "--output", "sub/../x.csv"],
+         "would overwrite the --config file x.json"),
         (["mean-ci", "--alpha", "0.1", "--method", "clt", "--input", "d.csv",
-          "--output", "d.csv"], "d.csv"),
+          "--output", "d.csv"], "would overwrite the --input file d.csv"),
         (["mean-ci", "--alpha", "0.1", "--method", "clt", "--input", "d.json",
-          "--output", "d.csv"], "d.json"),
+          "--output", "d.csv"], "would overwrite the --input file d.json"),
         (["ols-ci", "--alpha", "0.1", "--u", "1,0", "--method", "asymp", "--input", "o.csv",
-          "--output", "o.csv"], "o.csv"),
+          "--output", "o.csv"], "would overwrite the --input file o.csv"),
         (["mean-ci", "--alpha", "0.1", "--method", "clt", "--input", "mean_ci_report.csv"],
-         "mean_ci_report.csv"),
+         "would overwrite the --input file mean_ci_report.csv"),
+        # a .json report would be overwritten by its own summary
+        ([*_MEAN_CI_D, "--output", "rep.json"], "output rep.json would be both the report"),
+        (["simulate", "--config", "x.json", "--output", "rep.json"],
+         "output rep.json would be both the report"),
+        ([*_MEAN_CI_D, "--output", "sub"], "output sub is a directory"),
+        ([*_MEAN_CI_D, "--output", "dir.csv"], "output dir.json is a directory"),
+        ([*_MEAN_CI_D, "--output", "missing/x.csv"], "directory missing does not exist"),
+        (["simulate", "--config", "x.json", "--output", "missing/x.csv"],
+         "directory missing does not exist"),
     ],
     ids=["simulate-summary", "simulate-report", "simulate-dotdot", "mean-ci-report",
-         "mean-ci-summary", "ols-ci-report", "mean-ci-default-output"],
+         "mean-ci-summary", "ols-ci-report", "mean-ci-default-output", "mean-ci-json-report",
+         "simulate-json-report", "report-directory", "summary-directory",
+         "mean-ci-missing-directory", "simulate-missing-directory"],
 )
-def test_outputs_may_not_overwrite_inputs(in_tmp, capsys, argv, source):
+def test_outputs_may_not_overwrite_inputs(in_tmp, capsys, argv, message):
+    # every case is refused before anything runs (simulate would print its rows)
     (in_tmp / "sub").mkdir()
+    (in_tmp / "dir.json").mkdir()
     write(in_tmp / "x.json", json.dumps({"dgp": {"kind": "exponential-mean"},
                                          "methods": [{"name": "clt"}], "n": [100],
                                          "alpha": 0.1, "replications": 5}))
@@ -838,10 +857,24 @@ def test_outputs_may_not_overwrite_inputs(in_tmp, capsys, argv, source):
     write(in_tmp / "o.csv", "y,x1\n1,0\n2,1\n2,3\n5,4\n")
     before = {path.name: path.read_bytes() for path in in_tmp.iterdir() if path.is_file()}
     assert run_command(argv) == 2
-    err = capsys.readouterr().err
-    assert "would overwrite the --" in err and source in err
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
     after = {path.name: path.read_bytes() for path in in_tmp.iterdir() if path.is_file()}
     assert after == before
+
+
+@pytest.mark.parametrize("failing", ["write_report", "write_summary"])
+def test_an_output_that_cannot_be_written_is_a_config_error(in_tmp, capsys, monkeypatch, failing):
+    write(in_tmp / "d.csv", "x\n1\n2\n3\n")
+
+    def full_disk(path, content):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(f"navae.cli.{failing}", full_disk)
+    assert run_command([*_MEAN_CI_D, "--output", "out.csv"]) == 2
+    path = "out.csv" if failing == "write_report" else "out.json"
+    assert f"config error: cannot write {path}: [Errno 28] No space left on device" in \
+        capsys.readouterr().err
 
 
 _GEN_FAMILIES = {

@@ -9,7 +9,6 @@ from navae.linalg import (
     cholesky,
     psd_sqrt,
     pseudo_inverse,
-    spectral_norm,
     sym_eigen,
 )
 
@@ -26,12 +25,12 @@ def random_symmetric(rng, p, rank=None):
 
 
 def test_symmetrization_and_rejection():
-    m = SymMatrix.from_array([[1.0, 2.0 + 1e-14], [2.0, 3.0]])
+    m = SymMatrix([[1.0, 2.0 + 1e-14], [2.0, 3.0]])
     assert m.array[0, 1] == m.array[1, 0]
     with pytest.raises(DomainError):
-        SymMatrix.from_array([[1.0, 2.0], [0.5, 3.0]])
+        SymMatrix([[1.0, 2.0], [0.5, 3.0]])
     with pytest.raises(DataError):
-        SymMatrix.from_array([[math.nan, 0.0], [0.0, 1.0]])
+        SymMatrix([[math.nan, 0.0], [0.0, 1.0]])
 
 
 def test_eigen_identity():
@@ -156,9 +155,16 @@ def test_psd_sqrt_clamps_tiny_negative_but_rejects_material():
 
 
 def test_spectral_norm():
-    assert spectral_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0, abs=1e-12)
-    assert spectral_norm(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(3.0, abs=1e-12)
-    assert spectral_norm(np.zeros((3, 3))) == 0.0
+    # the spectral norm lives on as the scale of cholesky's pivot floor,
+    # 1e-12 times the largest |eigenvalue|: 3 for diag(3, d), so 3e-12
+    assert cholesky(np.diag([3.0, 3.1e-12]))[1, 1] ** 2 == pytest.approx(3.1e-12)
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky(np.diag([3.0, 2.9e-12]))
+    # [[1, 1], [1, 1 + e]] has pivots 1 and e, and largest eigenvalue 2 + e,
+    # not its largest entry 1 + e: the floor is 2e-12
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky(np.array([[1.0, 1.0], [1.0, 1.0 + 1.5e-12]]))
+    assert cholesky(np.array([[1.0, 1.0], [1.0, 1.0 + 2.5e-12]]))[1, 1] > 0.0
 
 
 def test_cholesky_identity_and_hand():
@@ -216,7 +222,7 @@ def test_public_functions_validate_raw_arrays(fn, raw, error):
 def test_pseudo_inverse_rejects_overflowing_result():
     # both eigenvalues pass the rank cutoff, but their inverses overflow
     with pytest.raises(DataError):
-        pseudo_inverse(SymMatrix.from_array(np.diag([1e-310, 2e-310])))
+        pseudo_inverse(SymMatrix(np.diag([1e-310, 2e-310])))
 
 
 def test_pseudo_inverse_and_psd_sqrt_results_are_symmetric():

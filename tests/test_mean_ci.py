@@ -48,6 +48,7 @@ from oracles import (
     feasible_a_interval_oracle,
     mp_quantile,
     optimize_a_oracle,
+    sample_moments_oracle,
     t_quantile_df1,
     t_quantile_df2,
 )
@@ -75,11 +76,11 @@ def cfg_known(alpha, sigma, k=9.0, delta=BE):
 
 def test_interval_invariants():
     ci = ConfidenceInterval.bounded(1.0, 2.0, 0.9, "m")
-    assert ci.width == 1.0 and not ci.is_degenerate and ci.contains(1.5)
+    assert ci.width == 1.0 and ci.contains(1.5)
     whole = ConfidenceInterval.whole(0.9, "m")
     assert whole.width is None and whole.contains(1e12)
     point = ConfidenceInterval.bounded(3.0, 3.0, 0.9, "m")
-    assert point.is_degenerate
+    assert point.width == 0.0
     with pytest.raises(Exception):
         ConfidenceInterval.bounded(2.0, 1.0, 0.9, "m")
     with pytest.raises(Exception):
@@ -93,7 +94,42 @@ def test_sample_validation():
         Sample(np.array([1.0, math.inf]))
     s = Sample(np.array([1.0, 3.0]))
     assert s.n == 2 and s.mean == 2.0 and s.sigma_hat_sq == 1.0
-    assert s.sigma0_sq(0.0) == 5.0
+
+
+def _edge_samples():
+    """Samples of every pairwise-summation block shape, at scales from
+    subnormal squared deviations to overflowing ones, with large offsets, a
+    constant sample, and samples whose mean or squared deviations overflow."""
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 4097, 65537):
+        base = rng.standard_normal(n) if n % 2 else rng.exponential(1.0, n)
+        for scale in (1e-200, 1e-160, 1e-3, 1.0, 1e100, 1e154):
+            for offset in (0.0, 1.0, -1e300):
+                yield base * scale + offset
+    yield np.full(1000, 0.1)
+    yield np.array([1e300, -1e300, 5e299])  # squared deviations overflow
+    yield np.array([1.5e308, 1.5e308])  # the sum overflows
+    yield np.full(17, -1e308)
+    yield np.concatenate([np.full(9, 1.7e308), np.zeros(100)])
+
+
+def test_sample_moments_match_the_np_mean_oracle():
+    # Sample reduces its values as the study engine reduces a chunk
+    # (_centred_moments); the oracle keeps np.mean, bit for bit, and the
+    # DataError of an overflowing mean comes from both moments
+    overflowing = 0
+    for values in _edge_samples():
+        sample = Sample(values)
+        try:
+            expected = sample_moments_oracle(values)
+        except DataError:
+            overflowing += 1
+            for moment in ("mean", "sigma_hat_sq"):
+                with pytest.raises(DataError, match="sample mean overflows"):
+                    getattr(sample, moment)
+            continue
+        assert [sample.mean.hex(), sample.sigma_hat_sq.hex()] == [v.hex() for v in expected]
+    assert overflowing == 3
 
 
 # ---------------------------------------------------------------------------
@@ -771,4 +807,4 @@ def test_underflowing_sigma_hat_is_a_data_error(method):
     # keep their zero-width interval
     assert not ci_known_variance(Sample(values * 1e-170), 1.0, cfg_known(0.1, 1.0)).whole_line
     for constant in (0.1, 1e-170, 0.0):
-        assert interval(Sample(np.full(20_000, constant))).is_degenerate
+        assert interval(Sample(np.full(20_000, constant))).width == 0.0

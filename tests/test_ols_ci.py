@@ -43,7 +43,6 @@ from navae.ols_ci import (
     r_var,
     rate_r,
     resolve_bounds,
-    sandwich_variance,
     tuning_for_rate,
 )
 from navae.linalg import psd_sqrt
@@ -132,8 +131,8 @@ def test_fit_near_collinear_regressors():
     x = np.column_stack([np.ones(200), 1000.0 * z, 1000.0 * x2])
     design = Design(x=x, y=y, u=np.array([0.0, 1.0, 0.0]))
     fit = ols_fit(design)
-    product = fit.s_dagger.array @ fit._mid @ fit.s_dagger.array
-    assert np.array_equal(fit.v_hat.array, 0.5 * (product + product.T))
+    product = fit.s_dagger @ fit._fits.mid[0] @ fit.s_dagger
+    assert np.array_equal(fit.v_hat, 0.5 * (product + product.T))
     assert not ci_asymp(design, 0.1, fit).whole_line
 
 
@@ -144,7 +143,15 @@ def test_fit_matches_numpy_oracle():
     fit = ols_fit(Design(x=x, y=y, u=np.array([0.0, 0.0, 1.0])))
     oracle = ols_fit_oracle(x, y)
     assert fit.beta_hat == pytest.approx(oracle["beta"], rel=1e-10, abs=1e-12)
-    assert fit.v_hat.array == pytest.approx(oracle["v_hat"], rel=1e-9, abs=1e-12)
+    assert fit.v_hat == pytest.approx(oracle["v_hat"], rel=1e-9, abs=1e-12)
+
+
+def test_fit_arrays_are_read_only_views_of_its_stack_of_one():
+    fit = ols_fit(three_point_design())
+    for name in ("beta", "residuals", "s", "s_dagger", "v_hat"):
+        array = getattr(fit, "beta_hat" if name == "beta" else name)
+        assert np.shares_memory(array, getattr(fit._fits, name)), name
+        assert not array.flags.writeable, name
 
 
 def test_design_validation():
@@ -166,7 +173,7 @@ def test_design_validation():
 def test_sandwich_three_point_hand_matrix():
     fit = ols_fit(three_point_design())
     expected = np.array([[7.0 / 72.0, -1.0 / 24.0], [-1.0 / 24.0, 1.0 / 24.0]])
-    assert sandwich_variance(fit).array == pytest.approx(expected, abs=1e-12)
+    assert fit.v_hat == pytest.approx(expected, abs=1e-12)
 
 
 def test_sandwich_intercept_only_is_sigma_hat_sq():
@@ -174,14 +181,14 @@ def test_sandwich_intercept_only_is_sigma_hat_sq():
     y = rng.standard_normal(100)
     fit = ols_fit(Design(x=np.ones((100, 1)), y=y, u=np.array([1.0])))
     sigma_hat_sq = float(np.mean((y - y.mean()) ** 2))
-    assert sandwich_variance(fit).array[0, 0] == pytest.approx(sigma_hat_sq, rel=1e-12)
+    assert fit.v_hat[0, 0] == pytest.approx(sigma_hat_sq, rel=1e-12)
 
 
 def test_sandwich_zero_residuals_zero_matrix():
     x = np.column_stack([np.ones(10), np.arange(10.0)])
     y = x @ np.array([1.0, 2.0])
     fit = ols_fit(Design(x=x, y=y, u=np.array([1.0, 0.0])))
-    assert np.max(np.abs(sandwich_variance(fit).array)) <= 1e-20
+    assert np.max(np.abs(fit.v_hat)) <= 1e-20
 
 
 def test_ci_asymp_three_point():
@@ -194,7 +201,7 @@ def test_ci_asymp_three_point():
 def test_ci_asymp_degenerate_when_variance_zero():
     # intercept-only constant outcome: exactly zero residuals and variance
     ci = ci_asymp(Design(x=np.ones((10, 1)), y=np.full(10, 3.0), u=np.array([1.0])), 0.1)
-    assert ci.is_degenerate
+    assert ci.width == 0.0
     assert ci.lower == 3.0
     # near-exact linear fit: the interval collapses to rounding width
     x = np.column_stack([np.ones(10), np.arange(10.0)])
@@ -217,6 +224,11 @@ def test_ci_asymp_intercept_only_equals_clt():
 # ---------------------------------------------------------------------------
 # correction terms
 # ---------------------------------------------------------------------------
+
+
+def fit_moments(fit):
+    """(m4, m31, m_xe2, t4) of a fit, from its stack of one as r_var reads them."""
+    return tuple(float(m[0]) for m in (*ols_ci._row_moments(fit._fits), ols_ci._t4(fit._fits)))
 
 
 def fixed_bounds(lam=0.5, k_reg=4.0, k_eps=81.0, k_xi=9.0):
@@ -251,7 +263,7 @@ def test_r_var_zero_residuals_only_first_term():
     value = r_var(0.01, fit, bounds)
     n = 100
     gt = math.sqrt(0.5 / (n * 0.01))
-    term1 = 2.0 / (n * 0.5**3) * (gt / (1 - gt) + 1) ** 2 * math.sqrt(10.0 / 0.01) * fit.m4
+    term1 = 2.0 / (n * 0.5**3) * (gt / (1 - gt) + 1) ** 2 * math.sqrt(10.0 / 0.01) * fit_moments(fit)[0]
     assert value == pytest.approx(term1, rel=1e-12)
     assert value > 0.0
 
@@ -261,7 +273,7 @@ def test_r_var_matches_independent_script():
     fit = ols_fit(three_point_design())
     bounds = fixed_bounds(lam=0.5, k_reg=0.01, k_eps=10.0)
     expected = r_var_oracle(
-        0.01, THREE_POINT_X, np.asarray(fit.residuals), np.asarray(fit.s_dagger.array),
+        0.01, THREE_POINT_X, np.asarray(fit.residuals), fit.s_dagger,
         0.5, 0.01, 10.0,
     )
     assert r_var(0.01, fit, bounds) == pytest.approx(expected, rel=1e-10)
@@ -272,7 +284,7 @@ def test_r_var_matches_independent_script_simulated():
     fit = ols_fit(d)
     bounds = fixed_bounds(lam=0.3, k_reg=2.0, k_eps=50.0)
     expected = r_var_oracle(
-        0.05, np.asarray(d.x), np.asarray(fit.residuals), np.asarray(fit.s_dagger.array),
+        0.05, np.asarray(d.x), np.asarray(fit.residuals), fit.s_dagger,
         0.3, 2.0, 50.0,
     )
     assert r_var(0.05, fit, bounds) == pytest.approx(expected, rel=1e-10)
@@ -285,8 +297,9 @@ def test_r_var_decreasing_when_n_doubles_same_moments():
     fit1 = ols_fit(Design(x=x, y=y, u=np.array([0.0, 1.0])))
     # duplicating every row doubles n while preserving all sample moments
     fit2 = ols_fit(Design(x=np.vstack([x, x]), y=np.concatenate([y, y]), u=np.array([0.0, 1.0])))
-    assert fit2.m4 == pytest.approx(fit1.m4, rel=1e-12)
-    assert fit2.t4 == pytest.approx(fit1.t4, rel=1e-9)
+    (m4_1, _, _, t4_1), (m4_2, _, _, t4_2) = fit_moments(fit1), fit_moments(fit2)
+    assert m4_2 == pytest.approx(m4_1, rel=1e-12)
+    assert t4_2 == pytest.approx(t4_1, rel=1e-9)
     bounds = fixed_bounds(lam=0.4, k_reg=2.0, k_eps=30.0)
     assert r_var(0.2, fit2, bounds) < r_var(0.2, fit1, bounds)
 
@@ -582,14 +595,15 @@ def test_fit_moments_and_plug_in_match_power_forms():
             x, fit = design.x, ols_fit(design)
             e = fit.residuals
             norms = np.sqrt(np.sum(x * x, axis=1))
-            assert fit.m4 == pytest.approx(np.mean(norms**4), rel=1e-14)
-            assert fit.m31 == pytest.approx(np.mean(norms**3 * np.abs(e)), rel=1e-14)
-            assert fit.m_xe2 == pytest.approx(np.mean(norms**2 * e**2), rel=1e-14)
+            m4, m31, m_xe2, _ = fit_moments(fit)
+            assert m4 == pytest.approx(np.mean(norms**4), rel=1e-14)
+            assert m31 == pytest.approx(np.mean(norms**3 * np.abs(e)), rel=1e-14)
+            assert m_xe2 == pytest.approx(np.mean(norms**2 * e**2), rel=1e-14)
             rotated = x @ psd_sqrt(fit.s_dagger).array
             rot_sq = np.sum(rotated * rotated, axis=1)
-            influence = (x @ (fit.s_dagger.array @ design.u)) * e
+            influence = (x @ (fit.s_dagger @ design.u)) * e
             expected = {
-                "lambda_reg": np.linalg.eigvalsh(fit.s.array)[0],
+                "lambda_reg": np.linalg.eigvalsh(fit.s)[0],
                 "k_reg": np.mean(rot_sq**2 - 2.0 * rot_sq + design.p),
                 "k_eps": np.mean(rot_sq**2 * e**4),
                 "k_xi": max(1.0, np.mean(influence**4) / np.mean(influence**2) ** 2),
@@ -675,17 +689,17 @@ def test_fit_and_plug_in_agree_on_every_design_layout():
         oracle = ols_fit_oracle(np.ascontiguousarray(strided), y)
         expected = plug_in_oracle(np.ascontiguousarray(strided), y, u)
         fit = ols_fit(designs[0])
-        _close(fit.s.array, oracle["s"])
+        _close(fit.s, oracle["s"])
         _close(fit.beta_hat, oracle["beta"])
         _close(fit.residuals, oracle["residuals"])
-        _close(fit._mid, oracle["mid"])
-        _close(fit.v_hat.array, oracle["v_hat"])
+        _close(fit._fits.mid[0], oracle["mid"])
+        _close(fit.v_hat, oracle["v_hat"])
         bounds = plug_in_bounds(fit, u)
         for name, value in expected.items():
             assert getattr(bounds, name) == pytest.approx(value, rel=1e-12), (p, name)
         # the moments are read after plug_in_bounds here and before it on a fresh fit
         fresh = ols_fit(designs[1])
-        moments = [(f.m4, f.m31, f.m_xe2, f.t4) for f in (fit, fresh)]
+        moments = [fit_moments(f) for f in (fit, fresh)]
         plug_in_bounds(fresh, u)
         assert moments[0] == moments[1], p
         e = oracle["residuals"]
@@ -746,8 +760,8 @@ def test_a_stack_of_designs_fits_as_each_design_alone():
         for r, design in enumerate(designs):
             fit = ols_fit(design)
             for stacked, alone in ((fits.beta[r], fit.beta_hat), (fits.residuals[r], fit.residuals),
-                                   (fits.s[r], fit.s.array), (fits.s_dagger[r], fit.s_dagger.array),
-                                   (fits.v_hat[r], fit.v_hat.array), (fits.mid[r], fit._mid)):
+                                   (fits.s[r], fit.s), (fits.s_dagger[r], fit.s_dagger),
+                                   (fits.v_hat[r], fit.v_hat), (fits.mid[r], fit._fits.mid[0])):
                 assert stacked.tobytes() == alone.tobytes(), (p, n, r)
             alone = plug_in_bounds(fit, u)
             assert [e[r] for e in estimates] == [alone.lambda_reg, alone.k_reg, alone.k_eps, alone.k_xi]
