@@ -1,40 +1,44 @@
 """Data-generating processes and the Monte Carlo coverage/width harness.
 
-Reproducibility contract: replication r of method i at size n draws from
-its own Philox counter-based stream, the one ``substream(base_seed, i, n,
-r)`` seeds, and a report depends only on the study and its seed, not on the
-worker count.  For the built-in DGPs the harness computes the Philox keys
-of a slice as one (count, 2) uint64 array and resets one generator to each
-row, which draws what a generator built from ``substream`` draws; any other
-DGP (``CustomMeanDgp`` included) is given the ``substream`` seed sequence
-itself, so a draw that spawns child generators or reads the generator's
-seed sequence sees that replication's own.  The CLT, Student, known- and
-unknown-variance methods and the OLS ``asymp`` and ``edg`` methods have a
-cell rule, which gives every interval of a slice with array arithmetic, bit
-for bit as the scalar ``ci_*`` function does.  A mean slice is drawn a chunk
-at a time into one buffer of at most ``_CHUNK_DOUBLES`` values and reduced
-to per-replication means, sigma_hat^2 and, for a plug-in K, fourth moments;
-a plug-in K's tuning searches run on lanes (``mean_ci``), one lane per K, up
-to 64 at a time.  ``ExponentialMean`` draws each replication straight into
-its row of the buffer, with no ``Sample``; other mean DGPs' ``sample``
-values are copied in.  An OLS slice on ``GumbelHeteroLinear`` is drawn a
-block at a time, at most ``_CHUNK_DOUBLES // ((p + 1) n)`` replications (3
-at n = 5000, 5 at n = 3000, one when n is larger), with no ``Design``: x'
-and y go into stacked (R, p, n) and (R, n) buffers, and the block is fitted,
-given plug-in bounds and given its intervals as one stack (``ols_ci``), with
-one cached ``n_zero`` call per replication.  A slice with a value the arrays
-cannot settle (a non-finite draw, a singular S under plug-in bounds, zero
-influence values, an overflow, a ``FeasibilityError`` or a scan error
-included) runs again one ``interval`` call per replication, so every error
-is the serial loop's; a cell whose rule proves every interval the whole
+One engine (``_run_slice``) runs every replication: it evaluates a group of
+methods at a size n, and replication r of a group is one draw, from its own
+Philox counter-based stream, the one ``substream(base_seed, i, n, r)``
+seeds for the group's first method i, which every method of the group is
+evaluated on.  A coverage study's groups are its methods one by one; the
+``edg`` width curve is the group (edg, asymp).  A report depends only on
+the study and its seed, not on the worker count.  For the built-in DGPs the
+harness computes the Philox keys of a slice as one (count, 2) uint64 array
+and resets one generator to each row, which draws what a generator built
+from ``substream`` draws; any other DGP (``CustomMeanDgp`` included) is
+given the ``substream`` seed sequence itself, so a draw that spawns child
+generators or reads the generator's seed sequence sees that replication's
+own.  The CLT, Student, known- and unknown-variance methods and the OLS
+``asymp`` and ``edg`` methods have a cell rule, which gives every interval
+of a slice with array arithmetic, bit for bit as the scalar ``ci_*``
+function does.  A mean slice is drawn a chunk at a time into one buffer of
+at most ``_CHUNK_DOUBLES`` values and reduced once to per-replication
+means, sigma_hat^2 and, for a plug-in K, fourth moments; a plug-in K's
+tuning searches run on lanes (``mean_ci``), one lane per K, up to 64 at a
+time.  ``ExponentialMean`` draws each replication straight into its row of
+the buffer, with no ``Sample``; other mean DGPs' ``sample`` values are
+copied in.  An OLS slice on ``GumbelHeteroLinear`` is drawn a block at a
+time, at most ``_CHUNK_DOUBLES // ((p + 1) n)`` replications, with no
+``Design``: x' and y go into stacked (R, p, n) and (R, n) buffers, and the
+block is fitted once, given plug-in bounds and given each method's
+intervals as one stack (``ols_ci``), with one cached ``n_zero`` call per
+replication.  A slice with a value the arrays cannot settle (a non-finite
+draw, a singular S under plug-in bounds, zero influence values, an
+overflow, a ``FeasibilityError`` or a scan error included) runs again one
+draw and one ``interval`` call per method per replication, so every error
+is the serial loop's; a method whose rule proves every interval the whole
 line without data draws nothing.  Either way a slice's records (covered,
-whole line, width and alpha_min per replication) are one (4, count) array.
-With one worker every replication runs in the calling process, in order.
-With k > 1, each (method, n) cell's replications are cut into k contiguous
-slices: the calling process runs the first slice of every cell and k - 1
-children forked from it run the others; the slices are joined back in
-replication order before any row is computed.  Where the platform cannot
-fork, studies run serially at any worker count.
+whole line, width and alpha_min per method and replication) are one
+(methods, 4, count) array.  With one worker every replication runs in the
+calling process, in order.  With k > 1, each cell's replications are cut
+into k contiguous slices: the calling process runs the first slice of
+every cell and k - 1 children forked from it run the others; the slices
+are joined back in replication order before any row is computed.  Where
+the platform cannot fork, studies run serially at any worker count.
 """
 
 from __future__ import annotations
@@ -94,7 +98,6 @@ from .ols_ci import (
     _last_violations,
     ci_asymp,
     ci_edg,
-    ols_fit,
 )
 from .rules import OptimizedRule, PowerRule, format_rule, parse_rule
 from .specialfn import std_normal_quantile
@@ -157,12 +160,12 @@ def _generator(seed: SeedLike) -> np.random.Generator:
 def substream(base_seed: int, method_index: int, n: int, replication: int) -> np.random.SeedSequence:
     """Deterministic per-replication stream key.
 
-    Replication r of method i at size n draws from the Philox stream this
-    seeds.  A DGP outside ``_RESET_DGPS`` is given this seed sequence; for
-    the built-in DGPs the coverage-study harness computes the same Philox
-    keys for a whole cell at once (``_cell_keys``) and resets one generator
-    to each, which draws exactly what a generator built from this seed
-    sequence draws.
+    Replication r at size n of the group whose first method is i draws from
+    the Philox stream this seeds.  A DGP outside ``_RESET_DGPS`` is given
+    this seed sequence; for the built-in DGPs the harness computes the same
+    Philox keys for a whole cell at once (``_cell_keys``) and resets one
+    generator to each, which draws exactly what a generator built from this
+    seed sequence draws.
     """
     return np.random.SeedSequence(int(base_seed), spawn_key=(method_index, n, replication))
 
@@ -705,40 +708,42 @@ _CHUNK_DOUBLES = 1 << 16
 _LANE_DOUBLES = 1 << 10
 
 
-def _interval_records(
-    spec: SimStudySpec, method_index: int, n: int, streams: _CellStreams, start: int, stop: int
-) -> np.ndarray:
-    """Records of replications ``start`` to ``stop - 1``, one ``interval``
-    call each."""
-    dgp, alpha, method = spec.dgp, spec.alpha, spec.methods[method_index]
-    records = np.empty((4, stop - start))
+def _interval_records(spec: SimStudySpec, methods: list, n: int, streams: _CellStreams, start: int,
+                      stop: int) -> np.ndarray:
+    """Records of replications ``start`` to ``stop - 1`` of each of
+    ``methods``, (len(methods), 4, stop - start): one draw per replication,
+    then one ``interval`` call per method on it."""
+    dgp, alpha = spec.dgp, spec.alpha
+    records = np.empty((len(methods), 4, stop - start))
     for j, r in enumerate(range(start, stop)):
         data = dgp.sample(n, streams.seed(r))
-        ci = method.interval(data, alpha)
-        amin = method.alpha_min_value(data)
-        records[:, j] = (ci.contains(dgp.target), ci.whole_line, ci.width, amin)  # None is NaN
+        for member, method in zip(records, methods):
+            ci = method.interval(data, alpha)
+            amin = method.alpha_min_value(data)
+            member[:, j] = (ci.contains(dgp.target), ci.whole_line, ci.width, amin)  # None is NaN
     return records
 
 
-def _mean_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int):
-    """``(means, half-widths, whole-line mask, alpha_mins)`` of replications
-    ``start`` to ``stop - 1`` of a mean cell, or None.
+def _mean_intervals(dgp, n: int, rules: list, streams: _CellStreams, start: int, stop: int):
+    """``(means, [(half-widths, whole-line mask, alpha_mins) per rule])`` of
+    replications ``start`` to ``stop - 1`` of a mean cell, or None.
 
     The draws pass through a buffer of at most ``_CHUNK_DOUBLES`` values, a
     chunk of replications at a time (``ExponentialMean`` fills its rows with
     ``_fill_exponential``, other DGPs' ``sample`` values are copied in), and
-    are reduced by ``mean_ci._centred_moments``, which ``Sample`` reduces its
-    values with too, to per-replication means, sigma_hat^2 and, for a
-    plug-in rule, fourth moments of the deviations (bit for bit the m4 of
-    ``sample_kurtosis``).  None when a sample is not n values
-    long, a sigma_hat^2 is NaN (a draw is not finite) or below the normal
-    float range, or a K is outside ``_plug_in_kurtosis``'s direct form.
+    each chunk is reduced once, by ``mean_ci._centred_moments``, which
+    ``Sample`` reduces its values with too, to per-replication means,
+    sigma_hat^2 and, when some rule has a plug-in K, fourth moments of the
+    deviations (bit for bit the m4 of ``sample_kurtosis``); each plug-in
+    rule inflates its own K.  None when a sample is not n values long, a
+    sigma_hat^2 is NaN (a draw is not finite) or below the normal float
+    range, or a K is outside ``_plug_in_kurtosis``'s direct form.
     """
     fill = type(dgp) is ExponentialMean
     count = stop - start
     rows = max(1, _CHUNK_DOUBLES // n)
     buffer = np.empty((min(rows, count), n))
-    moments = np.empty((2 if rule.inflation is None else 3, count))
+    moments = np.empty((2 if all(rule.inflation is None for rule in rules) else 3, count))
     for lo in range(0, count, rows):
         chunk = buffer[: min(rows, count - lo)]
         with np.errstate(over="ignore" if fill else None):  # an inf draw goes on to interval
@@ -755,19 +760,21 @@ def _mean_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: 
     means, variances, *fourths = moments
     if not (variances >= sys.float_info.min).all():
         return None
-    k = None
-    if fourths:
+    members = []
+    for rule in rules:
         with np.errstate(over="ignore"):
-            k = _plug_in_kurtosis(fourths[0], variances * variances, n, rule.inflation)
-        if not np.isfinite(k).all():
+            k = (None if rule.inflation is None
+                 else _plug_in_kurtosis(fourths[0], variances * variances, n, rule.inflation))
+        if k is not None and not np.isfinite(k).all():
             return None
-    half, alpha_mins = rule.intervals(variances, k)
-    return means, half, np.isnan(half), alpha_mins
+        half, alpha_mins = rule.intervals(variances, k)
+        members.append((half, np.isnan(half), alpha_mins))
+    return means, members
 
 
-def _ols_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int):
-    """``(u'beta_hats, half-widths, whole-line mask, None)`` of replications
-    ``start`` to ``stop - 1`` of an OLS cell on ``GumbelHeteroLinear``, or
+def _ols_intervals(dgp, n: int, rules: list, streams: _CellStreams, start: int, stop: int):
+    """``(u'beta_hats, [(half-widths, whole-line mask, None) per rule])`` of
+    replications ``start`` to ``stop - 1`` on ``GumbelHeteroLinear``, or
     None for any other DGP, n below p or a draw that is not finite.
 
     A block of at most ``_CHUNK_DOUBLES // ((p + 1) n)`` replications (at
@@ -776,7 +783,7 @@ def _ols_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: i
     does, and its x' and y are copied into the block's (R, p, n) and (R, n)
     buffers, the layout ``Design`` gives every product, with no ``Design``
     built.  One finite check covers the block; then the block is fitted
-    (``ols_ci._fit``) and the rule gives its intervals.
+    once (``ols_ci._fit``) and each rule gives its intervals.
     """
     if type(dgp) is not GumbelHeteroLinear:
         return None
@@ -787,7 +794,7 @@ def _ols_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: i
     count = stop - start
     rows = min(count, max(1, _CHUNK_DOUBLES // ((p + 1) * n)))
     x, xt, y = np.empty((n, p)), np.empty((rows, p, n)), np.empty((rows, n))
-    intervals = np.empty((3, count))  # centres, half-widths, whole-line mask
+    centres, halves = np.empty(count), np.empty((len(rules), 2, count))  # half-widths, whole-line mask
     for lo in range(0, count, rows):
         size = min(rows, count - lo)
         for j in range(size):
@@ -796,75 +803,81 @@ def _ols_intervals(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: i
         if not (np.isfinite(xt[:size]).all() and np.isfinite(y[:size]).all()):
             return None
         fits = _fit(xt[:size], y[:size])
-        intervals[:, lo : lo + size] = (_centres(fits, u), *rule.intervals(fits, u))
-    centres, half, whole = intervals
-    return centres, half, whole == 1, None
+        centres[lo : lo + size] = _centres(fits, u)
+        for member, rule in zip(halves, rules):
+            member[:, lo : lo + size] = rule.intervals(fits, u)
+    return centres, [(half, whole == 1, None) for half, whole in halves]
 
 
-def _rule_records(dgp, n: int, rule: _CellRule, streams: _CellStreams, start: int, stop: int):
-    """Records of replications ``start`` to ``stop - 1`` under a cell rule.
-
-    ``_mean_intervals`` or ``_ols_intervals`` gives the slice's centres,
-    half-widths and whole-line mask at once, by the expressions ``interval``
-    evaluates too; the records follow from them here.  None when those give
-    None or an interval that is not the whole line is not a finite ordered
-    pair: ``interval`` then decides.
+def _rule_records(dgp, n: int, rules: list, streams: _CellStreams, start: int, stop: int):
+    """Records of replications ``start`` to ``stop - 1`` of a group of
+    methods that share every draw, one cell rule each: (len(rules), 4,
+    stop - start).  ``_mean_intervals`` or ``_ols_intervals`` reduces or
+    fits each draw once and gives the centres and each rule's half-widths
+    and whole-line mask, by the expressions ``interval`` evaluates too.
+    None when those give None or an interval that is not the whole line is
+    not a finite ordered pair: ``interval`` then decides.
     """
     settle = _ols_intervals if dgp.family == "ols" else _mean_intervals
-    intervals = settle(dgp, n, rule, streams, start, stop)
+    intervals = settle(dgp, n, rules, streams, start, stop)
     if intervals is None:
         return None
-    centres, half, whole, alpha_mins = intervals
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = centres - half, centres + half
-        width = upper - lower
-    if not (np.isfinite(lower) & np.isfinite(upper) & (lower <= upper) | whole).all():
-        return None
-    records = np.empty((4, stop - start))
-    records[0] = (lower <= dgp.target) & (dgp.target <= upper) | whole
-    records[1] = whole
-    records[2] = np.where(whole, math.nan, width)
-    records[3] = math.nan if alpha_mins is None else alpha_mins
+    centres, members = intervals
+    records = np.empty((len(rules), 4, stop - start))
+    for record, (half, whole, alpha_mins) in zip(records, members):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower, upper = centres - half, centres + half
+            width = upper - lower
+        if not (np.isfinite(lower) & np.isfinite(upper) & (lower <= upper) | whole).all():
+            return None
+        record[0] = (lower <= dgp.target) & (dgp.target <= upper) | whole
+        record[1] = whole
+        record[2] = np.where(whole, math.nan, width)
+        record[3] = math.nan if alpha_mins is None else alpha_mins
     return records
 
 
-def _run_slice(method_index: int, n: int, start: int, stop: int, spec: SimStudySpec) -> np.ndarray:
-    """Records of replications ``start`` to ``stop - 1`` of the (method, n)
-    cell, in order: one (4, stop - start) float array whose rows are covered
-    (0 or 1), whole_line (0 or 1), width (NaN for the whole line) and
-    alpha_min (NaN where none is tracked).
+def _run_slice(group: tuple, n: int, start: int, stop: int, spec: SimStudySpec) -> np.ndarray:
+    """Records of replications ``start`` to ``stop - 1`` of the methods
+    ``group`` (indices into ``spec.methods``) at size n: a (len(group), 4,
+    stop - start) float array whose rows are, per method, covered (0 or 1),
+    whole_line (0 or 1), width (NaN for the whole line) and alpha_min (NaN
+    where none is tracked).
 
-    Replication r draws from the stream ``substream(base_seed, method_index,
-    n, r)`` seeds, for the built-in DGPs through one generator reset to
-    each key (``_CellStreams``).  A method with a cell rule (the CLT,
-    Student, known- and unknown-variance intervals, and asymp and edg on
-    ``GumbelHeteroLinear``) evaluates the whole slice by array arithmetic
-    that equals ``interval``'s bit for bit (``_rule_records``), the OLS
-    methods in blocks of at most ``_CHUNK_DOUBLES // ((p + 1) n)``
-    replications; a data-free whole-line cell (``_CellRule``) draws nothing
-    and raises no draw's error (a faulty DGP, an overflowing rate).  If the
-    rule, a built-in DGP's configuration (``_check_dgp``) or anything in the
-    slice raises, or it has a value that ``_rule_records`` leaves to
-    ``interval`` (a non-finite draw, a singular S under plug-in bounds, zero
-    influence values, an overflow, a ``FeasibilityError`` or a scan error
-    among them), the whole slice runs again one ``interval`` call each, in
-    order, so any error raised is the one the serial loop raises first.
+    Replication r of the group is one draw, from the stream
+    ``substream(base_seed, group[0], n, r)`` seeds (``_CellStreams``), which
+    every method is evaluated on.  A method whose cell rule proves the whole
+    line without data is tiled and draws nothing.  When the others all have
+    a rule, ``_rule_records`` reduces or fits each draw once and gives their
+    records bit for bit as ``interval`` does.  If a method has no rule, a
+    rule, ``_check_dgp`` or anything in the slice raises, or
+    ``_rule_records`` leaves a value to ``interval``, the drawn methods run
+    again, one draw per replication and one ``interval`` call per method,
+    so any error raised is the first in (replication, method) order, the
+    serial loop's; a slice that draws nothing raises no draw's error.
     """
-    try:
-        _check_dgp(spec.dgp)
-        rule = spec.methods[method_index].cell_rule(n, spec.alpha)
-    except Exception:  # the rerun raises it again
-        rule = None
-    if rule is not None and rule.intervals is None:
-        amin = math.nan if rule.alpha_min is None else rule.alpha_min
-        return np.tile([[1.0], [1.0], [math.nan], [amin]], (1, stop - start))
-    streams = _CellStreams(spec.dgp, spec.base_seed, method_index, n, start, stop)
-    try:
-        records = None if rule is None else _rule_records(spec.dgp, n, rule, streams, start, stop)
-    except Exception:  # the rerun raises it again, or an earlier error
-        records = None
-    if records is None:
-        records = _interval_records(spec, method_index, n, streams, start, stop)
+    methods, rules = [spec.methods[i] for i in group], []
+    for method in methods:
+        try:
+            _check_dgp(spec.dgp)
+            rules.append(method.cell_rule(n, spec.alpha))
+        except Exception:  # the rerun raises it again
+            rules.append(None)
+    records = np.empty((len(group), 4, stop - start))
+    for record, rule in zip(records, rules):
+        if rule is not None and rule.intervals is None:  # the whole line, proved without data
+            record[:] = [[1.0], [1.0], [math.nan], [math.nan if rule.alpha_min is None else rule.alpha_min]]
+    drawn = [k for k, rule in enumerate(rules) if rule is None or rule.intervals is not None]
+    if drawn:
+        streams = _CellStreams(spec.dgp, spec.base_seed, group[0], n, start, stop)
+        rules = [rules[k] for k in drawn]
+        try:
+            drawn_records = None if None in rules else _rule_records(spec.dgp, n, rules, streams, start, stop)
+        except Exception:  # the rerun raises it again, or an earlier error
+            drawn_records = None
+        if drawn_records is None:
+            drawn_records = _interval_records(spec, [methods[k] for k in drawn], n, streams, start, stop)
+        records[drawn] = drawn_records
     return records
 
 
@@ -882,8 +895,8 @@ def _run_slices(spec: SimStudySpec, cells: list, start: int, stop: int) -> tuple
     or None)``, so the failed cell is the one after the last finished."""
     done = []
     try:
-        for i, n in cells:
-            done.append(_run_slice(i, n, start, stop, spec))
+        for group, n in cells:
+            done.append(_run_slice(group, n, start, stop, spec))
     except Exception as exc:
         return done, exc
     return done, None
@@ -976,18 +989,18 @@ def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     workers = min(workers, spec.replications)
-    cells = [(i, n) for i in range(len(spec.methods)) for n in spec.n_grid]
+    cells = [((i,), n) for i in range(len(spec.methods)) for n in spec.n_grid]
     if workers == 1 or not hasattr(os, "fork"):
-        records = (_run_slice(i, n, 0, spec.replications, spec) for i, n in cells)
+        records = (_run_slice(group, n, 0, spec.replications, spec) for group, n in cells)
     else:
         cuts = [spec.replications * k // workers for k in range(workers + 1)]
         slices = _forked_slices(spec, cells, cuts)
         errors = [(len(done), k, exc) for k, (done, exc) in enumerate(slices) if exc is not None]
         if errors:
             raise min(errors, key=lambda e: e[:2])[2]
-        records = [np.concatenate([done[c] for done, _ in slices], axis=1) for c in range(len(cells))]
+        records = [np.concatenate([done[c] for done, _ in slices], axis=-1) for c in range(len(cells))]
     return SimReport(tuple(
-        _aggregate(spec.methods[i], n, spec.alpha, recs) for (i, n), recs in zip(cells, records)
+        _aggregate(spec.methods[i], n, spec.alpha, recs) for ((i,), n), (recs,) in zip(cells, records)
     ))
 
 
@@ -1003,6 +1016,8 @@ class WidthCurveRow:
     alpha: float
     mean_width: float | None
     ratio: float | None
+    whole_line_fraction: float
+    replications: int | None
 
 
 def _width_factor(n: int, alpha: float, method) -> float | None:
@@ -1033,7 +1048,11 @@ def width_curve(
     (replications = 0 gives the ratios alone; a negative count is a
     ConfigError).
     For the OLS method the ratio is the Monte Carlo averaged width against
-    the sandwich CLT interval on the same datasets.
+    the sandwich CLT interval on the same datasets: the group (edg, asymp)
+    of one ``_run_slice`` per n, which draws and fits each dataset once.
+    A row's ``whole_line_fraction`` is the share of whole-line intervals (1.0
+    or 0.0 for a mean method's deterministic interval) and ``replications``
+    the count behind a measured ``mean_width`` (None where none was drawn).
     """
     base_seed = _seed(base_seed)
     if isinstance(method, (KnownVarianceMethod, UnknownVarianceMethod)):
@@ -1043,34 +1062,26 @@ def width_curve(
         q = std_normal_quantile(1.0 - alpha / 2.0)
         ratios = {n: None if f is None else f / q for n, f in factors.items()}
         bounded = tuple(n for n in n_grid if ratios[n] is not None)
-        widths = {}
+        widths, measured = {}, None
         if isinstance(method, KnownVarianceMethod):
             widths = {n: 2.0 * method.sigma / math.sqrt(n) * q * ratios[n] for n in bounded}
         elif replications > 0 and bounded:
             study = SimStudySpec(dgp, (method,), bounded, replications, alpha, base_seed)
             widths = {row.n: row.mean_width for row in run_coverage_study(study).rows}
-        return tuple(WidthCurveRow(method.label, n, alpha, widths.get(n), ratios[n])
-                     for n in n_grid)
+            measured = replications
+        return tuple(WidthCurveRow(method.label, n, alpha, widths.get(n), ratios[n], float(ratios[n] is None),
+                                   None if ratios[n] is None else measured) for n in n_grid)
     if isinstance(method, OlsEdgMethod):
         if replications < 1:
             raise ConfigError("OLS width curves need replications >= 1")
+        spec = SimStudySpec(dgp, (method, OlsAsympMethod()), n_grid, replications, alpha, base_seed)
         rows = []
-        for n in n_grid:
-            edg_widths: list[float] = []
-            asymp_widths: list[float] = []
-            streams = _CellStreams(dgp, base_seed, 0, n, 0, replications)
-            for r in range(replications):
-                design = dgp.sample(n, streams.seed(r))
-                fit = ols_fit(design)
-                edg_ci = ci_edg(design, alpha, method.bounds, method.tuning, fit=fit)
-                asymp_ci = ci_asymp(design, alpha, fit=fit)
-                if edg_ci.width is not None:
-                    edg_widths.append(edg_ci.width)
-                asymp_widths.append(asymp_ci.width)
-            mean_edg = float(np.mean(edg_widths)) if edg_widths else None
-            mean_asymp = float(np.mean(asymp_widths))
-            ratio = None if mean_edg is None else mean_edg / mean_asymp
-            rows.append(WidthCurveRow(method.label, n, alpha, mean_edg, ratio))
+        for n in spec.n_grid:
+            records = _run_slice((0, 1), n, 0, spec.replications, spec)
+            edg, asymp = (_aggregate(m, n, alpha, recs) for m, recs in zip(spec.methods, records))
+            ratio = None if edg.mean_width is None else edg.mean_width / asymp.mean_width
+            rows.append(WidthCurveRow(method.label, n, alpha, edg.mean_width, ratio,
+                                      edg.whole_line_fraction, edg.replications))
         return tuple(rows)
     raise ConfigError(
         f"width_curve supports known-variance, unknown-variance, and edg "

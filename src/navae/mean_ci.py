@@ -333,9 +333,7 @@ def ci_chebyshev(sample: Sample, alpha: float, var_bound: float) -> ConfidenceIn
     if not math.isfinite(var_bound) or var_bound <= 0.0:
         raise DomainError(f"variance bound must be positive, got {var_bound!r}")
     half = math.sqrt(var_bound) / math.sqrt(alpha * sample.n)
-    return ConfidenceInterval.bounded(
-        sample.mean - half, sample.mean + half, 1.0 - alpha, "chebyshev"
-    )
+    return _centered(sample, lambda _: half, alpha, "chebyshev", scaled=False)
 
 
 def ci_hoeffding(
@@ -355,15 +353,9 @@ def ci_hoeffding(
             f"sample range [{lo}, {hi}] escapes the declared support "
             f"[{support_lower}, {support_upper}]"
         )
-    half = (
-        (support_upper - support_lower)
-        / 2.0
-        * math.sqrt(2.0 * math.log(2.0 / alpha))
-        / math.sqrt(sample.n)
-    )
-    return ConfidenceInterval.bounded(
-        sample.mean - half, sample.mean + half, 1.0 - alpha, "hoeffding"
-    )
+    half = ((support_upper - support_lower) / 2.0 * math.sqrt(2.0 * math.log(2.0 / alpha))
+            / math.sqrt(sample.n))
+    return _centered(sample, lambda _: half, alpha, "hoeffding", scaled=False)
 
 
 def nu_var(a: float, n: int, kurtosis_bound: float) -> float:

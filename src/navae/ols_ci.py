@@ -642,10 +642,12 @@ def _last_violations(alpha: float, tuning: OlsTuning, k_reg: float | None, k_xi:
                edg(alpha, tuning, k_xi) if k_xi is not None else 0)
 
 
-def _plug_in_estimates(fits: _Fits, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The uninflated plug-in estimates (lambda_reg, K_reg, K_eps, K_xi) of
-    each fit of a stack (``plug_in_bounds``), raising its error if any fit
-    has one."""
+def _plug_in_estimates(fits: _Fits, u: np.ndarray, names: set) -> dict[str, np.ndarray]:
+    """The uninflated plug-in estimates of the bounds ``names`` (of
+    ``BOUND_KEYS``) of each fit of a stack (``plug_in_bounds``), raising an
+    estimate's error if any fit has one.  A bound not named is neither
+    computed nor checked; a numerically singular S is an error whatever is
+    named."""
     eigenvalues = fits.eigenvalues
     lam_min, lam_max = eigenvalues[..., -1], eigenvalues[..., 0]
     if (lam_min <= np.maximum(lam_max, 1.0) * 1e-12).any():
@@ -653,31 +655,37 @@ def _plug_in_estimates(fits: _Fits, u: np.ndarray) -> tuple[np.ndarray, ...]:
             "design second-moment matrix is numerically singular; plug-in "
             "bounds are undefined (lambda_min(S) = 0 means no identification)"
         )
-    p = fits.xt.shape[-2]
+    estimates = {"lambda_reg": lam_min} if "lambda_reg" in names else {}
     # moments that overflow are a DataError below, not a warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        # the rotated rows, transposed ((S^+)^(1/2) is symmetric)
-        rot_sq = _col_sq_norms(_psd_sqrt_array(fits.s_dagger) @ fits.xt)
-        rot_sq2 = rot_sq * rot_sq
-        k_reg = _means(rot_sq2 - 2.0 * rot_sq + p)
-        # fourth powers as squares of squares: numpy's generic ** 4 on a signed
-        # base costs tens of times as much
-        res_sq = fits.residuals * fits.residuals
-        k_eps = _means(rot_sq2 * (res_sq * res_sq))
-        influence = ((fits.s_dagger @ u)[..., None, :] @ fits.xt)[..., 0, :] * fits.residuals
-        second = _means(influence * influence)
-    if not (np.isfinite(k_reg) & np.isfinite(k_eps)).all():
+        if names & {"k_reg", "k_eps"}:
+            # the rotated rows, transposed ((S^+)^(1/2) is symmetric)
+            rot_sq = _col_sq_norms(_psd_sqrt_array(fits.s_dagger) @ fits.xt)
+            rot_sq2 = rot_sq * rot_sq
+        if "k_reg" in names:
+            estimates["k_reg"] = _means(rot_sq2 - 2.0 * rot_sq + fits.xt.shape[-2])
+        if "k_eps" in names:
+            # fourth powers as squares of squares: numpy's generic ** 4 on a signed
+            # base costs tens of times as much
+            res_sq = fits.residuals * fits.residuals
+            estimates["k_eps"] = _means(rot_sq2 * (res_sq * res_sq))
+        if "k_xi" in names:
+            influence = ((fits.s_dagger @ u)[..., None, :] @ fits.xt)[..., 0, :] * fits.residuals
+            second = _means(influence * influence)
+    if not all(np.isfinite(estimate).all() for estimate in estimates.values()):  # lambda_min(S) is finite
         raise DataError(
             "plug-in moments K_reg/K_eps overflow: the regressors or residuals are "
             "too large to take to the fourth power; rescale the data"
         )
-    if (second <= 0.0).any():
-        raise DegenerateSampleError(
-            "all estimated influence values are zero; K_xi plug-in undefined"
-        )
-    # a float's ** raises OverflowError past sqrt(max float), where the ratio rescales
-    second_sq = np.array([v**2 if v < 1e154 else math.inf for v in second.tolist()])
-    return lam_min, k_reg, k_eps, _deviation_kurtosis(influence, second_sq)
+    if "k_xi" in names:
+        if (second <= 0.0).any():
+            raise DegenerateSampleError(
+                "all estimated influence values are zero; K_xi plug-in undefined"
+            )
+        # a float's ** raises OverflowError past sqrt(max float), where the ratio rescales
+        second_sq = np.array([v**2 if v < 1e154 else math.inf for v in second.tolist()])
+        estimates["k_xi"] = _deviation_kurtosis(influence, second_sq)
+    return estimates
 
 
 def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBounds:
@@ -694,22 +702,20 @@ def plug_in_bounds(fit: OlsFit, u: np.ndarray, inflation: float = 0.0) -> OlsBou
 
 def _resolved_rows(bounds: OlsBounds, fits: _Fits, u: np.ndarray) -> list[OlsBounds]:
     """``resolve_bounds`` for each fit of a stack: one plug-in estimate per
-    fit.  A tag with inflation M multiplies an upper-bound estimate by
-    (1 + M/sqrt(n)) and divides the lower bound lambda_reg_hat by it, which
-    is the conservative direction for a lower bound."""
+    fit of each bound tagged plug-in, and of no other.  A tag with inflation
+    M multiplies an upper-bound estimate by (1 + M/sqrt(n)) and divides the
+    lower bound lambda_reg_hat by it, which is the conservative direction
+    for a lower bound."""
     if bounds.is_resolved:
         return [bounds] * fits.xt.shape[0]
     specs = {name: getattr(bounds, name) for name in BOUND_KEYS}
     root_n = math.sqrt(fits.xt.shape[-1])
     mults = {name: 1.0 + spec.inflation / root_n for name, spec in specs.items() if isinstance(spec, PlugIn)}
-    rows = []
-    for row in zip(*(e.tolist() for e in _plug_in_estimates(fits, u))):
-        rows.append(OlsBounds(**{
-            name: (spec if name not in mults else
-                   estimate / mults[name] if name == "lambda_reg" else estimate * mults[name])
-            for (name, spec), estimate in zip(specs.items(), row)
-        }))
-    return rows
+    columns = {name: [spec] * fits.xt.shape[0] for name, spec in specs.items()}
+    for name, estimate in _plug_in_estimates(fits, u, set(mults)).items():
+        mult = mults[name]
+        columns[name] = [e / mult if name == "lambda_reg" else e * mult for e in estimate.tolist()]
+    return [OlsBounds(**dict(zip(columns, row))) for row in zip(*columns.values())]
 
 
 def resolve_bounds(bounds: OlsBounds, fit: OlsFit, u: np.ndarray) -> OlsBounds:

@@ -367,8 +367,9 @@ def coverage_study_oracle(spec) -> SimReport:
 
 
 def ols_width_means_oracle(dgp, method, n: int, alpha: float, replications: int, base_seed: int):
-    """(mean edg width or None, mean sandwich width) of the OLS width curve at
-    n: one fit per replication, each from the stream ``substream`` seeds."""
+    """(mean edg width or None, mean sandwich width, share of whole-line edg
+    intervals) of the OLS width curve at n: one fit per replication, each
+    from the stream ``substream`` seeds."""
     edg_widths, asymp_widths = [], []
     for r in range(replications):
         design = dgp.sample(n, substream(base_seed, 0, n, r))
@@ -377,7 +378,8 @@ def ols_width_means_oracle(dgp, method, n: int, alpha: float, replications: int,
         if edg_ci.width is not None:
             edg_widths.append(edg_ci.width)
         asymp_widths.append(ci_asymp(design, alpha, fit=fit).width)
-    return (float(np.mean(edg_widths)) if edg_widths else None), float(np.mean(asymp_widths))
+    return ((float(np.mean(edg_widths)) if edg_widths else None), float(np.mean(asymp_widths)),
+            (replications - len(edg_widths)) / replications)
 
 
 # ---------------------------------------------------------------------------

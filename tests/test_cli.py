@@ -437,6 +437,18 @@ def test_overflowing_ols_regressors_are_a_data_error(in_tmp, capsys):
     assert not (in_tmp / "ols_ci_report.csv").exists()
 
 
+def test_ols_ci_fixed_k_xi_needs_no_influence_values(in_tmp, capsys):
+    # a constant outcome leaves every influence value zero, which K_xi's
+    # plug-in estimate cannot use; --k-xi 9 needs none (it exited 3)
+    path = write(in_tmp / "flat.csv", "y,x1\n" + "4,1\n" * 6)
+    assert run_command(["ols-ci", "--input", str(path), "--u", "1", "--alpha", "0.1", "--k-xi", "9"]) == 0
+    assert "R (whole real line)" in capsys.readouterr().out
+    (row,) = read_report(in_tmp / "ols_ci_report.csv")
+    assert row.is_whole_line is True
+    assert run_command(["ols-ci", "--input", str(path), "--u", "1", "--alpha", "0.1"]) == 3
+    assert "K_xi plug-in undefined" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["ols-ci", "mean-ci"])
 def test_overflowing_interval_endpoints_are_a_data_error(in_tmp, capsys, command):
     # edg with fixed bounds on regressors times 1e80, whose fourth moments
@@ -985,6 +997,33 @@ def test_width_curve_unknown_and_edg(in_tmp, capsys):
     ) == 0
     rows = read_report(in_tmp / "width_curve_report.csv")
     assert rows[0].ratio is not None and rows[0].ratio > 1.0
+    capsys.readouterr()
+
+
+def test_width_curve_rows_say_where_an_n_is_the_whole_line(in_tmp, capsys):
+    # an n at which every interval is the whole line reads 1.0, with the
+    # replications drawn; a deterministic mean row reads 1.0 or 0.0
+    assert run_command(["width-curve", "--method", "edg", "--alpha", "0.1", "-M", "2",
+                        "--n", "3000,5000"]) == 0
+    whole, bounded = read_report(in_tmp / "width_curve_report.csv")
+    assert (whole.n, whole.whole_line_fraction, whole.replications, whole.width) == (3000, 1.0, 2, None)
+    assert (bounded.n, bounded.whole_line_fraction, bounded.replications) == (5000, 0.0, 2)
+    assert bounded.width is not None
+    assert run_command(["width-curve", "--method", "unknown-variance", "--alpha", "0.1", "--K", "9",
+                        "-M", "0", "--n", "100,3000"]) == 0
+    whole, bounded = read_report(in_tmp / "width_curve_report.csv")
+    assert (whole.n, whole.whole_line_fraction, whole.replications, whole.ratio) == (100, 1.0, None, None)
+    assert (bounded.whole_line_fraction, bounded.replications, bounded.width) == (0.0, None, None)
+    assert run_command(["width-curve", "--method", "unknown-variance", "--alpha", "0.1", "--K", "9",
+                        "-M", "3", "--n", "100,3000"]) == 0
+    whole, bounded = read_report(in_tmp / "width_curve_report.csv")
+    assert (whole.whole_line_fraction, whole.replications) == (1.0, None)
+    assert (bounded.whole_line_fraction, bounded.replications) == (0.0, 3)
+    assert run_command(["width-curve", "--method", "known-variance", "--alpha", "0.1", "--K", "9",
+                        "--sigma", "1", "--n", "100,3000"]) == 0
+    whole, bounded = read_report(in_tmp / "width_curve_report.csv")
+    assert (whole.whole_line_fraction, whole.replications, bounded.whole_line_fraction) == (1.0, None, 0.0)
+    assert bounded.replications is None and bounded.width is not None
     capsys.readouterr()
 
 

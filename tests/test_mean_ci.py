@@ -692,6 +692,11 @@ def test_overflowing_moments_are_data_errors():
             ci_unknown_variance(wide, MeanCiConfig(alpha=0.1, kurtosis_bound=9.0))
         with pytest.raises(DataError, match="sample mean overflows"):
             ci_known_variance(Sample(np.full(5000, 1e305)), 1.0, known)
+        # the constant half-widths centre on the mean through the same owner
+        with pytest.raises(DataError, match="sample mean overflows"):
+            ci_chebyshev(big, 0.1, 1.0)
+        with pytest.raises(DataError, match="sample mean overflows"):
+            ci_hoeffding(big, 0.1, 0.0, 1.6e308)
         # the known-variance interval does not use sigma_hat^2
         ci = ci_known_variance(wide, 1.0, known)
         assert not ci.whole_line and math.isfinite(ci.width)

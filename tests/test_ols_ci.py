@@ -29,6 +29,7 @@ from navae import ols_ci
 from navae.dgp_sim import ExponentialMean, SimStudySpec, UnknownVarianceMethod, run_coverage_study
 from navae.mean_ci import MeanCiConfig, Sample, alpha_min, ci_clt, ci_unknown_variance
 from navae.ols_ci import (
+    BOUND_KEYS,
     Design,
     OlsBounds,
     OlsTuning,
@@ -753,7 +754,7 @@ def test_a_stack_of_designs_fits_as_each_design_alone():
         designs = _stack_designs(p, n, rng)
         u = designs[0].u
         fits = ols_ci._fit(np.stack([d.x.T for d in designs]), np.stack([d.y for d in designs]))
-        estimates = ols_ci._plug_in_estimates(fits, u)
+        estimates = ols_ci._plug_in_estimates(fits, u, set(BOUND_KEYS))
         centres = ols_ci._centres(fits, u)
         asymp_half, _ = ols_ci._asymp_halves(fits, u, 0.1)
         edg = [ols_ci._edg_halves(fits, u, 0.1, bounds, STUDY_TUNING) for bounds in bounds_sets]
@@ -764,7 +765,7 @@ def test_a_stack_of_designs_fits_as_each_design_alone():
                                    (fits.v_hat[r], fit.v_hat), (fits.mid[r], fit._fits.mid[0])):
                 assert stacked.tobytes() == alone.tobytes(), (p, n, r)
             alone = plug_in_bounds(fit, u)
-            assert [e[r] for e in estimates] == [alone.lambda_reg, alone.k_reg, alone.k_eps, alone.k_xi]
+            assert [estimates[name][r] for name in BOUND_KEYS] == [getattr(alone, key) for key in BOUND_KEYS]
             ci = ci_asymp(design, 0.1, fit)
             assert (centres[r] - asymp_half[r], centres[r] + asymp_half[r]) == (ci.lower, ci.upper)
             for bounds, (edg_half, edg_whole) in zip(bounds_sets, edg):
@@ -853,6 +854,32 @@ def test_resolve_bounds_mixed():
     assert resolved.lambda_reg == pure.lambda_reg
     assert resolved.k_eps == pure.k_eps
     assert resolved.k_reg == 7.0 and resolved.k_xi == 9.0
+
+
+def test_fixed_k_reg_and_k_eps_need_no_plug_in_estimate():
+    # a bound given a value is neither estimated nor checked: K_eps's
+    # estimate overflows here, and it raised although K_eps is given
+    design = simulated_design(200, seed=1, u=(0.0, 0.0, 1.0))
+    scaled = Design(x=design.x, y=design.y * 1e80, u=design.u)
+    fit = ols_fit(scaled)
+    with pytest.raises(DataError, match="K_reg/K_eps overflow"):
+        plug_in_bounds(fit, scaled.u)  # K_eps overflows
+    resolved = resolve_bounds(OlsBounds(PlugIn(), 0.01, 1.0, PlugIn()), fit, scaled.u)
+    estimates = ols_ci._plug_in_estimates(fit._fits, scaled.u, {"lambda_reg", "k_xi"})
+    assert sorted(estimates) == ["k_xi", "lambda_reg"]
+    assert resolved == OlsBounds(float(estimates["lambda_reg"][0]), 0.01, 1.0, float(estimates["k_xi"][0]))
+    assert resolved.lambda_reg == plug_in_bounds(ols_fit(design), design.u).lambda_reg
+
+
+def test_fixed_k_xi_needs_no_influence_values():
+    # a constant outcome leaves every influence value zero, which K_xi's
+    # estimate cannot use; it raised although K_xi is given
+    n = 10_000
+    flat = Design(x=np.ones((n, 1)), y=np.full(n, 4.0), u=np.array([1.0]))
+    ci = ci_edg(flat, 0.1, OlsBounds(PlugIn(), PlugIn(), PlugIn(), 9.0), OlsTuning())
+    assert (ci.lower, ci.upper) == (4.0, 4.0)
+    with pytest.raises(DegenerateSampleError):
+        ci_edg(flat, 0.1, OlsBounds.all_plug_in(), OlsTuning())
 
 
 def test_plug_in_rank_deficient_refused():

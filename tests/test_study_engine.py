@@ -219,8 +219,8 @@ def test_chunk_records_equal_the_oracle_records_bit_for_bit(method, monkeypatch)
                             replications=replications, alpha=0.2, base_seed=29)
         for n in n_grid:
             expected = replication_records_oracle(spec, 0, n)
-            np.testing.assert_array_equal(_run_slice(0, n, 0, replications, spec), expected)
-            np.testing.assert_array_equal(_run_slice(0, n, 7 % replications, replications, spec),
+            np.testing.assert_array_equal(_run_slice((0,), n, 0, replications, spec)[0], expected)
+            np.testing.assert_array_equal(_run_slice((0,), n, 7 % replications, replications, spec)[0],
                                           expected[:, 7 % replications:])
 
 
@@ -283,10 +283,10 @@ def test_a_slice_keeps_its_records_and_stream_keys_as_arrays():
     # they take about 15.7 MiB, as the (4, m) and (m, 2) arrays about 5 MiB
     spec = SimStudySpec(dgp=ExponentialMean(), methods=(CltMethod(),), n_grid=(2,),
                         replications=50_000, alpha=0.1)
-    _run_slice(0, 2, 0, 100, spec)  # warms the half-width caches
+    _run_slice((0,), 2, 0, 100, spec)  # warms the half-width caches
     tracemalloc.start()
     try:
-        records = _run_slice(0, 2, 0, 50_000, spec)
+        records = _run_slice((0,), 2, 0, 50_000, spec)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -454,13 +454,132 @@ def test_width_curve_rejects_a_negative_seed(method):
         width_curve(dgp, method, (40,), 0.1, replications=2, base_seed=-1)
 
 
-def test_ols_width_curve_equals_the_oracle_loop():
-    rows = width_curve(GumbelHeteroLinear(), EDG, (40, 4000), 0.1, replications=4, base_seed=6)
-    for row in rows:
-        mean_edg, mean_asymp = ols_width_means_oracle(GumbelHeteroLinear(), EDG, row.n, 0.1, 4, 6)
-        assert row.mean_width == mean_edg
-        assert row.ratio == (None if mean_edg is None else mean_edg / mean_asymp)
-    assert rows[0].mean_width is None and rows[1].mean_width is not None
+def test_ols_width_curve_equals_the_oracle_loop(monkeypatch):
+    # the group (edg, asymp) of one slice per n; the duck-typed DGP's slices
+    # run through interval, one draw and two interval calls per replication
+    grid = (40, 3655, 3656, 5000)
+    for method in (EDG, OlsEdgMethod(bounds=OlsBounds.all_plug_in()),
+                   OlsEdgMethod(bounds=OlsBounds(1.0, 0.01, 1.0, 9.0))):
+        expected = [ols_width_means_oracle(GumbelHeteroLinear(), method, n, 0.1, 4, 6) for n in grid]
+        for dgp in (GumbelHeteroLinear(), _DuckGumbel()):
+            for chunk in (1 << 16, 64):
+                monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
+                rows = width_curve(dgp, method, grid, 0.1, replications=4, base_seed=6)
+                assert [row.n for row in rows] == list(grid)
+                for row, (mean_edg, mean_asymp, whole) in zip(rows, expected):
+                    assert row.mean_width == mean_edg
+                    assert row.ratio == (None if mean_edg is None else mean_edg / mean_asymp)
+                    assert (row.whole_line_fraction, row.replications) == (whole, 4)
+                assert rows[0].whole_line_fraction == 1.0
+                if not isinstance(method.bounds.k_xi, PlugIn):  # a plug-in K_xi is the whole line to 5000
+                    assert rows[-1].whole_line_fraction == 0.0
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 64], ids=["chunk-default", "chunk-64"])
+@pytest.mark.parametrize("dgp, methods, n_grid, fill, data_free", [
+    (ExponentialMean(), (CltMethod(), UnknownVarianceMethod(kurtosis_bound=None, plug_in_inflation=2.0),
+                         KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0)),
+     (2375, 3000), "_fill_exponential", (2375, (2,))),
+    (GumbelHeteroLinear(), (EDG, OlsAsympMethod(), OlsEdgMethod(bounds=OlsBounds(1.0, 0.01, 1.0, 9.0))),
+     (3655, 3656, 5000), "_fill_gumbel", (3655, (0, 2))),
+], ids=["mean", "ols"])
+def test_a_group_gives_each_method_its_records_alone(dgp, methods, n_grid, fill, data_free, chunk,
+                                                     monkeypatch):
+    # the methods of a group share one draw per replication, from the stream
+    # of its first method: each gets bit for bit the records it gets as the
+    # only method of a study, and a method proved the whole line without
+    # data (known variance at n = 2375, both edgs at n = 3655) draws nothing
+    monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
+    reps = 9
+    group = SimStudySpec(dgp, methods, n_grid, reps, 0.1, 5)
+    calls = []
+    draw = getattr(dgp_sim, fill)
+    for n in n_grid:
+        for start in (0, 7):
+            alone = [_run_slice((0,), n, start, reps, SimStudySpec(dgp, (m,), (n,), reps, 0.1, 5))
+                     for m in methods]
+            monkeypatch.setattr(dgp_sim, fill, lambda *args: calls.append(1) or draw(*args))
+            records = _run_slice((0, 1, 2), n, start, reps, group)
+            monkeypatch.setattr(dgp_sim, fill, draw)
+            assert records.shape == (3, 4, reps - start)
+            np.testing.assert_array_equal(records, np.concatenate(alone))
+            assert len(calls) == reps - start  # once per replication, not per method
+            calls.clear()
+    n, free = data_free
+    monkeypatch.setattr(dgp_sim, fill, lambda *args: calls.append(1) or draw(*args))
+    records = _run_slice(free, n, 0, reps, group)
+    assert calls == [] and records.shape == (len(free), 4, reps) and (records[:, 1] == 1.0).all()
+
+
+@pytest.mark.parametrize("fault, method", [
+    ("nan", EDG), ("overflow", EDG),
+    ("nan", OlsEdgMethod(bounds=OlsBounds.all_plug_in())),
+    ("singular", OlsEdgMethod(bounds=OlsBounds.all_plug_in())),
+    ("overflow", OlsEdgMethod(bounds=OlsBounds.all_plug_in())),
+], ids=["nan-k-xi-9", "overflow-k-xi-9", "nan-all-plug-in", "singular-all-plug-in", "overflow-all-plug-in"])
+def test_a_faulty_draw_raises_the_width_curve_loops_first_error(fault, method, monkeypatch):
+    # replications 4 and 7 are faulty (test_a_faulty_ols_draw_raises_the_serial_error);
+    # the fixed-K_xi edg is the whole line at n = 50 without data, so asymp raises
+    monkeypatch.setattr(dgp_sim, "_fill_gumbel", _faulty_gumbel(fault))
+    with pytest.raises(DataError) as info:
+        ols_width_means_oracle(GumbelHeteroLinear(), method, 50, 0.1, 8, 0)
+    for chunk in (1 << 16, 64):
+        monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
+        with pytest.raises(DataError) as raised:
+            width_curve(GumbelHeteroLinear(), method, (50,), 0.1, replications=8, base_seed=0)
+        assert str(raised.value) == str(info.value)
+    # the four replications before the first fault give a row
+    (row,) = width_curve(GumbelHeteroLinear(), method, (50,), 0.1, replications=4, base_seed=0)
+    assert row.replications == 4
+
+
+def test_a_width_curve_data_free_edg_is_not_given_the_designs(monkeypatch):
+    # edg at K_xi = 9 is the whole line up to n0 >= 3655 without data, so a
+    # singular design, whose plug-in estimates the serial loop rejected, does
+    # not reach it (as in a coverage study); asymp still fits every design
+    monkeypatch.setattr(dgp_sim, "_fill_gumbel", _faulty_gumbel("singular"))
+    with pytest.raises(DataError, match="numerically singular"):
+        ols_width_means_oracle(GumbelHeteroLinear(), EDG, 50, 0.1, 8, 0)
+    (row,) = width_curve(GumbelHeteroLinear(), EDG, (50,), 0.1, replications=8, base_seed=0)
+    assert (row.mean_width, row.ratio, row.whole_line_fraction, row.replications) == (None, None, 1.0, 8)
+
+
+@dataclass(frozen=True)
+class _FailsAbove:
+    """A mean method with no cell rule whose interval raises on a sample
+    whose first value is above ``above``."""
+
+    above: float
+    family = "mean"
+
+    @property
+    def label(self):
+        return f"fails-above-{self.above}"
+
+    def cell_rule(self, n, alpha):
+        return None
+
+    def alpha_min_value(self, sample):
+        return None
+
+    def interval(self, sample, alpha):
+        if sample.values[0] > self.above:
+            raise DataError(f"first value above {self.above}")
+        return CltMethod().interval(sample, alpha)
+
+
+def test_a_group_raises_the_first_error_in_replication_then_method_order():
+    # the second method fails at replication 0, before the first fails at 3;
+    # at replication 3 both fail, and the first method's error comes first
+    dgp = CustomMeanDgp(draw=_uniform, target=0.5)
+    first = [dgp.sample(5, substream(0, 0, 5, r)).values[0] for r in range(4)]
+    assert [x > 0.5 for x in first] == [True, False, True, True]
+    assert [x > 0.9 for x in first] == [False, False, False, True]
+    spec = SimStudySpec(dgp, (_FailsAbove(0.9), _FailsAbove(0.5)), (5,), 6, 0.1, 0)
+    with pytest.raises(DataError, match="above 0.5"):
+        _run_slice((0, 1), 5, 0, 6, spec)
+    with pytest.raises(DataError, match="above 0.9"):
+        _run_slice((0, 1), 5, 3, 6, spec)
 
 
 # ---------------------------------------------------------------------------
