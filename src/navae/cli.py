@@ -31,7 +31,8 @@ from .dgp_sim import (
     width_curve,
 )
 from .errors import ConfigError, DataError, DomainError, NavaeError
-from .mean_ci import ConfidenceInterval, Sample, alpha_min, feasible_a_interval
+from .mean_ci import (ConfidenceInterval, Sample, _alpha_min_lanes, _check_search_alpha, _feasible_lanes,
+                      _lane_search)
 from .ols_ci import Design, n_zero
 from .report import ReportRow, row_as_dict, write_report, write_summary
 
@@ -343,19 +344,22 @@ def _cmd_feasibility(args) -> int:
     method = _method(args, "edg" if args.mode == "n-zero" else "unknown-variance")
     rows: list[ReportRow] = []
     if args.mode == "alpha-min":
-        for n in _parse_n_list(args.n):
-            value = alpha_min(n, args.K, method.a_rule, method.delta)
+        n_list = _parse_n_list(args.n)
+        values = _lane_search(_alpha_min_lanes, n_list, args.K, method.delta, method.a_rule)
+        for n, value in zip(n_list, values.tolist()):
             rows.append(ReportRow(method="alpha-min", n=n, alpha_min=value))
             print(f"alpha_min(n={n}, K={args.K}) = {value!r}")
     elif args.mode == "a-interval":
         if args.alpha is None:
             raise ConfigError("--alpha is required for a-interval mode")
-        for n in _parse_n_list(args.n):
-            interval = feasible_a_interval(n, args.alpha, args.K, method.delta)
-            lower, upper = interval or (None, None)
+        n_list = _parse_n_list(args.n)
+        _check_search_alpha(args.alpha)  # before K, as feasible_a_interval checks
+        lows, highs = _lane_search(_feasible_lanes, n_list, args.K, method.delta, args.alpha)
+        for n, lower, upper in zip(n_list, lows.tolist(), highs.tolist()):
+            lower, upper = (None, None) if math.isnan(lower) else (lower, upper)
             rows.append(ReportRow(method="a-interval", n=n, alpha=args.alpha, a_lower=lower,
                                   a_upper=upper))
-            print(f"I_n(n={n}) = " + ("empty" if interval is None else f"({lower!r}, {upper!r})"))
+            print(f"I_n(n={n}) = " + ("empty" if lower is None else f"({lower!r}, {upper!r})"))
     else:  # n-zero
         if args.alpha is None:
             raise ConfigError("--alpha is required for n-zero mode")

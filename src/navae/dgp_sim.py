@@ -18,8 +18,8 @@ of a slice with array arithmetic, bit for bit as the scalar ``ci_*``
 function does.  A mean slice is drawn a chunk at a time into one buffer of
 at most ``_CHUNK_DOUBLES`` values and reduced once to per-replication
 means, sigma_hat^2 and, for a plug-in K, fourth moments; a plug-in K's
-tuning searches run on lanes (``mean_ci``), one lane per K, up to 64 at a
-time.  ``ExponentialMean`` draws each replication straight into its row of
+tuning searches are one lane search (``mean_ci._lane_search``), a lane per
+K.  ``ExponentialMean`` draws each replication straight into its row of
 the buffer, with no ``Sample``; other mean DGPs' ``sample`` values are
 copied in.  An OLS slice on ``GumbelHeteroLinear`` is drawn a block at a
 time, at most ``_CHUNK_DOUBLES // ((p + 1) n)`` replications, with no
@@ -69,10 +69,10 @@ from .mean_ci import (
     _clt_half_width,
     _known_variance_factor,
     _known_variance_half_width,
+    _lane_search,
     _plug_in_kurtosis,
     _sigma_hat_half_width,
     _student_half_width,
-    _unknown_variance_half_width,
     _unknown_variance_lanes,
     alpha_min,
     ci_chebyshev,
@@ -82,7 +82,6 @@ from .mean_ci import (
     ci_student,
     ci_unknown_variance,
     sample_kurtosis,
-    unknown_variance_width_factor,
 )
 from .ols_ci import (
     BOUND_KEYS,
@@ -553,21 +552,18 @@ class UnknownVarianceMethod(_Method):
         if self.kurtosis_bound is None:
             return _CellRule(lambda sigma_hat_sq, k: self._plug_in_intervals(n, alpha, sigma_hat_sq, k),
                              inflation=self.plug_in_inflation)
-        half_width = _unknown_variance_half_width(n, self._config(alpha, self.kurtosis_bound))
-        amin = alpha_min(n, self.kurtosis_bound, self.a_rule, self.delta) if self.track_alpha_min else None
-        return _fixed_rule(half_width, amin)
+        (factor,), amin = _lane_search(_unknown_variance_lanes, [n], self.kurtosis_bound, self.delta, alpha,
+                                       self.a_rule, self.track_alpha_min)
+        half_width = None if math.isinf(factor) else _sigma_hat_half_width(n, float(factor))
+        return _fixed_rule(half_width, None if amin is None else float(amin[0]))
 
     def _plug_in_intervals(self, n: int, alpha: float, sigma_hat_sq: np.ndarray, k: np.ndarray):
-        """A plug-in rule's half-widths and alpha_mins: one lane search per
-        block of at most ``_CHUNK_DOUBLES // _LANE_DOUBLES`` K values, so that
-        its arrays do not grow with the slice."""
-        block = max(1, _CHUNK_DOUBLES // _LANE_DOUBLES)
-        searches = [_unknown_variance_lanes(n, alpha, self.a_rule, self.delta, k[lo : lo + block],
-                                            self.track_alpha_min) for lo in range(0, k.size, block)]
-        factors = np.concatenate([factor for factor, _ in searches])
+        """A plug-in rule's half-widths and alpha_mins: one lane search."""
+        factors, amins = _lane_search(_unknown_variance_lanes, [n] * k.size, k, self.delta, alpha,
+                                      self.a_rule, self.track_alpha_min)
         half = _sigma_hat_half_width(n, factors)(sigma_hat_sq)
         half[np.isinf(factors)] = math.nan
-        return half, np.concatenate([amin for _, amin in searches]) if self.track_alpha_min else None
+        return half, amins
 
 
 @dataclass(frozen=True)
@@ -700,12 +696,6 @@ def _aggregate(method, n, alpha, records: np.ndarray) -> SimReportRow:
 #: 2**16 // ((p + 1) n) designs (x' and y) of an OLS DGP, or one when n is
 #: larger.
 _CHUNK_DOUBLES = 1 << 16
-
-#: Doubles per lane in a lane search's largest arrays (its scan grids of
-#: about a thousand points): a plug-in rule runs one search per block of
-#: _CHUNK_DOUBLES // _LANE_DOUBLES K values (64), so that its arrays, like a
-#: chunk's buffer, do not grow with the replication count.
-_LANE_DOUBLES = 1 << 10
 
 
 def _interval_records(spec: SimStudySpec, methods: list, n: int, streams: _CellStreams, start: int,
@@ -1020,17 +1010,6 @@ class WidthCurveRow:
     replications: int | None
 
 
-def _width_factor(n: int, alpha: float, method) -> float | None:
-    """A mean method's half-width per unit sigma/sqrt(n), which over the CLT
-    quantile q(1 - alpha/2) is its width ratio; None where the interval is
-    the whole line."""
-    if isinstance(method, KnownVarianceMethod):
-        return _known_variance_factor(n, method.sigma, method._config(alpha))
-    if method.kurtosis_bound is None:
-        raise ConfigError("deterministic width ratio needs a fixed kurtosis bound")
-    return unknown_variance_width_factor(n, method._config(alpha, method.kurtosis_bound))
-
-
 def width_curve(
     dgp,
     method,
@@ -1043,7 +1022,8 @@ def width_curve(
 
     For the mean methods the ratio is deterministic (the data cancels):
     q(1-alpha/2+delta)/q(1-alpha/2) with known variance, C_n q(arg)/q(1-alpha/2)
-    with the estimated variance, whose ``mean_width`` needs replications > 0
+    with the estimated variance (one lane search over the n grid), whose
+    ``mean_width`` needs replications > 0
     and comes from one coverage study over the n with a bounded interval
     (replications = 0 gives the ratios alone; a negative count is a
     ConfigError).
@@ -1058,9 +1038,17 @@ def width_curve(
     if isinstance(method, (KnownVarianceMethod, UnknownVarianceMethod)):
         if replications < 0:
             raise ConfigError(f"replications must be >= 0, got {replications}")
-        factors = {n: _width_factor(n, alpha, method) for n in n_grid}
+        # the half-width per unit sigma/sqrt(n), None or +inf where the interval is the whole line
+        if isinstance(method, KnownVarianceMethod):
+            factors = [_known_variance_factor(n, method.sigma, method._config(alpha)) for n in n_grid]
+        elif method.kurtosis_bound is None:
+            raise ConfigError("deterministic width ratio needs a fixed kurtosis bound")
+        else:
+            method._config(alpha, method.kurtosis_bound)  # its alpha and K checks
+            factors = _lane_search(_unknown_variance_lanes, n_grid, method.kurtosis_bound, method.delta,
+                                   alpha, method.a_rule, False)[0].tolist()
         q = std_normal_quantile(1.0 - alpha / 2.0)
-        ratios = {n: None if f is None else f / q for n, f in factors.items()}
+        ratios = {n: None if f is None or math.isinf(f) else f / q for n, f in zip(n_grid, factors)}
         bounded = tuple(n for n in n_grid if ratios[n] is not None)
         widths, measured = {}, None
         if isinstance(method, KnownVarianceMethod):

@@ -16,14 +16,15 @@ The informative branch exists only for levels above the feasibility boundary;
 machinery.  One kernel evaluates nu, the feasibility excess and the width
 multiplier C_n q at a float or a numpy array of a, with the same arithmetic
 either way, so the searches and the interval decide feasibility alike.  The
-searches run on lanes, one per (K, delta_n) at a sample size n: each lane's
-search is one array scan of a grid followed by bisection or golden-section
-refinement, all lanes advancing in lockstep and each dropping out when it
-converges, so a lane computes exactly what a search of its own would.  The
-public searches are one-lane calls; the coverage study runs a lane per
-replication's plug-in K.  The variance estimator uses divisor n
-throughout; the Student baseline applies its sqrt(n/(n-1)) correction
-explicitly.
+searches run on lanes, one per (n, K, delta_n): each lane's search is one
+array scan of a grid followed by bisection or golden-section refinement,
+all lanes advancing in lockstep and each dropping out when it converges, so
+a lane computes exactly what a search of its own would.  ``_lane_search``
+runs them in blocks of at most 64 lanes: the public searches are one-lane
+calls, and a coverage study's plug-in K values, a width curve's n grid and
+the ``feasibility`` command's n list are one call each.  The variance
+estimator uses divisor n throughout; the Student baseline applies its
+sqrt(n/(n-1)) correction explicitly.
 """
 
 from __future__ import annotations
@@ -418,50 +419,46 @@ def _resolve_a(cfg: MeanCiConfig, n: int) -> float | None:
     return _fixed_a(cfg.a_rule, n)
 
 
-def _unknown_variance_half_width(n: int, cfg: MeanCiConfig) -> Callable | None:
-    """The unknown-variance half-width (sigma_hat/sqrt(n)) times
-    ``unknown_variance_width_factor`` as a function of sigma_hat^2 at sample
-    size n; None in the whole-real-line regime."""
-    if not isinstance(cfg.variance, UnknownVariance):
-        raise ConfigError("ci_unknown_variance requires cfg.variance = UnknownVariance")
-    factor = unknown_variance_width_factor(n, cfg)
-    return None if factor is None else _sigma_hat_half_width(n, factor)
-
-
 def ci_unknown_variance(sample: Sample, cfg: MeanCiConfig) -> ConfidenceInterval:
     """Finite-sample-valid interval with estimated variance.
 
     Bounded exactly when 1 - alpha/2 + delta_n + nu/2 < Phi(sqrt(n/a_n)); the
     half-width is (sigma_hat/sqrt(n)) times ``unknown_variance_width_factor``.
     """
-    return _centered(sample, _unknown_variance_half_width(sample.n, cfg), cfg.alpha,
-                     "unknown-variance")
+    if not isinstance(cfg.variance, UnknownVariance):
+        raise ConfigError("ci_unknown_variance requires cfg.variance = UnknownVariance")
+    factor = unknown_variance_width_factor(sample.n, cfg)
+    half_width = None if factor is None else _sigma_hat_half_width(sample.n, factor)
+    return _centered(sample, half_width, cfg.alpha, "unknown-variance")
 
 
-def _tuning_terms(
-    a: float | np.ndarray, n: int, kurtosis_bound, delta
-) -> tuple[np.ndarray, np.ndarray]:
+def _tuning_terms(a: float | np.ndarray, n, kurtosis_bound, delta) -> tuple[np.ndarray, np.ndarray]:
     """(nu(a), excess(a)) at a float or an array of tuning values a > 1, with
-    excess(a) = 1 - Phi(sqrt(n/a)) + delta_n + nu(a)/2; K and delta_n are
-    floats or arrays that broadcast against a.  A grid of a shared by lanes
-    of (K, delta_n) evaluates its K-free terms once, by broadcasting.  The
-    square is a product, for a float as for an array (a float's ``** 2`` is
-    libm's pow, which can differ from an array's square in the last ulp).
+    excess(a) = 1 - Phi(sqrt(n/a)) + delta_n + nu(a)/2; n, K and delta_n are
+    numbers or arrays that broadcast against a.  An n of shape (L, 1) marks a
+    scan of L lanes, whose grid a, (G,) or (L, G), has rows that depend on n
+    alone: its K-free terms are taken once per distinct n.  The square is a
+    product, for a float as for an array (a float's ``** 2`` is libm's pow,
+    which can differ from an array's square in the last ulp).
 
     At level alpha, a is feasible (the unknown-variance interval is bounded)
     exactly when the gap excess(a) - alpha/2 is negative, so 2 excess(a) is
     the smallest level with a bounded interval at this a.
     """
+    rows = ...
+    if np.shape(n)[1:] == (1,):  # a scan
+        n, first, rows = np.unique(n[:, 0], return_index=True, return_inverse=True)
+        a, n = (a if a.ndim == 1 else a[first]), n[:, None]
     s = 1.0 - 1.0 / a
     # -n s^2/(2K) as (-n/2) s^2/K: halving is exact, and 2K overflows above K = 9e307
-    nu = np.exp((-0.5 * n) * (s * s) / kurtosis_bound)
-    return nu, 1.0 - ndtr(np.sqrt(n / a)) + delta + nu / 2.0
+    nu = np.exp(np.asarray((-0.5 * n) * (s * s))[rows] / kurtosis_bound)
+    return nu, np.asarray(1.0 - ndtr(np.sqrt(n / a)))[rows] + delta + nu / 2.0
 
 
-def _width_multiplier(a, n: int, alpha: float, kurtosis_bound, delta) -> np.ndarray:
+def _width_multiplier(a, n, alpha: float, kurtosis_bound, delta) -> np.ndarray:
     """C_n(a) q(arg) with arg = 1 - alpha/2 + delta_n + nu(a)/2, at a float or
-    an array of a > 1, with K and delta_n floats or arrays of a's shape: the
-    half-width per unit sigma_hat/sqrt(n), +inf where a is infeasible.
+    an array of a > 1, with n, K and delta_n numbers or arrays of a's shape:
+    the half-width per unit sigma_hat/sqrt(n), +inf where a is infeasible.
 
     Feasibility gives q(arg) < sqrt(n/a), hence a positive C_n radicand
     1/a - q^2/n; that is asserted (InvariantError) rather than assumed.
@@ -470,13 +467,13 @@ def _width_multiplier(a, n: int, alpha: float, kurtosis_bound, delta) -> np.ndar
     nu, excess = _tuning_terms(a, n, kurtosis_bound, delta)
     feasible = excess < alpha / 2.0
     a_in, nu_in = a[feasible], nu[feasible]
-    delta_in = delta[feasible] if isinstance(delta, np.ndarray) else delta
+    n_in, delta_in = (x[feasible] if isinstance(x, np.ndarray) else x for x in (n, delta))
     q = ndtri(1.0 - alpha / 2.0 + delta_in + nu_in / 2.0)
-    radicand = 1.0 / a_in - q * q / n
+    radicand = 1.0 / a_in - q * q / n_in
     if (radicand <= 0.0).any():
         raise InvariantError(
             "C_n radicand is not positive although the feasibility condition "
-            f"held (a={a_in[radicand <= 0.0]}, n={n}, alpha={alpha!r})"
+            f"held (a={a_in[radicand <= 0.0]}, n={n_in}, alpha={alpha!r})"
         )
     width = np.full(a.shape, np.inf)
     width[feasible] = q / np.sqrt(radicand)
@@ -496,11 +493,26 @@ _SCAN_GRID.setflags(write=False)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# The searches below run on lanes: lane l is the search at one n for the
-# kurtosis bound k[l] and delta_n d[l].  Every lane runs exactly the
-# arithmetic of a search of its own; the lanes only share numpy calls, and a
-# lane drops out of the loops once it has converged.  The public functions
-# are one-lane calls.
+# Lane l of a search below is the search at n[l], K k[l] and delta_n d[l],
+# with exactly the arithmetic of a search of its own; lanes share numpy calls.
+
+#: Lanes per search call (a lane's scan grid holds about a thousand doubles)
+_LANES = 64
+
+
+def _lane_search(search: Callable, n, k, delta: DeltaProvider, *args):
+    """``search(n, k, d, *args)`` on the lanes of the sample sizes n (ints) and kurtosis bounds k
+    (one per n, or one) in blocks of at most ``_LANES``, with K and delta_n (``delta_of``) as
+    float arrays; its outputs, an array or a tuple of arrays and Nones, joined in lane order."""
+    k = np.broadcast_to(np.asarray(k, dtype=float), (len(n),))
+    blocks = []
+    for lo in range(0, max(len(n), 1), _LANES):
+        ns, ks = n[lo : lo + _LANES], k[lo : lo + _LANES]
+        d = np.array([delta_of(delta, m, kl) for m, kl in zip(ns, ks.tolist())])
+        blocks.append(search(ns, ks, d, *args))
+    if isinstance(blocks[0], np.ndarray):
+        return np.concatenate(blocks)
+    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _golden_lanes(fn: Callable, grid: np.ndarray, values: np.ndarray, lo, hi, tol: float):
@@ -566,16 +578,17 @@ def _check_search_alpha(alpha: float) -> float:
     return alpha
 
 
-def _feasible_lanes(n: int, alpha: float, k: np.ndarray, d: np.ndarray) -> tuple:
+def _feasible_lanes(n, k: np.ndarray, d: np.ndarray, alpha: float) -> tuple:
     """``feasible_a_interval`` of each lane: arrays (a_low, a_high), NaN in
     the lanes where no grid point is feasible."""
     alpha = _check_search_alpha(alpha)
+    n = np.asarray(n, dtype=float)
 
     def gap(a, lanes):
-        return _tuning_terms(a, n, k[lanes], d[lanes])[1] - alpha / 2.0
+        return _tuning_terms(a, n[lanes], k[lanes], d[lanes])[1] - alpha / 2.0
 
     grid = _SCAN_GRID
-    excess = _tuning_terms(grid, n, k[:, None], d[:, None])[1]
+    excess = _tuning_terms(grid, n[:, None], k[:, None], d[:, None])[1]
     feasible = excess - alpha / 2.0 < 0.0
     lanes = np.nonzero(feasible.any(axis=1))[0]
     feasible = feasible[lanes]
@@ -614,15 +627,14 @@ def feasible_a_interval(
     relative tolerance 1e-10.  Returns None when no grid point is feasible.
     """
     _check_search_alpha(alpha)
-    d = delta_of(delta, n, kurtosis_bound)
-    a_low, a_high = _feasible_lanes(n, alpha, np.array([float(kurtosis_bound)]), np.array([d]))
-    return None if math.isnan(a_low[0]) else (float(a_low[0]), float(a_high[0]))
+    (a_low,), (a_high,) = _lane_search(_feasible_lanes, [n], kurtosis_bound, delta, alpha)
+    return None if math.isnan(a_low) else (float(a_low), float(a_high))
 
 
-def _optimize_lanes(n: int, alpha: float, k: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _optimize_lanes(n, k: np.ndarray, d: np.ndarray, alpha: float) -> np.ndarray:
     """``optimize_a``'s search for each lane: the width-minimizing a, NaN in
     the lanes where no a is feasible."""
-    a_low, a_high = _feasible_lanes(n, alpha, k, d)
+    a_low, a_high = _feasible_lanes(n, k, d, alpha)
     lanes = np.nonzero(~np.isnan(a_low))[0]
     a_star = np.full(k.shape, np.nan)
     if not lanes.size:
@@ -638,13 +650,13 @@ def _optimize_lanes(n: int, alpha: float, k: np.ndarray, d: np.ndarray) -> np.nd
     # the other rows end in a duplicate of their largest candidate, whose
     # value is masked and whose place stands for hi
     candidates = np.exp(steps)[:, 1:-1]
-    conventional = DEFAULT_A_RULE(n)
+    nl, kl, dl = np.asarray(n, dtype=float)[lanes], k[lanes], d[lanes]
+    conventional = np.array([DEFAULT_A_RULE(m) for m in nl.tolist()])
     seeded = (lo < conventional) & (conventional < hi)
     grid = np.sort(np.column_stack([candidates, np.where(seeded, conventional, candidates[:, -1])]))
-    kl, dl = k[lanes], d[lanes]
 
     def width(a, rows):
-        return _width_multiplier(a, n, alpha, kl[rows], dl[rows])
+        return _width_multiplier(a, nl[rows], alpha, kl[rows], dl[rows])
 
     values = width(grid, np.broadcast_to(np.arange(lanes.size)[:, None], grid.shape))
     values[~seeded, -1] = np.inf
@@ -659,8 +671,7 @@ def _optimize_a_cached(
 ) -> float | None:
     """optimize_a's search; None when no a is feasible, so that failed
     searches are cached too."""
-    d = delta_of(delta, n, kurtosis_bound)
-    a = float(_optimize_lanes(n, alpha, np.array([kurtosis_bound]), np.array([d]))[0])
+    (a,) = _lane_search(_optimize_lanes, [n], kurtosis_bound, delta, alpha).tolist()
     return None if math.isnan(a) else a
 
 
@@ -693,19 +704,22 @@ def _fixed_a(a_rule: Callable[[int], float], n: int) -> float:
     return a
 
 
-def _alpha_min_lanes(n: int, a_rule: ARule, k: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``alpha_min`` of each lane."""
+def _alpha_min_lanes(n, k: np.ndarray, d: np.ndarray, a_rule: ARule) -> np.ndarray:
+    """``alpha_min`` of each lane; a fixed rule is evaluated at each lane's n."""
+    nf = np.asarray(n, dtype=float)
     if not isinstance(a_rule, OptimizedRule):
-        value = 2.0 * _tuning_terms(_fixed_a(a_rule, n), n, k, d)[1]
+        value = 2.0 * _tuning_terms(np.array([_fixed_a(a_rule, m) for m in n]), nf, k, d)[1]
     else:
-        grid = np.sort(np.append(_SCAN_GRID, DEFAULT_A_RULE(n)))
-        values = 2.0 * _tuning_terms(grid, n, k[:, None], d[:, None])[1]
+        # the scan grid and the conventional a, sorted once per distinct n
+        ns, rows = np.unique(nf, return_inverse=True)
+        scan = np.broadcast_to(_SCAN_GRID, (ns.size, _SCAN_GRID.size))
+        grid = np.sort(np.column_stack([scan, [DEFAULT_A_RULE(m) for m in ns.tolist()]]))[rows]
+        values = 2.0 * _tuning_terms(grid, nf[:, None], k[:, None], d[:, None])[1]
 
         def objective(a, lanes):
-            return 2.0 * _tuning_terms(a, n, k[lanes], d[lanes])[1]
+            return 2.0 * _tuning_terms(a, nf[lanes], k[lanes], d[lanes])[1]
 
-        grid = np.broadcast_to(grid, values.shape)
-        value = _golden_lanes(objective, grid, values, 1.0 + 1e-14, 2.0 * grid[0, -1], tol=1e-10)[1]
+        value = _golden_lanes(objective, grid, values, 1.0 + 1e-14, 2.0 * grid[:, -1], tol=1e-10)[1]
     return np.where(value < 1.0, value, 1.0)
 
 
@@ -720,10 +734,7 @@ def alpha_min(
     conventional 1 + n^(-1/5)), then golden-section refinement between the
     best point's neighbours to tolerance 1e-10.  Clamped to 1.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
-    d = delta_of(delta, n, kurtosis_bound)
-    return float(_alpha_min_lanes(n, a_rule, np.array([float(kurtosis_bound)]), np.array([d]))[0])
+    return float(_lane_search(_alpha_min_lanes, [n], kurtosis_bound, delta, a_rule)[0])
 
 
 def unknown_variance_width_factor(n: int, cfg: MeanCiConfig) -> float | None:
@@ -741,21 +752,18 @@ def unknown_variance_width_factor(n: int, cfg: MeanCiConfig) -> float | None:
     return None if math.isinf(w) else w
 
 
-def _unknown_variance_lanes(
-    n: int, alpha: float, a_rule: ARule, delta: DeltaProvider, k: np.ndarray, track: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """For an array of kurtosis bounds K >= 1 at sample size n, one lane
-    search over all of them: each K's ``unknown_variance_width_factor``
-    (+inf where it is None) and, when ``track``, its ``alpha_min`` (else
-    None), bit for bit as the one-K functions give them."""
-    d = np.array([delta_of(delta, n, kl) for kl in k.tolist()])
+def _unknown_variance_lanes(n, k: np.ndarray, d: np.ndarray, alpha: float, a_rule: ARule,
+                            track: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each lane's ``unknown_variance_width_factor`` (+inf where it is None)
+    and, when ``track``, its ``alpha_min`` (else None), bit for bit as the
+    one-lane functions give them."""
     if isinstance(a_rule, OptimizedRule):
-        a = _optimize_lanes(n, alpha, k, d)
+        a = _optimize_lanes(n, k, d, alpha)
     else:
-        a = np.full(k.shape, _fixed_a(a_rule, n))
+        a = np.array([_fixed_a(a_rule, m) for m in n])
     # a NaN a (no feasible a) fails the feasibility test: factor +inf
-    factors = _width_multiplier(a, n, alpha, k, d)
-    return factors, _alpha_min_lanes(n, a_rule, k, d) if track else None
+    factors = _width_multiplier(a, np.asarray(n, dtype=float), alpha, k, d)
+    return factors, _alpha_min_lanes(n, k, d, a_rule) if track else None
 
 
 def _plug_in_kurtosis(fourth, second_sq, n: int, inflation: float):

@@ -162,7 +162,8 @@ def _fit(xt: np.ndarray, y: np.ndarray) -> _Fits:
     n = xt.shape[-1]
     x = np.swapaxes(xt, -1, -2)
     # the designs are finite, but x'x can still overflow: _symmetrized rejects that
-    s = _symmetrized(xt @ x / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _symmetrized(xt @ x / n)
     eigenvalues, eigenvectors = _eigh_desc(s)
     s_dagger = _pseudo_inverse_of(eigenvalues, eigenvectors)
     # a response that overflows here is the DataError below
@@ -213,6 +214,15 @@ def _quadratic(u: np.ndarray, fits: _Fits) -> np.ndarray:
     return ((u @ fits.v_hat)[..., None, :] @ u)[..., 0]
 
 
+def _unit_scale(u: np.ndarray) -> tuple[np.ndarray, int]:
+    """(u 2^-k, k) with k the binary exponent of max|u| (``math.frexp``), so
+    that max|u 2^-k| is in [1/2, 1).  A half-width is taken at that scale,
+    where u'Vu, |u| and the influence values neither underflow nor
+    overflow, and multiplied by 2^k, which is exact."""
+    k = math.frexp(float(np.max(np.abs(u))))[1]
+    return np.ldexp(u, -k), k
+
+
 @dataclass(frozen=True)
 class OlsFit:
     """A least-squares fit: ``_fits``, the fit as a stack of one (``_fit``),
@@ -258,11 +268,12 @@ def _one_interval(fits: _Fits, u: np.ndarray, halves: tuple, alpha: float, metho
 def _asymp_halves(fits: _Fits, u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Half-widths q(1-alpha/2) sqrt(u'Vu/n) of the asymptotic intervals of
     a stack of fits (u'Vu below 0 counts as 0), and their whole-line mask:
-    none is the whole line."""
+    none is the whole line.  u enters at the scale of ``_unit_scale``."""
+    u, k = _unit_scale(u)
     variance = _quadratic(u, fits)
     half = (std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(np.where(variance < 0.0, 0.0, variance))
             / math.sqrt(fits.xt.shape[-1]))
-    return half, np.zeros(half.shape, dtype=bool)
+    return np.ldexp(half, k), np.zeros(half.shape, dtype=bool)
 
 
 def ci_asymp(design: Design, alpha: float, fit: OlsFit | None = None) -> ConfidenceInterval:
@@ -669,8 +680,9 @@ def _plug_in_estimates(fits: _Fits, u: np.ndarray, names: set) -> dict[str, np.n
             # base costs tens of times as much
             res_sq = fits.residuals * fits.residuals
             estimates["k_eps"] = _means(rot_sq2 * (res_sq * res_sq))
-        if "k_xi" in names:
-            influence = ((fits.s_dagger @ u)[..., None, :] @ fits.xt)[..., 0, :] * fits.residuals
+        if "k_xi" in names:  # a kurtosis, free of u's scale, so taken at _unit_scale's
+            direction = fits.s_dagger @ _unit_scale(u)[0]
+            influence = (direction[..., None, :] @ fits.xt)[..., 0, :] * fits.residuals
             second = _means(influence * influence)
     if not all(np.isfinite(estimate).all() for estimate in estimates.values()):  # lambda_min(S) is finite
         raise DataError(
@@ -732,9 +744,9 @@ def _edg_halves(fits: _Fits, u: np.ndarray, alpha: float, bounds: OlsBounds,
     cached ``n_zero`` call per fit); otherwise its half-width is
     (sqrt(a_n) q(1-alpha/2+nu_edg) sqrt(u'Vu + |u|^2 R_var) + R_lin)/sqrt(n),
     the expanded form that stays well-defined when the variance term is
-    zero, evaluated fit by fit in the order ``ci_edg`` has always used.
-    R_var's moments (m4, m31, m_xe2, t4) are taken from the stack once, and
-    only when some interval is bounded.
+    zero, evaluated fit by fit in the order ``ci_edg`` has always used, at
+    the scale of ``_unit_scale``.  R_var's moments (m4, m31, m_xe2, t4) are
+    taken from the stack once, and only when some interval is bounded.
     """
     n = fits.xt.shape[-1]
     # validate the tuning rules at this n up front (config errors beat the
@@ -748,6 +760,7 @@ def _edg_halves(fits: _Fits, u: np.ndarray, alpha: float, bounds: OlsBounds,
         return half, whole
     moments = list(zip(*(m.tolist() for m in (*_row_moments(fits), _t4(fits)))))
     gamma = omega * alpha / 2.0
+    u, k = _unit_scale(u)
     u_norm = float(np.sqrt(u @ u))
     variance = _quadratic(u, fits).tolist()
     for r in np.flatnonzero(~whole).tolist():
@@ -756,7 +769,7 @@ def _edg_halves(fits: _Fits, u: np.ndarray, alpha: float, bounds: OlsBounds,
         variance_term = max(variance[r], 0.0) + u_norm**2 * _r_var(weights, moments[r])
         lin_term = r_lin(gamma, n, resolved[r], u_norm)
         half[r] = (math.sqrt(a) * quantile * math.sqrt(variance_term) + lin_term) / math.sqrt(n)
-    return half, whole
+    return np.ldexp(half, k), whole
 
 
 def ci_edg(

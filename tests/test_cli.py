@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,12 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from navae import cli
 from navae.cli import load_mean_csv, load_ols_csv, run_command
+from navae.edgeworth import BerryEsseen
 from navae.errors import ConfigError, DataError
+from navae.mean_ci import alpha_min, feasible_a_interval
 from navae.report import read_report
+from navae.rules import OPTIMIZED
 
 
 @pytest.fixture()
@@ -591,6 +597,42 @@ def test_feasibility_a_interval(in_tmp, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode, flags", [("alpha-min", ["--a-rule", "optimized"]),
+                                         ("a-interval", ["--alpha", "0.1"])])
+def test_feasibility_n_list_is_one_lane_search_in_blocks_of_64(in_tmp, capsys, monkeypatch, mode, flags):
+    # 200 n values, unsorted and with repeats, are four kernel calls of at
+    # most 64 lanes, and each row is the one-lane public search at its n
+    name = "_alpha_min_lanes" if mode == "alpha-min" else "_feasible_lanes"
+    kernel, sizes = getattr(cli, name), []
+
+    def recording(n, *args):
+        sizes.append(len(n))
+        return kernel(n, *args)
+
+    monkeypatch.setattr(cli, name, recording)
+    n = np.random.default_rng(8).integers(2, 10**6, 200).tolist()
+    n[5:8] = [n[0], 1, n[0]]
+    assert run_command(["feasibility", "--mode", mode, "--K", "9", "--n", ",".join(map(str, n))] + flags) == 0
+    assert sizes == [64, 64, 64, 8]
+    assert len(capsys.readouterr().out.splitlines()) == 200 + 2  # the rows, then report and summary
+    rows = read_report(in_tmp / "feasibility_report.csv")
+    assert [r.n for r in rows] == n
+    if mode == "alpha-min":
+        assert [r.alpha_min for r in rows] == [alpha_min(m, 9.0, OPTIMIZED, BerryEsseen()) for m in n]
+    else:
+        assert [(r.a_lower, r.a_upper) for r in rows] == [
+            feasible_a_interval(m, 0.1, 9.0, BerryEsseen()) or (None, None) for m in n]
+
+
+def test_feasibility_n_list_exits_at_its_first_failing_n(in_tmp, capsys):
+    # a_rule(n) = 0.5 + n^-0.2 first drops below 1 at n = 40
+    code = run_command(["feasibility", "--mode", "alpha-min", "--K", "9", "--a-rule", "0.5+n^-0.2",
+                        "--n", "10,20,40,80"])
+    assert code == 2
+    assert "a_rule(40) = 0.9781762498950184; fixed rules must return a > 1" in capsys.readouterr().err
+    assert not (in_tmp / "feasibility_report.csv").exists()
+
+
 def test_feasibility_n_zero(in_tmp, capsys):
     code = run_command(
         ["feasibility", "--mode", "n-zero", "--alpha", "0.10", "--k-xi", "9",
@@ -971,6 +1013,128 @@ def test_simulate_generated_configs_same_at_one_and_two_workers(study):
         assert codes[1] == codes[0]
         if codes[0] == 0:
             assert (tmp / "w1.csv").read_bytes() == (tmp / "w2.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# a fuzzer over the one-shot commands' flags and input files
+# ---------------------------------------------------------------------------
+
+_FUZZ_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 10**9).map(str),
+    st.sampled_from(["0.1", "0.05", "0.3", "0.5", "1", "9", "1e308", "-0", "plugin", "abc", ""]),
+)
+# mostly in range, so that most draws get past the flag checks
+_FUZZ_ALPHA = st.one_of(st.floats(1e-3, 0.49).map(repr), st.floats(1e-3, 0.49).map(repr), _FUZZ_NUMBER)
+_FUZZ_BOUND = st.one_of(st.floats(1.0, 1e3).map(repr), st.floats(1e-3, 1.0).map(repr), _FUZZ_NUMBER)
+_FUZZ_RULE = st.sampled_from(["optimized", "1+n^-0.2", "1+20*n^-2/5", "n^-1/5", "1.5", "0.5+n^-0.2",
+                              "2", "n^0.5", "0", "bad"])
+_FUZZ_DELTA = st.sampled_from(["be", "edg-leading", "edg-cont-leading", "min(be,edg-leading)",
+                               "user:{table}", "user:{table}:certified", "min(be,user:{table})", "bogus"])
+# n lists that repeat, are unsorted, start at 1 and reach 1e9
+_FUZZ_N = st.one_of(
+    st.lists(st.one_of(st.integers(1, 10**9), st.sampled_from([1, 2, 10**9])), min_size=1, max_size=6)
+    .map(lambda n: ",".join(map(str, n))),
+    st.sampled_from(["1", "1,1,100000000,2", "1e9,1", "0", "1.5", "10,abc", "", "1e400"]),
+)
+_FUZZ_SMALL_N = st.lists(st.integers(1, 3000), min_size=1, max_size=3).map(lambda n: ",".join(map(str, n)))
+
+
+def _fuzz_csv(columns: int):
+    """CSV bytes: a header or none, then rows of ``columns`` generated
+    numbers, with a ragged or non-numeric row now and then; or JSON text;
+    or arbitrary bytes."""
+    wide = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, 1e300, -1e-300]))
+    value = st.sampled_from([st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), wide]).flatmap(lambda v: v)
+    row = st.lists(value, min_size=columns, max_size=columns).map(lambda r: ",".join(map(repr, r)))
+    header = ",".join(["y"] + [f"x{j}" for j in range(1, columns)]) if columns > 1 else "x"
+    rows = st.one_of(st.lists(row, min_size=5, max_size=30), st.lists(row, max_size=4))
+    table = st.tuples(st.sampled_from([True, True, False]), rows,
+                      st.sampled_from(["", "", "", "1,2,3,4,5,6", "a,b"]))
+    text = table.map(lambda t: ("\n".join(([header] if t[0] else []) + t[1] + [t[2]]) + "\n").encode())
+    return st.one_of(
+        text,
+        text,
+        text,
+        st.dictionaries(st.text(max_size=5), st.floats(), max_size=3).map(lambda d: json.dumps(d).encode()),
+        st.binary(max_size=64),
+    )
+
+
+def _flag(name: str, strategy):
+    """The flag with a drawn value (as one argument, so that a value such as
+    -1 is not read as a flag), or nothing."""
+    return st.one_of(st.just([]), strategy.map(lambda v: [f"{name}={v}"]))
+
+
+@st.composite
+def _fuzz_commands(draw):
+    """(argv, {file name: bytes}) for mean-ci, ols-ci, feasibility or
+    width-curve; ``{table}`` and ``{input}`` stand for the files' paths."""
+    command = draw(st.sampled_from(["mean-ci", "ols-ci", "feasibility", "width-curve"]))
+    files = {"table": draw(st.one_of(
+        st.lists(st.tuples(st.integers(1, 10**6), st.floats(1.0, 100.0), st.floats(1e-4, 1.0)),
+                 min_size=1, max_size=4).map(lambda rows: "".join(f"{n},{k!r},{d!r}\n" for n, k, d in rows)
+                                             .encode()),
+        _fuzz_csv(3)))}
+    argv = [command]
+    if command == "mean-ci":
+        files["input"] = draw(_fuzz_csv(1))
+        argv += ["--input", "{input}", "--alpha=" + draw(_FUZZ_ALPHA), "--method", draw(st.sampled_from(
+            ["clt", "student", "chebyshev", "hoeffding", "known-variance", "unknown-variance"]))]
+        for name in ("--K", "--sigma", "--var-bound", "--inflation"):
+            argv += draw(_flag(name, _FUZZ_BOUND))
+        argv += draw(_flag("--support", st.sampled_from(["-1e6,1e6", "0,1", "1,0", "a,b"])))
+    elif command == "ols-ci":
+        p = draw(st.integers(2, 4))
+        files["input"] = draw(_fuzz_csv(p))
+        intercept = draw(st.sampled_from([[], ["--add-intercept"]]))
+        coordinate = st.one_of(st.floats(0.5, 1e3), st.floats(-1e3, -0.5), st.sampled_from([0.0, 1e-300, 1e300]))
+        size = p - 1 + len(intercept)
+        u = st.lists(coordinate, min_size=size, max_size=size).map(lambda v: ",".join(map(repr, v)))
+        argv += ["--input", "{input}", "--alpha=" + draw(_FUZZ_ALPHA), "--method",
+                 draw(st.sampled_from(["asymp", "edg"])),
+                 "--u=" + draw(st.one_of(u, u, st.lists(_FUZZ_NUMBER, min_size=1, max_size=p + 1)
+                                         .map(",".join)))]
+        argv += intercept
+        for name in ("--lambda-reg", "--k-reg", "--k-eps", "--k-xi", "--inflation"):
+            argv += draw(_flag(name, _FUZZ_BOUND))
+    elif command == "feasibility":
+        mode = draw(st.sampled_from(["alpha-min", "a-interval", "n-zero"]))
+        argv += ["--mode", mode, "--n=" + draw(_FUZZ_N)]
+        argv += ["--alpha=" + draw(_FUZZ_ALPHA)] if mode != "alpha-min" or draw(st.booleans()) else []
+        for name in ("--K", "--k-reg", "--k-xi"):
+            argv += draw(_flag(name, _FUZZ_BOUND))
+    else:
+        argv += ["--method", draw(st.sampled_from(["known-variance", "unknown-variance", "edg"])),
+                 "--alpha=" + draw(_FUZZ_ALPHA), "--n", draw(_FUZZ_SMALL_N),
+                 "-M", str(draw(st.integers(0, 3))), "--seed", str(draw(st.integers(0, 5)))]
+        for name in ("--K", "--sigma"):
+            argv += draw(_flag(name, _FUZZ_BOUND))
+    argv += draw(_flag("--a-rule", _FUZZ_RULE)) + draw(_flag("--delta", _FUZZ_DELTA))
+    return argv, files
+
+
+@given(case=_fuzz_commands())
+# found by this test: x'x overflowed with a RuntimeWarning before its DataError,
+# and a K_xi of 1e308 overflowed edg-cont-leading's K^1.5 with an OverflowError
+@example(case=(["ols-ci", "--input", "{input}", "--alpha=0.25", "--method", "asymp", "--u=0.0,1.0"],
+               {"input": b"y,x1,x2\n" + b"0.0,0.0,0.0\n" * 5 + b"0.0,0.0,1.3407807929942597e+154\n"}))
+@example(case=(["feasibility", "--mode", "n-zero", "--n=1", "--alpha=0.25", "--k-xi=1e308",
+                "--delta=edg-cont-leading"], {}))
+@settings(max_examples=60, deadline=None)
+def test_one_shot_commands_exit_0_2_or_3_on_generated_inputs(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.csv" for name in files}
+        for name, content in files.items():
+            paths[name].write_bytes(content)
+        argv = [arg.format(**{name: str(path) for name, path in paths.items()}) for arg in argv]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_command(argv + ["--output", str(Path(tmp) / "report.csv")])
+    assert code in (0, 2, 3)
 
 
 def test_width_curve_command(in_tmp, capsys):

@@ -753,46 +753,57 @@ def test_tuning_terms_are_the_same_at_a_float_and_an_array():
             assert (one_nu[0], one_excess[0]) == (nu[j], excess[j])
 
 
+def _mixed_lanes(kurtosis, seed):
+    """Every (n, K) of the n set and ``kurtosis``, ten of them twice, in a
+    shuffled order: lanes of mixed n for one search call."""
+    pairs = [(n, k) for n in (2, 100, 2000, 20_000, 10**6, 10**8) for k in kurtosis]
+    rng = np.random.default_rng(seed)
+    pairs += [pairs[j] for j in rng.choice(len(pairs), 10, replace=False)]
+    pairs = [pairs[j] for j in rng.permutation(len(pairs))]
+    return [n for n, _ in pairs], np.array([k for _, k in pairs])
+
+
 def test_lane_searches_equal_scalar_searches_bit_for_bit():
-    # lanes with different K share every numpy call at one n; each must run
+    # lanes with different n and K share every numpy call; each must run
     # exactly its own scalar search, whether infeasible, seeded with the
     # conventional a or not, or extended past the top of the scan grid
-    kurtosis = np.array([1.0, 1.7, 3.0, 9.0, 9.0, 25.0, 400.0])
+    n, kurtosis = _mixed_lanes([1.0, 1.7, 3.0, 9.0, 9.0, 25.0, 400.0], seed=3)
+    assert len(n) <= mean_ci._LANES  # one call, not blocks
+    d = np.array([delta_of(BE, m, k) for m, k in zip(n, kurtosis.tolist())])
     seen = set()
-    for n in (2, 100, 2000, 20_000, 10**6, 10**8):
-        d = np.array([delta_of(BE, n, k) for k in kurtosis])
-        for alpha in (0.05, 0.32):
-            lows, highs = mean_ci._feasible_lanes(n, alpha, kurtosis, d)
-            stars = mean_ci._optimize_lanes(n, alpha, kurtosis, d)
-            for j, k in enumerate(kurtosis.tolist()):
-                expected = feasible_a_interval_oracle(n, alpha, k, d[j])
-                assert feasible_a_interval(n, alpha, k, BE) == expected
-                if expected is None:
-                    assert math.isnan(lows[j]) and math.isnan(highs[j]) and math.isnan(stars[j])
-                    seen.add("infeasible")
-                    continue
-                assert (lows[j], highs[j]) == expected
-                assert stars[j] == optimize_a_oracle(n, alpha, k, d[j]) == optimize_a(n, alpha, k, BE)
-                seen.add("extended" if expected[1] > mean_ci._SCAN_GRID[-1] else "inside")
-                conventional = mean_ci.DEFAULT_A_RULE(n)
-                seen.add("seeded" if expected[0] < conventional < expected[1] else "unseeded")
-        amins = mean_ci._alpha_min_lanes(n, OPTIMIZED, kurtosis, d)
-        for j, k in enumerate(kurtosis.tolist()):
-            assert amins[j] == alpha_min_oracle(n, k, d[j]) == alpha_min(n, k, OPTIMIZED, BE)
+    for alpha in (0.05, 0.32):
+        lows, highs = mean_ci._feasible_lanes(n, kurtosis, d, alpha)
+        stars = mean_ci._optimize_lanes(n, kurtosis, d, alpha)
+        for j, (m, k) in enumerate(zip(n, kurtosis.tolist())):
+            expected = feasible_a_interval_oracle(m, alpha, k, d[j])
+            assert feasible_a_interval(m, alpha, k, BE) == expected
+            if expected is None:
+                assert math.isnan(lows[j]) and math.isnan(highs[j]) and math.isnan(stars[j])
+                seen.add("infeasible")
+                continue
+            assert (lows[j], highs[j]) == expected
+            assert stars[j] == optimize_a_oracle(m, alpha, k, d[j]) == optimize_a(m, alpha, k, BE)
+            seen.add("extended" if expected[1] > mean_ci._SCAN_GRID[-1] else "inside")
+            conventional = mean_ci.DEFAULT_A_RULE(m)
+            seen.add("seeded" if expected[0] < conventional < expected[1] else "unseeded")
+    amins = mean_ci._alpha_min_lanes(n, kurtosis, d, OPTIMIZED)
+    for j, (m, k) in enumerate(zip(n, kurtosis.tolist())):
+        assert amins[j] == alpha_min_oracle(m, k, d[j]) == alpha_min(m, k, OPTIMIZED, BE)
     assert seen == {"infeasible", "extended", "inside", "seeded", "unseeded"}
 
 
 @pytest.mark.parametrize("a_rule", [OPTIMIZED, mean_ci.DEFAULT_A_RULE], ids=["optimized", "fixed"])
 def test_unknown_variance_lanes_equal_the_one_k_functions(a_rule):
-    kurtosis = np.array([1.0, 2.5, 9.0, 40.0, 400.0])
-    for n in (100, 3000, 20_000):
-        factors, amins = mean_ci._unknown_variance_lanes(n, 0.1, a_rule, BE, kurtosis, True)
-        assert mean_ci._unknown_variance_lanes(n, 0.1, a_rule, BE, kurtosis, False)[1] is None
-        for j, k in enumerate(kurtosis.tolist()):
-            cfg = MeanCiConfig(alpha=0.1, kurtosis_bound=k, delta=BE, a_rule=a_rule)
-            factor = unknown_variance_width_factor(n, cfg)
-            assert factors[j] == (math.inf if factor is None else factor)
-            assert amins[j] == alpha_min(n, k, a_rule, BE)
+    n, kurtosis = _mixed_lanes([1.0, 2.5, 9.0, 40.0, 400.0], seed=4)
+    d = np.array([delta_of(BE, m, k) for m, k in zip(n, kurtosis.tolist())])
+    factors, amins = mean_ci._unknown_variance_lanes(n, kurtosis, d, 0.1, a_rule, True)
+    assert mean_ci._unknown_variance_lanes(n, kurtosis, d, 0.1, a_rule, False)[1] is None
+    for j, (m, k) in enumerate(zip(n, kurtosis.tolist())):
+        cfg = MeanCiConfig(alpha=0.1, kurtosis_bound=k, delta=BE, a_rule=a_rule)
+        factor = unknown_variance_width_factor(m, cfg)
+        assert factors[j] == (math.inf if factor is None else factor)
+        assert amins[j] == alpha_min(m, k, a_rule, BE)
+    assert np.isinf(factors).any() and np.isfinite(factors).any()
 
 
 @pytest.mark.parametrize("method", ["clt", "student", "unknown-variance"])

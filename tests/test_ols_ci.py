@@ -222,6 +222,39 @@ def test_ci_asymp_intercept_only_equals_clt():
         assert ci_a.upper == pytest.approx(ci_c.upper, abs=1e-10)
 
 
+def test_half_widths_scale_exactly_with_u():
+    # u'Vu, |u| and the influence values are taken at max|u| in [1/2, 1), so
+    # a half-width at c u is c times the one at u whenever c is a power of
+    # two, and a tiny or huge u keeps its interval
+    design = simulated_design(20_000, 3, u=(0.0, 0.0, 1.0))
+    fit = ols_fit(design)
+    fits = fit._fits
+    e3 = np.array([0.0, 0.0, 1.0])
+    mixed = OlsBounds(lambda_reg=PlugIn(), k_reg=PlugIn(), k_eps=PlugIn(), k_xi=9.0)
+    halves = {
+        "asymp": lambda u: ols_ci._asymp_halves(fits, u, 0.1),
+        "edg-fixed": lambda u: ols_ci._edg_halves(fits, u, 0.1, OlsBounds(1.0, 0.01, 1.0, 9.0), OlsTuning()),
+        "edg-plug-in": lambda u: ols_ci._edg_halves(fits, u, 0.1, mixed, OlsTuning()),
+        "edg-all-plug-in": lambda u: ols_ci._edg_halves(fits, u, 0.1, OlsBounds.all_plug_in(), OlsTuning()),
+    }
+    for name, halve in halves.items():
+        half, whole = halve(e3)
+        assert whole[0] == (name == "edg-all-plug-in")
+        for j in (-1000, -500, 0, 500, 1000):
+            scaled_half, scaled_whole = halve(math.ldexp(1.0, j) * e3)
+            assert scaled_whole[0] == whole[0]
+            np.testing.assert_array_equal(scaled_half, np.ldexp(half, j))
+    for j in (-1000, -500, 500, 1000):
+        bounds = resolve_bounds(OlsBounds.all_plug_in(), fit, math.ldexp(1.0, j) * e3)
+        assert bounds == resolve_bounds(OlsBounds.all_plug_in(), fit, e3)
+    tiny = dataclasses.replace(design, u=1e-300 * e3)
+    assert ci_edg(tiny, 0.1, OlsBounds(1.0, 0.01, 1.0, 9.0), OlsTuning()).width > 0.0
+    assert ci_edg(tiny, 0.1, OlsBounds.all_plug_in(), OlsTuning()).whole_line
+    small = simulated_design(500, 3, u=(0.0, 0.0, 1.0))
+    for scale in (1e-300, 1e300):
+        assert ci_asymp(dataclasses.replace(small, u=scale * e3), 0.1).width > 0.0
+
+
 # ---------------------------------------------------------------------------
 # correction terms
 # ---------------------------------------------------------------------------
@@ -616,12 +649,11 @@ def test_fit_moments_and_plug_in_match_power_forms():
 
 def test_ols_fit_rejects_overflowing_second_moment():
     # every entry is finite, so Design accepts it, but x'x overflows; the fit
-    # must stop there, before the moments overflow too
+    # must stop there, before the moments overflow too, and without a warning
     x = np.array([[1e200, 1.0], [1.0, 1e200], [1e200, 1e200]])
     design = Design(x=x, y=np.array([1.0, 2.0, 3.0]), u=np.array([1.0, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", "overflow encountered in matmul")
         with pytest.raises(DataError, match="finite"):
             ols_fit(design)
 

@@ -213,7 +213,6 @@ def test_study_equals_the_oracle_loop(name, chunk, monkeypatch):
 ], ids=["clt", "student", "unknown-variance", "plug-in", "plug-in-optimized", "plug-in-inflated"])
 def test_chunk_records_equal_the_oracle_records_bit_for_bit(method, monkeypatch):
     monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", 1 << 10)
-    monkeypatch.setattr(dgp_sim, "_LANE_DOUBLES", 1 << 4)  # plug-in lane blocks stay 64 wide
     for n_grid, replications in [(tuple(range(2, 40)), 40), ((100, 1000, 65536, 65537, 100_000), 3)]:
         spec = SimStudySpec(dgp=ExponentialMean(), methods=(method,), n_grid=n_grid,
                             replications=replications, alpha=0.2, base_seed=29)
@@ -263,9 +262,9 @@ def test_plug_in_slices_search_in_blocks_of_64_lanes(monkeypatch):
     sizes = []
     search = dgp_sim._unknown_variance_lanes
 
-    def recording(n, alpha, a_rule, delta, k, track):
+    def recording(n, k, d, alpha, a_rule, track):
         sizes.append(k.size)
-        return search(n, alpha, a_rule, delta, k, track)
+        return search(n, k, d, alpha, a_rule, track)
 
     monkeypatch.setattr(dgp_sim, "_unknown_variance_lanes", recording)
     method = UnknownVarianceMethod(kurtosis_bound=None, a_rule=OPTIMIZED, track_alpha_min=True)
