@@ -19,14 +19,18 @@ function does.  A mean slice is drawn a chunk at a time into one buffer of
 at most ``_CHUNK_DOUBLES`` values and reduced once to per-replication
 means, sigma_hat^2 and, for a plug-in K, fourth moments; a plug-in K's
 tuning searches are one lane search (``mean_ci._lane_search``), a lane per
-K.  ``ExponentialMean`` draws each replication straight into its row of
-the buffer, with no ``Sample``; other mean DGPs' ``sample`` values are
-copied in.  An OLS slice on ``GumbelHeteroLinear`` is drawn a block at a
-time, at most ``_CHUNK_DOUBLES // ((p + 1) n)`` replications, with no
-``Design``: x' and y go into stacked (R, p, n) and (R, n) buffers, and the
-block is fitted once, given plug-in bounds and given each method's
-intervals as one stack (``ols_ci``), with one cached ``n_zero`` call per
-replication.  A slice with a value the arrays cannot settle (a non-finite
+K.  An ``ExponentialMean`` replication is one keyed uniform fill of its row
+of the buffer, with no ``Sample``; the inverse CDF then runs once per chunk
+and leaves the negated draws log1p(-u)/rate, whose chunk means are negated
+once.  Division, pairwise summation and subtraction are sign-symmetric, so
+each mean is the exact negation of the draws' own and the deviations only
+flip sign: sigma_hat^2, the fourth moment and every report are unchanged.
+Other mean DGPs' ``sample`` values are copied in.  An OLS slice on
+``GumbelHeteroLinear`` is drawn a block at a time, at most
+``_CHUNK_DOUBLES // ((p + 1) n)`` replications, with no ``Design``: x' and
+y go into stacked (R, p, n) and (R, n) buffers, and the block is fitted
+once, given plug-in bounds and given each method's intervals as one stack
+(``ols_ci``), with one cached ``n_zero`` call per replication.  A slice with a value the arrays cannot settle (a non-finite
 draw, a singular S under plug-in bounds, zero influence values, an
 overflow, a ``FeasibilityError`` or a scan error included) runs again one
 draw and one ``interval`` call per method per replication, so every error
@@ -273,23 +277,40 @@ def _check_rate(rate: float) -> None:
         raise DomainError(f"rate must be finite and positive, got {rate!r}")
 
 
-def _fill_exponential(out: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
-    """``out`` (1-D, contiguous) filled with -ln(U)/rate, U uniform in (0,1]."""
+def _fill_uniforms(out: np.ndarray, rng: np.random.Generator) -> None:
+    """``out`` (contiguous) filled with uniforms in [0, 1): all that one
+    exponential replication draws; ``_negated_exponential`` maps them."""
     rng.random(out=out)
-    # -log1p(-u)/rate in place, as log1p(-u)/(-rate): negation is exact
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
-    out /= -rate
-    return out
+
+
+def _negated_exponential(u: np.ndarray, rate: float) -> np.ndarray:
+    """``u`` (uniforms in [0, 1), contiguous, any shape) replaced in place by
+    log1p(-u)/rate, the exact negation of the draws -log1p(-u)/rate (IEEE
+    division is sign-symmetric); x / 1 is exact, so rate 1 divides nothing.
+    A quotient past the float range is -inf, with an overflow warning unless
+    the caller silences it."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    if rate != 1.0:
+        u /= rate
+    return u
 
 
 def sample_exponential(n: int, seed: SeedLike, rate: float = 1.0) -> Sample:
-    """Exponential draws by inverse CDF -ln(U)/rate with U uniform in (0,1]."""
+    """Exponential draws by inverse CDF -ln(U)/rate with U uniform in (0,1].
+
+    The draws are one uniform fill (``_fill_uniforms``) and the exact
+    negation of ``_negated_exponential``'s log1p(-u)/rate.  A coverage
+    study's chunk path makes the same fill per replication, runs the inverse
+    CDF once per chunk and keeps the negated draws (``_mean_intervals``).
+    """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     _check_rate(rate)
+    values = np.empty(n)
+    _fill_uniforms(values, _generator(seed))
     with np.errstate(over="ignore"):  # a draw past the float range is inf, a DataError
-        values = _fill_exponential(np.empty(n), _generator(seed), rate)
+        np.negative(_negated_exponential(values, rate), out=values)
     return Sample(values)
 
 
@@ -719,15 +740,21 @@ def _mean_intervals(dgp, n: int, rules: list, streams: _CellStreams, start: int,
     replications ``start`` to ``stop - 1`` of a mean cell, or None.
 
     The draws pass through a buffer of at most ``_CHUNK_DOUBLES`` values, a
-    chunk of replications at a time (``ExponentialMean`` fills its rows with
-    ``_fill_exponential``, other DGPs' ``sample`` values are copied in), and
-    each chunk is reduced once, by ``mean_ci._centred_moments``, which
-    ``Sample`` reduces its values with too, to per-replication means,
-    sigma_hat^2 and, when some rule has a plug-in K, fourth moments of the
-    deviations (bit for bit the m4 of ``sample_kurtosis``); each plug-in
-    rule inflates its own K.  None when a sample is not n values long, a
-    sigma_hat^2 is NaN (a draw is not finite) or below the normal float
-    range, or a K is outside ``_plug_in_kurtosis``'s direct form.
+    chunk of replications at a time, and each chunk is reduced once, by
+    ``mean_ci._centred_moments``, which ``Sample`` reduces its values with
+    too, to per-replication means, sigma_hat^2 and, when some rule has a
+    plug-in K, fourth moments of the deviations (bit for bit the m4 of
+    ``sample_kurtosis``); each plug-in rule inflates its own K.  Other DGPs'
+    ``sample`` values are copied in.  An ``ExponentialMean`` replication is
+    one keyed uniform fill of its row (``_fill_uniforms``); the inverse CDF
+    (``_negated_exponential``) then runs once on the whole chunk and leaves
+    the negated draws, so the chunk's means are negated once.  Each is then
+    the exact negation of the mean of the draws, as IEEE division, pairwise
+    summation and subtraction are sign-symmetric; the deviations only flip
+    sign, so sigma_hat^2 and the fourth moments are the draws' own.  None
+    when a sample is not n values long, a sigma_hat^2 is NaN (a draw is not
+    finite) or below the normal float range, or a K is outside
+    ``_plug_in_kurtosis``'s direct form.
     """
     fill = type(dgp) is ExponentialMean
     count = stop - start
@@ -736,18 +763,22 @@ def _mean_intervals(dgp, n: int, rules: list, streams: _CellStreams, start: int,
     moments = np.empty((2 if all(rule.inflation is None for rule in rules) else 3, count))
     for lo in range(0, count, rows):
         chunk = buffer[: min(rows, count - lo)]
-        with np.errstate(over="ignore" if fill else None):  # an inf draw goes on to interval
-            for j, row in enumerate(chunk):
-                if fill:
-                    _fill_exponential(row, streams.seed(start + lo + j), dgp.rate)
-                    continue
-                values = dgp.sample(n, streams.seed(start + lo + j)).values
-                if values.size != n:
-                    return None
-                row[:] = values
+        for j, row in enumerate(chunk):
+            if fill:
+                _fill_uniforms(row, streams.seed(start + lo + j))
+                continue
+            values = dgp.sample(n, streams.seed(start + lo + j)).values
+            if values.size != n:
+                return None
+            row[:] = values
+        if fill:
+            with np.errstate(over="ignore"):  # an inf draw goes on to interval
+                _negated_exponential(chunk, dgp.rate)
         # an overflow here sends the slice to interval, which raises its DataError
         moments[:, lo : lo + len(chunk)] = _centred_moments(chunk, len(moments))
     means, variances, *fourths = moments
+    if fill:
+        np.negative(means, out=means)  # the buffer held the negated draws
     if not (variances >= sys.float_info.min).all():
         return None
     members = []

@@ -596,13 +596,15 @@ def _feasible_lanes(n, k: np.ndarray, d: np.ndarray, alpha: float) -> tuple:
     last = grid.size - 1 - np.argmax(feasible[:, ::-1], axis=1)
 
     hi = grid[np.minimum(last + 1, grid.size - 1)]
-    # lanes feasible at the top of the grid extend it geometrically
+    # lanes feasible at the top of the grid extend it geometrically; the
+    # region closes below a = n / q(1 - alpha/2)^2 (at most about 2.2 n for
+    # alpha < 1/2), which the doubling overshoots by less than 2x
     rising = np.nonzero(last == grid.size - 1)[0]
     while rising.size:
         rising = rising[gap(hi[rising], lanes[rising]) < 0.0]
         hi[rising] *= 2.0
-        if (hi[rising] > 1e18).any():
-            raise InvariantError("feasible region failed to close below a = 1e18")
+        if ((hi[rising] > 1e18) & (0.125 * hi[rising] > n[lanes[rising]])).any():
+            raise InvariantError("feasible region failed to close below a = max(1e18, 8 n)")
     # both endpoints of every lane in one lockstep bisection
     ends = _bisect_lanes(
         gap,

@@ -597,6 +597,18 @@ def test_feasibility_a_interval(in_tmp, capsys):
     capsys.readouterr()
 
 
+def test_feasibility_a_interval_at_a_huge_n(in_tmp, capsys):
+    # each feasible region closes past a = 1e18 or after the search passed it
+    code = run_command(["feasibility", "--mode", "a-interval", "--K", "9", "--alpha", "0.49",
+                        "--n", "4e17,1e19"])
+    assert code == 0, capsys.readouterr()
+    rows = read_report(in_tmp / "feasibility_report.csv")
+    assert [r.n for r in rows] == [4 * 10**17, 10**19]
+    assert all(1.0 < r.a_lower < r.a_upper for r in rows)
+    assert rows[1].a_upper > 1e19
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("mode, flags", [("alpha-min", ["--a-rule", "optimized"]),
                                          ("a-interval", ["--alpha", "0.1"])])
 def test_feasibility_n_list_is_one_lane_search_in_blocks_of_64(in_tmp, capsys, monkeypatch, mode, flags):

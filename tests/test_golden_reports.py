@@ -88,6 +88,15 @@ STUDIES = {
                     _EDG_PLUG_IN_XI_9],
         "n": [3655, 3656], "alpha": 0.1, "replications": 61, "seed": 7,
     },
+    # a rate that is not a power of two, so that dividing by it rounds
+    "mean_rate_sim": {
+        "dgp": {"kind": "exponential-mean", "rate": 0.37},
+        "methods": [{"name": "clt"}, {"name": "student"},
+                    {"name": "known-variance", "sigma": 1 / 0.37, "K": 9},
+                    {"name": "unknown-variance", "K": 9, "track_alpha_min": True},
+                    {"name": "unknown-variance", "K": "plugin"}],
+        "n": [2, 7, 100, 8193], "alpha": 0.1, "replications": 37, "seed": 11,
+    },
 }
 
 _MEAN = ["--input", "mean.csv", "--alpha", "0.1"]

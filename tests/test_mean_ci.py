@@ -502,6 +502,27 @@ def test_search_matches_frozen_reference(n, alpha, k, interval, a_star, amin):
     assert alpha_min(n, k, OPTIMIZED, BE) == pytest.approx(amin, rel=1e-12)
 
 
+# (n, alpha, feasible_a_interval, optimize_a) at K = 9 under Berry-Esseen
+# past a = 1e18: the feasible region closes below a = n / q(1 - alpha/2)^2,
+# about 2.2 n at alpha = 0.49, and the doubling search may pass 1e18 first
+HUGE_N_REFERENCE = [
+    (4 * 10**17, 0.49, (1.0000000057023612, 8.39408043072236e+17), 1.000000033023902),
+    (10**18, 0.49, (1.000000003611852, 2.098520135040045e+18), 1.0000000209040112),
+    (3 * 10**18, 0.1, (1.0000000037381351, 1.1088345099524954e+18), 1.0000000122426287),
+    (10**19, 0.1, (1.000000002103276, 3.6961150609921567e+18), 1.000000007524675),
+]
+
+
+@pytest.mark.parametrize("n, alpha, interval, a_star", HUGE_N_REFERENCE)
+def test_feasible_region_of_a_huge_n_closes(n, alpha, interval, a_star):
+    d = delta_of(BE, n, 9.0)
+    got = feasible_a_interval(n, alpha, 9.0, BE)
+    assert got == feasible_a_interval_oracle(n, alpha, 9.0, d)
+    assert got == pytest.approx(interval, rel=1e-12)
+    assert optimize_a(n, alpha, 9.0, BE) == optimize_a_oracle(n, alpha, 9.0, d)
+    assert optimize_a(n, alpha, 9.0, BE) == pytest.approx(a_star, rel=1e-12)
+
+
 def test_search_and_interval_agree_on_feasibility():
     # levels just above alpha_min(OPTIMIZED) leave a narrow feasible interval,
     # where the interval's C_n radicand is closest to zero

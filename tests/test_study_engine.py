@@ -315,6 +315,44 @@ def test_exponential_cells_build_no_sample_per_replication(monkeypatch):
     assert report == coverage_study_oracle(spec)
 
 
+def _outcome(run, spec):
+    """``run(spec)``'s report, or the (type, message) of its error."""
+    try:
+        return run(spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0, 0.37, 1e-300], ids=["1", "2", "0.37", "1e-300"])
+def test_negated_exponential_chunks_equal_the_oracle_loop(rate, monkeypatch):
+    # the chunk buffer holds the negated draws log1p(-u)/rate and the means
+    # are negated back, so each record is the serial loop's; 17 replications
+    # end in a partial chunk (7 rows of 8193 fill 2**16) at workers 1 to 3.
+    # At rate 1e-300 the draws are near 1e300: every study but the known
+    # variance's raises an interval's overflow DataError
+    methods = (CltMethod(), StudentMethod(), KnownVarianceMethod(sigma=1.0 / rate, kurtosis_bound=9.0),
+               UnknownVarianceMethod(track_alpha_min=True), UnknownVarianceMethod(kurtosis_bound=None))
+    outcomes = []
+    for method in methods:
+        spec = SimStudySpec(dgp=ExponentialMean(rate=rate), methods=(method,), n_grid=(2, 7, 100, 8193),
+                            replications=17, alpha=0.1, base_seed=23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            expected = _outcome(coverage_study_oracle, spec)
+            for chunk in (1 << 16, 64):
+                monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
+                for workers in (1, 2, 3):
+                    assert _outcome(lambda s: run_coverage_study(s, workers=workers), spec) == expected
+        outcomes.append(expected)
+    raised = [type(o) is tuple for o in outcomes]
+    if rate == 1e-300:
+        assert raised == [True, True, False, True, True]
+        assert all(o[0] is DataError and "overflows" in o[1] for o in outcomes if type(o) is tuple)
+    else:
+        assert not any(raised)
+        assert outcomes[2].row(methods[2].label, 8193).whole_line_fraction == 0.0
+
+
 @pytest.mark.parametrize("n", [3, 4, 5000])
 def test_gumbel_block_rows_are_the_designs_sample_draws(n):
     # the engine fills one C-ordered scratch design per replication and
@@ -478,7 +516,7 @@ def test_ols_width_curve_equals_the_oracle_loop(monkeypatch):
 @pytest.mark.parametrize("dgp, methods, n_grid, fill, data_free", [
     (ExponentialMean(), (CltMethod(), UnknownVarianceMethod(kurtosis_bound=None, plug_in_inflation=2.0),
                          KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0)),
-     (2375, 3000), "_fill_exponential", (2375, (2,))),
+     (2375, 3000), "_fill_uniforms", (2375, (2,))),
     (GumbelHeteroLinear(), (EDG, OlsAsympMethod(), OlsEdgMethod(bounds=OlsBounds(1.0, 0.01, 1.0, 9.0))),
      (3655, 3656, 5000), "_fill_gumbel", (3655, (0, 2))),
 ], ids=["mean", "ols"])
@@ -487,7 +525,8 @@ def test_a_group_gives_each_method_its_records_alone(dgp, methods, n_grid, fill,
     # the methods of a group share one draw per replication, from the stream
     # of its first method: each gets bit for bit the records it gets as the
     # only method of a study, and a method proved the whole line without
-    # data (known variance at n = 2375, both edgs at n = 3655) draws nothing
+    # data (known variance at n = 2375, both edgs at n = 3655) draws nothing;
+    # an exponential replication's draw is its uniform fill
     monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
     reps = 9
     group = SimStudySpec(dgp, methods, n_grid, reps, 0.1, 5)
@@ -643,20 +682,19 @@ def test_a_nan_in_the_middle_of_a_chunk_raises_the_serial_error(monkeypatch):
 
 
 def test_a_nan_in_an_exponential_chunk_raises_the_serial_error(monkeypatch):
-    # the shared fill puts a NaN in the middle of replication 5's row, so
-    # sample_exponential's Sample (the oracle) and the chunk path both see it
-    first = [-np.log1p(-np.random.Generator(np.random.Philox(substream(4, 0, 50, r))).random())
-             for r in range(12)]
-    assert [x > 2.0 for x in first] == [False] * 5 + [True] + [False] * 6
-    fill = dgp_sim._fill_exponential
+    # the shared uniform fill puts a NaN in the middle of replication 5's
+    # row, so sample_exponential's Sample (the oracle) and the chunk path,
+    # whose inverse CDF runs on the whole chunk, both see it
+    first = [np.random.Generator(np.random.Philox(substream(4, 0, 50, r))).random() for r in range(12)]
+    assert [u > 0.85 for u in first] == [False] * 5 + [True] + [False] * 6
+    fill = dgp_sim._fill_uniforms
 
-    def nan_above_two(out, rng, rate):
-        fill(out, rng, rate)
-        if out[0] > 2.0:
+    def nan_above(out, rng):
+        fill(out, rng)
+        if out[0] > 0.85:
             out[out.size // 2] = np.nan
-        return out
 
-    monkeypatch.setattr(dgp_sim, "_fill_exponential", nan_above_two)
+    monkeypatch.setattr(dgp_sim, "_fill_uniforms", nan_above)
     methods = (CltMethod(), UnknownVarianceMethod(kurtosis_bound=None, track_alpha_min=True))
     spec = SimStudySpec(dgp=ExponentialMean(), methods=methods, n_grid=(50,), replications=12,
                         alpha=0.1, base_seed=4)
@@ -785,7 +823,7 @@ def test_a_singular_design_is_fitted_by_the_asymp_rule(monkeypatch):
     assert built == []
 
 
-def _nan_exponential(out, rng, rate):
+def _nan_uniforms(out, rng):
     out[:] = np.nan
 
 
@@ -793,10 +831,10 @@ def _nan_exponential(out, rng, rate):
     (GumbelHeteroLinear(), EDG, 50, "_fill_gumbel", _faulty_gumbel("nan")),
     (GumbelHeteroLinear(), EDG, 50, "_fill_gumbel", _faulty_gumbel("singular")),
     (GumbelHeteroLinear(), EDG, 50, "_fill_gumbel", _faulty_gumbel("overflow")),
-    (ExponentialMean(), KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0), 100, "_fill_exponential",
-     _nan_exponential),
+    (ExponentialMean(), KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0), 100, "_fill_uniforms",
+     _nan_uniforms),
     (ExponentialMean(), UnknownVarianceMethod(kurtosis_bound=9.0, track_alpha_min=True), 100,
-     "_fill_exponential", _nan_exponential),
+     "_fill_uniforms", _nan_uniforms),
 ], ids=["nan-edg", "singular-edg", "overflow-edg", "known-variance", "unknown-variance"])
 def test_a_data_free_whole_line_cell_draws_nothing(dgp, method, n, fill, faulty, monkeypatch):
     # edg at K_xi = 9 is the whole line up to n0 >= 3655 whatever K_reg is,
