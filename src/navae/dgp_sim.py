@@ -1,48 +1,10 @@
 """Data-generating processes and the Monte Carlo coverage/width harness.
 
-One engine (``_run_slice``) runs every replication: it evaluates a group of
-methods at a size n, and replication r of a group is one draw, from its own
-Philox counter-based stream, the one ``substream(base_seed, i, n, r)``
-seeds for the group's first method i, which every method of the group is
-evaluated on.  A coverage study's groups are its methods one by one; the
-``edg`` width curve is the group (edg, asymp).  A report depends only on
-the study and its seed, not on the worker count.  For the built-in DGPs the
-harness computes the Philox keys of a slice as one (count, 2) uint64 array
-and resets one generator to each row, which draws what a generator built
-from ``substream`` draws; any other DGP (``CustomMeanDgp`` included) is
-given the ``substream`` seed sequence itself, so a draw that spawns child
-generators or reads the generator's seed sequence sees that replication's
-own.  The CLT, Student, known- and unknown-variance methods and the OLS
-``asymp`` and ``edg`` methods have a cell rule, which gives every interval
-of a slice with array arithmetic, bit for bit as the scalar ``ci_*``
-function does.  A mean slice is drawn a chunk at a time into one buffer of
-at most ``_CHUNK_DOUBLES`` values and reduced once to per-replication
-means, sigma_hat^2 and, for a plug-in K, fourth moments; a plug-in K's
-tuning searches are one lane search (``mean_ci._lane_search``), a lane per
-K.  An ``ExponentialMean`` replication is one keyed uniform fill of its row
-of the buffer, with no ``Sample``; the inverse CDF then runs once per chunk
-and leaves the negated draws log1p(-u)/rate, whose chunk means are negated
-once.  Division, pairwise summation and subtraction are sign-symmetric, so
-each mean is the exact negation of the draws' own and the deviations only
-flip sign: sigma_hat^2, the fourth moment and every report are unchanged.
-Other mean DGPs' ``sample`` values are copied in.  An OLS slice on
-``GumbelHeteroLinear`` is drawn a block at a time, at most
-``_CHUNK_DOUBLES // ((p + 1) n)`` replications, with no ``Design``: x' and
-y go into stacked (R, p, n) and (R, n) buffers, and the block is fitted
-once, given plug-in bounds and given each method's intervals as one stack
-(``ols_ci``), with one cached ``n_zero`` call per replication.  A slice with a value the arrays cannot settle (a non-finite
-draw, a singular S under plug-in bounds, zero influence values, an
-overflow, a ``FeasibilityError`` or a scan error included) runs again one
-draw and one ``interval`` call per method per replication, so every error
-is the serial loop's; a method whose rule proves every interval the whole
-line without data draws nothing.  Either way a slice's records (covered,
-whole line, width and alpha_min per method and replication) are one
-(methods, 4, count) array.  With one worker every replication runs in the
-calling process, in order.  With k > 1, each cell's replications are cut
-into k contiguous slices: the calling process runs the first slice of
-every cell and k - 1 children forked from it run the others; the slices
-are joined back in replication order before any row is computed.  Where
-the platform cannot fork, studies run serially at any worker count.
+README.md's ``simulate --workers`` paragraph tells how the one engine,
+``_run_slice``, draws, settles and joins the replications of a study or a
+width curve; the functions below state their contracts.  A report depends
+only on the study and its seed, never on the worker count, and every
+interval a cell rule gives is bit for bit the scalar ``ci_*`` function's.
 """
 
 from __future__ import annotations
@@ -59,7 +21,6 @@ import numpy as np
 
 from .edgeworth import BerryEsseen, DeltaProvider, provider_from_string
 from .errors import ConfigError, DomainError
-from .linalg import cholesky
 from .mean_ci import (
     ARule,
     ConfidenceInterval,
@@ -141,7 +102,7 @@ GUMBEL_REGRESSOR_COV = np.array(
     [[1.0, 0.5 * math.sqrt(2.0)], [0.5 * math.sqrt(2.0), 2.0]]
 )
 GUMBEL_REGRESSOR_COV.setflags(write=False)
-_GUMBEL_REGRESSOR_CHOL = cholesky(GUMBEL_REGRESSOR_COV)
+_GUMBEL_REGRESSOR_CHOL = np.linalg.cholesky(GUMBEL_REGRESSOR_COV)
 _GUMBEL_REGRESSOR_CHOL.setflags(write=False)
 GUMBEL_BETA = (2.0, 1.0, -3.0)
 _GUMBEL_BETA_ARRAY = np.array(GUMBEL_BETA)
@@ -161,15 +122,8 @@ def _generator(seed: SeedLike) -> np.random.Generator:
 
 
 def substream(base_seed: int, method_index: int, n: int, replication: int) -> np.random.SeedSequence:
-    """Deterministic per-replication stream key.
-
-    Replication r at size n of the group whose first method is i draws from
-    the Philox stream this seeds.  A DGP outside ``_RESET_DGPS`` is given
-    this seed sequence; for the built-in DGPs the harness computes the same
-    Philox keys for a whole cell at once (``_cell_keys``) and resets one
-    generator to each, which draws exactly what a generator built from this
-    seed sequence draws.
-    """
+    """The seed of replication r at size n of the group whose first method
+    is i: the Philox stream it draws from (``_CellStreams``)."""
     return np.random.SeedSequence(int(base_seed), spawn_key=(method_index, n, replication))
 
 
@@ -241,15 +195,10 @@ _ZERO_WORDS = (0, 0, 0, 0)
 
 
 class _CellStreams:
-    """The streams of replications ``start`` to ``stop - 1`` of a cell.
-
-    For a DGP in ``_RESET_DGPS``, ``seed(r)`` is one Philox generator reset
-    to r's row of the ``_cell_keys`` array, counter 0 and an empty buffer,
-    as a fresh ``Philox(substream(base_seed, method_index, n, r))`` starts.
-    Such a generator draws what the fresh one draws but has no seed
-    sequence of its own (``spawn`` and ``bit_generator.seed_seq`` would
-    differ), so any other DGP gets ``substream(...)`` itself.
-    """
+    """The streams of replications ``start`` to ``stop - 1`` of a cell:
+    ``seed(r)`` is one generator reset to r's ``_cell_keys`` row, which draws
+    what ``Philox(substream(...))`` draws, for a DGP in ``_RESET_DGPS``, and
+    ``substream(...)`` itself for any other."""
 
     def __init__(self, dgp, base_seed: int, method_index: int, n: int, start: int, stop: int) -> None:
         self._start = start
@@ -737,23 +686,10 @@ def _interval_records(spec: SimStudySpec, methods: list, n: int, streams: _CellS
 
 def _mean_intervals(dgp, n: int, rules: list, streams: _CellStreams, start: int, stop: int):
     """``(means, [(half-widths, whole-line mask, alpha_mins) per rule])`` of
-    replications ``start`` to ``stop - 1`` of a mean cell, or None.
-
-    The draws pass through a buffer of at most ``_CHUNK_DOUBLES`` values, a
-    chunk of replications at a time, and each chunk is reduced once, by
-    ``mean_ci._centred_moments``, which ``Sample`` reduces its values with
-    too, to per-replication means, sigma_hat^2 and, when some rule has a
-    plug-in K, fourth moments of the deviations (bit for bit the m4 of
-    ``sample_kurtosis``); each plug-in rule inflates its own K.  Other DGPs'
-    ``sample`` values are copied in.  An ``ExponentialMean`` replication is
-    one keyed uniform fill of its row (``_fill_uniforms``); the inverse CDF
-    (``_negated_exponential``) then runs once on the whole chunk and leaves
-    the negated draws, so the chunk's means are negated once.  Each is then
-    the exact negation of the mean of the draws, as IEEE division, pairwise
-    summation and subtraction are sign-symmetric; the deviations only flip
-    sign, so sigma_hat^2 and the fourth moments are the draws' own.  None
-    when a sample is not n values long, a sigma_hat^2 is NaN (a draw is not
-    finite) or below the normal float range, or a K is outside
+    replications ``start`` to ``stop - 1`` of a mean cell, each chunk of the
+    buffer reduced once by ``mean_ci._centred_moments``, as ``Sample`` is.
+    None when a sample is not n values long, a sigma_hat^2 is NaN (a draw is
+    not finite) or below the normal float range, or a K is outside
     ``_plug_in_kurtosis``'s direct form.
     """
     fill = type(dgp) is ExponentialMean
@@ -796,15 +732,9 @@ def _mean_intervals(dgp, n: int, rules: list, streams: _CellStreams, start: int,
 def _ols_intervals(dgp, n: int, rules: list, streams: _CellStreams, start: int, stop: int):
     """``(u'beta_hats, [(half-widths, whole-line mask, None) per rule])`` of
     replications ``start`` to ``stop - 1`` on ``GumbelHeteroLinear``, or
-    None for any other DGP, n below p or a draw that is not finite.
-
-    A block of at most ``_CHUNK_DOUBLES // ((p + 1) n)`` replications (at
-    least one) is drawn at a time: ``_fill_gumbel`` fills one C-ordered
-    (n, p) scratch design per replication, as ``sample_gumbel_hetero_linear``
-    does, and its x' and y are copied into the block's (R, p, n) and (R, n)
-    buffers, the layout ``Design`` gives every product, with no ``Design``
-    built.  One finite check covers the block; then the block is fitted
-    once (``ols_ci._fit``) and each rule gives its intervals.
+    None for any other DGP, n below p or a draw that is not finite.  Each
+    block's x' and y have the layout ``Design`` gives every product, and the
+    block is fitted once (``ols_ci._fit``).
     """
     if type(dgp) is not GumbelHeteroLinear:
         return None
@@ -863,19 +793,14 @@ def _run_slice(group: tuple, n: int, start: int, stop: int, spec: SimStudySpec) 
     ``group`` (indices into ``spec.methods``) at size n: a (len(group), 4,
     stop - start) float array whose rows are, per method, covered (0 or 1),
     whole_line (0 or 1), width (NaN for the whole line) and alpha_min (NaN
-    where none is tracked).
+    where none is tracked), bit for bit as ``interval`` gives them.
 
-    Replication r of the group is one draw, from the stream
-    ``substream(base_seed, group[0], n, r)`` seeds (``_CellStreams``), which
-    every method is evaluated on.  A method whose cell rule proves the whole
-    line without data is tiled and draws nothing.  When the others all have
-    a rule, ``_rule_records`` reduces or fits each draw once and gives their
-    records bit for bit as ``interval`` does.  If a method has no rule, a
-    rule, ``_check_dgp`` or anything in the slice raises, or
-    ``_rule_records`` leaves a value to ``interval``, the drawn methods run
-    again, one draw per replication and one ``interval`` call per method,
-    so any error raised is the first in (replication, method) order, the
-    serial loop's; a slice that draws nothing raises no draw's error.
+    Every method is evaluated on replication r's one draw, from
+    ``substream(base_seed, group[0], n, r)``.  If ``_rule_records`` cannot
+    settle the slice, the drawn methods run again, one ``interval`` call per
+    method and replication, so an error raised is the first in (replication,
+    method) order; a method proved the whole line without data draws nothing
+    and raises no draw's error.
     """
     methods, rules = [spec.methods[i] for i in group], []
     for method in methods:
@@ -995,17 +920,10 @@ def _forked_slices(spec: SimStudySpec, cells: list, cuts: list) -> list:
 def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
     """Coverage, width, and whole-line shares per (method, n).
 
-    The whole real line counts as covering.  Replication r of method i at
-    size n consumes the stream keyed (base_seed, i, n, r) at any worker
-    count, so the report does not depend on ``workers`` (which must be >= 1
-    and is capped at the replication count).  With one worker the study runs
-    in the calling process.  With k > 1, each cell's replications are cut
-    into k contiguous slices: the calling process runs the first slice of
-    every cell and k - 1 children it forks run the others, each stopping at
-    its own first error; the slices are joined in replication order.  The
-    first replication error in (method, n, replication) order is raised, as
-    the serial run raises it, but a data-free whole-line cell draws nothing.
-    Where the platform has no ``os.fork`` the study runs serially.
+    The whole real line counts as covering.  The report does not depend on
+    ``workers`` (>= 1, capped at the replication count; serial where the
+    platform has no ``os.fork``), and the error raised is the serial run's,
+    the first in (method, n, replication) order.
     """
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
@@ -1051,19 +969,16 @@ def width_curve(
 ) -> tuple[WidthCurveRow, ...]:
     """Mean widths and width ratios relative to the CLT/asymptotic baseline.
 
-    For the mean methods the ratio is deterministic (the data cancels):
-    q(1-alpha/2+delta)/q(1-alpha/2) with known variance, C_n q(arg)/q(1-alpha/2)
-    with the estimated variance (one lane search over the n grid), whose
-    ``mean_width`` needs replications > 0
-    and comes from one coverage study over the n with a bounded interval
-    (replications = 0 gives the ratios alone; a negative count is a
-    ConfigError).
-    For the OLS method the ratio is the Monte Carlo averaged width against
-    the sandwich CLT interval on the same datasets: the group (edg, asymp)
-    of one ``_run_slice`` per n, which draws and fits each dataset once.
-    A row's ``whole_line_fraction`` is the share of whole-line intervals (1.0
-    or 0.0 for a mean method's deterministic interval) and ``replications``
-    the count behind a measured ``mean_width`` (None where none was drawn).
+    A mean method's ratio is deterministic: q(1-alpha/2+delta)/q(1-alpha/2)
+    with known variance, whose ``mean_width`` is the interval's own width,
+    and C_n q(arg)/q(1-alpha/2) with the estimated variance, whose
+    ``mean_width`` comes from one coverage study over the n with a bounded
+    interval (replications = 0 gives the ratios alone; a negative count is a
+    ConfigError).  The OLS ratio is edg's mean width against asymp's on the
+    same draws: the group (edg, asymp) of one ``_run_slice`` per n.
+    ``whole_line_fraction`` is the share of whole-line intervals (1.0 or 0.0
+    for a mean method) and ``replications`` the count behind a measured
+    ``mean_width`` (None where none was drawn).
     """
     base_seed = _seed(base_seed)
     if isinstance(method, (KnownVarianceMethod, UnknownVarianceMethod)):
@@ -1071,7 +986,8 @@ def width_curve(
             raise ConfigError(f"replications must be >= 0, got {replications}")
         # the half-width per unit sigma/sqrt(n), None or +inf where the interval is the whole line
         if isinstance(method, KnownVarianceMethod):
-            factors = [_known_variance_factor(n, method.sigma, method._config(alpha)) for n in n_grid]
+            cfg = method._config(alpha)
+            factors = [_known_variance_factor(n, method.sigma, cfg) for n in n_grid]
         elif method.kurtosis_bound is None:
             raise ConfigError("deterministic width ratio needs a fixed kurtosis bound")
         else:
@@ -1083,7 +999,7 @@ def width_curve(
         bounded = tuple(n for n in n_grid if ratios[n] is not None)
         widths, measured = {}, None
         if isinstance(method, KnownVarianceMethod):
-            widths = {n: 2.0 * method.sigma / math.sqrt(n) * q * ratios[n] for n in bounded}
+            widths = {n: 2.0 * _known_variance_half_width(n, method.sigma, cfg)(None) for n in bounded}
         elif replications > 0 and bounded:
             study = SimStudySpec(dgp, (method,), bounded, replications, alpha, base_seed)
             widths = {row.n: row.mean_width for row in run_coverage_study(study).rows}

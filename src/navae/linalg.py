@@ -1,23 +1,13 @@
 """Dense symmetric linear algebra for small matrices (p up to ~100).
 
-The factorizations are LAPACK's, through numpy: ``np.linalg.eigh`` for the
-eigendecomposition (from which the pseudo-inverse and the PSD square root
-derive), and ``np.linalg.cholesky`` with ``np.linalg.eigvalsh`` for its pivot
-floor.  This module adds what LAPACK leaves to the caller: input validation
-through ``SymMatrix``, the rank cutoff of the pseudo-inverse, the clamp of
-round-off negative eigenvalues in the square root, and a relative pivot floor
-that makes Cholesky reject numerically singular input.
-
-Validation runs where a matrix enters from outside: ``SymMatrix(...)`` and
-every public function handed a raw array check the shape, finiteness and
-symmetry in full.  Matrices the library has just built symmetric itself
-(x'x/n in the OLS fit and the results of ``pseudo_inverse`` and
-``psd_sqrt``) go through ``_symmetrized``, which keeps the finite check and
-the symmetrisation and skips the rest, and ``SymMatrix._of`` wraps its
-result as it is.  The OLS fit keeps its matrices as those read-only arrays.
-
-The private helpers (``_symmetrized``, ``_eigh_desc``, ``_pseudo_inverse_of``,
-``_psd_sqrt_array``) take one matrix or a stack of them (leading axes), and
+The factorizations are LAPACK's, through numpy (``eigh``, ``cholesky`` and
+``eigvalsh``).  This module adds what LAPACK leaves to the caller: input
+validation (``SymMatrix`` and every public function check shape, finiteness
+and symmetry in full; ``_symmetrized`` keeps only the finite check for the
+matrices the library has just built symmetric), the pseudo-inverse's rank
+cutoff, the square root's clamp of round-off negative eigenvalues, and a
+relative pivot floor that makes Cholesky reject numerically singular input.
+The private helpers take one matrix or a stack of them (leading axes), and
 do to each matrix of a stack what they do to one matrix alone.
 """
 

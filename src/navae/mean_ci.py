@@ -13,16 +13,10 @@ intervals built by enlarging the CLT interval:
 
 The informative branch exists only for levels above the feasibility boundary;
 ``feasible_a_interval``, ``optimize_a``, and ``alpha_min`` expose that
-machinery.  One kernel evaluates nu, the feasibility excess and the width
-multiplier C_n q at a float or a numpy array of a, with the same arithmetic
-either way, so the searches and the interval decide feasibility alike.  The
-searches run on lanes, one per (n, K, delta_n): each lane's search is one
-array scan of a grid followed by bisection or golden-section refinement,
-all lanes advancing in lockstep and each dropping out when it converges, so
-a lane computes exactly what a search of its own would.  ``_lane_search``
-runs them in blocks of at most 64 lanes: the public searches are one-lane
-calls, and a coverage study's plug-in K values, a width curve's n grid and
-the ``feasibility`` command's n list are one call each.  The variance
+machinery.  One kernel (``_tuning_terms``) evaluates nu and the feasibility
+excess at a float or an array of a, so the searches and the interval decide
+feasibility alike, and every search runs on lanes (``_lane_search``), each
+lane computing exactly what a search of its own would.  The variance
 estimator uses divisor n throughout; the Student baseline applies its
 sqrt(n/(n-1)) correction explicitly.
 """
@@ -354,8 +348,13 @@ def ci_hoeffding(
             f"sample range [{lo}, {hi}] escapes the declared support "
             f"[{support_lower}, {support_upper}]"
         )
-    half = ((support_upper - support_lower) / 2.0 * math.sqrt(2.0 * math.log(2.0 / alpha))
-            / math.sqrt(sample.n))
+    # taken at the binary scale of b - a, as ols_ci._unit_scale takes u'Vu:
+    # exact, and (b - a)/2 sqrt(2 ln(2/alpha)) may pass the float range first
+    scale, k = math.frexp(support_upper - support_lower)
+    try:
+        half = math.ldexp(scale / 2.0 * math.sqrt(2.0 * math.log(2.0 / alpha)) / math.sqrt(sample.n), k)
+    except OverflowError:  # the half-width itself: _centered's DataError
+        half = math.inf
     return _centered(sample, lambda _: half, alpha, "hoeffding", scaled=False)
 
 

@@ -15,29 +15,19 @@ ratio form develops when the variance term vanishes.
 
 Below the threshold n0 (the last sample size at which either
 n <= 2 K_reg/(omega_n alpha) or nu_edg >= alpha/2 holds) the interval is the
-whole real line.  ``n_zero`` brackets each condition's last violation by
-doubling n, then bisects the part of the bracket where the condition is
-provably monotone (past a computed n*, for power-rule tunings with
-nonpositive exponents and a delta bound that does not grow in n) and scans
-the rest back one n at a time; both give the same integer.  Each condition's
-result is cached on the inputs it reads: (alpha, tuning, K_reg) for the
-first, (alpha, tuning, K_xi) for the second.
+whole real line; ``n_zero`` finds it.
 
 The four distribution-class constants (lambda_reg, K_reg, K_eps, K_xi) may
 be fixed a priori or estimated by plug-in; plug-in trades the formal
 finite-sample guarantee for practicality.
 
 The fit, the plug-in bounds and the interval arithmetic are written once,
-over a stack of R designs of one size (``_Fits``, ``_fit``, ``_resolved_rows``,
-``_asymp_halves``, ``_edg_halves``): ``ols_fit``, ``resolve_bounds`` (and
-``plug_in_bounds`` through it), ``ci_asymp`` and ``ci_edg`` are their case
-R = 1, and the coverage-study harness (``dgp_sim``) hands them a block of
-replications; ``_edg_halves`` and ``r_var`` read R_var's moments from the
-stack, and ``OlsFit``'s arrays are views of its stack of one.
-Every product of a stack is numpy's per-matrix BLAS or LAPACK call on the
-layout a single design has, and every reduction runs along a contiguous
-last axis, so each design's numbers are bit for bit those of a stack of one.
-n_zero stays one (cached) scalar call per design.
+over a stack of R designs of one size (``_Fits``, ``_fit``,
+``_resolved_rows``, ``_asymp_halves``, ``_edg_halves``); ``ols_fit``,
+``resolve_bounds``, ``ci_asymp`` and ``ci_edg`` are their case R = 1.  Every
+product is numpy's per-matrix BLAS or LAPACK call on one design's layout and
+every reduction runs along a contiguous last axis, so each design's numbers
+are bit for bit those of a stack of one.
 """
 
 from __future__ import annotations
@@ -60,7 +50,7 @@ from .errors import (
 )
 from .linalg import _eigh_desc, _psd_sqrt_array, _pseudo_inverse_of, _symmetrized
 from .mean_ci import (ConfidenceInterval, _check_alpha, _check_inflation, _deviation_kurtosis,
-                      _fixed_a, _means)
+                      _fixed_a, _means, nu_var)
 from .rules import PowerRule, _rule_value
 from .specialfn import std_normal_quantile
 
@@ -426,13 +416,12 @@ def _r_var_weights(gamma: float, n: int, bounds: OlsBounds) -> tuple[float, floa
 
 
 def nu_edg(n: int, alpha: float, tuning: OlsTuning, k_xi: float) -> float:
-    """Quantile perturbation (omega_n alpha + exp(-n(1-1/a_n)^2/(2 K_xi)))/2 + delta_n."""
+    """Quantile perturbation (omega_n alpha + nu_var(a_n, n, K_xi))/2 + delta_n."""
     alpha = _check_alpha(alpha)
     omega = tuning.omega(n)
     a = tuning.a(n)
     delta = delta_of(tuning.delta, n, k_xi)
-    var_term = math.exp(-n * (1.0 - 1.0 / a) ** 2 / (2.0 * k_xi))
-    return (omega * alpha + var_term) / 2.0 + delta
+    return (omega * alpha + nu_var(a, n, k_xi)) / 2.0 + delta
 
 
 _MARGIN = 1e-3

@@ -283,6 +283,14 @@ def test_known_sigma_whose_square_leaves_the_float_range(in_tmp, capsys, command
     capsys.readouterr()
 
 
+def test_known_variance_width_curve_at_the_largest_sigmas(in_tmp, capsys):
+    # 2 sigma overflows, the interval's own width 2 (sigma/sqrt(n)) q(...) does not
+    assert run_command(["width-curve", "--method", "known-variance", "--sigma", "1e308", "--K", "9",
+                        "--n", "10000,1000000", "--alpha", "0.1"]) == 0, capsys.readouterr()
+    rows = read_report(in_tmp / "width_curve_report.csv")
+    assert [row.width for row in rows] == [3.8985919284344106e306, 3.3379129192099603e305]
+
+
 @pytest.mark.parametrize("values", ["1e300\n-1e300\n5e299\n", "1.5e308\n1.5e308\n"],
                          ids=["squared-deviations", "mean"])
 @pytest.mark.parametrize("method", ["clt", "student"])

@@ -34,7 +34,8 @@ from navae.dgp_sim import (
 from navae.cli import run_command
 from navae.errors import ConfigError, DataError, DomainError, NavaeError
 from navae.edgeworth import delta_of
-from navae.mean_ci import MeanCiConfig, sample_kurtosis, unknown_variance_width_factor
+from navae.mean_ci import (MeanCiConfig, Sample, ci_known_variance, sample_kurtosis,
+                           unknown_variance_width_factor)
 from navae.ols_ci import OlsBounds, OlsTuning, PlugIn, ols_fit
 from navae.rules import OPTIMIZED, PowerRule
 from navae.specialfn import std_normal_quantile
@@ -484,18 +485,22 @@ def test_unknown_variance_ratio_exceeds_known():
         assert ru > rk >= 1.0
 
 
-@pytest.mark.parametrize("method", [KnownVarianceMethod(sigma=2.0, kurtosis_bound=9.0),
-                                    UnknownVarianceMethod(kurtosis_bound=9.0)],
-                         ids=["known-variance", "unknown-variance"])
-def test_mean_width_curve_rows_bit_for_bit(method):
-    alpha, grid = 0.1, (10000, 100, 3000)
+@pytest.mark.parametrize("method, grid", [
+    (KnownVarianceMethod(sigma=2.0, kurtosis_bound=9.0), (10000, 100, 3000)),
+    # 2 sigma/sqrt(n) q(...) rounds differently from the interval's width at these n
+    (KnownVarianceMethod(sigma=1.7, kurtosis_bound=9.0), (2376, 3000, 5000, 12345, 777777, 100)),
+    (UnknownVarianceMethod(kurtosis_bound=9.0), (10000, 100, 3000)),
+], ids=["known-variance", "known-variance-1.7", "unknown-variance"])
+def test_mean_width_curve_rows_bit_for_bit(method, grid):
+    alpha = 0.1
     rows = width_curve(ExponentialMean(), method, grid, alpha, replications=20, base_seed=4)
     q = std_normal_quantile(1.0 - alpha / 2.0)
     for n, row in zip(grid, rows):
         if isinstance(method, KnownVarianceMethod):
             delta = delta_of(method.delta, n, 9.0)
             ratio = None if delta >= alpha / 2.0 else std_normal_quantile(1.0 - alpha / 2.0 + delta) / q
-            width = None if ratio is None else 2.0 * 2.0 / math.sqrt(n) * q * ratio
+            interval = ci_known_variance(Sample(np.zeros(n)), method.sigma, method._config(alpha))
+            width = None if ratio is None else interval.width
         else:
             factor = unknown_variance_width_factor(n, MeanCiConfig(alpha=alpha, kurtosis_bound=9.0))
             ratio = None if factor is None else factor / q
@@ -503,7 +508,7 @@ def test_mean_width_curve_rows_bit_for_bit(method):
             width = None if ratio is None else run_coverage_study(study).rows[0].mean_width
         assert (row.method, row.n, row.alpha) == (method.label, n, alpha)
         assert (row.ratio, row.mean_width) == (ratio, width)
-    assert [row.ratio is None for row in rows] == [False, True, False]
+    assert [row.ratio is None for row in rows] == [n == 100 for n in grid]
 
 
 def test_ols_width_curve():

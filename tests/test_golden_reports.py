@@ -17,6 +17,7 @@ and says in its change notes which reports changed and why.
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,15 @@ _GUMBEL = {"kind": "gumbel-hetero-linear", "u": [0, 0, 1]}
 _EDG_PLUG_IN_XI_9 = {"name": "edg", "bounds": {"lambda_reg": "plugin", "k_reg": "plugin",
                                                "k_eps": "plugin", "k_xi": 9}}
 
-# perfbench's three study workloads at fewer replications, and the five
-# configs that CI runs at workers 1, 2 and 3 (the first is the README's)
+
+def _readme_config() -> dict:
+    """The ``simulate`` config block of README.md."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"A `simulate` config looks like:\s*```json\n(.*?)```", text, re.S).group(1))
+
+
+# perfbench's three study workloads at fewer replications, README's config,
+# and the configs of WORKER_CASES
 STUDIES = {
     "mc_mean_fixed": {
         "dgp": _EXPONENTIAL,
@@ -55,12 +63,7 @@ STUDIES = {
         "methods": [{"name": "asymp"}, _EDG_PLUG_IN_XI_9],
         "n": [3000, 5000], "alpha": 0.1, "replications": 10, "seed": 7,
     },
-    "readme_sim": {
-        "dgp": _EXPONENTIAL,
-        "methods": [{"name": "clt"},
-                    {"name": "unknown-variance", "K": 9, "delta": "be", "a_rule": "1+n^-0.2"}],
-        "n": [5000, 10000], "alpha": 0.10, "replications": 2000, "seed": 123,
-    },
+    "readme_sim": _readme_config(),
     "ols_sim": {
         "dgp": _GUMBEL,
         "methods": [{"name": "asymp"}, _EDG_PLUG_IN_XI_9,
@@ -98,6 +101,17 @@ STUDIES = {
         "n": [2, 7, 100, 8193], "alpha": 0.1, "replications": 37, "seed": 11,
     },
 }
+
+# Studies whose reports must be the same bytes at workers 2 and 3: README's;
+# asymp, plug-in edg and all-plug-in edg (whose n_zero key changes every
+# replication), whole line at n = 3000 and bounded at 5000; records from the
+# interval loop (hoeffding) beside tracked alpha_mins and a partial
+# whole-line share (plug-in K); and two that straddle a first bounded n,
+# where a cell below it draws nothing: known variance (2375/2376), unknown
+# variance (2926/2927), and edg with every bound fixed and with K_xi alone
+# fixed (3655/3656).  Three workers cut the 61 replications, and the blocks
+# the OLS cells are fitted in, unevenly.
+WORKER_CASES = ("readme_sim", "ols_sim", "mean_sim", "mean_edge_sim", "ols_edge_sim")
 
 _MEAN = ["--input", "mean.csv", "--alpha", "0.1"]
 _OLS = ["ols-ci", "--input", "ols.csv", "--add-intercept", "--u", "0,0,1", "--alpha", "0.1"]
@@ -176,3 +190,15 @@ def test_report_matches_its_golden(workdir, monkeypatch, capsys, case):
             GOLDEN.mkdir(exist_ok=True)
             golden.write_bytes(written)
         assert written == golden.read_bytes(), f"{case}{suffix} differs from its golden"
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("name", WORKER_CASES)
+def test_study_report_is_the_same_at_any_worker_count(workdir, monkeypatch, capsys, name, workers):
+    monkeypatch.chdir(workdir)
+    output = f"{name}_workers_{workers}"
+    argv = [*COMMANDS[f"simulate_{name}"], "--workers", str(workers), "--output", f"{output}.csv"]
+    assert run_command(argv) == 0, capsys.readouterr()
+    for suffix in (".csv", ".json"):
+        written = (workdir / f"{output}{suffix}").read_bytes()
+        assert written == (GOLDEN / f"simulate_{name}{suffix}").read_bytes(), f"{output}{suffix} differs"

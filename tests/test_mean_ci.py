@@ -238,6 +238,15 @@ def test_hoeffding_support_violation():
         ci_hoeffding(Sample(np.array([0.5])), 0.1, 1.0, 1.0)
 
 
+def test_hoeffding_half_width_on_a_support_as_wide_as_the_floats():
+    # (b - a)/2 sqrt(2 ln(2/alpha)) passes the float range, the half-width does not
+    sample = Sample(np.random.default_rng(0).random(10000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ci = ci_hoeffding(sample, 0.1, 0.0, 1.7e308)
+    assert (ci.lower, ci.upper) == (-2.0805848060786942e306, 2.0805848060786942e306)
+
+
 @pytest.mark.parametrize("support", [(-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)],
                          ids=["infinite-lower", "infinite-upper", "overflowing-width"])
 def test_hoeffding_support_must_have_a_finite_width(support):

@@ -27,7 +27,7 @@ from navae.errors import (
 )
 from navae import ols_ci
 from navae.dgp_sim import ExponentialMean, SimStudySpec, UnknownVarianceMethod, run_coverage_study
-from navae.mean_ci import MeanCiConfig, Sample, alpha_min, ci_clt, ci_unknown_variance
+from navae.mean_ci import MeanCiConfig, Sample, alpha_min, ci_clt, ci_unknown_variance, nu_var
 from navae.ols_ci import (
     BOUND_KEYS,
     Design,
@@ -348,6 +348,20 @@ def test_nu_edg_threshold_values():
     assert nu_edg(3656, 0.10, STUDY_TUNING, 9.0) < 0.05
     assert nu_edg(3655, 0.10, STUDY_TUNING, 9.0) == pytest.approx(0.05000137036801424, abs=1e-5)
     assert nu_edg(3655, 0.10, STUDY_TUNING, 9.0) >= 0.05
+
+
+def test_nu_edg_variance_term_is_nu_var():
+    # exp(-n (1-1/a)^2/(2 K_xi)) with libm's pow differs from nu_var in the
+    # last digit at 10 of these keys, such as n = 120 at K_xi = 50
+    from navae.edgeworth import delta_of
+
+    tuning = OlsTuning()
+    for k_xi in (9.0, 50.0):
+        for n in range(100, 5000):
+            expected = (tuning.omega(n) * 0.1 + nu_var(tuning.a(n), n, k_xi)) / 2.0 + delta_of(
+                tuning.delta, n, k_xi)
+            assert nu_edg(n, 0.1, tuning, k_xi) == expected, (n, k_xi)
+    assert nu_edg(120, 0.1, tuning, 50.0) == 1.0803404907885388
 
 
 def test_nu_edg_dominates_delta():
