@@ -121,102 +121,37 @@ def _generator(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def substream(base_seed: int, method_index: int, n: int, replication: int) -> np.random.SeedSequence:
-    """The seed of replication r at size n of the group whose first method
-    is i: the Philox stream it draws from (``_CellStreams``)."""
-    return np.random.SeedSequence(int(base_seed), spawn_key=(method_index, n, replication))
+def _cell_key(base_seed: int, n: int) -> int:
+    """k0 of cell (seed, n): the first 64-bit word of SeedSequence(seed,
+    spawn_key=(n,)), into which every bit of the seed is hashed."""
+    return int(np.random.SeedSequence(int(base_seed), spawn_key=(n,)).generate_state(1, np.uint64)[0])
 
 
-# numpy's SeedSequence hash (pool of four 32-bit words), as
-# numpy/random/bit_generator.pyx defines it
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _uint32_words(value: int) -> list[int]:
-    """A non-negative int as numpy splits entropy: 32-bit words, least
-    significant first; 0 is one word."""
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _cell_keys(base_seed: int, method_index: int, n: int, start: int, stop: int) -> np.ndarray:
-    """The Philox keys of replications ``start`` to ``stop - 1`` of a cell, as
-    a ``(stop - start, 2)`` uint64 array: row r - start equals
-    ``substream(base_seed, method_index, n, r).generate_state(2, np.uint64)``.
-
-    The entropy words are the seed's (zero-padded to the pool size), then
-    those of method_index, n and r.  Every word but r's is mixed into the
-    pool once, with Python ints; r must be below 2**32, so it is one word,
-    the last, and only its mixing and the state generation run on arrays.
-    """
-    seed_words = _uint32_words(int(base_seed))
-    words = seed_words + [0] * (4 - len(seed_words)) + _uint32_words(method_index) + _uint32_words(n)
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(word) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    replication = np.arange(start, stop, dtype=np.uint64)
-    out_const = _INIT_B
-    state = []
-    for dst in range(4):
-        word = mix(pool[dst], hashmix(replication))
-        word ^= out_const
-        out_const = out_const * _MULT_B & _MASK32
-        word = word * out_const & _MASK32
-        state.append(word ^ word >> 16)
-    keys = np.empty((stop - start, 2), dtype=np.uint64)
-    keys[:, 0] = state[0] | state[1] << np.uint64(32)
-    keys[:, 1] = state[2] | state[3] << np.uint64(32)
-    return keys
-
-
-_ZERO_WORDS = (0, 0, 0, 0)
+def substream(base_seed: int, method_index: int, n: int, replication: int) -> np.random.Generator:
+    """The generator of replication r of cell (seed, n): Philox keyed
+    (k0, r), the one draw that every method of the cell is evaluated on.
+    ``method_index`` is ignored; it stays for the callers that pass it."""
+    return np.random.Generator(np.random.Philox(key=_cell_key(base_seed, n) | replication << 64))
 
 
 class _CellStreams:
-    """The streams of replications ``start`` to ``stop - 1`` of a cell:
-    ``seed(r)`` is one generator reset to r's ``_cell_keys`` row, which draws
-    what ``Philox(substream(...))`` draws, for a DGP in ``_RESET_DGPS``, and
-    ``substream(...)`` itself for any other."""
+    """The streams of cell (seed, n): ``seed(r)`` is one generator reset to
+    the Philox key (k0, r), which draws what ``substream(seed, i, n, r)``
+    draws.  It is reset again for the next replication, so a DGP draws from
+    it only during its ``sample`` call; it has no seed sequence, so its
+    ``spawn`` raises."""
 
-    def __init__(self, dgp, base_seed: int, method_index: int, n: int, start: int, stop: int) -> None:
-        self._start = start
-        if type(dgp) not in _RESET_DGPS:
-            self._cell = (base_seed, method_index, n)
-            self._keys = None
-            return
-        self._keys = _cell_keys(base_seed, method_index, n, start, stop)
+    def __init__(self, base_seed: int, n: int) -> None:
+        self._key = np.array([_cell_key(base_seed, n), 0], dtype=np.uint64)
         self._bits = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._bits)
-        # one state dict, reused: only its key changes, and the setter copies it
-        self._state = {"bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": None},
-                       "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        # one state dict, reused: only its key's second word changes, and the setter copies it
+        zeros = (0, 0, 0, 0)
+        self._state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": self._key},
+                       "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def seed(self, replication: int) -> SeedLike:
-        if self._keys is None:
-            return substream(*self._cell, replication)
-        self._state["state"]["key"] = self._keys[replication - self._start]
+    def seed(self, replication: int) -> np.random.Generator:
+        self._key[1] = replication
         self._bits.state = self._state
         return self._generator
 
@@ -347,7 +282,11 @@ class GumbelHeteroLinear:
 
 @dataclass(frozen=True)
 class CustomMeanDgp:
-    """Mean-inference DGP from a user generator drawing n values."""
+    """Mean-inference DGP from a user generator drawing n values.
+
+    In a study, ``sample``, and so ``draw``, receives a Generator: the
+    replication's stream (``_CellStreams``), to draw from during the call
+    only.  It has no seed sequence, so ``rng.spawn`` raises."""
 
     draw: Callable[[int, np.random.Generator], np.ndarray]
     target: float
@@ -356,11 +295,6 @@ class CustomMeanDgp:
 
     def sample(self, n: int, seed: SeedLike) -> Sample:
         return Sample(np.asarray(self.draw(n, _generator(seed)), dtype=float))
-
-
-#: DGPs whose ``sample`` only draws values from the generator it is given,
-#: so the harness may hand them a reset generator (``_CellStreams``).
-_RESET_DGPS = (ExponentialMean, GumbelHeteroLinear)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +527,9 @@ class SimStudySpec:
         replications = _integer(self.replications, "replications")
         if replications < 1:
             raise ConfigError(f"replications must be >= 1, got {replications}")
-        if replications >= 2**32:
-            # a replication index is one 32-bit word of its stream key (_cell_keys)
-            raise ConfigError(f"replications must be below 2**32, got {replications}")
+        if replications >= 2**64:
+            # a replication index is the second 64-bit word of its Philox key (substream)
+            raise ConfigError(f"replications must be below 2**64, got {replications}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         n_grid = tuple(_integer(n, "n entry") for n in self.n_grid)
@@ -761,8 +695,8 @@ def _ols_intervals(dgp, n: int, rules: list, streams: _CellStreams, start: int, 
 
 
 def _rule_records(dgp, n: int, rules: list, streams: _CellStreams, start: int, stop: int):
-    """Records of replications ``start`` to ``stop - 1`` of a group of
-    methods that share every draw, one cell rule each: (len(rules), 4,
+    """Records of replications ``start`` to ``stop - 1`` of methods that
+    share every draw, one cell rule each: (len(rules), 4,
     stop - start).  ``_mean_intervals`` or ``_ols_intervals`` reduces or
     fits each draw once and gives the centres and each rule's half-widths
     and whole-line mask, by the expressions ``interval`` evaluates too.
@@ -788,42 +722,50 @@ def _rule_records(dgp, n: int, rules: list, streams: _CellStreams, start: int, s
     return records
 
 
-def _run_slice(group: tuple, n: int, start: int, stop: int, spec: SimStudySpec) -> np.ndarray:
-    """Records of replications ``start`` to ``stop - 1`` of the methods
-    ``group`` (indices into ``spec.methods``) at size n: a (len(group), 4,
-    stop - start) float array whose rows are, per method, covered (0 or 1),
-    whole_line (0 or 1), width (NaN for the whole line) and alpha_min (NaN
-    where none is tracked), bit for bit as ``interval`` gives them.
+def _run_slice(n: int, start: int, stop: int, spec: SimStudySpec) -> np.ndarray:
+    """Records of replications ``start`` to ``stop - 1`` of every method of
+    ``spec`` at size n: a (methods, 4, stop - start) float array whose rows
+    are, per method, covered (0 or 1), whole_line (0 or 1), width (NaN for
+    the whole line) and alpha_min (NaN where none is tracked), bit for bit
+    as ``interval`` gives them.
 
-    Every method is evaluated on replication r's one draw, from
-    ``substream(base_seed, group[0], n, r)``.  If ``_rule_records`` cannot
-    settle the slice, the drawn methods run again, one ``interval`` call per
-    method and replication, so an error raised is the first in (replication,
-    method) order; a method proved the whole line without data draws nothing
-    and raises no draw's error.
+    Replication r is one draw, from the Philox key (k0, r) of
+    ``_CellStreams``, and every method is evaluated on it: the methods with
+    a cell rule through one ``_rule_records`` pass, the others through one
+    ``interval`` call per method and replication.  If ``_rule_records``
+    cannot settle the slice, every drawn method takes the ``interval``
+    path, so an error raised is the first in (replication, method) order; a
+    method proved the whole line without data draws nothing and raises no
+    draw's error.
     """
-    methods, rules = [spec.methods[i] for i in group], []
-    for method in methods:
+    rules = []
+    for method in spec.methods:
         try:
             _check_dgp(spec.dgp)
             rules.append(method.cell_rule(n, spec.alpha))
-        except Exception:  # the rerun raises it again
+        except Exception:  # the interval path raises it again
             rules.append(None)
-    records = np.empty((len(group), 4, stop - start))
+    records = np.empty((len(rules), 4, stop - start))
     for record, rule in zip(records, rules):
         if rule is not None and rule.intervals is None:  # the whole line, proved without data
             record[:] = [[1.0], [1.0], [math.nan], [math.nan if rule.alpha_min is None else rule.alpha_min]]
     drawn = [k for k, rule in enumerate(rules) if rule is None or rule.intervals is not None]
-    if drawn:
-        streams = _CellStreams(spec.dgp, spec.base_seed, group[0], n, start, stop)
-        rules = [rules[k] for k in drawn]
+    if not drawn:
+        return records
+    streams = _CellStreams(spec.base_seed, n)
+    settled = [k for k in drawn if rules[k] is not None]
+    rest = [k for k in drawn if rules[k] is None]
+    if settled:
         try:
-            drawn_records = None if None in rules else _rule_records(spec.dgp, n, rules, streams, start, stop)
-        except Exception:  # the rerun raises it again, or an earlier error
-            drawn_records = None
-        if drawn_records is None:
-            drawn_records = _interval_records(spec, [methods[k] for k in drawn], n, streams, start, stop)
-        records[drawn] = drawn_records
+            settled_records = _rule_records(spec.dgp, n, [rules[k] for k in settled], streams, start, stop)
+        except Exception:  # the interval path raises it again, or an earlier error
+            settled_records = None
+        if settled_records is None:
+            rest = drawn
+        else:
+            records[settled] = settled_records
+    if rest:
+        records[rest] = _interval_records(spec, [spec.methods[k] for k in rest], n, streams, start, stop)
     return records
 
 
@@ -835,14 +777,14 @@ def _check_dgp(dgp) -> None:
         _check_direction(np.asarray(dgp.u, dtype=float).reshape(-1), len(GUMBEL_BETA))
 
 
-def _run_slices(spec: SimStudySpec, cells: list, start: int, stop: int) -> tuple:
-    """``_run_slice`` of replications ``start`` to ``stop - 1`` of each cell in
-    order, stopping at the first error: ``(records per finished cell, error
-    or None)``, so the failed cell is the one after the last finished."""
+def _run_slices(spec: SimStudySpec, start: int, stop: int) -> tuple:
+    """``_run_slice`` of replications ``start`` to ``stop - 1`` at each n in
+    order, stopping at the first error: ``(records per finished n, error or
+    None)``, so the failed n is the one after the last finished."""
     done = []
     try:
-        for group, n in cells:
-            done.append(_run_slice(group, n, start, stop, spec))
+        for n in spec.n_grid:
+            done.append(_run_slice(n, start, stop, spec))
     except Exception as exc:
         return done, exc
     return done, None
@@ -856,13 +798,13 @@ def _flush_std_streams() -> None:
             pass
 
 
-def _child_slices(spec: SimStudySpec, cells: list, start: int, stop: int, write_fd: int) -> None:
-    """A forked child's whole life: run its slice of every cell, pickle the
+def _child_slices(spec: SimStudySpec, start: int, stop: int, write_fd: int) -> None:
+    """A forked child's whole life: run its slice at every n, pickle the
     outcome into its pipe and leave through ``os._exit``, never returning
     into the caller's stack."""
     status = 1
     try:
-        done, error = _run_slices(spec, cells, start, stop)
+        done, error = _run_slices(spec, start, stop)
         if error is not None:
             try:
                 pickle.loads(pickle.dumps(error))
@@ -878,7 +820,7 @@ def _child_slices(spec: SimStudySpec, cells: list, start: int, stop: int, write_
             os._exit(status)
 
 
-def _forked_slices(spec: SimStudySpec, cells: list, cuts: list) -> list:
+def _forked_slices(spec: SimStudySpec, cuts: list) -> list:
     """``_run_slices`` of slice k for every k, in k order: slice 0 runs in the
     calling process, every other slice in a child it forks.  A child that
     exits without a readable report is a ``RuntimeError``; every child is
@@ -891,11 +833,11 @@ def _forked_slices(spec: SimStudySpec, cells: list, cuts: list) -> list:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child_slices(spec, cells, cuts[k], cuts[k + 1], write_fd)
+                _child_slices(spec, cuts[k], cuts[k + 1], write_fd)
             os.close(write_fd)
             pids.append(pid)
             pipes.append(open(read_fd, "rb"))
-        slices = [_run_slices(spec, cells, cuts[0], cuts[1])]
+        slices = [_run_slices(spec, cuts[0], cuts[1])]
         for k, (pid, pipe) in enumerate(zip(pids, pipes), start=1):
             with pipe:
                 payload = pipe.read()
@@ -920,26 +862,30 @@ def _forked_slices(spec: SimStudySpec, cells: list, cuts: list) -> list:
 def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
     """Coverage, width, and whole-line shares per (method, n).
 
-    The whole real line counts as covering.  The report does not depend on
-    ``workers`` (>= 1, capped at the replication count; serial where the
-    platform has no ``os.fork``), and the error raised is the serial run's,
-    the first in (method, n, replication) order.
+    Replication r at size n is one draw, from the Philox key (k0, r) with
+    k0 one word of SeedSequence(seed, spawn_key=(n,)), and every method is
+    evaluated on it (``_run_slice``), so the methods are compared on common
+    random numbers.  The whole real line counts as covering.  The rows are
+    in (method, n) order.  The report does not depend on ``workers`` (>= 1,
+    capped at the replication count; serial where the platform has no
+    ``os.fork``), and the error raised is the serial run's, the first in
+    (n, replication, method) order.
     """
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     workers = min(workers, spec.replications)
-    cells = [((i,), n) for i in range(len(spec.methods)) for n in spec.n_grid]
     if workers == 1 or not hasattr(os, "fork"):
-        records = (_run_slice(group, n, 0, spec.replications, spec) for group, n in cells)
+        records = [_run_slice(n, 0, spec.replications, spec) for n in spec.n_grid]
     else:
         cuts = [spec.replications * k // workers for k in range(workers + 1)]
-        slices = _forked_slices(spec, cells, cuts)
+        slices = _forked_slices(spec, cuts)
         errors = [(len(done), k, exc) for k, (done, exc) in enumerate(slices) if exc is not None]
         if errors:
             raise min(errors, key=lambda e: e[:2])[2]
-        records = [np.concatenate([done[c] for done, _ in slices], axis=-1) for c in range(len(cells))]
+        records = [np.concatenate([done[c] for done, _ in slices], axis=-1) for c in range(len(spec.n_grid))]
     return SimReport(tuple(
-        _aggregate(spec.methods[i], n, spec.alpha, recs) for ((i,), n), (recs,) in zip(cells, records)
+        _aggregate(method, n, spec.alpha, recs[i])
+        for i, method in enumerate(spec.methods) for n, recs in zip(spec.n_grid, records)
     ))
 
 
@@ -975,7 +921,7 @@ def width_curve(
     ``mean_width`` comes from one coverage study over the n with a bounded
     interval (replications = 0 gives the ratios alone; a negative count is a
     ConfigError).  The OLS ratio is edg's mean width against asymp's on the
-    same draws: the group (edg, asymp) of one ``_run_slice`` per n.
+    same draws: the coverage study of (edg, asymp).
     ``whole_line_fraction`` is the share of whole-line intervals (1.0 or 0.0
     for a mean method) and ``replications`` the count behind a measured
     ``mean_width`` (None where none was drawn).
@@ -1009,15 +955,14 @@ def width_curve(
     if isinstance(method, OlsEdgMethod):
         if replications < 1:
             raise ConfigError("OLS width curves need replications >= 1")
-        spec = SimStudySpec(dgp, (method, OlsAsympMethod()), n_grid, replications, alpha, base_seed)
-        rows = []
-        for n in spec.n_grid:
-            records = _run_slice((0, 1), n, 0, spec.replications, spec)
-            edg, asymp = (_aggregate(m, n, alpha, recs) for m, recs in zip(spec.methods, records))
-            ratio = None if edg.mean_width is None else edg.mean_width / asymp.mean_width
-            rows.append(WidthCurveRow(method.label, n, alpha, edg.mean_width, ratio,
-                                      edg.whole_line_fraction, edg.replications))
-        return tuple(rows)
+        rows = run_coverage_study(SimStudySpec(dgp, (method, OlsAsympMethod()), n_grid, replications, alpha,
+                                               base_seed)).rows
+        return tuple(
+            WidthCurveRow(method.label, edg.n, alpha, edg.mean_width,
+                          None if edg.mean_width is None else edg.mean_width / asymp.mean_width,
+                          edg.whole_line_fraction, edg.replications)
+            for edg, asymp in zip(rows[: len(rows) // 2], rows[len(rows) // 2 :])
+        )
     raise ConfigError(
         f"width_curve supports known-variance, unknown-variance, and edg "
         f"methods, not {getattr(method, 'label', method)!r}"

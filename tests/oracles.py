@@ -7,9 +7,10 @@ the defining formulas.  The n0 oracle keeps the library's own predicates
 but finds their last violation by the original exhaustive back-scan.
 The CSV loader oracles are the CLI's original csv.reader + float() row
 loops, kept verbatim, and the sample moment oracle is ``Sample``'s original
-``np.mean`` arithmetic.  The coverage-study oracles are the harness's
-original loops: a fresh generator from ``substream`` and one ``interval``
-call (or one OLS fit) per replication.  The tuning-search oracles run one
+``np.mean`` arithmetic.  The coverage-study oracles are plain loops in
+(n, replication, method) order: one fresh generator per (n, replication),
+keyed by the stream rule itself, and one ``interval`` call per method (or
+one OLS fit) on its draw.  The tuning-search oracles run one
 scalar search per (n, alpha, K, delta_n), each point a float through the
 library's kernel, where the library advances many searches at once.
 Tests compare library output against these.
@@ -26,7 +27,7 @@ import mpmath as mp
 import numpy as np
 
 from navae.cli import _parse_vector
-from navae.dgp_sim import SimReport, _aggregate, substream
+from navae.dgp_sim import SimReport, _aggregate
 from navae.errors import ConfigError, DataError, UnboundedScanError
 from navae.mean_ci import DEFAULT_A_RULE, Sample, _SCAN_GRID, _tuning_terms, _width_multiplier
 from navae.ols_ci import N_SCAN_CAP, Design, ci_asymp, ci_edg, nu_edg, ols_fit
@@ -340,39 +341,49 @@ def load_ols_csv_oracle(path: str | Path, add_intercept: bool, u_spec: str) -> D
 
 
 
-def replication_records_oracle(spec, method_index: int, n: int) -> np.ndarray:
-    """``(covered, whole_line, width, alpha_min)`` of every replication of a
-    (method, n) cell, each drawn from a fresh generator on the stream
-    ``substream`` seeds and given one ``interval`` call, as the engine's
-    (4, replications) records: NaN for a whole line's width and an untracked
-    alpha_min."""
-    dgp, method = spec.dgp, spec.methods[method_index]
-    records = []
+def stream_oracle(seed: int, n: int, replication: int) -> np.random.Generator:
+    """Replication r's generator at size n, by the key rule: Philox keyed
+    k0 | r << 64, with k0 the first 64-bit word of SeedSequence(seed,
+    spawn_key=(n,))."""
+    k0 = int(np.random.SeedSequence(seed, spawn_key=(n,)).generate_state(1, np.uint64)[0])
+    return np.random.Generator(np.random.Philox(key=k0 | replication << 64))
+
+
+def replication_records_oracle(spec, n: int) -> np.ndarray:
+    """``(covered, whole_line, width, alpha_min)`` of every method and
+    replication at n, as the engine's (methods, 4, replications) records:
+    each replication drawn once from ``stream_oracle`` and given one
+    ``interval`` call per method, NaN for a whole line's width and an
+    untracked alpha_min."""
+    dgp = spec.dgp
+    records = np.empty((len(spec.methods), 4, spec.replications))
     for r in range(spec.replications):
-        data = dgp.sample(n, substream(spec.base_seed, method_index, n, r))
-        ci = method.interval(data, spec.alpha)
-        amin = method.alpha_min_value(data)
-        records.append((ci.contains(dgp.target), ci.whole_line, ci.width, amin))
-    return np.array([[np.nan if value is None else value for value in rec] for rec in records],
-                    dtype=float).T
+        data = dgp.sample(n, stream_oracle(spec.base_seed, n, r))
+        for record, method in zip(records, spec.methods):
+            ci = method.interval(data, spec.alpha)
+            amin = method.alpha_min_value(data)
+            record[:, r] = [ci.contains(dgp.target), ci.whole_line, np.nan if ci.width is None else ci.width,
+                            np.nan if amin is None else amin]
+    return records
 
 
 def coverage_study_oracle(spec) -> SimReport:
-    """``run_coverage_study`` as one serial loop over (method, n, replication)."""
+    """``run_coverage_study`` as one serial loop over (n, replication, method)."""
+    records = [replication_records_oracle(spec, n) for n in spec.n_grid]
     return SimReport(tuple(
-        _aggregate(method, n, spec.alpha, replication_records_oracle(spec, i, n))
+        _aggregate(method, n, spec.alpha, recs[i])
         for i, method in enumerate(spec.methods)
-        for n in spec.n_grid
+        for n, recs in zip(spec.n_grid, records)
     ))
 
 
 def ols_width_means_oracle(dgp, method, n: int, alpha: float, replications: int, base_seed: int):
     """(mean edg width or None, mean sandwich width, share of whole-line edg
     intervals) of the OLS width curve at n: one fit per replication, each
-    from the stream ``substream`` seeds."""
+    drawn from ``stream_oracle``."""
     edg_widths, asymp_widths = [], []
     for r in range(replications):
-        design = dgp.sample(n, substream(base_seed, 0, n, r))
+        design = dgp.sample(n, stream_oracle(base_seed, n, r))
         fit = ols_fit(design)
         edg_ci = ci_edg(design, alpha, method.bounds, method.tuning, fit=fit)
         if edg_ci.width is not None:

@@ -382,8 +382,10 @@ def test_criterion_8_optimizer_dominance():
             alpha=0.10,
             base_seed=808,
         )
+        # both methods see the same draws, and at n_big the optimized width
+        # factor is below the fixed one (1.7252 < 1.7726 at alpha 0.1), so
+        # each optimized interval lies inside the fixed one on its draw
         report = run_coverage_study(spec)
         fixed_cov = report.row(methods[0].label, n_big).coverage
         opt_cov = report.row(methods[1].label, n_big).coverage
-        se = math.sqrt(fixed_cov * (1.0 - fixed_cov) / m)
-        assert opt_cov <= fixed_cov + 2.0 * se, (opt_cov, fixed_cov, se)
+        assert opt_cov <= fixed_cov, (opt_cov, fixed_cov)

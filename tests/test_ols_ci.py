@@ -27,7 +27,7 @@ from navae.errors import (
 )
 from navae import ols_ci
 from navae.dgp_sim import ExponentialMean, SimStudySpec, UnknownVarianceMethod, run_coverage_study
-from navae.mean_ci import MeanCiConfig, Sample, alpha_min, ci_clt, ci_unknown_variance, nu_var
+from navae.mean_ci import MeanCiConfig, Sample, _tuning_terms, alpha_min, ci_clt, ci_unknown_variance, nu_var
 from navae.ols_ci import (
     BOUND_KEYS,
     Design,
@@ -47,7 +47,7 @@ from navae.ols_ci import (
     tuning_for_rate,
 )
 from navae.linalg import psd_sqrt
-from navae.rules import PowerRule
+from navae.rules import PowerRule, parse_rule
 
 from oracles import (
     ci_edg_oracle,
@@ -362,6 +362,26 @@ def test_nu_edg_variance_term_is_nu_var():
                 tuning.delta, n, k_xi)
             assert nu_edg(n, 0.1, tuning, k_xi) == expected, (n, k_xi)
     assert nu_edg(120, 0.1, tuning, 50.0) == 1.0803404907885388
+
+
+@pytest.mark.parametrize("alpha, k_xi, expected", [(0.1, 9.0, 3655), (0.01, 50.0, 3441543)],
+                         ids=["easy", "hard"])
+def test_nu_var_floats_are_the_array_values_on_the_pinned_n_zero_scans(alpha, k_xi, expected, monkeypatch):
+    # the cond_edg scans of the pinned `feasibility --mode n-zero` commands
+    # (a = 1+20*n^-2/5; K_reg 0.01 and 1 end below these n): at every key
+    # they pass to nu_var, its float path gives _tuning_terms' array value
+    keys = []
+
+    def recording(a, n, k):
+        keys.append((a, n, k))
+        return nu_var(a, n, k)
+
+    monkeypatch.setattr(ols_ci, "nu_var", recording)
+    tuning = OlsTuning(omega_rule=parse_rule("n^-1/5"), a_rule=parse_rule("1+20*n^-2/5"))
+    assert ols_ci._last_edg_violation.__wrapped__(alpha, tuning, k_xi) == expected
+    assert len(keys) > 20
+    a, n, k = (np.array(column) for column in zip(*keys))
+    assert [nu_var(*key) for key in keys] == _tuning_terms(a, n, k, 0.0)[0].tolist()
 
 
 def test_nu_edg_dominates_delta():

@@ -1,9 +1,11 @@
 """The coverage-study engine against the per-replication oracle loop.
 
-The engine computes a cell's Philox keys in one pass, resets one generator
-to each (for the built-in DGPs), evaluates the mean intervals of a whole slice from
-per-replication moments drawn through a chunk buffer, and runs the tuning searches of a
-plug-in-K slice on lanes.  None of that may change a draw, a record or an error.
+The engine draws replication r of a cell (seed, n) once, from one generator
+reset to the Philox key (k0, r), evaluates every method on that draw, takes
+the mean intervals of a whole slice from per-replication moments drawn
+through a chunk buffer, and runs the tuning searches of a plug-in-K slice on
+lanes.  None of that may change a draw, a record or an error of the oracle
+loop, which runs in (n, replication, method) order.
 """
 
 import math
@@ -31,7 +33,7 @@ from navae.dgp_sim import (
     StudentMethod,
     UnknownVarianceMethod,
     _CellStreams,
-    _cell_keys,
+    _cell_key,
     _run_slice,
     run_coverage_study,
     sample_exponential,
@@ -50,28 +52,42 @@ from navae.errors import (
 from navae.mean_ci import Sample, alpha_min
 from navae.ols_ci import Design, OlsBounds, OlsTuning, PlugIn
 from navae.rules import OPTIMIZED
-from oracles import coverage_study_oracle, ols_width_means_oracle, replication_records_oracle
+from oracles import coverage_study_oracle, ols_width_means_oracle, replication_records_oracle, stream_oracle
 
 # ---------------------------------------------------------------------------
 # stream keys and the reused generator
 # ---------------------------------------------------------------------------
 
 
-def _state(seed, method_index, n, r):
-    return np.random.SeedSequence(seed, spawn_key=(method_index, n, r)).generate_state(2, np.uint64)
+def _k0(seed, n):
+    return np.random.SeedSequence(seed, spawn_key=(n,)).generate_state(1, np.uint64)[0]
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 7, 2**130 + 9])
 @pytest.mark.parametrize("n", [1, 10**4, 2**33 + 5])
 def test_cell_keys_equal_the_seed_sequence_state(seed, n):
-    for method_index in (0, 3):
-        keys = _cell_keys(seed, method_index, n, 0, 300)
-        assert keys.dtype == np.uint64 and keys.shape == (300, 2)
-        expected = np.array([_state(seed, method_index, n, r) for r in range(300)])
-        np.testing.assert_array_equal(keys, expected)
-        np.testing.assert_array_equal(_cell_keys(seed, method_index, n, 120, 300), expected[120:])
-        last = _cell_keys(seed, method_index, n, 2**32 - 1, 2**32)
-        np.testing.assert_array_equal(last, [_state(seed, method_index, n, 2**32 - 1)])
+    # k0 is the first word of the cell's seed sequence state, and the reset
+    # generator of replication r is Philox keyed k0 | r << 64
+    k0 = _k0(seed, n)
+    assert _cell_key(seed, n) == k0
+    streams = _CellStreams(seed, n)
+    for r in (0, 1, 2**32, 2**64 - 1):
+        got = streams.seed(r).random(9)
+        expected = np.random.Generator(np.random.Philox(key=int(k0) | r << 64)).random(9)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(stream_oracle(seed, n, r).random(9), expected)
+
+
+@pytest.mark.parametrize("low", [0, 5, 2**64 - 1])
+def test_seeds_that_differ_above_bit_64_draw_differently(low):
+    # the seed's full entropy enters k0, not only its low 64 bits
+    seeds = (low, low + 2**64, low + 2**100)
+    keys = {_cell_key(seed, 100) for seed in seeds}
+    assert len(keys) == 3
+    draws = {tuple(substream(seed, 0, 100, 3).random(4)) for seed in seeds}
+    assert len(draws) == 3
+    reports = {run_coverage_study(_spec(base_seed=seed)) for seed in seeds}
+    assert len(reports) == 3
 
 
 def _mixed_draw(n, rng):
@@ -92,35 +108,43 @@ def _same_data(a, b):
     CustomMeanDgp(draw=_mixed_draw, target=0.0),
 ], ids=["exponential", "gumbel", "custom"])
 def test_reset_generator_draws_what_substream_draws(dgp):
-    streams = _CellStreams(ExponentialMean(), 11, 2, 51, 3, 9)
+    streams = _CellStreams(11, 51)
     for r in range(3, 9):
         assert isinstance(streams.seed(r), np.random.Generator)
         dgp.sample(7, streams.seed(r))  # leaves the generator mid-stream
         got = dgp.sample(51, streams.seed(r))
-        assert _same_data(got, dgp.sample(51, substream(11, 2, 51, r)))
+        for method_index in (0, 2):  # the method index names no stream
+            assert _same_data(got, dgp.sample(51, substream(11, method_index, 51, r)))
         assert _same_data(dgp.sample(51, streams.seed(r)), got)
 
 
 def test_cell_keys_reject_a_negative_word():
-    for fields in [(-1, 0, 10), (3, -1, 10), (3, 0, -10)]:
-        with pytest.raises(ValueError, match="non-negative"):
-            _cell_keys(*fields, 0, 5)
+    for seed, n, r in [(-1, 10, 0), (3, -10, 0), (3, 10, -1), (3, 10, 2**64)]:
+        with pytest.raises(ValueError):
+            substream(seed, 0, n, r)
 
 
 def _spawning_draw(n, rng):
-    # children and the seed sequence of the generator a draw receives
     child, _ = rng.spawn(2)
-    key = rng.bit_generator.seed_seq.spawn_key
-    return child.standard_normal(n) + key[-1]
+    return child.standard_normal(n)
 
 
-def test_custom_dgps_get_the_substream_seed_sequence(monkeypatch):
-    dgp = CustomMeanDgp(draw=_spawning_draw, target=0.0)
-    streams = _CellStreams(dgp, 11, 2, 51, 3, 9)
-    for r in range(3, 9):
-        seed = streams.seed(r)
-        expected = substream(11, 2, 51, r)
-        assert (seed.entropy, seed.spawn_key) == (expected.entropy, expected.spawn_key)
+def _replication_generator(n, rng):
+    # the generator a custom draw receives is the replication's own stream
+    assert isinstance(rng, np.random.Generator)
+    return rng.standard_normal(n)
+
+
+def test_custom_dgps_get_the_replication_generator(monkeypatch):
+    # a custom DGP draws from replication r's keyed generator, which has no
+    # seed sequence: spawn raises (numpy before 1.25 has no spawn at all)
+    with pytest.raises((TypeError, AttributeError)):
+        _CellStreams(11, 51).seed(3).spawn(2)
+    spawning = SimStudySpec(dgp=CustomMeanDgp(draw=_spawning_draw, target=0.0), methods=(CltMethod(),),
+                            n_grid=(40,), replications=3, alpha=0.1, base_seed=8)
+    with pytest.raises((TypeError, AttributeError)):
+        run_coverage_study(spawning)
+    dgp = CustomMeanDgp(draw=_replication_generator, target=0.0)
     spec = SimStudySpec(dgp=dgp, methods=(CltMethod(), UnknownVarianceMethod(kurtosis_bound=None)),
                         n_grid=(3, 40), replications=9, alpha=0.1, base_seed=8)
     expected = coverage_study_oracle(spec)
@@ -132,7 +156,7 @@ def test_custom_dgps_get_the_substream_seed_sequence(monkeypatch):
 
 def test_sample_exponential_is_the_inverse_cdf_of_the_uniforms():
     for rate in (1.0, 0.3, 7.0):
-        u = np.random.Generator(np.random.Philox(substream(4, 0, 1000, 1))).random(1000)
+        u = substream(4, 0, 1000, 1).random(1000)
         got = sample_exponential(1000, substream(4, 0, 1000, 1), rate).values
         assert np.array_equal(got, -np.log1p(-u) / rate)
 
@@ -217,22 +241,24 @@ def test_chunk_records_equal_the_oracle_records_bit_for_bit(method, monkeypatch)
         spec = SimStudySpec(dgp=ExponentialMean(), methods=(method,), n_grid=n_grid,
                             replications=replications, alpha=0.2, base_seed=29)
         for n in n_grid:
-            expected = replication_records_oracle(spec, 0, n)
-            np.testing.assert_array_equal(_run_slice((0,), n, 0, replications, spec)[0], expected)
-            np.testing.assert_array_equal(_run_slice((0,), n, 7 % replications, replications, spec)[0],
-                                          expected[:, 7 % replications:])
+            expected = replication_records_oracle(spec, n)
+            np.testing.assert_array_equal(_run_slice(n, 0, replications, spec), expected)
+            np.testing.assert_array_equal(_run_slice(n, 7 % replications, replications, spec),
+                                          expected[..., 7 % replications:])
 
 
 def test_fixed_rule_cells_do_not_call_interval(monkeypatch):
     def no_interval(self, sample, alpha):
         raise AssertionError("interval called")
 
+    # a method without a cell rule (Chebyshev) in the same study still calls
+    # interval, and the others still do not
     methods = (CltMethod(), StudentMethod(), KnownVarianceMethod(sigma=1.0, kurtosis_bound=9.0),
                UnknownVarianceMethod(a_rule=OPTIMIZED, track_alpha_min=True))
     for method in methods:
         monkeypatch.setattr(type(method), "interval", no_interval)
-    spec = SimStudySpec(dgp=ExponentialMean(), methods=methods, n_grid=(10, 5000), replications=30,
-                        alpha=0.1, base_seed=1)
+    spec = SimStudySpec(dgp=ExponentialMean(), methods=(*methods, ChebyshevMethod(var_bound=1.0)),
+                        n_grid=(10, 5000), replications=30, alpha=0.1, base_seed=1)
     assert run_coverage_study(spec, workers=2) == run_coverage_study(spec)
     monkeypatch.undo()
     assert run_coverage_study(spec) == coverage_study_oracle(spec)
@@ -279,13 +305,14 @@ def test_plug_in_slices_search_in_blocks_of_64_lanes(monkeypatch):
 
 def test_a_slice_keeps_its_records_and_stream_keys_as_arrays():
     # 50,000 replications at n = 2: as Python record tuples and key lists
-    # they take about 15.7 MiB, as the (4, m) and (m, 2) arrays about 5 MiB
+    # they took about 15.7 MiB; the (4, m) records array holds 1.5 MiB, and
+    # the keys are one reused (k0, r) pair
     spec = SimStudySpec(dgp=ExponentialMean(), methods=(CltMethod(),), n_grid=(2,),
                         replications=50_000, alpha=0.1)
-    _run_slice((0,), 2, 0, 100, spec)  # warms the half-width caches
+    _run_slice(2, 0, 100, spec)  # warms the half-width caches
     tracemalloc.start()
     try:
-        records = _run_slice((0,), 2, 0, 50_000, spec)[0]
+        records = _run_slice(2, 0, 50_000, spec)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,7 +385,7 @@ def test_gumbel_block_rows_are_the_designs_sample_draws(n):
     # the engine fills one C-ordered scratch design per replication and
     # copies x' and y into a block, as sample_gumbel_hetero_linear fills the
     # design it validates
-    streams = _CellStreams(GumbelHeteroLinear(), 9, 1, n, 2, 7)
+    streams = _CellStreams(9, n)
     x, xt, y = np.empty((n, 3)), np.empty((5, 3, n)), np.empty((5, n))
     for j in range(5):
         dgp_sim._fill_gumbel(x, y[j], streams.seed(2 + j))
@@ -522,11 +549,11 @@ def test_ols_width_curve_equals_the_oracle_loop(monkeypatch):
 ], ids=["mean", "ols"])
 def test_a_group_gives_each_method_its_records_alone(dgp, methods, n_grid, fill, data_free, chunk,
                                                      monkeypatch):
-    # the methods of a group share one draw per replication, from the stream
-    # of its first method: each gets bit for bit the records it gets as the
-    # only method of a study, and a method proved the whole line without
-    # data (known variance at n = 2375, both edgs at n = 3655) draws nothing;
-    # an exponential replication's draw is its uniform fill
+    # the methods of a study share one draw per replication: each gets bit
+    # for bit the records it gets as the only method of a study, and a
+    # method proved the whole line without data (known variance at
+    # n = 2375, both edgs at n = 3655) draws nothing; an exponential
+    # replication's draw is its uniform fill
     monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
     reps = 9
     group = SimStudySpec(dgp, methods, n_grid, reps, 0.1, 5)
@@ -534,10 +561,9 @@ def test_a_group_gives_each_method_its_records_alone(dgp, methods, n_grid, fill,
     draw = getattr(dgp_sim, fill)
     for n in n_grid:
         for start in (0, 7):
-            alone = [_run_slice((0,), n, start, reps, SimStudySpec(dgp, (m,), (n,), reps, 0.1, 5))
-                     for m in methods]
+            alone = [_run_slice(n, start, reps, SimStudySpec(dgp, (m,), (n,), reps, 0.1, 5)) for m in methods]
             monkeypatch.setattr(dgp_sim, fill, lambda *args: calls.append(1) or draw(*args))
-            records = _run_slice((0, 1, 2), n, start, reps, group)
+            records = _run_slice(n, start, reps, group)
             monkeypatch.setattr(dgp_sim, fill, draw)
             assert records.shape == (3, 4, reps - start)
             np.testing.assert_array_equal(records, np.concatenate(alone))
@@ -545,7 +571,7 @@ def test_a_group_gives_each_method_its_records_alone(dgp, methods, n_grid, fill,
             calls.clear()
     n, free = data_free
     monkeypatch.setattr(dgp_sim, fill, lambda *args: calls.append(1) or draw(*args))
-    records = _run_slice(free, n, 0, reps, group)
+    records = _run_slice(n, 0, reps, SimStudySpec(dgp, tuple(methods[k] for k in free), (n,), reps, 0.1, 5))
     assert calls == [] and records.shape == (len(free), 4, reps) and (records[:, 1] == 1.0).all()
 
 
@@ -560,14 +586,14 @@ def test_a_faulty_draw_raises_the_width_curve_loops_first_error(fault, method, m
     # the fixed-K_xi edg is the whole line at n = 50 without data, so asymp raises
     monkeypatch.setattr(dgp_sim, "_fill_gumbel", _faulty_gumbel(fault))
     with pytest.raises(DataError) as info:
-        ols_width_means_oracle(GumbelHeteroLinear(), method, 50, 0.1, 8, 0)
+        ols_width_means_oracle(GumbelHeteroLinear(), method, 50, 0.1, 8, 353)
     for chunk in (1 << 16, 64):
         monkeypatch.setattr(dgp_sim, "_CHUNK_DOUBLES", chunk)
         with pytest.raises(DataError) as raised:
-            width_curve(GumbelHeteroLinear(), method, (50,), 0.1, replications=8, base_seed=0)
+            width_curve(GumbelHeteroLinear(), method, (50,), 0.1, replications=8, base_seed=353)
         assert str(raised.value) == str(info.value)
     # the four replications before the first fault give a row
-    (row,) = width_curve(GumbelHeteroLinear(), method, (50,), 0.1, replications=4, base_seed=0)
+    (row,) = width_curve(GumbelHeteroLinear(), method, (50,), 0.1, replications=4, base_seed=353)
     assert row.replications == 4
 
 
@@ -610,14 +636,14 @@ def test_a_group_raises_the_first_error_in_replication_then_method_order():
     # the second method fails at replication 0, before the first fails at 3;
     # at replication 3 both fail, and the first method's error comes first
     dgp = CustomMeanDgp(draw=_uniform, target=0.5)
-    first = [dgp.sample(5, substream(0, 0, 5, r)).values[0] for r in range(4)]
+    first = [dgp.sample(5, substream(180, 0, 5, r)).values[0] for r in range(4)]
     assert [x > 0.5 for x in first] == [True, False, True, True]
     assert [x > 0.9 for x in first] == [False, False, False, True]
-    spec = SimStudySpec(dgp, (_FailsAbove(0.9), _FailsAbove(0.5)), (5,), 6, 0.1, 0)
+    spec = SimStudySpec(dgp, (_FailsAbove(0.9), _FailsAbove(0.5)), (5,), 6, 0.1, 180)
     with pytest.raises(DataError, match="above 0.5"):
-        _run_slice((0, 1), 5, 0, 6, spec)
+        _run_slice(5, 0, 6, spec)
     with pytest.raises(DataError, match="above 0.9"):
-        _run_slice((0, 1), 5, 3, 6, spec)
+        _run_slice(5, 3, 6, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +667,20 @@ def _errors(spec, monkeypatch):
     return expected, raised
 
 
+def test_a_study_raises_the_first_error_in_n_then_replication_then_method_order(monkeypatch):
+    # the first method fails only at n = 7, the second already at n = 5,
+    # replication 0: the error is the second method's at any worker count
+    dgp = CustomMeanDgp(draw=_uniform, target=0.5)
+    first = {n: [dgp.sample(n, substream(2, 0, n, r)).values[0] for r in range(12)] for n in (5, 7)}
+    assert 0.8 < first[5][0] and max(first[5]) < 0.95 < max(first[7])
+    spec = SimStudySpec(dgp, (_FailsAbove(0.95), _FailsAbove(0.8)), (5, 7), 12, 0.1, 2)
+    expected, raised = _errors(spec, monkeypatch)
+    assert expected == (DataError, "first value above 0.8")
+    assert raised == [expected] * 6
+
+
 def _first_draw(seed, n, r):
-    return np.random.Generator(np.random.Philox(substream(seed, 0, n, r))).standard_normal(n)[0]
+    return substream(seed, 0, n, r).standard_normal(n)[0]
 
 
 def _fails_above_one(n, rng):
@@ -653,9 +691,9 @@ def _fails_above_one(n, rng):
 
 
 def test_an_interval_error_at_replication_zero_beats_a_draw_error_at_three(monkeypatch):
-    assert [_first_draw(5, 1, r) > 1.0 for r in range(4)] == [False, False, False, True]
+    assert [_first_draw(11, 1, r) > 1.0 for r in range(4)] == [False, False, False, True]
     spec = SimStudySpec(dgp=CustomMeanDgp(draw=_fails_above_one, target=0.0), methods=(CltMethod(),),
-                        n_grid=(1,), replications=6, alpha=0.1, base_seed=5)
+                        n_grid=(1,), replications=6, alpha=0.1, base_seed=11)
     expected, raised = _errors(spec, monkeypatch)
     assert expected == (InsufficientDataError, "CLT interval needs n >= 2")
     assert raised == [expected] * 6
@@ -669,15 +707,15 @@ def _nan_above_one_and_a_half(n, rng):
 
 
 def test_a_nan_in_the_middle_of_a_chunk_raises_the_serial_error(monkeypatch):
-    assert [_first_draw(7, 50, r) > 1.5 for r in range(7)] == [False] * 6 + [True]
+    assert [_first_draw(51, 50, r) > 1.5 for r in range(7)] == [False] * 6 + [True]
     dgp = CustomMeanDgp(draw=_nan_above_one_and_a_half, target=0.0)
     spec = SimStudySpec(dgp=dgp, methods=(CltMethod(), StudentMethod()), n_grid=(50,),
-                        replications=12, alpha=0.1, base_seed=7)
+                        replications=12, alpha=0.1, base_seed=51)
     expected, raised = _errors(spec, monkeypatch)
     assert expected == (DataError, "sample values must be finite")
     assert raised == [expected] * 6
     before = SimStudySpec(dgp=dgp, methods=spec.methods, n_grid=(50,), replications=6,
-                          alpha=0.1, base_seed=7)
+                          alpha=0.1, base_seed=51)
     assert run_coverage_study(before) == coverage_study_oracle(before)
 
 
@@ -685,7 +723,7 @@ def test_a_nan_in_an_exponential_chunk_raises_the_serial_error(monkeypatch):
     # the shared uniform fill puts a NaN in the middle of replication 5's
     # row, so sample_exponential's Sample (the oracle) and the chunk path,
     # whose inverse CDF runs on the whole chunk, both see it
-    first = [np.random.Generator(np.random.Philox(substream(4, 0, 50, r))).random() for r in range(12)]
+    first = [substream(35, 0, 50, r).random() for r in range(12)]
     assert [u > 0.85 for u in first] == [False] * 5 + [True] + [False] * 6
     fill = dgp_sim._fill_uniforms
 
@@ -697,12 +735,12 @@ def test_a_nan_in_an_exponential_chunk_raises_the_serial_error(monkeypatch):
     monkeypatch.setattr(dgp_sim, "_fill_uniforms", nan_above)
     methods = (CltMethod(), UnknownVarianceMethod(kurtosis_bound=None, track_alpha_min=True))
     spec = SimStudySpec(dgp=ExponentialMean(), methods=methods, n_grid=(50,), replications=12,
-                        alpha=0.1, base_seed=4)
+                        alpha=0.1, base_seed=35)
     expected, raised = _errors(spec, monkeypatch)
     assert expected == (DataError, "sample values must be finite")
     assert raised == [expected] * 6
     before = SimStudySpec(dgp=ExponentialMean(), methods=methods[:1], n_grid=(50,), replications=5,
-                          alpha=0.1, base_seed=4)
+                          alpha=0.1, base_seed=35)
     assert run_coverage_study(before) == coverage_study_oracle(before)
 
 
@@ -793,16 +831,16 @@ EDG_PLUG_IN = OlsEdgMethod(bounds=OlsBounds.all_plug_in())
 ], ids=["nan-asymp", "nan-edg", "singular-edg", "overflow-asymp", "overflow-edg"])
 def test_a_faulty_ols_draw_raises_the_serial_error(fault, method, expected, monkeypatch):
     # replications 4 and 7 are faulty: the first block holds good ones before it
-    first = [sample_gumbel_hetero_linear(50, substream(0, 0, 50, r)).x[0, 1] for r in range(8)]
+    first = [sample_gumbel_hetero_linear(50, substream(353, 0, 50, r)).x[0, 1] for r in range(8)]
     assert [x > 1.2 for x in first] == [False] * 4 + [True, False, False, True]
     monkeypatch.setattr(dgp_sim, "_fill_gumbel", _faulty_gumbel(fault))
     spec = SimStudySpec(dgp=GumbelHeteroLinear(), methods=(method,), n_grid=(50,), replications=8,
-                        alpha=0.1, base_seed=0)
+                        alpha=0.1, base_seed=353)
     error, raised = _errors(spec, monkeypatch)
     assert error[0] is DataError and error[1].startswith(expected)
     assert raised == [error] * 6
     before = SimStudySpec(dgp=GumbelHeteroLinear(), methods=(method,), n_grid=(50,), replications=4,
-                          alpha=0.1, base_seed=0)
+                          alpha=0.1, base_seed=353)
     assert run_coverage_study(before) == coverage_study_oracle(before)
 
 
@@ -924,7 +962,7 @@ def _spec(**fields):
     ({"n_grid": (20, True)}, "n entry must be an integer, got True"),
     ({"replications": 2.5}, "replications must be an integer, got 2.5"),
     ({"replications": True}, "replications must be an integer, got True"),
-    ({"replications": 2**32}, "replications must be below 2**32, got 4294967296"),
+    ({"replications": 2**64}, "replications must be below 2**64, got 18446744073709551616"),
     ({"base_seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"base_seed": False}, "seed must be an integer, got False"),
     ({"base_seed": -1}, "seed must be >= 0, got -1"),
@@ -956,4 +994,5 @@ def test_study_keeps_integral_fields_as_ints():
     spec = _spec(n_grid=(50.0, np.int64(7)), replications=np.int32(4), base_seed=3.0)
     assert spec.n_grid == (50, 7) and spec.replications == 4 and spec.base_seed == 3
     assert all(type(v) is int for v in (*spec.n_grid, spec.replications, spec.base_seed))
-    assert _spec(replications=2**32 - 1).replications == 2**32 - 1
+    # a replication index is the second word of a 128-bit Philox key
+    assert _spec(replications=2**64 - 1).replications == 2**64 - 1
