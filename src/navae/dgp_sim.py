@@ -161,6 +161,15 @@ def _check_rate(rate: float) -> None:
         raise DomainError(f"rate must be finite and positive, got {rate!r}")
 
 
+def _empty(shape, what: str) -> np.ndarray:
+    """``np.empty(shape)``; a DomainError naming ``what`` where numpy refuses
+    the size, which it does before it allocates anything."""
+    try:
+        return np.empty(shape)
+    except ValueError:
+        raise DomainError(f"{what} is too large for an array") from None
+
+
 def _fill_uniforms(out: np.ndarray, rng: np.random.Generator) -> None:
     """``out`` (contiguous) filled with uniforms in [0, 1): all that one
     exponential replication draws; ``_negated_exponential`` maps them."""
@@ -191,7 +200,7 @@ def sample_exponential(n: int, seed: SeedLike, rate: float = 1.0) -> Sample:
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     _check_rate(rate)
-    values = np.empty(n)
+    values = _empty(n, f"sample size {n}")
     _fill_uniforms(values, _generator(seed))
     with np.errstate(over="ignore"):  # a draw past the float range is inf, a DataError
         np.negative(_negated_exponential(values, rate), out=values)
@@ -237,7 +246,7 @@ def sample_gumbel_hetero_linear(
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    x, y = np.empty((n, 3)), np.empty(n)
+    x, y = _empty((n, 3), f"sample size {n}"), np.empty(n)
     _fill_gumbel(x, y, _generator(seed))
     return Design(x=x, y=y, u=np.asarray(u, dtype=float))
 
@@ -745,7 +754,7 @@ def _run_slice(n: int, start: int, stop: int, spec: SimStudySpec) -> np.ndarray:
             rules.append(method.cell_rule(n, spec.alpha))
         except Exception:  # the interval path raises it again
             rules.append(None)
-    records = np.empty((len(rules), 4, stop - start))
+    records = _empty((len(rules), 4, stop - start), f"replication count {spec.replications}")
     for record, rule in zip(records, rules):
         if rule is not None and rule.intervals is None:  # the whole line, proved without data
             record[:] = [[1.0], [1.0], [math.nan], [math.nan if rule.alpha_min is None else rule.alpha_min]]
@@ -822,9 +831,10 @@ def _child_slices(spec: SimStudySpec, start: int, stop: int, write_fd: int) -> N
 
 def _forked_slices(spec: SimStudySpec, cuts: list) -> list:
     """``_run_slices`` of slice k for every k, in k order: slice 0 runs in the
-    calling process, every other slice in a child it forks.  A child that
-    exits without a readable report is a ``RuntimeError``; every child is
-    reaped before this returns or raises."""
+    calling process, every other slice in a child it forks, so one slice (a
+    serial study) forks nothing.  A child that exits without a readable
+    report is a ``RuntimeError``; every child is reaped before this returns
+    or raises."""
     pids, pipes = [], []
     reaped = 0
     try:
@@ -873,16 +883,13 @@ def run_coverage_study(spec: SimStudySpec, workers: int = 1) -> SimReport:
     """
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
-    workers = min(workers, spec.replications)
-    if workers == 1 or not hasattr(os, "fork"):
-        records = [_run_slice(n, 0, spec.replications, spec) for n in spec.n_grid]
-    else:
-        cuts = [spec.replications * k // workers for k in range(workers + 1)]
-        slices = _forked_slices(spec, cuts)
-        errors = [(len(done), k, exc) for k, (done, exc) in enumerate(slices) if exc is not None]
-        if errors:
-            raise min(errors, key=lambda e: e[:2])[2]
-        records = [np.concatenate([done[c] for done, _ in slices], axis=-1) for c in range(len(spec.n_grid))]
+    workers = min(workers, spec.replications) if hasattr(os, "fork") else 1
+    cuts = [spec.replications * k // workers for k in range(workers + 1)]
+    slices = _forked_slices(spec, cuts)
+    errors = [(len(done), k, exc) for k, (done, exc) in enumerate(slices) if exc is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
+    records = [np.concatenate([done[c] for done, _ in slices], axis=-1) for c in range(len(spec.n_grid))]
     return SimReport(tuple(
         _aggregate(method, n, spec.alpha, recs[i])
         for i, method in enumerate(spec.methods) for n, recs in zip(spec.n_grid, records)
@@ -933,7 +940,7 @@ def width_curve(
         # the half-width per unit sigma/sqrt(n), None or +inf where the interval is the whole line
         if isinstance(method, KnownVarianceMethod):
             cfg = method._config(alpha)
-            factors = [_known_variance_factor(n, method.sigma, cfg) for n in n_grid]
+            factors = [_known_variance_factor(n, cfg) for n in n_grid]
         elif method.kurtosis_bound is None:
             raise ConfigError("deterministic width ratio needs a fixed kurtosis bound")
         else:

@@ -247,20 +247,17 @@ def _load_table(path: str | Path) -> tuple[tuple[int, float, float], ...]:
 def provider_from_string(spec: str) -> DeltaProvider:
     """Build a provider from its configuration string.
 
-    Recognized forms: ``be``, ``edg-leading``, ``edg-cont-leading``,
-    ``min(<spec>,<spec>,...)``, and ``user:<csv-path>[:certified]`` where the
-    CSV holds ``n,K,delta`` rows (step interpolation, conservative upward).
-    A table is treated as uncertified unless the ``:certified`` suffix
-    declares otherwise.
+    Recognized forms: a built-in provider's ``label`` (``be``,
+    ``edg-leading``, ``edg-cont-leading``), ``min(<spec>,<spec>,...)``, and
+    ``user:<csv-path>[:certified]`` where the CSV holds ``n,K,delta`` rows
+    (step interpolation, conservative upward).  A table is treated as
+    uncertified unless the ``:certified`` suffix declares otherwise.
     """
     text = spec.strip()
     lowered = text.lower()
-    if lowered == "be":
-        return BerryEsseen()
-    if lowered == "edg-leading":
-        return EdgeworthLeading()
-    if lowered == "edg-cont-leading":
-        return EdgeworthContinuousLeading()
+    for named in (BerryEsseen, EdgeworthLeading, EdgeworthContinuousLeading):
+        if lowered == named.label:
+            return named()
     if lowered.startswith("min(") and text.endswith(")"):
         inner = text[4:-1]
         parts = _split_top_level(inner)

@@ -370,19 +370,10 @@ def nu_var(a: float, n: int, kurtosis_bound: float) -> float:
     return float(np.exp((-0.5 * n) * (s * s) / kurtosis_bound))
 
 
-def _known_variance_factor(n: int, sigma_known: float, cfg: MeanCiConfig) -> float | None:
+def _known_variance_factor(n: int, cfg: MeanCiConfig) -> float | None:
     """q(1 - alpha/2 + delta_n), the known-variance half-width per unit
     sigma/sqrt(n) at sample size n; None when delta_n >= alpha/2 makes the
     interval the whole real line."""
-    if not math.isfinite(sigma_known) or sigma_known <= 0.0:
-        raise DomainError(f"sigma_known must be positive, got {sigma_known!r}")
-    if not isinstance(cfg.variance, KnownVariance):
-        raise ConfigError("ci_known_variance requires cfg.variance = KnownVariance")
-    if not math.isclose(sigma_known, cfg.variance.sigma, rel_tol=1e-12):
-        raise ConfigError(
-            f"sigma_known = {sigma_known!r} disagrees with the configured known "
-            f"variance's sigma {cfg.variance.sigma!r}"
-        )
     delta = delta_of(cfg.delta, n, cfg.kurtosis_bound)
     if delta >= cfg.alpha / 2.0:
         return None
@@ -392,7 +383,7 @@ def _known_variance_factor(n: int, sigma_known: float, cfg: MeanCiConfig) -> flo
 def _known_variance_half_width(n: int, sigma_known: float, cfg: MeanCiConfig) -> Callable | None:
     """The known-variance half-width (sigma/sqrt(n)) ``_known_variance_factor``
     as a constant function of sigma_hat^2; None in the whole-real-line regime."""
-    factor = _known_variance_factor(n, sigma_known, cfg)
+    factor = _known_variance_factor(n, cfg)
     if factor is None:
         return None
     half = sigma_known / math.sqrt(n) * factor
@@ -408,18 +399,16 @@ def ci_known_variance(
     interval with the quantile argument enlarged by delta_n.  ``sigma_known``
     must match ``cfg.variance.sigma`` to a relative 1e-12.
     """
+    KnownVariance(sigma_known)  # its positivity check
+    if not isinstance(cfg.variance, KnownVariance):
+        raise ConfigError("ci_known_variance requires cfg.variance = KnownVariance")
+    if not math.isclose(sigma_known, cfg.variance.sigma, rel_tol=1e-12):
+        raise ConfigError(
+            f"sigma_known = {sigma_known!r} disagrees with the configured known "
+            f"variance's sigma {cfg.variance.sigma!r}"
+        )
     return _centered(sample, _known_variance_half_width(sample.n, sigma_known, cfg), cfg.alpha,
                      "known-variance", scaled=False)
-
-
-def _resolve_a(cfg: MeanCiConfig, n: int) -> float | None:
-    """The tuning value a_n for a sample size, or None when optimization finds
-    no feasible value (the interval is then the whole real line for every a)."""
-    if isinstance(cfg.a_rule, OptimizedRule):
-        return _optimize_a_cached(
-            int(n), float(cfg.alpha), float(cfg.kurtosis_bound), cfg.delta
-        )
-    return _fixed_a(cfg.a_rule, n)
 
 
 def ci_unknown_variance(sample: Sample, cfg: MeanCiConfig) -> ConfidenceInterval:
@@ -746,22 +735,19 @@ def unknown_variance_width_factor(n: int, cfg: MeanCiConfig) -> float | None:
     """C_n q(1 - alpha/2 + delta + nu/2): half-width per unit sigma_hat/sqrt(n).
 
     Deterministic given (n, cfg) because the data enters the interval only
-    through sigma_hat.  None when the configuration is in the whole-real-line
-    regime at this n.
+    through sigma_hat: one lane of ``_unknown_variance_lanes``.  None when the
+    configuration is in the whole-real-line regime at this n.
     """
-    a = _resolve_a(cfg, n)
-    if a is None:
-        return None
-    d = delta_of(cfg.delta, n, cfg.kurtosis_bound)
-    w = float(_width_multiplier(a, n, cfg.alpha, cfg.kurtosis_bound, d))
-    return None if math.isinf(w) else w
+    (factor,), _ = _lane_search(_unknown_variance_lanes, [n], cfg.kurtosis_bound, cfg.delta, cfg.alpha,
+                                cfg.a_rule, False)
+    return None if math.isinf(factor) else float(factor)
 
 
 def _unknown_variance_lanes(n, k: np.ndarray, d: np.ndarray, alpha: float, a_rule: ARule,
                             track: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Each lane's ``unknown_variance_width_factor`` (+inf where it is None)
-    and, when ``track``, its ``alpha_min`` (else None), bit for bit as the
-    one-lane functions give them."""
+    """Each lane's width factor C_n q(arg) (+inf where the interval is the
+    whole line) and, when ``track``, its ``alpha_min`` (else None), bit for
+    bit as the one-lane functions give them."""
     if isinstance(a_rule, OptimizedRule):
         a = _optimize_lanes(n, k, d, alpha)
     else:

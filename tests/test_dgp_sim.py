@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from navae import dgp_sim
 from navae.dgp_sim import (
     ChebyshevMethod,
     CltMethod,
@@ -37,6 +38,7 @@ from navae.edgeworth import delta_of
 from navae.mean_ci import (MeanCiConfig, Sample, ci_known_variance, sample_kurtosis,
                            unknown_variance_width_factor)
 from navae.ols_ci import OlsBounds, OlsTuning, PlugIn, ols_fit
+from navae.report import read_report
 from navae.rules import OPTIMIZED, PowerRule
 from navae.specialfn import std_normal_quantile
 
@@ -330,6 +332,62 @@ def test_simulate_error_exit_code_same_with_pool(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: a_rule(400) = -0.5; fixed rules must return a > 1"] * 2
     assert not (tmp_path / "simulate_report.csv").exists()
+
+
+def test_serial_study_is_slice_zero_with_no_fork(monkeypatch):
+    spec = small_mean_study((CltMethod(), StudentMethod()), n_grid=(30, 300), replications=7)
+    expected = run_coverage_study(spec, workers=2)
+    cuts = []
+    forked_slices = dgp_sim._forked_slices
+
+    def recorded(spec, slice_cuts):
+        cuts.append(list(slice_cuts))
+        return forked_slices(spec, slice_cuts)
+
+    def no_fork():
+        raise AssertionError("a serial study forked")
+
+    monkeypatch.setattr(dgp_sim, "_forked_slices", recorded)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_coverage_study(spec, workers=1) == expected
+    assert cuts == [[0, 7]]
+
+
+HUGE_N = {"exponential-mean": "clt", "gumbel-hetero-linear": "asymp"}
+
+
+@pytest.mark.parametrize("n", [2**61, 10**19])
+@pytest.mark.parametrize("kind", sorted(HUGE_N))
+def test_sample_size_too_large_for_an_array_is_a_config_error(tmp_path, monkeypatch, capsys, kind, n):
+    # numpy refuses these sizes before it allocates anything
+    monkeypatch.chdir(tmp_path)
+    config = {"dgp": {"kind": kind}, "methods": [{"name": HUGE_N[kind]}], "n": [n], "alpha": 0.1,
+              "replications": 2}
+    (tmp_path / "sim.json").write_text(json.dumps(config))
+    codes = [run_command(["simulate", "--config", "sim.json", "--workers", w]) for w in "12"]
+    assert codes == [2, 2]
+    assert capsys.readouterr().err.splitlines() == [f"config error: sample size {n} is too large for an array"] * 2
+    assert not (tmp_path / "simulate_report.csv").exists()
+
+
+def test_width_curve_sample_size_too_large_for_an_array(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["width-curve", "--method", "unknown-variance", "--K", "9", "--alpha", "0.1",
+                        "--n", "3000,1e19", "-M", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: sample size {10**19} is too large for an array"]
+    # a cell proved the whole line without data draws nothing, at any n
+    assert run_command(["width-curve", "--method", "known-variance", "--sigma", "1", "--K", "1e308",
+                        "--alpha", "0.1", "--n", "1e19"]) == 0
+    (row,) = read_report("width_curve_report.csv")
+    assert row.n == 10**19 and row.whole_line_fraction == 1.0
+
+
+def test_replication_count_too_large_for_an_array_is_a_domain_error():
+    spec = SimStudySpec(ExponentialMean(), (CltMethod(),), (10,), 2**64 - 1, 0.1)
+    for workers in (1, 2):
+        with pytest.raises(DomainError, match=f"^replication count {2**64 - 1} is too large for an array$"):
+            run_coverage_study(spec, workers=workers)
+        assert multiprocessing.active_children() == []
 
 
 def _first_draw_above_one(n, rng):

@@ -308,6 +308,12 @@ def test_known_variance_sigma_must_match_config():
     # round-off in sigma**2 is not a mismatch
     sigma = 0.1 + 0.2
     assert not ci_known_variance(s, sigma, cfg_known(0.10, sigma)).whole_line
+    # the sigma that ci_known_variance receives is checked there
+    for sigma in (-1.0, 0.0, math.nan):
+        with pytest.raises(DomainError, match="sigma_known must be positive"):
+            ci_known_variance(s, sigma, cfg_known(0.10, 1.0))
+    with pytest.raises(ConfigError, match="requires cfg.variance = KnownVariance"):
+        ci_known_variance(s, 1.0, cfg_unknown(0.10))
 
 
 def test_known_variance_scale_shift_equivariance():
@@ -556,9 +562,22 @@ def test_search_and_interval_agree_on_feasibility():
                     assert not ci.whole_line, (n, alpha, k, provider)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("a_rule", [FIXED_RULE, OPTIMIZED], ids=["default", "optimized"])
+def test_width_factor_rejects_sample_size_below_one_as_alpha_min_does(n, a_rule):
+    # the factor is one lane of the kernel that alpha_min runs, so a sample
+    # size below 1 is the same DomainError, not a ZeroDivisionError or an
+    # a_rule ConfigError
+    with pytest.raises(DomainError) as expected:
+        alpha_min(n, 9.0, a_rule, BE)
+    with pytest.raises(DomainError) as got:
+        unknown_variance_width_factor(n, cfg_unknown(0.1, a_rule=a_rule))
+    assert str(got.value) == str(expected.value) == f"sample size must be >= 1, got {n}"
+
+
 def test_width_multiplier_scalar_matches_array():
-    # the golden-section steps and the fixed-rule interval take the scalar
-    # path, the grid scans the array path; both must give the same numbers
+    # every search and interval takes the array path; only the oracles take
+    # the scalar path, one a at a time; both must give the same numbers
     for n, alpha, k in ((1000, 0.32, 9.0), (10**4, 0.1, 9.0), (10**6, 0.05, 25.0)):
         d = delta_of(BE, n, k)
         grid = mean_ci._SCAN_GRID
