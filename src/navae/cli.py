@@ -30,6 +30,7 @@ from .dgp_sim import (
     study_from_config,
     width_curve,
 )
+from .edgeworth import _table_paths
 from .errors import ConfigError, DataError, DomainError, NavaeError
 from .mean_ci import (ConfidenceInterval, Sample, _alpha_min_lanes, _check_search_alpha, _feasible_lanes,
                       _lane_search)
@@ -248,16 +249,20 @@ def _report_paths(args) -> tuple[Path, Path]:
     return output, output.with_suffix(".json")
 
 
-def _check_outputs(args) -> None:
+def _check_outputs(args, deltas=()) -> None:
     """A ``ConfigError``, raised before anything runs or is written, when the
-    report or summary path names a file the command reads, a directory, or a
-    file in a directory that does not exist, or when the two are one path."""
+    report or summary path names a file the command reads (``--config``,
+    ``--input``, or a table of ``--delta`` or of the delta specs ``deltas``), a
+    directory, or a file in a directory that does not exist, or when the two
+    are one path."""
     report, summary = _report_paths(args)
+    sources = [(f"--{flag} file", getattr(args, flag, None)) for flag in ("config", "input")]
+    sources += [("delta table", path) for spec in (getattr(args, "delta", None), *deltas)
+                for path in _table_paths(spec)]
     for output in (report, summary):
-        for flag in ("config", "input"):
-            source = getattr(args, flag, None)
+        for what, source in sources:
             if source is not None and _same_file(output, source):
-                raise ConfigError(f"output {output} would overwrite the --{flag} file {source}")
+                raise ConfigError(f"output {output} would overwrite the {what} {source}")
         if output.is_dir():
             raise ConfigError(f"output {output} is a directory")
         if not output.parent.is_dir():
@@ -379,6 +384,7 @@ def _cmd_simulate(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
     study = study_from_config(config)
+    _check_outputs(args, [method.get("delta") for method in config["methods"]])
     for method in study.methods:
         _warn_uncertified(method)
     report = run_coverage_study(study, workers=args.workers)

@@ -163,10 +163,10 @@ def _check_rate(rate: float) -> None:
 
 def _empty(shape, what: str) -> np.ndarray:
     """``np.empty(shape)``; a DomainError naming ``what`` where numpy refuses
-    the size, which it does before it allocates anything."""
+    the size or the allocation fails, both before any memory is touched."""
     try:
         return np.empty(shape)
-    except ValueError:
+    except (ValueError, MemoryError):
         raise DomainError(f"{what} is too large for an array") from None
 
 

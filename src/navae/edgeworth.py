@@ -265,16 +265,21 @@ def provider_from_string(spec: str) -> DeltaProvider:
             raise ConfigError(f"empty min() in delta provider spec {spec!r}")
         return MinOf(tuple(provider_from_string(p) for p in parts))
     if lowered.startswith("user:"):
-        rest = text[5:]
-        certified = False
-        if rest.endswith(":certified"):
-            certified = True
-            rest = rest[: -len(":certified")]
-        if not rest:
+        (path,) = _table_paths(text)
+        if not path:
             raise ConfigError(f"missing table path in delta provider spec {spec!r}")
-        rows = _load_table(rest)
-        return TableProvider(rows=rows, declared_certified=certified, name=Path(rest).name)
+        return TableProvider(rows=_load_table(path), declared_certified=text.endswith(":certified"),
+                             name=Path(path).name)
     raise ConfigError(f"unknown delta provider spec {spec!r}")
+
+
+def _table_paths(spec: str | None) -> list[str]:
+    """The table files a delta spec reads: each ``user:`` path, inside
+    ``min(...)`` too, without its ``:certified`` suffix."""
+    text = (spec or "").strip()
+    if text.lower().startswith("min(") and text.endswith(")"):
+        return [path for part in _split_top_level(text[4:-1]) for path in _table_paths(part)]
+    return [text[5:].removesuffix(":certified")] if text.lower().startswith("user:") else []
 
 
 def _split_top_level(text: str) -> list[str]:

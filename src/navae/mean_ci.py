@@ -364,10 +364,7 @@ def nu_var(a: float, n: int, kurtosis_bound: float) -> float:
     if not math.isfinite(a) or a <= 1.0:
         raise DomainError(f"tuning parameter a must exceed 1, got {a!r}")
     n, kurtosis_bound = _check_nk(n, kurtosis_bound)
-    # _tuning_terms' nu on floats: the same operations, and numpy's exp,
-    # which can differ from math.exp in the last ulp
-    s = 1.0 - 1.0 / a
-    return float(np.exp((-0.5 * n) * (s * s) / kurtosis_bound))
+    return float(_tuning_terms(a, n, kurtosis_bound, 0.0)[0])
 
 
 def _known_variance_factor(n: int, cfg: MeanCiConfig) -> float | None:

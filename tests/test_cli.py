@@ -244,6 +244,18 @@ def test_unreadable_delta_table_is_a_data_error(in_tmp, capsys, command):
     assert not list(in_tmp.glob("*_report.*"))
 
 
+def test_mean_ci_reads_a_byte_order_mark(in_tmp, capsys):
+    # a spreadsheet's "CSV UTF-8" export starts with one
+    text = "x\n0.5\n1.5\n2\n1\n"
+    write(in_tmp / "plain.csv", text)
+    write(in_tmp / "bom.csv", "\ufeff" + text)
+    for name in ("plain", "bom"):
+        assert run_command(["mean-ci", "--input", f"{name}.csv", "--alpha", "0.1", "--method", "clt",
+                            "--output", f"{name}_report.csv"]) == 0
+    assert read_report(in_tmp / "bom_report.csv") == read_report(in_tmp / "plain_report.csv")
+    capsys.readouterr()
+
+
 def test_mean_ci_whole_line_row(in_tmp, capsys):
     path = mean_file(in_tmp, n=100)
     assert run_command(["mean-ci", "--alpha", "0.05", "--K", "9", "--input", str(path)]) == 0
@@ -543,6 +555,25 @@ def test_ols_ci_near_collinear_regressors(in_tmp, capsys):
     assert "R (whole real line), level 0.9, method edg" in capsys.readouterr().out
 
 
+def test_ols_ci_on_eight_rows(in_tmp, capsys):
+    # plug-in bounds, inflated, are the whole line below n0; asymp keeps the
+    # width of a tiny direction, since u'Vu is taken at the binary scale of u
+    path = write(in_tmp / "eight.csv", "y,x1\n1.2,0.5\n2.9,1.0\n2.1,1.5\n4.8,2.0\n3.9,2.5\n"
+                                       "6.4,3.0\n5.2,3.5\n8.1,4.0\n")
+    command = ["ols-ci", "--input", str(path), "--add-intercept", "--alpha", "0.1"]
+    assert run_command(command + ["--u", "0,1", "--inflation", "2"]) == 0
+    assert "R (whole real line)" in capsys.readouterr().out
+    assert read_report(in_tmp / "ols_ci_report.csv")[0].is_whole_line is True
+    widths = []
+    for u in ("0,1", "0,1e-300"):
+        assert run_command(command + ["--u", u, "--method", "asymp"]) == 0
+        (row,) = read_report(in_tmp / "ols_ci_report.csv")
+        assert row.lower < row.upper
+        widths.append(row.width)
+    assert widths[1] == pytest.approx(1e-300 * widths[0], rel=1e-12)
+    capsys.readouterr()
+
+
 def test_ols_ci_u_mismatch_is_config_error(in_tmp, capsys):
     path = ols_file(in_tmp, n=100)
     code = run_command(
@@ -642,6 +673,18 @@ def test_feasibility_n_list_is_one_lane_search_in_blocks_of_64(in_tmp, capsys, m
     else:
         assert [(r.a_lower, r.a_upper) for r in rows] == [
             feasible_a_interval(m, 0.1, 9.0, BerryEsseen()) or (None, None) for m in n]
+
+
+def test_feasibility_alpha_min_of_a_list_from_1_to_1e8(in_tmp, capsys):
+    # a list that repeats, is unsorted and starts at 1; each row is the
+    # one-lane alpha_min at its n
+    n = [1, 1, 10**8, 2]
+    assert run_command(["feasibility", "--mode", "alpha-min", "--K", "9", "--a-rule", "optimized",
+                        "--n", ",".join(map(str, n))]) == 0
+    rows = read_report(in_tmp / "feasibility_report.csv")
+    assert [r.n for r in rows] == n
+    assert [r.alpha_min for r in rows] == [alpha_min(m, 9.0, OPTIMIZED, BerryEsseen()) for m in n]
+    capsys.readouterr()
 
 
 def test_feasibility_n_list_exits_at_its_first_failing_n(in_tmp, capsys):
@@ -885,6 +928,7 @@ def test_simulate_track_alpha_min_must_be_boolean(in_tmp, capsys, flag):
 
 
 _MEAN_CI_D = ["mean-ci", "--alpha", "0.1", "--method", "clt", "--input", "d.csv"]
+_MEAN_CI_K9 = ["mean-ci", "--alpha", "0.1", "--K", "9", "--input", "d.csv"]
 
 
 @pytest.mark.parametrize(
@@ -913,19 +957,47 @@ _MEAN_CI_D = ["mean-ci", "--alpha", "0.1", "--method", "clt", "--input", "d.csv"
         ([*_MEAN_CI_D, "--output", "missing/x.csv"], "directory missing does not exist"),
         (["simulate", "--config", "x.json", "--output", "missing/x.csv"],
          "directory missing does not exist"),
+        # a table that a delta spec names is read, as --input is; simulate
+        # refuses it once its config is read, before the study runs
+        ([*_MEAN_CI_K9, "--delta", "user:t.csv", "--output", "t.csv"],
+         "would overwrite the delta table t.csv"),
+        ([*_MEAN_CI_K9, "--delta", "min(be,user:t.csv)", "--output", "t.csv"],
+         "would overwrite the delta table t.csv"),
+        ([*_MEAN_CI_K9, "--delta", "user:t.json:certified", "--output", "t.csv"],
+         "would overwrite the delta table t.json"),
+        (["ols-ci", "--alpha", "0.1", "--add-intercept", "--u", "0,1", "--k-xi", "9", "--input",
+          "o.csv", "--delta", "user:t.csv", "--output", "t.csv"], "would overwrite the delta table t.csv"),
+        (["feasibility", "--mode", "n-zero", "--alpha", "0.1", "--k-reg", "0.01", "--delta",
+          "min(user:t.csv,be)", "--output", "t.csv"], "would overwrite the delta table t.csv"),
+        (["width-curve", "--method", "unknown-variance", "--K", "9", "--alpha", "0.1", "--n", "100",
+          "--delta", "user:t.csv", "--output", "t.csv"], "would overwrite the delta table t.csv"),
+        (["simulate", "--config", "x.json", "--output", "t.csv"],
+         "would overwrite the delta table t.csv"),
+        (["simulate", "--config", "ols.json", "--output", "t.csv"],
+         "would overwrite the delta table t.json"),
     ],
     ids=["simulate-summary", "simulate-report", "simulate-dotdot", "mean-ci-report",
          "mean-ci-summary", "ols-ci-report", "mean-ci-default-output", "mean-ci-json-report",
          "simulate-json-report", "report-directory", "summary-directory",
-         "mean-ci-missing-directory", "simulate-missing-directory"],
+         "mean-ci-missing-directory", "simulate-missing-directory", "mean-ci-table",
+         "mean-ci-table-in-min", "mean-ci-certified-table-summary", "ols-ci-table",
+         "feasibility-table-in-min", "width-curve-table", "simulate-table",
+         "simulate-table-in-min-summary"],
 )
 def test_outputs_may_not_overwrite_inputs(in_tmp, capsys, argv, message):
     # every case is refused before anything runs (simulate would print its rows)
     (in_tmp / "sub").mkdir()
     (in_tmp / "dir.json").mkdir()
-    write(in_tmp / "x.json", json.dumps({"dgp": {"kind": "exponential-mean"},
-                                         "methods": [{"name": "clt"}], "n": [100],
-                                         "alpha": 0.1, "replications": 5}))
+    study = {"n": [100], "alpha": 0.1, "replications": 5}
+    write(in_tmp / "x.json", json.dumps({
+        **study, "dgp": {"kind": "exponential-mean"},
+        "methods": [{"name": "clt"}, {"name": "unknown-variance", "K": 9, "delta": "user:t.csv"}]}))
+    write(in_tmp / "ols.json", json.dumps({
+        **study, "dgp": {"kind": "gumbel-hetero-linear"},
+        "methods": [{"name": "asymp"}, {"name": "edg", "delta": "min(be,user:t.json:certified)",
+                                        "bounds": {"lambda_reg": 1, "k_reg": 0.01, "k_eps": 1, "k_xi": 9}}]}))
+    for name in ("t.csv", "t.json"):
+        write(in_tmp / name, "n,K,delta\n2,9,0.3\n100,9,0.001\n")
     for name in ("d.csv", "d.json", "mean_ci_report.csv"):
         write(in_tmp / name, "x\n1\n2\n3\n")
     write(in_tmp / "o.csv", "y,x1\n1,0\n2,1\n2,3\n5,4\n")

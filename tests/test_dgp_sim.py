@@ -382,12 +382,27 @@ def test_width_curve_sample_size_too_large_for_an_array(tmp_path, monkeypatch, c
     assert row.n == 10**19 and row.whole_line_fraction == 1.0
 
 
-def test_replication_count_too_large_for_an_array_is_a_domain_error():
-    spec = SimStudySpec(ExponentialMean(), (CltMethod(),), (10,), 2**64 - 1, 0.1)
-    for workers in (1, 2):
-        with pytest.raises(DomainError, match=f"^replication count {2**64 - 1} is too large for an array$"):
-            run_coverage_study(spec, workers=workers)
-        assert multiprocessing.active_children() == []
+def test_replication_count_too_large_for_an_array_is_a_domain_error(tmp_path, monkeypatch, capsys):
+    # numpy refuses each whole records array; at 2**59 - 2 and 2 or 3
+    # workers a slice's is a size numpy accepts and malloc refuses, before
+    # memory is touched
+    for replications in (2**64 - 1, 2**59 - 2):
+        spec = SimStudySpec(ExponentialMean(), (CltMethod(),), (10,), replications, 0.1)
+        for workers in (1, 2, 3):
+            with pytest.raises(DomainError) as info:
+                run_coverage_study(spec, workers=workers)
+            assert type(info.value) is DomainError
+            assert str(info.value) == f"replication count {replications} is too large for an array"
+            assert multiprocessing.active_children() == []
+    monkeypatch.chdir(tmp_path)
+    config = {"dgp": {"kind": "exponential-mean"}, "methods": [{"name": "clt"}], "n": [10],
+              "alpha": 0.1, "replications": 2**59 - 2}
+    (tmp_path / "sim.json").write_text(json.dumps(config))
+    assert [run_command(["simulate", "--config", "sim.json", "--workers", w]) for w in "12"] == [2, 2]
+    message = f"config error: replication count {2**59 - 2} is too large for an array"
+    assert capsys.readouterr().err.splitlines() == [message] * 2
+    assert not (tmp_path / "simulate_report.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def _first_draw_above_one(n, rng):
